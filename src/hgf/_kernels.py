@@ -11,7 +11,7 @@ variants:
 Setting the environment variable ``HGF_NO_NUMBA=1`` before import selects
 the fallback; it is also selected automatically when numba is missing.
 Both paths perform the same floating-point operations in the same order,
-so results are bit-identical (see tests and benchmarks/benchmark_kernels.py).
+so results are bit-identical (see tests/test_kernels.py).
 
 ``HGF_THREADS`` caps the number of worker threads used for embarrassingly
 parallel work (independent refinement levels); kernels themselves are
@@ -34,25 +34,9 @@ __all__ = [
     "mol_run_numpy",
     "ode_rk4_table",
     "ode_rhs",
-    "SYS_CODES",
 ]
 
 _SQRT6 = math.sqrt(6.0)
-
-# integer codes for the reduced-system right-hand sides understood by the
-# kernels; kept in sync with hgf.reduction
-SYS_CODES = {
-    "R35": 1,
-    "R38": 2,
-    "R47": 3,
-    "R58": 4,
-    "T2a": 5,
-    "T2b": 6,
-    "T2c": 7,
-    "T2d": 8,
-    "L36": 9,
-    "L52": 10,
-}
 
 
 def _env_flag(name: str) -> bool:
@@ -265,12 +249,24 @@ def _mol_run_numpy(F, dco, aco, h, dt, nsteps, bc_mode, bc_table, snap_steps,
 
 
 # ---------------------------------------------------------------------------
-# reduced-system right-hand sides, dispatched by integer code
+# reduced-system right-hand sides, dispatched by the integer code of
+# hgf.reduction.SYSTEMS
 #
 # State layouts: second-order systems in first-order form use
 # (U, U', V, V', W, W'); first-order systems use (U, V, W); the scalar
-# linear profile equations use (U, U') / (V, V').
+# linear profile equations use (U, U') / (V, V').  A state of shape
+# (dim, n) with x of shape (n,) evaluates n nodes at once (plain-Python
+# body only; the numba build takes scalar x).
 # ---------------------------------------------------------------------------
+
+
+def _tanh(x):
+    """math.tanh, elementwise on arrays: np.tanh differs from it in the
+    last bit, and a node's derivative must not depend on how many nodes
+    are evaluated together."""
+    if np.ndim(x) == 0:
+        return math.tanh(x)
+    return np.array([math.tanh(v) for v in x])
 
 
 def ode_rhs(code, c, x, y):
@@ -345,13 +341,13 @@ def ode_rhs(code, c, x, y):
     elif code == 9:  # L36
         alpha, a1, beta, k1, k2 = c[0], c[1], c[2], c[3], c[4]
         U, Up = y[0], y[1]
-        phi = 1.0 - math.tanh(k2 * x / (2.0 * _SQRT6))
+        phi = 1.0 - _tanh(k2 * x / (2.0 * _SQRT6))
         out[0] = Up
         out[1] = -alpha * Up - U * (1.0 + a1 * beta - k1 * phi * phi)
     else:  # L52
         alpha, beta, a4, case50 = c[0], c[1], c[2], c[3]
         V, Vp = y[0], y[1]
-        phi = 1.0 - math.tanh(x / (2.0 * _SQRT6))
+        phi = 1.0 - _tanh(x / (2.0 * _SQRT6))
         U = 0.25 * phi * phi
         if case50 > 0.5:
             W = 0.25 * (1.0 - a4) * phi * phi
@@ -387,6 +383,11 @@ if _env_flag("HGF_NO_NUMBA"):
 else:
     try:
         from numba import njit as _njit
+        from numba.extending import overload as _overload
+
+        @_overload(_tanh)
+        def _tanh_jit(x):  # jitted callers pass scalar x only
+            return lambda x: math.tanh(x)
 
         _mol_rhs_loop = _njit(cache=True, nogil=True)(_mol_rhs_loop)
         _set_bounds = _njit(cache=True, nogil=True)(_set_bounds)

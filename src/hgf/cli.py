@@ -579,41 +579,17 @@ def _op_from_args(args, params: model.Params) -> symmetry.SymmetryOp:
     return symmetry.SymmetryOp(kind, **kw)
 
 
-_SYSTEM_COEFF_FLAGS = {
-    "R35": ("alpha", "a1", "beta", "a3", "a4", "d"),
-    "R38": ("beta", "a1", "a3", "a4"),
-    "R47": ("alpha", "beta", "a3", "a4", "d"),
-    "R58": ("alpha", "a1", "a2", "a3", "a4", "a5", "d2", "d3"),
-    "T2a": ("alpha", "beta", "a1", "a4"),
-    "T2b": ("alpha", "gamma", "a1", "a4"),
-    "T2c": ("beta", "a1", "a4"),
-    "T2d": ("a1", "a4"),
-    "L36": ("alpha", "a1", "beta", "kappa1", "kappa2"),
-    "L52": ("alpha", "beta", "a4"),
-}
-
-
 def _build_system(args) -> reduction.ReducedSystem:
-    sid = args.system
-    if sid not in _SYSTEM_COEFF_FLAGS:
-        raise ConstraintError(f"unknown system id {sid!r}")
-    if sid == "R58":
-        p = model.Params(a1=_req(args, "a1"), a2=_req(args, "a2"),
-                         a3=_req(args, "a3"), a4=_req(args, "a4"),
-                         a5=_req(args, "a5"), d1=1.0,
-                         d2=_req(args, "d2"), d3=_req(args, "d3"))
-        return reduction.reduced_system("R58", alpha=_req(args, "alpha"),
-                                        params=p)
-    if sid == "L52":
-        if args.case not in ("50", "51"):
-            raise ConstraintError("L52 needs --case 50 or 51")
+    spec = reduction.SYSTEMS.get(args.system)
+    if spec is None:
+        raise ConstraintError(f"unknown system id {args.system!r}")
+    kw = {name: _req(args, name) for name in spec.coeffs
+          if name not in spec.defaults or getattr(args, name) is not None}
+    if spec.takes_params:
+        alpha = kw.pop("alpha")
         return reduction.reduced_system(
-            "L52", beta=_req(args, "beta"), case=args.case,
-            a4=args.a4 if args.a4 is not None else 0.0)
-    kw = {}
-    for name in _SYSTEM_COEFF_FLAGS[sid]:
-        kw[name] = _req(args, name)
-    return reduction.reduced_system(sid, **kw)
+            spec.sid, alpha=alpha, params=model.Params(d1=1.0, **kw))
+    return reduction.reduced_system(spec.sid, **kw)
 
 
 def _req(args, name):

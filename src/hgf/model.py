@@ -91,6 +91,11 @@ class Params:
     d3: float = 1.0
 
     def __post_init__(self):
+        for name in ("a1", "a2", "a3", "a4", "a5", "d1", "d2", "d3"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConstraintError(
+                    f"Params requires finite {name} (got {getattr(self, name)!r})"
+                )
         if self.a4 == 0:
             raise ConstraintError("Params requires a4 != 0")
         for name in ("d1", "d2", "d3"):
@@ -145,12 +150,6 @@ def rescale_params(orig: OriginalParams) -> Params:
     )
 
 
-def kinetics(p, state):
-    """Reaction rates of `p` at a (u, v, w) triple (scalars or arrays)."""
-    u, v, w = state
-    return p.reaction(u, v, w)
-
-
 # ---------------------------------------------------------------------------
 # solution samplers
 # ---------------------------------------------------------------------------
@@ -178,11 +177,6 @@ class Solution:
 
     def __call__(self, t, x):
         return self.evaluate(t, x)
-
-
-def as_solution(fn, params=None, **kw) -> Solution:
-    """Wrap a plain (t, x) sampler callable."""
-    return Solution(evaluate=fn, params=params, **kw)
 
 
 def reflect_solution(sol) -> Solution:
@@ -349,7 +343,7 @@ def steady_states(p: Params) -> list[SteadyState]:
             vstar = a3 * (a1 + a2) / det
             wstar = a2 * (a1 * a3 - a5) / det
             cand = (0.0, vstar, wstar)
-            if max(abs(c) for c in kinetics(p, cand)) <= STEADY_TOL and not any(
+            if max(abs(c) for c in p.reaction(*cand)) <= STEADY_TOL and not any(
                 s.contains(cand, tol=1e-12) for s in out
             ):
                 out.append(

@@ -29,50 +29,114 @@ import numpy as np
 from scipy.interpolate import make_interp_spline
 
 from . import calculus, solutions
-from ._kernels import SYS_CODES, ode_rhs, ode_rk4_table
+from ._kernels import ode_rhs, ode_rk4_table
 from .errors import ConstraintError, DomainError, NumericalError
 from .model import Params, Solution
 
 SQRT6 = math.sqrt(6.0)
+
+# the numba build of ode_rhs takes scalar x only; whole grids go through
+# its plain-Python body
+_ode_rhs_nodes = getattr(ode_rhs, "py_func", ode_rhs)
 
 
 # ---------------------------------------------------------------------------
 # reduced systems
 # ---------------------------------------------------------------------------
 
-_SECOND_ORDER = {"R35", "R47", "R58", "T2a", "T2b", "L36", "L52"}
-_DIMS = {"R35": 6, "R38": 3, "R47": 6, "R58": 6, "T2a": 6, "T2b": 6,
-         "T2c": 3, "T2d": 3, "L36": 2, "L52": 2}
-_IVAR = {"R35": "omega", "R38": "t", "R47": "omega", "R58": "omega",
-         "T2a": "omega", "T2b": "omega", "T2c": "t", "T2d": "t",
-         "L36": "omega", "L52": "omega"}
+ANSATZ_IDS = ("A34", "A37", "A44", "plane", "T2a", "T2b", "T2c", "T2d")
+_OMEGA_BASED = {"A34", "A44", "plane", "T2a", "T2b"}
+
+
+@dataclass(frozen=True)
+class SystemSpec:
+    """Catalog facts of one reduced system; everything else is derived.
+
+    `code` selects the equations in `_kernels.ode_rhs`, and `coeffs` names
+    its coefficient vector in order.  A `takes_params` system is built from
+    (alpha, params) and reads the other coefficients from the Params
+    record.  `ansatz` reconstructs a PDE solution from the profiles and
+    fixes the independent variable.  `row_scale` maps an equation row to
+    the coefficient multiplying its highest derivative (absent: 1);
+    residual rows are reported in that scale.
+    """
+
+    sid: str
+    code: int
+    coeffs: tuple[str, ...]
+    order: int
+    profiles: tuple[str, ...]
+    ansatz: str
+    row_scale: dict = field(default_factory=dict)
+    defaults: dict = field(default_factory=dict)
+    takes_params: bool = False
+
+    @property
+    def dim(self) -> int:
+        return self.order * len(self.profiles)
+
+    @property
+    def ivar(self) -> str:
+        return "omega" if self.ansatz in _OMEGA_BASED else "t"
+
+    @property
+    def arguments(self) -> tuple[str, ...]:
+        """Keyword names `reduced_system` takes for this system."""
+        return ("alpha", "params") if self.takes_params else self.coeffs
+
+
+_UVW = ("U", "V", "W")
+SYSTEMS = {s.sid: s for s in (
+    SystemSpec("R35", 1, ("alpha", "a1", "beta", "a3", "a4", "d"), 2, _UVW,
+               "A34", row_scale={2: "d"}),
+    SystemSpec("R38", 2, ("beta", "a1", "a3", "a4"), 1, _UVW, "A37"),
+    SystemSpec("R47", 3, ("alpha", "beta", "a3", "a4", "d"), 2, _UVW, "A44",
+               row_scale={2: "d"}),
+    SystemSpec("R58", 4, ("alpha", "a1", "a2", "a3", "a4", "a5", "d2", "d3"),
+               2, _UVW, "plane", row_scale={1: "d2", 2: "d3"},
+               takes_params=True),
+    SystemSpec("T2a", 5, ("alpha", "beta", "a1", "a4"), 2, _UVW, "T2a"),
+    SystemSpec("T2b", 6, ("alpha", "gamma", "a1", "a4"), 2, _UVW, "T2b"),
+    SystemSpec("T2c", 7, ("beta", "a1", "a4"), 1, _UVW, "T2c"),
+    SystemSpec("T2d", 8, ("a1", "a4"), 1, _UVW, "T2d"),
+    SystemSpec("L36", 9, ("alpha", "a1", "beta", "kappa1", "kappa2"), 2,
+               ("U",), "A34"),
+    SystemSpec("L52", 10, ("alpha", "beta", "a4", "case"), 2, ("V",), "A44",
+               defaults={"alpha": solutions.FISHER_SPEED, "a4": 0.0}),
+)}
 
 
 @dataclass(frozen=True)
 class ReducedSystem:
     """One reduced ODE system in first-order form."""
 
-    sid: str
+    spec: SystemSpec
     coeffs: dict
-    code: int
     kcoeffs: np.ndarray = field(repr=False)
-    dim: int = 0
+
+    @property
+    def sid(self) -> str:
+        return self.spec.sid
+
+    @property
+    def code(self) -> int:
+        return self.spec.code
+
+    @property
+    def dim(self) -> int:
+        return self.spec.dim
 
     @property
     def second_order(self) -> bool:
-        return self.sid in _SECOND_ORDER
+        return self.spec.order == 2
 
     @property
     def ivar(self) -> str:
-        return _IVAR[self.sid]
+        return self.spec.ivar
 
     @property
     def profile_indices(self) -> tuple[int, ...]:
-        if self.dim == 6:
-            return (0, 2, 4)
-        if self.dim == 3:
-            return (0, 1, 2)
-        return (0,)
+        return tuple(range(0, self.dim, self.spec.order))
 
     def rhs(self, x: float, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -84,153 +148,56 @@ class ReducedSystem:
         return ode_rhs(self.code, self.kcoeffs, float(x), y)
 
     def rhs_nodes(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        out = np.empty_like(ys)
-        for i in range(ys.shape[0]):
-            out[i] = ode_rhs(self.code, self.kcoeffs, float(xs[i]), ys[i])
-        return out
+        """Derivatives at the nodes xs of the states ys (one per row)."""
+        return _ode_rhs_nodes(self.code, self.kcoeffs, xs, ys.T).T
 
     def equation_residuals(self, x, vals, D1, D2):
-        """Equation left-hand sides from sampled profiles and their
-        finite-difference derivatives (one row per equation)."""
-        c = self.coeffs
-        sid = self.sid
-        if sid in ("R35", "T2a"):
-            al, a1, be, a4 = c["alpha"], c["a1"], c["beta"], c["a4"]
-            U, V, W = vals
-            e0 = D2[0] + al * D1[0] + U * (1.0 + a1 * be - a1 * V)
-            e1 = D2[1] + al * D1[1] + V * (1.0 - a1 * V + a1 * W)
-            if sid == "R35":
-                a3, d = c["a3"], c["d"]
-                e2 = d * D2[2] + al * D1[2] + a3 * W * (1.0 - W) \
-                    - a1 * a4 * V * W
-            else:
-                e2 = D2[2] + al * D1[2] - a1 * a4 * V * W
-            return np.stack((e0, e1, e2))
-        if sid == "T2b":
-            al, ga, a1, a4 = c["alpha"], c["gamma"], c["a1"], c["a4"]
-            U, V, W = vals
-            s = (a4 - 1.0) * V + W + (1.0 - a4) / a1
-            e0 = D2[0] + al * D1[0] - a1 * U * V - ga * s
-            e1 = D2[1] + al * D1[1] + V * (1.0 - a1 * V + a1 * W)
-            e2 = D2[2] + al * D1[2] - a1 * a4 * V * W
-            return np.stack((e0, e1, e2))
-        if sid == "R38":
-            be, a1, a3, a4 = c["beta"], c["a1"], c["a3"], c["a4"]
-            U, V, W = vals
-            e0 = D1[0] + U * (a1 * V - 1.0 - be * be * a1 * a1)
-            e1 = D1[1] + V * (a1 * V - a1 * W - 1.0)
-            e2 = D1[2] + W * (a3 * W + a1 * a4 * V - a3)
-            return np.stack((e0, e1, e2))
-        if sid == "R47":
-            al, be, a3, a4, d = c["alpha"], c["beta"], c["a3"], c["a4"], c["d"]
-            U, V, W = vals
-            e0 = D2[0] + al * D1[0] + U * (1.0 - U)
-            e1 = D2[1] + al * D1[1] + V * (1.0 - U) + U * (W - be)
-            e2 = d * D2[2] + al * D1[2] + a3 * W * (1.0 - W) - a4 * U * W
-            return np.stack((e0, e1, e2))
-        if sid == "R58":
-            p: Params = c["params"]
-            al = c["alpha"]
-            U, V, W = vals
-            g = 1.0 - U - p.a1 * V
-            e0 = D2[0] + al * D1[0] + U * g
-            e1 = p.d2 * D2[1] + al * D1[1] + p.a2 * V * g + U * W \
-                + p.a1 * V * W
-            e2 = p.d3 * D2[2] + al * D1[2] + p.a3 * W * (1.0 - W) \
-                - p.a4 * U * W - p.a5 * V * W
-            return np.stack((e0, e1, e2))
-        if sid in ("T2c", "T2d"):
-            a1, a4 = c["a1"], c["a4"]
-            U, V, W = vals
-            if sid == "T2c":
-                be = c["beta"]
-                e0 = D1[0] + U * (a1 * V - 1.0 - a1 * a1 * be * be)
-            else:
-                e0 = D1[0] + U * (a1 * V - 1.0)
-            e1 = D1[1] + V * (a1 * V - a1 * W - 1.0)
-            e2 = D1[2] + a1 * a4 * V * W
-            return np.stack((e0, e1, e2))
-        if sid == "L36":
-            al, a1, be = c["alpha"], c["a1"], c["beta"]
-            k1, k2 = c["kappa1"], c["kappa2"]
-            U = vals[0]
-            ph = 1.0 - np.tanh(k2 * np.asarray(x) / (2.0 * SQRT6))
-            e0 = D2[0] + al * D1[0] + U * (1.0 + a1 * be - k1 * ph * ph)
-            return e0[np.newaxis, :]
-        if sid == "L52":
-            al, be = c["alpha"], c["beta"]
-            V = vals[0]
-            ph = 1.0 - np.tanh(np.asarray(x) / (2.0 * SQRT6))
-            U = 0.25 * ph * ph
-            if c["case"] == "50":
-                W = 0.25 * (1.0 - c["a4"]) * ph * ph
-            else:
-                W = 1.0 - 0.25 * ph * ph
-            e0 = D2[0] + al * D1[0] + V * (1.0 - U) + U * (W - be)
-            return e0[np.newaxis, :]
-        raise ConstraintError(f"unknown system {sid!r}")
+        """Equation residuals from sampled profiles and their
+        finite-difference derivatives (one row per equation): D1 - f for
+        first-order systems, D2 - f in the row's scale for second-order
+        ones."""
+        if not self.second_order:
+            return D1 - _ode_rhs_nodes(self.code, self.kcoeffs, x, vals)
+        y = np.empty((self.dim, vals.shape[1]))
+        y[0::2] = vals
+        y[1::2] = D1
+        r = D2 - _ode_rhs_nodes(self.code, self.kcoeffs, x, y)[1::2]
+        for row, name in self.spec.row_scale.items():
+            r[row] *= self.kcoeffs[self.spec.coeffs.index(name)]
+        return r
 
 
 def reduced_system(sid: str, **coeffs) -> ReducedSystem:
     """Build a catalog system; coefficient names are checked strictly."""
-    sid = sid if sid in _DIMS else sid.upper()
-    if sid not in _DIMS:
+    spec = SYSTEMS.get(sid) or SYSTEMS.get(sid.upper())
+    if spec is None:
         raise ConstraintError(f"unknown reduced system id {sid!r}")
-    need = {
-        "R35": ("alpha", "a1", "beta", "a3", "a4", "d"),
-        "R38": ("beta", "a1", "a3", "a4"),
-        "R47": ("alpha", "beta", "a3", "a4", "d"),
-        "R58": ("alpha", "params"),
-        "T2a": ("alpha", "beta", "a1", "a4"),
-        "T2b": ("alpha", "gamma", "a1", "a4"),
-        "T2c": ("beta", "a1", "a4"),
-        "T2d": ("a1", "a4"),
-        "L36": ("alpha", "a1", "beta", "kappa1", "kappa2"),
-        "L52": ("alpha", "beta", "case", "a4"),
-    }[sid]
-    if sid == "L52":
-        coeffs.setdefault("alpha", solutions.FISHER_SPEED)
-        coeffs.setdefault("a4", 0.0)
+    for name, value in spec.defaults.items():
+        coeffs.setdefault(name, value)
+    need = spec.arguments
     missing = [k for k in need if k not in coeffs]
     extra = [k for k in coeffs if k not in need]
     if missing or extra:
         raise ConstraintError(
-            f"{sid} expects coefficients {need}; missing {missing}, "
+            f"{spec.sid} expects coefficients {need}; missing {missing}, "
             f"unexpected {extra}"
         )
-    if sid == "R58":
+    values = dict(coeffs)
+    if spec.takes_params:
         p: Params = coeffs["params"]
         if p.d1 != 1.0:
             raise ConstraintError(
-                "R58 reduces the d1-normalized system; call "
+                f"{spec.sid} reduces the d1-normalized system; call "
                 "Params.with_unit_d1() first"
             )
-        kc = np.array([coeffs["alpha"], p.a1, p.a2, p.a3, p.a4, p.a5,
-                       p.d2, p.d3])
-    elif sid == "L52":
+        values.update((k, getattr(p, k)) for k in spec.coeffs
+                      if k not in coeffs)
+    if "case" in coeffs:
         if coeffs["case"] not in ("50", "51"):
-            raise ConstraintError("L52 case must be '50' or '51'")
-        kc = np.array([coeffs["alpha"], coeffs["beta"], coeffs["a4"],
-                       1.0 if coeffs["case"] == "50" else 0.0])
-    else:
-        order = {
-            "R35": ("alpha", "a1", "beta", "a3", "a4", "d"),
-            "R38": ("beta", "a1", "a3", "a4"),
-            "R47": ("alpha", "beta", "a3", "a4", "d"),
-            "T2a": ("alpha", "beta", "a1", "a4"),
-            "T2b": ("alpha", "gamma", "a1", "a4"),
-            "T2c": ("beta", "a1", "a4"),
-            "T2d": ("a1", "a4"),
-            "L36": ("alpha", "a1", "beta", "kappa1", "kappa2"),
-        }[sid]
-        kc = np.array([float(coeffs[k]) for k in order])
-    return ReducedSystem(sid=sid, coeffs=dict(coeffs), code=SYS_CODES[sid],
-                         kcoeffs=kc, dim=_DIMS[sid])
-
-
-def rhs(sys: ReducedSystem, state, ivar: float) -> np.ndarray:
-    """Derivative of the first-order state at ivar."""
-    return sys.rhs(ivar, np.asarray(state, dtype=float))
+            raise ConstraintError(f"{spec.sid} case must be '50' or '51'")
+        values["case"] = 1.0 if coeffs["case"] == "50" else 0.0
+    kc = np.array([float(values[k]) for k in spec.coeffs])
+    return ReducedSystem(spec=spec, coeffs=dict(coeffs), kcoeffs=kc)
 
 
 # ---------------------------------------------------------------------------
@@ -537,16 +504,6 @@ def closed_form_R38(case: str, a1: float, delta1: float, delta2: float,
 # ansatz reconstruction
 # ---------------------------------------------------------------------------
 
-ANSATZ_IDS = ("A34", "A37", "A44", "plane", "T2a", "T2b", "T2c", "T2d")
-
-# system -> the ansatz that reconstructs a PDE solution from its profiles
-PAIRINGS = {"R35": "A34", "R38": "A37", "R47": "A44", "R58": "plane",
-            "T2a": "T2a", "T2b": "T2b", "T2c": "T2c", "T2d": "T2d",
-            "L36": "A34", "L52": "A44"}
-
-_OMEGA_BASED = {"A34", "A44", "plane", "T2a", "T2b"}
-
-
 @dataclass(frozen=True)
 class Ansatz:
     """Algebraic reconstruction rule from profiles to PDE fields."""
@@ -657,10 +614,8 @@ def trajectory_profiles(sys: ReducedSystem, traj: ProfileTrajectory,
                         rule: str | None = "quintic") -> dict:
     """Profile callables {"U", "V", "W"} (or a single one) from a
     trajectory of `sys`."""
-    idx = sys.profile_indices
-    names = ("U", "V", "W") if len(idx) == 3 else (
-        ("V",) if sys.sid == "L52" else ("U",))
-    return {n: traj.component(i, rule=rule) for n, i in zip(names, idx)}
+    return {n: traj.component(i, rule=rule)
+            for n, i in zip(sys.spec.profiles, sys.profile_indices)}
 
 
 def verify_reduction(sys: ReducedSystem, ansatz: Ansatz, params: Params,
@@ -674,9 +629,9 @@ def verify_reduction(sys: ReducedSystem, ansatz: Ansatz, params: Params,
     t-based ones it is the plain x-window.  The system/ansatz pairing is
     enforced.
     """
-    if PAIRINGS[sys.sid] != ansatz.aid:
+    if sys.spec.ansatz != ansatz.aid:
         raise ConstraintError(
-            f"system {sys.sid} pairs with ansatz {PAIRINGS[sys.sid]}, "
+            f"system {sys.sid} pairs with ansatz {sys.spec.ansatz}, "
             f"not {ansatz.aid}"
         )
     t, lo, hi = window

@@ -188,3 +188,19 @@ def test_semi_family_via_cli(tmp_path, capsys):
     report = json.loads(out_file.read_text())
     cli.validate_report(report)
     assert max(v for v in report["residual"]["linf"]) < 1e-4
+
+
+def test_reduce_l52_honours_alpha(tmp_path, capsys):
+    trajs = []
+    for alpha in ("1.0", "3.0"):
+        traj = tmp_path / f"l52_{alpha}.csv"
+        rep = tmp_path / f"l52_{alpha}.json"
+        code, _, _ = run_cli(
+            ["reduce", "--system", "L52", "--case", "50", "--beta", "0.3",
+             "--a4", "0.5", "--alpha", alpha, "--span", "-5", "5",
+             "--traj-out", str(traj), "--out", str(rep)], capsys)
+        assert code == 0
+        assert json.loads(rep.read_text())["inputs"]["coeffs"]["alpha"] \
+            == float(alpha)
+        trajs.append(traj.read_bytes())
+    assert trajs[0] != trajs[1]

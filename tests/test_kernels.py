@@ -50,31 +50,19 @@ def test_mol_blowup_status():
 
 
 def test_ode_rhs_paths_agree(rng):
+    # the kernel (numba or not) at single nodes, and the plain-Python body
+    # at single nodes and on a whole (dim, n) grid, agree bit for bit
     py_rhs = K.ode_rhs.py_func if K.USING_NUMBA else K.ode_rhs
-    specs = {
-        1: (6, np.array([1.2, 0.5, 0.3, 1.0, 0.7, 2.0])),
-        2: (3, np.array([0.3, 0.5, 1.0, 0.7])),
-        3: (6, np.array([1.2, 0.3, 1.0, 0.7, 2.0])),
-        4: (6, np.array([1.2, 0.5, 1.0, 1.0, 0.7, 0.35, 2.0, 3.0])),
-        5: (6, np.array([1.2, 0.3, 0.5, 0.8])),
-        6: (6, np.array([1.2, 0.15, 0.5, 0.8])),
-        7: (3, np.array([0.3, 0.5, 0.8])),
-        8: (3, np.array([0.5, 0.8])),
-        9: (2, np.array([2.0, 0.5, 3.0, 0.3, 1.0])),
-        10: (2, np.array([2.0, 0.3, 0.5, 1.0])),
-    }
-    for code, (dim, c) in specs.items():
-        y = rng.uniform(-1, 1, dim)
-        x = rng.uniform(-2, 2)
-        np.testing.assert_array_equal(K.ode_rhs(code, c, x, y),
-                                      py_rhs(code, c, x, y))
-
-
-def test_kernel_codes_match_reduction():
-    assert K.SYS_CODES == {
-        "R35": 1, "R38": 2, "R47": 3, "R58": 4, "T2a": 5, "T2b": 6,
-        "T2c": 7, "T2d": 8, "L36": 9, "L52": 10,
-    }
+    for spec in reduction.SYSTEMS.values():
+        c = rng.uniform(0.5, 2.0, len(spec.coeffs))
+        ys = rng.uniform(-1, 1, (spec.dim, 7))
+        xs = rng.uniform(-2, 2, 7)
+        grid = py_rhs(spec.code, c, xs, ys)
+        for i in range(xs.size):
+            node = K.ode_rhs(spec.code, c, xs[i], ys[:, i].copy())
+            np.testing.assert_array_equal(node, py_rhs(spec.code, c, xs[i],
+                                                       ys[:, i].copy()))
+            np.testing.assert_array_equal(node, grid[:, i])
 
 
 def test_thread_cap_env(monkeypatch):

@@ -49,6 +49,16 @@ def test_params_validation():
         Params(a1=1, a2=1, a3=1, a4=1, a5=1, d2=0.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("name", ["a1", "a2", "a3", "a4", "a5", "d1", "d2",
+                                  "d3"])
+def test_params_rejects_non_finite(name, bad):
+    kw = dict(a1=1.0, a2=1.0, a3=1.0, a4=1.0, a5=1.0)
+    kw[name] = bad
+    with pytest.raises(ConstraintError, match=f"finite {name}"):
+        Params(**kw)
+
+
 def test_with_unit_d1():
     p = Params(0.5, 1, 1, 1, 0.5, d1=2.0, d2=4.0, d3=1.0)
     q = p.with_unit_d1()
@@ -59,7 +69,7 @@ def test_with_unit_d1():
 def test_kinetics_steady_001(rng):
     for _ in range(5):
         p = Params(*rng.uniform(0.1, 2, 5))
-        assert model.kinetics(p, (0.0, 0.0, 1.0)) == (0.0, 0.0, 0.0)
+        assert p.reaction(0.0, 0.0, 1.0) == (0.0, 0.0, 0.0)
 
 
 def test_kinetics_coexistence_line(rng):
@@ -67,13 +77,13 @@ def test_kinetics_coexistence_line(rng):
     for _ in range(20):
         p = Params(*rng.uniform(0.05, 2, 5))
         d = rng.uniform(-2, 2)
-        rates = model.kinetics(p, (1 - 2 * p.a1 * d, 2 * d, 0.0))
+        rates = p.reaction(1 - 2 * p.a1 * d, 2 * d, 0.0)
         assert max(abs(r) for r in rates) <= 1e-14
 
 
 def test_kinetics_hand_value():
     p = Params(1, 1, 1, 1, 1)
-    assert model.kinetics(p, (0.5, 0.5, 0.5)) == (0.0, 0.5, -0.25)
+    assert p.reaction(0.5, 0.5, 0.5) == (0.0, 0.5, -0.25)
 
 
 def _scan_zeros(p, spacing=0.25, lo=-1.5, hi=1.5):
@@ -82,7 +92,7 @@ def _scan_zeros(p, spacing=0.25, lo=-1.5, hi=1.5):
     for u in grid:
         for v in grid:
             for w in grid:
-                c = model.kinetics(p, (u, v, w))
+                c = p.reaction(u, v, w)
                 if max(abs(x) for x in c) < model.STEADY_TOL:
                     zeros.append((u, v, w))
     return zeros, spacing
@@ -108,7 +118,7 @@ def test_steady_states_brute_force_oracle(p):
         if len(s.directions) == 2:
             samples.append(s.sample(0.3, 0.5))
         for q in samples:
-            assert max(abs(c) for c in model.kinetics(p, q)) <= model.STEADY_TOL
+            assert max(abs(c) for c in p.reaction(*q)) <= model.STEADY_TOL
     # every grid zero is close to a reported state or family
     zeros, spacing = _scan_zeros(p)
     assert zeros, "scan must at least find the origin"

@@ -15,7 +15,7 @@ def _r38(a1=0.5, a4=0.7, a3=1.0, beta=0.3):
 
 def test_rhs_r38_decoupled_growth():
     sys = _r38(a1=0.5, beta=0.3)
-    out = reduction.rhs(sys, (2.0, 0.0, 0.0), 0.0)
+    out = sys.rhs(0.0, (2.0, 0.0, 0.0))
     growth = 1 + 0.3**2 * 0.5**2
     assert out[0] == pytest.approx(2.0 * growth, rel=1e-15)
     assert out[1] == out[2] == 0.0
@@ -24,19 +24,19 @@ def test_rhs_r38_decoupled_growth():
 def test_rhs_r58_steady_point():
     p = Params(1, 1, 1, 1, 1)
     sys = reduction.reduced_system("R58", alpha=1.3, params=p)
-    out = reduction.rhs(sys, (0, 0, 0, 0, 1, 0), 0.0)
+    out = sys.rhs(0.0, (0, 0, 0, 0, 1, 0))
     np.testing.assert_array_equal(out, 0.0)
 
 
 def test_rhs_l36_homogeneous_zero():
     sys = reduction.reduced_system("L36", alpha=1.0, a1=0.5, beta=0.2,
                                    kappa1=0.25, kappa2=1.0)
-    np.testing.assert_array_equal(reduction.rhs(sys, (0.0, 0.0), 0.7), 0.0)
+    np.testing.assert_array_equal(sys.rhs(0.7, (0.0, 0.0)), 0.0)
 
 
 def test_rhs_dimension_mismatch():
     with pytest.raises(ConstraintError, match="dimension"):
-        reduction.rhs(_r38(), (1.0, 2.0), 0.0)
+        _r38().rhs(0.0, (1.0, 2.0))
 
 
 def test_reduced_system_coefficient_checking():
@@ -258,6 +258,67 @@ def test_table2_rows_reconstruct_solutions(sid):
     rep = reduction.verify_reduction(sys, ansatz, p, profs, window,
                                      [8e-3, 4e-3, 2e-3])
     assert all(order_ok(o) for o in rep.order_estimate), rep.order_estimate
+
+
+def test_r35_profiles_through_a34_solve_the_pde():
+    # A34 maps R35 profiles onto the system with a2 = 1, a5 = a1 a4 and
+    # d2 = 1, d3 = d: an oracle for R35 that does not read ode_rhs
+    a1, a4, d = 0.5, 0.7, 2.0
+    sys = reduction.reduced_system("R35", alpha=1.2, a1=a1, beta=0.3, a3=1.0,
+                                   a4=a4, d=d)
+    ansatz = reduction.make_ansatz("A34", alpha=1.2, beta=0.3, a1=a1)
+    p = Params(a1=a1, a2=1.0, a3=1.0, a4=a4, a5=a1 * a4, d3=d)
+    traj = reduction.dense_profile(sys, np.array([0.15, 0.0, 0.2, 0.0, 0.25,
+                                                  0.0]), 0.0, -6.0, 6.0,
+                                   step=2e-3)
+    rep = reduction.verify_reduction(sys, ansatz, p,
+                                     reduction.trajectory_profiles(sys, traj),
+                                     (0.5, -5.0, 5.0), [8e-3, 4e-3, 2e-3])
+    assert all(order_ok(o) for o in rep.order_estimate), rep.order_estimate
+
+
+_SAMPLE_COEFFS = {
+    "alpha": 1.2, "beta": 0.3, "gamma": 0.15, "a1": 0.5, "a3": 1.0,
+    "a4": 0.7, "d": 2.0, "kappa1": 0.3, "kappa2": 1.0, "case": "50",
+    "params": Params(0.5, 1.0, 1.0, 0.7, 0.35, 1.0, 2.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("sid", sorted(reduction.SYSTEMS))
+def test_tabulated_profiles_solve_their_equations(sid):
+    # the residual rows derived from ode_rhs, fed the system's own RK4
+    # table, show the stencils' second order on every row (a mis-assembled
+    # state or a wrong row would stall at O(1))
+    spec = reduction.SYSTEMS[sid]
+    sys = reduction.reduced_system(
+        sid, **{k: _SAMPLE_COEFFS[k] for k in spec.arguments})
+    traj = reduction.dense_profile(sys, np.linspace(0.9, 0.2, sys.dim), 0.0,
+                                   -1.0, 1.0, step=5e-3)
+    prof = traj.profile_matrix(sys.profile_indices)
+    rep = calculus.ode_refinement(sys, prof, (-0.9, 0.9), [8e-3, 4e-3, 2e-3])
+    assert len(rep.order_estimate) == len(spec.profiles)
+    assert all(1.8 <= o <= 2.2 for o in rep.order_estimate), rep.order_estimate
+
+
+@pytest.mark.parametrize("sid,row,scale", [("R35", 2, 2.0), ("R47", 2, 2.0),
+                                           ("R58", 1, 2.0), ("R58", 2, 3.0)])
+def test_residual_rows_keep_their_leading_coefficient(sid, row, scale):
+    # reactions off, one quadratic profile: the stencils are exact and the
+    # row reads scale * P'' + alpha * P' = scale + alpha * omega
+    kw = {"alpha": 1.2, "beta": 0.3, "a1": 0.5, "a3": 0.0, "a4": 0.7,
+          "d": 2.0, "params": Params(0.5, 0.0, 0.0, 0.7, 0.35, 1.0, 2.0, 3.0)}
+    sys = reduction.reduced_system(
+        sid, **{k: kw[k] for k in reduction.SYSTEMS[sid].arguments})
+
+    def profiles(om):
+        vals = np.zeros((3, om.size))
+        vals[row] = 0.5 * om * om
+        return vals
+
+    _, r = calculus.ode_residual(sys, profiles, (-1.0, 1.0), 0.125,
+                                 return_fields=True)
+    om = np.linspace(-1.0, 1.0, 17)[1:-1]
+    np.testing.assert_allclose(r[row], scale + 1.2 * om, rtol=0, atol=1e-12)
 
 
 def test_dense_profile_matches_adaptive():

@@ -205,7 +205,7 @@ def test_endpoints_are_model_steady_states(tf63_std):
     for fam in (tf63_std, solutions.make_tf65(1.0), solutions.fisher_tf()):
         states = model.steady_states(fam.params)
         for endpoint in fam.endpoint_states:
-            rates = model.kinetics(fam.params, endpoint)
+            rates = fam.params.reaction(*endpoint)
             assert max(abs(r) for r in rates) <= 1e-12
             assert min(s.distance(endpoint) for s in states) <= 1e-9
 
