@@ -3,7 +3,6 @@ reaction-diffusion system: exact-solution catalog, symmetry group flows,
 ODE reductions, method-of-lines simulation and residual verification."""
 
 from . import calculus, model, reduction, simulator, solutions, symmetry
-from ._kernels import USING_NUMBA
 from .errors import ConstraintError, DomainError, NumericalError
 from .model import OriginalParams, Params, Solution
 
@@ -16,7 +15,6 @@ __all__ = [
     "simulator",
     "solutions",
     "symmetry",
-    "USING_NUMBA",
     "ConstraintError",
     "DomainError",
     "NumericalError",

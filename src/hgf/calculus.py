@@ -43,6 +43,11 @@ class SpaceGrid:
     def __post_init__(self):
         if self.n < 5:
             raise ConstraintError("SpaceGrid requires n >= 5 (central stencils)")
+        if not all(map(math.isfinite,
+                       (self.x_min, self.x_max, self.x_max - self.x_min))):
+            raise ConstraintError(
+                f"SpaceGrid requires finite x_min, x_max and x_max - x_min "
+                f"(got {self.x_min!r}, {self.x_max!r})")
         if not self.x_max > self.x_min:
             raise ConstraintError("SpaceGrid requires x_max > x_min")
 

@@ -55,7 +55,7 @@ REPORT_SCHEMA = {
     },
 }
 
-CONFIG_KEYS = {"params", "family", "grid", "time", "bc", "seed"}
+CONFIG_KEYS = {"params", "family", "grid", "time", "bc"}
 PARAM_KEYS = ("a1", "a2", "a3", "a4", "a5", "d1", "d2", "d3")
 
 
@@ -447,7 +447,7 @@ def _cmd_simulate(args) -> int:
     inputs = {"config": str(args.config), "family": key,
               "grid": {"x_min": grid.x_min, "x_max": grid.x_max,
                        "n": grid.n, "h": grid.h},
-              "time": dict(tm), "seed": config.get("seed")}
+              "time": dict(tm)}
     report = make_report("simulate", _jsonable(inputs), _jsonable(results),
                          warnings=(*warns, *fam.warnings))
     _emit_report(report, str(outdir / "report.json"))

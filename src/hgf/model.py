@@ -29,6 +29,24 @@ from .errors import ConstraintError
 STEADY_TOL = 1e-12
 
 
+def kinetics(a, u, v, w, lead):
+    """The nondimensional reaction rates, each added onto a leading term.
+
+    `a` is (a1, .., a5) and `lead` holds one leading term per component;
+    returns (lead[0] + C1, lead[1] + C2, lead[2] + C3), every sum taken
+    left to right.  This is the only place the kinetics are written: the
+    method-of-lines right-hand side passes d*u_xx, the plane-wave
+    reduction R58 passes alpha*U', and `Params.reaction` passes -0.0.
+    Broadcasts over numpy arrays.
+    """
+    a1, a2, a3, a4, a5 = a
+    l1, l2, l3 = lead
+    g = 1.0 - u - a1 * v
+    return (l1 + u * g,
+            l2 + a2 * v * g + u * w + a1 * v * w,
+            l3 + a3 * w * (1.0 - w) - a4 * u * w - a5 * v * w)
+
+
 @dataclass(frozen=True)
 class OriginalParams:
     """Dimensional coefficients of the population model.
@@ -114,11 +132,8 @@ class Params:
 
     def reaction(self, u, v, w):
         """Reaction rates (C1, C2, C3); defined for all real triples."""
-        g = 1.0 - u - self.a1 * v
-        c1 = u * g
-        c2 = self.a2 * v * g + u * w + self.a1 * v * w
-        c3 = self.a3 * w * (1.0 - w) - self.a4 * u * w - self.a5 * v * w
-        return (c1, c2, c3)
+        # -0.0 is the exact additive identity (0.0 + -0.0 would be +0.0)
+        return kinetics(self.a_coefficients, u, v, w, (-0.0, -0.0, -0.0))
 
     def with_unit_d1(self) -> "Params":
         """Equivalent coefficient set with d1 scaled to 1 (space rescaling)."""

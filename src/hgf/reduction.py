@@ -15,8 +15,8 @@ use (U, V, W); the scalar linear profile equations use (Y, Y').
 
 `integrate` is an embedded Runge-Kutta 4(5) pair with PI step control;
 `dense_profile` tabulates a profile on a uniform grid with fixed-step RK4
-(numba hot path) and returns a trajectory whose quintic interpolant is
-accurate enough to sit below second-order stencil floors.
+(`_kernels.ode_rk4_table`) and returns a trajectory whose quintic
+interpolant is accurate enough to sit below second-order stencil floors.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ from .errors import ConstraintError, DomainError, NumericalError
 from .model import Params, Solution
 
 SQRT6 = math.sqrt(6.0)
-
-# the numba build of ode_rhs takes scalar x only; whole grids go through
-# its plain-Python body
-_ode_rhs_nodes = getattr(ode_rhs, "py_func", ode_rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +145,7 @@ class ReducedSystem:
 
     def rhs_nodes(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Derivatives at the nodes xs of the states ys (one per row)."""
-        return _ode_rhs_nodes(self.code, self.kcoeffs, xs, ys.T).T
+        return ode_rhs(self.code, self.kcoeffs, xs, ys.T).T
 
     def equation_residuals(self, x, vals, D1, D2):
         """Equation residuals from sampled profiles and their
@@ -157,11 +153,11 @@ class ReducedSystem:
         first-order systems, D2 - f in the row's scale for second-order
         ones."""
         if not self.second_order:
-            return D1 - _ode_rhs_nodes(self.code, self.kcoeffs, x, vals)
+            return D1 - ode_rhs(self.code, self.kcoeffs, x, vals)
         y = np.empty((self.dim, vals.shape[1]))
         y[0::2] = vals
         y[1::2] = D1
-        r = D2 - _ode_rhs_nodes(self.code, self.kcoeffs, x, y)[1::2]
+        r = D2 - ode_rhs(self.code, self.kcoeffs, x, y)[1::2]
         for row, name in self.spec.row_scale.items():
             r[row] *= self.kcoeffs[self.spec.coeffs.index(name)]
         return r
@@ -407,7 +403,7 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
 
 def dense_profile(sys: ReducedSystem, y0, x0: float, x_left: float,
                   x_right: float, step: float = 5e-3) -> ProfileTrajectory:
-    """Uniform fixed-step RK4 tabulation around x0 (numba hot path).
+    """Uniform fixed-step RK4 tabulation around x0.
 
     Sweeps backward to x_left and forward to x_right from the anchor x0;
     the returned trajectory defaults to the quintic rule so its second

@@ -73,6 +73,11 @@ class SimConfig:
     def __post_init__(self):
         if not (0.0 < self.cfl_safety < 1.0):
             raise ConstraintError("cfl_safety must lie in (0, 1)")
+        if not all(map(math.isfinite,
+                       (self.t0, self.t_end, self.t_end - self.t0))):
+            raise ConstraintError(
+                f"t0, t_end and t_end - t0 must be finite "
+                f"(got {self.t0!r}, {self.t_end!r})")
         if not self.t_end > self.t0:
             raise ConstraintError("t_end must exceed t0")
         if self.snapshot_every < 1:

@@ -14,8 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from hgf import (USING_NUMBA, calculus, model, reduction, simulator,
-                 solutions, symmetry)
+from hgf import calculus, model, reduction, simulator, solutions, symmetry
 from hgf.calculus import SpaceGrid
 from hgf.model import Params
 
@@ -125,9 +124,8 @@ def test_criterion_3_wave_speed_reproduction():
     err_w = abs(est_w.speed - TF63_SPEED) / TF63_SPEED
     err_u = abs(est_u.speed - FISHER_SPEED) / FISHER_SPEED
     ok = (err_w <= 0.02 and est_w.r_squared >= 0.999
-          and err_u <= 0.01 and est_u.r_squared >= 0.999)
-    if USING_NUMBA:
-        ok = ok and elapsed <= 120.0
+          and err_u <= 0.01 and est_u.r_squared >= 0.999
+          and elapsed <= 120.0)
     _report(3, "front speeds", ok,
             f"w-speed {est_w.speed:.5f} (err {100 * err_w:.4f}% <= 2%, "
             f"r2={est_w.r_squared:.6f}); u-speed {est_u.speed:.5f} "

@@ -25,6 +25,14 @@ def test_spacegrid_validation():
     assert g.h == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("x_min,x_max", [(0.0, math.inf), (-math.inf, 0.0),
+                                         (-math.inf, math.inf),
+                                         (math.nan, 1.0), (-1e308, 1e308)])
+def test_spacegrid_rejects_non_finite_bounds(x_min, x_max):
+    with pytest.raises(ConstraintError, match="finite"):
+        SpaceGrid(x_min, x_max, 5)
+
+
 def test_sample_constant():
     s = calculus.sample(_const_sampler(0, 0, 1), SpaceGrid(-1, 1, 5), 0.3)
     np.testing.assert_array_equal(s.u, 0.0)

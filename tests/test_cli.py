@@ -77,7 +77,6 @@ def test_simulate_speed_pipeline(tmp_path, capsys):
                    "d3": 3.0},
         "grid": {"x_min": -15.0, "x_max": 20.0, "n": 351},
         "time": {"t_end": 1.5, "cfl_safety": 0.4, "snapshot_every": 400},
-        "seed": 3,
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -149,6 +148,23 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
                            capsys)
     assert code == 1
     assert "surprise" in err
+
+
+@pytest.mark.parametrize("block,key,value", [("time", "t_end", math.inf),
+                                             ("time", "t0", -math.inf),
+                                             ("grid", "x_max", math.inf)])
+def test_simulate_rejects_non_finite_bounds(tmp_path, capsys, block, key,
+                                            value):
+    config = {"family": {"key": "fisher"},
+              "grid": {"x_min": -10.0, "x_max": 10.0, "n": 51},
+              "time": {"t_end": 0.1}}
+    config[block][key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))  # writes Infinity
+    code, _, err = run_cli(["simulate", "--config", str(cfg_path), "--out",
+                            str(tmp_path / "run"), "--quiet"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "finite" in err
 
 
 def test_flags_override_config_with_warning(tmp_path, capsys):

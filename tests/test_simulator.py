@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,15 @@ def test_zero_safety_rejected():
     with pytest.raises(ConstraintError, match="cfl_safety"):
         simulator.SimConfig(params=p, grid=SpaceGrid(0, 1, 11), t_end=1.0,
                             initial=(None, None, None), cfl_safety=0.0)
+
+
+@pytest.mark.parametrize("t0,t_end", [(0.0, math.inf), (-math.inf, 1.0),
+                                      (0.0, math.nan), (-1e308, 1e308)])
+def test_non_finite_times_rejected(t0, t_end):
+    p = Params(1, 1, 1, 1, 1)
+    with pytest.raises(ConstraintError, match="finite"):
+        simulator.SimConfig(params=p, grid=SpaceGrid(0, 1, 11), t_end=t_end,
+                            t0=t0, initial=(None, None, None))
 
 
 def test_zero_initial_stays_zero():
