@@ -17,6 +17,7 @@ numbers are bit-reproducible across runs and worker-thread settings.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -41,8 +42,10 @@ class SpaceGrid:
     n: int
 
     def __post_init__(self):
-        if self.n < 5:
-            raise ConstraintError("SpaceGrid requires n >= 5 (central stencils)")
+        if not isinstance(self.n, numbers.Integral) or self.n < 5:
+            raise ConstraintError(
+                f"SpaceGrid n must be an integer >= 5 (central stencils), "
+                f"got {self.n!r}")
         if not all(map(math.isfinite,
                        (self.x_min, self.x_max, self.x_max - self.x_min))):
             raise ConstraintError(

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -220,8 +222,7 @@ def load_config(path) -> dict:
         fam = cfg["family"]
         if "key" not in fam:
             raise ConstraintError("config family needs a 'key'")
-        if fam["key"] not in solutions.CATALOG:
-            raise ConstraintError(f"unknown family key {fam['key']!r}")
+        _family(fam["key"])
     return cfg
 
 
@@ -229,10 +230,117 @@ def load_config(path) -> dict:
 # family construction from flags / config
 # ---------------------------------------------------------------------------
 
-_FAMILY_FLAGS = ("a1", "a2", "a3", "a4", "a5", "d", "d3", "delta", "beta",
-                 "gamma", "delta1", "delta2")
+@dataclasses.dataclass(frozen=True)
+class Family:
+    """One catalog family: what `hgf catalog` lists and how the family
+    flags build it.
+
+    `build` takes the given family values by name; a value left out takes
+    the library builder's own default.  The listed `params` minus the
+    `optional` ones are required and checked before building, so a missing
+    one is named.  `window` is the default residual window; for families
+    with a numeric `profile` it lies in the wave variable and moves with
+    the front.
+    """
+
+    key: str
+    params: tuple[str, ...]
+    constraints: str
+    build: Callable = dataclasses.field(repr=False)
+    optional: tuple[str, ...] = ()
+    profile: str | None = None
+    window: tuple[float, float] = (-30.0, 30.0)
+
+    @property
+    def required(self) -> tuple[str, ...]:
+        return tuple(n for n in self.params if n not in self.optional)
+
+    def listing(self) -> dict:
+        entry = {"params": list(self.params), "constraints": self.constraints}
+        return {**entry, "profile": self.profile} if self.profile else entry
+
+    def default_window(self, fam, t: float) -> tuple[float, float]:
+        shift = (fam.speed or 0.0) * t if self.profile else 0.0
+        return (self.window[0] + shift, self.window[1] + shift)
+
+
+def _lib(name: str, *args, **fixed):
+    """Build through `solutions.<name>` (looked up at call time), passing
+    the given values whose names its signature takes."""
+    def build(fp):
+        fn = getattr(solutions, name)
+        takes = inspect.signature(fn).parameters
+        return fn(*args, **{**fixed, **{k: v for k, v in fp.items()
+                                        if k in takes}})
+    return build
+
+
+def _semi(case):
+    def build(fp):
+        lo, hi = fp.get("profile_lo", -25.0), fp.get("profile_hi", 25.0)
+        kw = {k: fp[k] for k in ("a1", "a3", "a4", "beta", "gamma") if k in fp}
+        if "profile_step" in fp:
+            kw["step"] = fp["profile_step"]
+        if "y0" in fp or "dy0" in fp:  # the other keeps the builder's default
+            y0, dy0 = inspect.signature(
+                reduction.semi_exact_family).parameters["y0"].default
+            kw["y0"] = (fp.get("y0", y0), fp.get("dy0", dy0))
+        fam, _ = reduction.semi_exact_family(
+            case, window=(lo, hi), anchor=fp.get("anchor", lo), **kw)
+        return fam
+    return build
+
+
+# make_fam40 takes a4 positionally; None leaves it to the case (iii)
+_FAM40 = ("a1", "a4", "beta", "delta1", "delta2")
+_FAM40_III = ("a1", "a3", "beta", "delta1", "delta2")
+_SEMI_WINDOW = (-20.0, 20.0)
+FAMILIES = {f.key: f for f in (
+    Family("fisher", (), "none; defines u only, speed 5/sqrt(6)",
+           _lib("fisher_tf")),
+    Family("fam40-i", _FAM40,
+           "a1 != 0, delta1 > 0, delta2 > 0; a3 = 1, a5 = a1*a4",
+           _lib("make_fam40", "i", a4=None), window=(0.0, 10.0)),
+    Family("fam40-ii", _FAM40,
+           "a1 != 0, delta1 > 0, delta2 > 0; a3 = 0, a5 = a1*a4",
+           _lib("make_fam40", "ii", a4=None), window=(0.0, 10.0)),
+    Family("fam40-iii", _FAM40_III,
+           "a1 != 0, a3 != 0, a4 = 1+a1+a3, a5 = a1*a4",
+           _lib("make_fam40", "iii", a4=None), window=(0.0, 10.0)),
+    Family("semi35-i", ("a1", "a4", "beta"),
+           "a1 != 0; numeric u-profile; a3 = 1, d = 1",
+           _semi("35-i"), profile="L36", window=_SEMI_WINDOW),
+    Family("semi35-ii", ("a1", "a4", "beta"),
+           "a1 != 0, a4 > 0; numeric u-profile; a3 = 0, d = 1",
+           _semi("35-ii"), profile="L36", window=_SEMI_WINDOW),
+    Family("semi35-iii", ("a1", "a3", "beta"),
+           "a1 != 0, a3 != 0, a4 = 1+a1+a3; numeric u-profile",
+           _semi("35-iii"), profile="L36", window=_SEMI_WINDOW),
+    Family("semi50", ("a4", "beta", "gamma"),
+           "numeric v-profile; a1 = 0, a2 = 1, a3 = 1, d = 1",
+           _semi("50"), optional=("beta", "gamma"), profile="L52",
+           window=_SEMI_WINDOW),
+    Family("semi51", ("a3", "beta", "gamma"),
+           "numeric v-profile; a1 = 0, a2 = 1, a4 = 1+a3, d = 1",
+           _semi("51"), optional=("beta", "gamma"), profile="L52",
+           window=_SEMI_WINDOW),
+    Family("tf63", ("a1", "delta", "a3", "d3"),
+           "delta > 0, a1*delta < 1/2, derived d2 > 0; "
+           "connects (1-2*a1*delta, 2*delta, 0) to (0, 0, 1)",
+           _lib("make_tf63"), optional=("a3", "d3")),
+    Family("tf65", ("d",), "0 < d <= 5/3; fixed speed 5/sqrt(6)",
+           _lib("make_tf65")),
+)}
+
+_FAMILY_FLAGS = tuple(sorted({n for f in FAMILIES.values() for n in f.params}))
 _PROFILE_FLAGS = ("profile_lo", "profile_hi", "profile_step", "anchor",
                   "y0", "dy0")
+
+
+def _family(key: str) -> Family:
+    if key not in FAMILIES:
+        raise ConstraintError(f"unknown family key {key!r}")
+    return FAMILIES[key]
 
 
 def _merge_family_args(args, config) -> tuple[str, dict, list[str]]:
@@ -242,8 +350,7 @@ def _merge_family_args(args, config) -> tuple[str, dict, list[str]]:
     key = getattr(args, "family", None) or fam_cfg.pop("key", None)
     if key is None:
         raise ConstraintError("no family given (flag --family or config)")
-    if key not in solutions.CATALOG:
-        raise ConstraintError(f"unknown family key {key!r}")
+    _family(key)
     params = {}
     for name in _FAMILY_FLAGS + _PROFILE_FLAGS:
         if name in fam_cfg:
@@ -266,57 +373,12 @@ def _merge_family_args(args, config) -> tuple[str, dict, list[str]]:
 
 def build_family(key: str, fp: dict):
     """Instantiate a catalog family from a parameter dict."""
-
-    def need(*names):
-        missing = [n for n in names if fp.get(n) is None]
-        if missing:
-            raise ConstraintError(
-                f"family {key} needs parameters {missing}"
-            )
-        return [fp[n] for n in names]
-
-    if key == "fisher":
-        return solutions.fisher_tf()
-    if key == "tf63":
-        a1, delta = need("a1", "delta")
-        return solutions.make_tf63(a1, delta, a3=fp.get("a3", 1.0),
-                                   d3=fp.get("d3", 3.0))
-    if key == "tf65":
-        (d,) = need("d")
-        return solutions.make_tf65(d)
-    if key.startswith("fam40-"):
-        case = key.split("-", 1)[1]
-        a1, beta, d1v, d2v = need("a1", "beta", "delta1", "delta2")
-        return solutions.make_fam40(case, a1, fp.get("a4"), beta, d1v, d2v,
-                                    a3=fp.get("a3"), d3=fp.get("d3", 1.0))
-    if key.startswith("semi"):
-        case = key[4:]
-        lo = fp.get("profile_lo", -25.0)
-        hi = fp.get("profile_hi", 25.0)
-        step = fp.get("profile_step", 5e-3)
-        anchor = fp.get("anchor", lo)
-        y0 = (fp.get("y0", 1.0), fp.get("dy0", 0.0))
-        if case.startswith("35"):
-            a1, beta = need("a1", "beta")
-            fam, _ = reduction.semi_exact_family(
-                case, a1=a1, a4=fp.get("a4"), a3=fp.get("a3"), beta=beta,
-                window=(lo, hi), step=step, y0=y0, anchor=anchor)
-        else:
-            fam, _ = reduction.semi_exact_family(
-                case, a4=fp.get("a4"), a3=fp.get("a3"),
-                beta=fp.get("beta", 0.0), gamma=fp.get("gamma", 0.0),
-                window=(lo, hi), step=step, y0=y0, anchor=anchor)
-        return fam
-    raise ConstraintError(f"unknown family key {key!r}")
-
-
-def _default_window(key: str, fam, t: float):
-    if key.startswith("fam40"):
-        return (0.0, 10.0)
-    if key.startswith("semi"):
-        sp = fam.speed or 0.0
-        return (-20.0 + sp * t, 20.0 + sp * t)
-    return (-30.0, 30.0)
+    family = _family(key)
+    fp = {k: v for k, v in fp.items() if v is not None}
+    missing = [n for n in family.required if n not in fp]
+    if missing:
+        raise ConstraintError(f"family {key} needs parameters {missing}")
+    return family.build(fp)
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +390,7 @@ def _cmd_catalog(args) -> int:
     if args.json:
         report = make_report(
             "catalog", {}, {
-                "families": solutions.CATALOG,
+                "families": {k: f.listing() for k, f in FAMILIES.items()},
                 "symmetry_cases": [
                     {"case": c.case, "label": c.label} for c in symmetry.CASES
                 ],
@@ -336,9 +398,9 @@ def _cmd_catalog(args) -> int:
         _emit_report(report, args.out)
         return 0
     print("solution families:")
-    for key, info in solutions.CATALOG.items():
-        params = ", ".join(info["params"]) or "-"
-        print(f"  {key:<12} params: {params:<32} {info['constraints']}")
+    for key, f in FAMILIES.items():
+        params = ", ".join(f.params) or "-"
+        print(f"  {key:<12} params: {params:<32} {f.constraints}")
     print("\nsymmetry cases (beyond the principal translations Pt, Px):")
     for c in symmetry.CASES:
         print(f"  case {c.case:>2}: {c.label}")
@@ -370,7 +432,8 @@ def _cmd_residual(args, config) -> int:
     key, fp, warns = _merge_family_args(args, config)
     fam = build_family(key, fp)
     t = args.t
-    window = tuple(args.window) if args.window else _default_window(key, fam, t)
+    window = tuple(args.window) if args.window \
+        else FAMILIES[key].default_window(fam, t)
     if args.refine:
         h_seq = args.h_seq or [4e-3, 2e-3, 1e-3]
         rep = calculus.refinement_study(fam.params, fam,
@@ -418,7 +481,7 @@ def _cmd_simulate(args) -> int:
     if "grid" not in config or "time" not in config:
         raise ConstraintError("simulate config needs 'grid' and 'time' blocks")
     g = config["grid"]
-    grid = calculus.SpaceGrid(g["x_min"], g["x_max"], int(g["n"]))
+    grid = calculus.SpaceGrid(g["x_min"], g["x_max"], g["n"])
     tm = config["time"]
     if "params" in config:
         given = model.Params(**config["params"])
@@ -530,7 +593,8 @@ def _cmd_symmetry(args, config) -> int:
     fam = build_family(key, fp)
     op = _op_from_args(args, fam.params)
     t = args.t
-    window = tuple(args.window) if args.window else _default_window(key, fam, t)
+    window = tuple(args.window) if args.window \
+        else FAMILIES[key].default_window(fam, t)
     h = args.h or 2e-3
     before, after = symmetry.verify_flow_maps_solutions(
         op, args.eps, fam, (t, window[0], window[1]), h)
@@ -556,6 +620,7 @@ def _op_from_args(args, params: model.Params) -> symmetry.SymmetryOp:
     kind = args.op
     if kind not in symmetry.OP_KINDS:
         raise ConstraintError(f"unknown operator kind {kind!r}")
+    profile = None
     if kind == "Xinf":
         hk = args.heat_kind or "decaying-mode"
         prof = {
@@ -568,15 +633,10 @@ def _op_from_args(args, params: model.Params) -> symmetry.SymmetryOp:
         }.get(hk)
         if prof is None:
             raise ConstraintError(f"unknown heat profile kind {hk!r}")
-        return symmetry.xinf(prof(), params.d2)
-    kw = {}
-    if kind in ("Q1", "Case9Op"):
-        kw["a1"] = params.a1
-    if kind in ("ExpA4WdV", "WdV_minus_a4WdW", "Case9Op"):
-        kw["a4"] = params.a4
-    if kind == "Case10Op":
-        kw["a2"] = params.a2
-    return symmetry.SymmetryOp(kind, **kw)
+        profile = prof()
+    return symmetry.SymmetryOp(
+        kind, profile=profile,
+        **{n: getattr(params, n) for n in symmetry.OP_COEFFS.get(kind, ())})
 
 
 def _build_system(args) -> reduction.ReducedSystem:
@@ -606,9 +666,18 @@ _STATE_HEADERS = {
 }
 
 
-_REDUCE_COEFF_NAMES = ("alpha", "beta", "gamma", "a1", "a2", "a3", "a4",
-                       "a5", "d", "d2", "d3", "kappa1", "kappa2", "delta1",
-                       "delta2", "case")
+# coefficient flags of `hgf reduce`: every reduced system's coefficients
+# (L52's "case" is "50"/"51"), plus delta1, delta2 of R38's closed forms,
+# whose --case is i/ii/iii
+_REDUCE_COEFFS = tuple(dict.fromkeys(
+    [n for spec in reduction.SYSTEMS.values() for n in spec.coeffs]
+    + ["delta1", "delta2"]))
+
+
+def _closed_form_R38(args, t):
+    return reduction.closed_form_R38(args.case, args.a1, args.delta1,
+                                     args.delta2, args.beta, t, a4=args.a4,
+                                     a3=args.a3)
 
 
 def _cmd_reduce(args) -> int:
@@ -616,7 +685,7 @@ def _cmd_reduce(args) -> int:
     results: dict = {}
     if args.params_file:
         vals = json.loads(Path(args.params_file).read_text())
-        bad = set(vals) - set(_REDUCE_COEFF_NAMES)
+        bad = set(vals) - set(_REDUCE_COEFFS)
         if bad:
             raise ConstraintError(
                 f"reduce params file has unknown keys {sorted(bad)}")
@@ -626,25 +695,28 @@ def _cmd_reduce(args) -> int:
             elif getattr(args, name) != v:
                 warns.append(f"flag --{name} = {getattr(args, name)} "
                              f"overrides file value {v}")
-    if args.system == "R38" and args.case in ("i", "ii", "iii"):
+    separable = args.system == "R38" and args.case is not None
+    if separable:
         for name in ("a1", "beta", "delta1", "delta2"):
             _req(args, name)
-        kw = {"a4": args.a4} if args.case in ("i", "ii") else {"a3": args.a3}
-        y0 = np.asarray(reduction.closed_form_R38(
-            args.case, args.a1, args.delta1, args.delta2, args.beta,
-            0.0, **kw), dtype=float) if args.y0 is None else \
-            np.asarray([float(s) for s in args.y0.split(",")])
-        a3v = {"i": 1.0, "ii": 0.0, "iii": args.a3}[args.case]
-        a4v = args.a4 if args.case in ("i", "ii") else 1.0 + args.a1 + args.a3
+        sc = solutions.separable_case(args.case, args.a1, args.beta,
+                                      args.delta1, args.delta2, a4=args.a4,
+                                      a3=args.a3)
         sys_ = reduction.reduced_system("R38", beta=args.beta, a1=args.a1,
-                                        a3=a3v, a4=a4v)
+                                        a3=sc.a3, a4=sc.a4)
     else:
         sys_ = _build_system(args)
-        if args.y0 is not None:
-            y0 = np.asarray([float(s) for s in args.y0.split(",")])
-        else:
-            y0 = np.zeros(sys_.dim)
-            y0[0] = 1.0
+        if args.case is not None and "case" not in sys_.spec.coeffs:
+            raise ConstraintError(
+                f"system {sys_.sid} has no cases; --case applies to R38 "
+                f"(i, ii, iii) and L52 (50, 51)")
+    if args.y0 is not None:
+        y0 = np.asarray([float(s) for s in args.y0.split(",")])
+    elif separable:
+        y0 = np.asarray(_closed_form_R38(args, 0.0), dtype=float)
+    else:
+        y0 = np.zeros(sys_.dim)
+        y0[0] = 1.0
     span = tuple(args.span)
     traj = reduction.integrate(sys_, y0, span, rel_tol=args.rel_tol,
                                abs_tol=args.abs_tol, max_step=args.max_step)
@@ -660,13 +732,9 @@ def _cmd_reduce(args) -> int:
                     "interp_error_estimate": traj.interp_error_estimate})
 
     if args.verify:
-        if args.system == "R38" and args.case in ("i", "ii", "iii"):
+        if separable:
             ts = np.linspace(span[0], span[1], 301)
-            kw = {"a4": args.a4} if args.case in ("i", "ii") \
-                else {"a3": args.a3}
-            exact = np.stack(reduction.closed_form_R38(
-                args.case, args.a1, args.delta1, args.delta2, args.beta,
-                ts, **kw), axis=1)
+            exact = np.stack(_closed_form_R38(args, ts), axis=1)
             dev = float(np.max(np.abs(traj.evaluate(ts) - exact)))
             results["oracle_max_deviation"] = dev
         else:
@@ -794,12 +862,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="integrate a reduced ODE system")
     p.add_argument("--system", required=True)
-    p.add_argument("--case", default=None)
     p.add_argument("--params", dest="params_file", default=None,
                    help="JSON file with coefficient values (flags win)")
-    for name in ("alpha", "beta", "gamma", "a1", "a2", "a3", "a4", "a5",
-                 "d", "d2", "d3", "kappa1", "kappa2", "delta1", "delta2"):
-        p.add_argument(f"--{name}", type=float, default=None)
+    for name in _REDUCE_COEFFS:
+        p.add_argument(f"--{name}", type=str if name == "case" else float,
+                       default=None)
     p.add_argument("--y0", default=None, help="comma-separated initial state")
     p.add_argument("--span", type=float, nargs=2, required=True)
     p.add_argument("--rel-tol", type=float, default=1e-9)

@@ -1,4 +1,4 @@
-"""Reduced ODE systems, profile integration and ansatz reconstruction.
+"""Reduced ODE systems, profile integration and reduction checks.
 
 Catalog ids (CLI contract).  Second-order systems are integrated in
 first-order form with the state (U, U', V, V', W, W'); first-order ones
@@ -22,7 +22,7 @@ interpolant is accurate enough to sit below second-order stencil floors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,18 +31,12 @@ from scipy.interpolate import make_interp_spline
 from . import calculus, solutions
 from ._kernels import ode_rhs, ode_rk4_table
 from .errors import ConstraintError, DomainError, NumericalError
-from .model import Params, Solution
-
-SQRT6 = math.sqrt(6.0)
+from .model import Params
 
 
 # ---------------------------------------------------------------------------
 # reduced systems
 # ---------------------------------------------------------------------------
-
-ANSATZ_IDS = ("A34", "A37", "A44", "plane", "T2a", "T2b", "T2c", "T2d")
-_OMEGA_BASED = {"A34", "A44", "plane", "T2a", "T2b"}
-
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -73,7 +67,7 @@ class SystemSpec:
 
     @property
     def ivar(self) -> str:
-        return "omega" if self.ansatz in _OMEGA_BASED else "t"
+        return "omega" if self.ansatz in solutions.OMEGA_BASED else "t"
 
     @property
     def arguments(self) -> tuple[str, ...]:
@@ -443,167 +437,31 @@ def closed_form_R38(case: str, a1: float, delta1: float, delta2: float,
                     a3: float | None = None):
     """Closed solutions (U, V, W) of R38 for the three special cases.
 
-    Case wiring matches fam40: (i) a3 = 1, (ii) a3 = 0, (iii)
-    a4 = 1 + a1 + a3 with a3 != 0.  delta1, delta2 must be positive; the
-    shared denominator must stay positive over the requested times (it can
-    vanish only at negative t, for delta1 > 1).
+    Case wiring, checks and the shared denominator are fam40's
+    (`solutions.separable_case`); the denominator must stay positive over
+    the requested times (it can vanish only at negative t, for
+    delta1 > 1).
     """
-    if not (delta1 > 0 and delta2 > 0):
-        raise ConstraintError("closed_form_R38 needs delta1, delta2 > 0")
-    if a1 == 0.0:
-        raise ConstraintError("closed_form_R38 needs a1 != 0")
+    sc = solutions.separable_case(case, a1, beta, delta1, delta2, a4=a4,
+                                  a3=a3)
+    a4 = sc.a4
     t = np.asarray(t, dtype=float)
-    growth = 1.0 + beta * beta * a1 * a1
-    if case == "i":
-        if a4 is None:
-            raise ConstraintError("case i needs a4")
-        r = 1.0
-        kappa = (1.0 + a1) / (1.0 + a1 * a4)
-    elif case == "ii":
-        if a4 is None:
-            raise ConstraintError("case ii needs a4")
-        if a4 == 0.0:
-            raise ConstraintError("case ii needs a4 != 0")
-        r = float(a4)
-        kappa = 1.0 / a4
-    elif case == "iii":
-        if a3 is None or a3 == 0.0:
-            raise ConstraintError("case iii needs a3 != 0")
-        a4 = 1.0 + a1 + a3
-        r = 1.0 + a1
-        kappa = 1.0 / (1.0 + a1)
-    else:
-        raise ConstraintError(f"unknown R38 case {case!r}")
-    m = (1.0 - delta1) * np.exp(-r * t) + delta1
-    if np.any(m <= 0):
-        tcrit = math.log((delta1 - 1.0) / delta1) / r
-        raise DomainError(
-            f"denominator 1 - delta1 + delta1*e^(r t) vanishes at "
-            f"t = {tcrit}; requested span crosses it"
-        )
-    logD = r * t + np.log(m)
+    m, logD = sc.denominator(t)
     g = delta1 / m
-    U = delta2 * np.exp(growth * t - kappa * logD)
+    U = delta2 * np.exp(sc.growth * t - sc.kappa * logD)
     if case == "i":
         V = (1.0 + a1) / (a1 * (1.0 + a1 * a4)) * g
         W = (1.0 - a4) / (1.0 + a1 * a4) * g
-    elif case == "ii":
-        V = g / a1
-        W = (1.0 - a4) * (delta1 - 1.0) / a1 * np.exp(-logD)
     else:
         V = g / a1
-        W = (1.0 - delta1) * np.exp(-logD)
+        W = ((1.0 - a4) * (delta1 - 1.0) / a1 if case == "ii"
+             else 1.0 - delta1) * np.exp(-logD)
     return (U, V, W + np.zeros_like(U))
 
 
 # ---------------------------------------------------------------------------
-# ansatz reconstruction
+# profiles through their ansatz
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Ansatz:
-    """Algebraic reconstruction rule from profiles to PDE fields."""
-
-    aid: str
-    alpha: float = 0.0
-    beta: float = 0.0
-    gamma: float = 0.0
-    a1: float = 0.0
-    a4: float = 0.0
-
-    @property
-    def omega_based(self) -> bool:
-        return self.aid in _OMEGA_BASED
-
-
-def make_ansatz(aid: str, **kw) -> Ansatz:
-    if aid not in ANSATZ_IDS:
-        raise ConstraintError(f"unknown ansatz id {aid!r}")
-    need = {
-        "A34": ("alpha", "beta", "a1"),
-        "A37": ("beta", "a1"),
-        "A44": ("alpha", "beta", "gamma"),
-        "plane": ("alpha",),
-        "T2a": ("alpha", "beta", "gamma", "a1", "a4"),
-        "T2b": ("alpha", "gamma", "a1", "a4"),
-        "T2c": ("beta", "gamma", "a1", "a4"),
-        "T2d": ("gamma", "a1", "a4"),
-    }[aid]
-    missing = [k for k in need if k not in kw]
-    extra = [k for k in kw if k not in need]
-    if missing or extra:
-        raise ConstraintError(
-            f"{aid} expects coefficients {need}; missing {missing}, "
-            f"unexpected {extra}"
-        )
-    if aid in ("A34", "A37", "T2a", "T2b", "T2c", "T2d") and kw.get("a1") == 0:
-        raise ConstraintError(f"{aid} requires a1 != 0")
-    if aid == "T2a" and 1.0 + kw["beta"] * kw["a1"] == 0.0:
-        raise ConstraintError("T2a requires 1 + beta*a1 != 0 (use T2b)")
-    if aid == "T2c" and kw["beta"] == 0.0:
-        raise ConstraintError("T2c requires beta != 0 (use T2d)")
-    return Ansatz(aid=aid, **kw)
-
-
-def _profile(profiles, name):
-    fn = profiles.get(name)
-    if fn is None:
-        return lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    return fn
-
-
-def reconstruct(ansatz: Ansatz, profiles, t, x):
-    """Compose profiles through the ansatz at (t, x); exact algebra only."""
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    U = _profile(profiles, "U")
-    V = _profile(profiles, "V")
-    W = _profile(profiles, "W")
-    a = ansatz
-    if a.aid in ("A34", "A44", "plane", "T2a", "T2b"):
-        om = x - a.alpha * t
-        if a.aid == "A34":
-            up = np.exp(-a.beta * a.a1 * t) * U(om)
-            return (up, V(om) - up / a.a1, W(om) + np.zeros_like(up))
-        if a.aid == "A44":
-            u = U(om)
-            shift = a.beta * t + a.gamma * np.exp(t)
-            v = V(om) + shift * u - a.gamma * np.exp(t)
-            return (u + np.zeros_like(v), v, W(om) + np.zeros_like(v))
-        if a.aid == "plane":
-            u = U(om)
-            z = np.zeros_like(u)
-            return (u, V(om) + z, W(om) + z)
-        s = (a.a4 - 1.0) * V(om) + W(om) + (1.0 - a.a4) / a.a1
-        if a.aid == "T2a":
-            u = np.exp(-a.beta * a.a1 * t) * U(om) \
-                + a.gamma * np.exp(t) / (1.0 + a.beta * a.a1) * s
-        else:
-            u = np.exp(t) * (U(om) + a.gamma * s * t)
-        return (u, V(om) - u / a.a1, W(om) + np.zeros_like(u))
-    if a.aid == "A37":
-        e = np.exp(-a.beta * a.a1 * x)
-        u = U(t) * e
-        return (u, V(t) - u / a.a1, W(t) + np.zeros_like(u))
-    # T2c / T2d: profiles over t, explicit x dependence
-    s = (a.a4 - 1.0) * V(t) + W(t) + (1.0 - a.a4) / a.a1
-    if a.aid == "T2c":
-        u = np.exp(-a.beta * a.a1 * x) * U(t) \
-            + a.gamma * np.exp(t) / (a.beta * a.a1) * s
-    else:
-        u = U(t) + a.gamma * np.exp(t) * s * x
-    return (u, V(t) - u / a.a1, W(t) + np.zeros_like(u))
-
-
-def ansatz_solution(ansatz: Ansatz, profiles, params: Params,
-                    key: str = "") -> Solution:
-    """Wrap an ansatz + profiles as a full (t, x) sampler."""
-
-    def evaluate(t, x):
-        return reconstruct(ansatz, profiles, t, x)
-
-    return Solution(evaluate=evaluate, params=params, key=key,
-                    meta={"ansatz": ansatz.aid})
 
 
 def trajectory_profiles(sys: ReducedSystem, traj: ProfileTrajectory,
@@ -614,7 +472,8 @@ def trajectory_profiles(sys: ReducedSystem, traj: ProfileTrajectory,
             for n, i in zip(sys.spec.profiles, sys.profile_indices)}
 
 
-def verify_reduction(sys: ReducedSystem, ansatz: Ansatz, params: Params,
+def verify_reduction(sys: ReducedSystem, ansatz: solutions.Ansatz,
+                     params: Params,
                      profiles, window, h_sequence,
                      dt_over_h: float = 1.0) -> calculus.ResidualReport:
     """Reconstruct the PDE field from profiles and run the residual
@@ -635,7 +494,7 @@ def verify_reduction(sys: ReducedSystem, ansatz: Ansatz, params: Params,
         x_lo, x_hi = lo + ansatz.alpha * t, hi + ansatz.alpha * t
     else:
         x_lo, x_hi = lo, hi
-    sol = ansatz_solution(ansatz, profiles, params)
+    sol = solutions.ansatz_solution(ansatz, profiles, params)
     return calculus.refinement_study(params, sol, (t, x_lo, x_hi),
                                      h_sequence, dt_over_h=dt_over_h)
 
@@ -679,14 +538,15 @@ def semi_exact_family(case: str, *, a1: float | None = None,
                          step=step)
     prof = traj.profile_matrix((0,))
     inner = (lo + 4 * check_h, hi - 4 * check_h)
-    report = calculus.ode_residual(sys, prof, inner, check_h)
+    linf = float(calculus.ode_residual(sys, prof, inner, check_h).linf[0])
     scale = 1.0 + float(np.max(np.abs(traj.ys[:, 0])))
-    if report.linf[0] > 1e-5 * scale:
+    if linf > 1e-5 * scale:
         raise NumericalError(
             f"profile fails its ODE residual check: linf = "
-            f"{report.linf[0]:.3e} against scale {scale:.3e}"
+            f"{linf:.3e} against scale {scale:.3e}"
         )
     fam = solutions.make_semi_exact(case, traj.component(0), a1=a1, a4=a4,
                                     a3=a3, beta=beta, gamma=gamma,
                                     window=window)
-    return fam, traj
+    check = {"linf": linf, "scale": scale}
+    return replace(fam, meta={**fam.meta, "profile_residual": check}), traj

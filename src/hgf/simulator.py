@@ -15,6 +15,7 @@ regardless of worker settings; the hot loop lives in `hgf._kernels`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -71,8 +72,11 @@ class SimConfig:
     snapshot_every: int = 100
 
     def __post_init__(self):
-        if not (0.0 < self.cfl_safety < 1.0):
-            raise ConstraintError("cfl_safety must lie in (0, 1)")
+        if not (isinstance(self.cfl_safety, numbers.Real)
+                and 0.0 < self.cfl_safety < 1.0):
+            raise ConstraintError(
+                f"cfl_safety must be a number in (0, 1), got "
+                f"{self.cfl_safety!r}")
         if not all(map(math.isfinite,
                        (self.t0, self.t_end, self.t_end - self.t0))):
             raise ConstraintError(
@@ -80,8 +84,11 @@ class SimConfig:
                 f"(got {self.t0!r}, {self.t_end!r})")
         if not self.t_end > self.t0:
             raise ConstraintError("t_end must exceed t0")
-        if self.snapshot_every < 1:
-            raise ConstraintError("snapshot_every must be >= 1")
+        if not (isinstance(self.snapshot_every, numbers.Integral)
+                and self.snapshot_every >= 1):
+            raise ConstraintError(
+                f"snapshot_every must be an integer >= 1, got "
+                f"{self.snapshot_every!r}")
 
 
 @dataclass

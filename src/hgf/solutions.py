@@ -3,7 +3,8 @@
 Every builder returns a `FamilyInstance` (alias of `hgf.model.Solution`):
 an immutable record bundling the evaluator, the coefficient set of the
 system the family solves, its validity constraints, wave speed and
-asymptotic endpoints.  Catalog keys (the CLI contract):
+asymptotic endpoints.  The families (`hgf.cli.FAMILIES` lists them under
+these keys):
 
     fisher      scalar traveling front of the logistic equation (u only)
     fam40-*     three-parameter separable families, cases i / ii / iii
@@ -14,6 +15,8 @@ asymptotic endpoints.  Catalog keys (the CLI contract):
 
 Semi-exact families take their numeric profile as an injected dependency
 (any vectorized callable); integration policy lives in `hgf.reduction`.
+`reconstruct` is the one copy of the ansatz algebra that maps profiles
+back to fields: the semi-exact families and `hgf.reduction` both use it.
 Parameter choices that are mathematically exact but biologically invalid
 (negative a2 or a5) construct fine and carry a warning instead of failing,
 so residual tests can exercise them.
@@ -83,9 +86,13 @@ class TanhAnsatzParams:
 _FISHER_PARAMS = Params(a1=0.0, a2=0.0, a3=0.0, a4=1.0, a5=0.0)
 
 
+def _fisher_profile(om):
+    return 0.25 * _phi(np.asarray(om) / (2.0 * SQRT6)) ** 2
+
+
 def _fisher_u(t, x):
-    om = np.asarray(x, dtype=float) - FISHER_SPEED * np.asarray(t, dtype=float)
-    return 0.25 * _phi(om / (2.0 * SQRT6)) ** 2
+    return _fisher_profile(np.asarray(x, dtype=float)
+                           - FISHER_SPEED * np.asarray(t, dtype=float))
 
 
 def fisher_tf() -> FamilyInstance:
@@ -327,32 +334,75 @@ def fam40_restrictions(a1: float, a4: float) -> dict:
     }
 
 
-def _fam40_case(case: str, a1: float, a4, a3):
-    """Resolve case wiring: returns (a3_eff, a4_eff, growth rate r)."""
-    if a1 == 0.0:
-        raise ConstraintError("fam40 requires a1 != 0")
-    if case == "i":
-        if a3 is not None and a3 != 1.0:
-            raise ConstraintError("fam40-i fixes a3 = 1")
-        if a4 is None:
-            raise ConstraintError("fam40-i needs a4")
-        return 1.0, float(a4), 1.0
-    if case == "ii":
-        if a3 is not None and a3 != 0.0:
-            raise ConstraintError("fam40-ii fixes a3 = 0")
-        if a4 is None:
-            raise ConstraintError("fam40-ii needs a4")
-        return 0.0, float(a4), float(a4)
-    if case == "iii":
-        if a3 is None or a3 == 0.0:
-            raise ConstraintError("fam40-iii needs a3 != 0")
-        a4_eff = 1.0 + a1 + a3
-        if a4 is not None and abs(a4 - a4_eff) > 1e-12 * max(1.0, abs(a4_eff)):
-            raise ConstraintError(
-                f"fam40-iii forces a4 = 1 + a1 + a3 = {a4_eff}, got {a4}"
+@dataclass(frozen=True)
+class SeparableCase:
+    """Resolved wiring of one separable case, shared by the fam40 families
+    and the closed solutions of R38.
+
+    Both carry the shared denominator D = 1 - delta1 + delta1 e^(r t) and
+    the u-amplitude delta2 e^(growth t) D^(-kappa).
+    """
+
+    a3: float
+    a4: float
+    r: float
+    kappa: float
+    growth: float
+    delta1: float
+
+    def denominator(self, t):
+        """(e^(-r t) D, log D) at the times t.  D > 0 fails only for t < 0
+        with delta1 > 1; the error names the critical time."""
+        m = (1.0 - self.delta1) * np.exp(-self.r * t) + self.delta1
+        if np.any(m <= 0):
+            tcrit = math.log((self.delta1 - 1.0) / self.delta1) / self.r
+            raise DomainError(
+                f"denominator 1 - delta1 + delta1*e^(r t) vanishes at "
+                f"t = {tcrit}; requested times must stay above it"
             )
-        return float(a3), a4_eff, 1.0 + a1
-    raise ConstraintError(f"unknown fam40 case {case!r}")
+        return m, self.r * t + np.log(m)
+
+
+def separable_case(case: str, a1: float, beta: float, delta1: float,
+                   delta2: float, a4: float | None = None,
+                   a3: float | None = None) -> SeparableCase:
+    """Check and resolve the case wiring: (i) a3 = 1, (ii) a3 = 0 with
+    a4 != 0, (iii) a4 = 1 + a1 + a3 with a3 != 0.  A given a3 or a4 that
+    the case fixes must equal the fixed value."""
+    if not (delta1 > 0 and delta2 > 0):
+        raise ConstraintError("separable cases need delta1 > 0 and delta2 > 0")
+    if a1 == 0.0:
+        raise ConstraintError("separable cases need a1 != 0")
+    if case in ("i", "ii"):
+        a3_fixed = 1.0 if case == "i" else 0.0
+        if a3 is not None and a3 != a3_fixed:
+            raise ConstraintError(f"case {case} fixes a3 = {a3_fixed:g}, "
+                                  f"got {a3}")
+        if a4 is None:
+            raise ConstraintError(f"case {case} needs a4")
+        a3, a4 = a3_fixed, float(a4)
+        if case == "i":
+            r, kappa = 1.0, (1.0 + a1) / (1.0 + a1 * a4)
+        elif a4 == 0.0:
+            raise ConstraintError("case ii needs a4 != 0")
+        else:
+            r, kappa = a4, 1.0 / a4
+    elif case == "iii":
+        if a3 is None or a3 == 0.0:
+            raise ConstraintError("case iii needs a3 != 0")
+        a4_fixed = 1.0 + a1 + a3
+        tol = 1e-12 * max(1.0, abs(a4_fixed))
+        if a4 is not None and abs(a4 - a4_fixed) > tol:
+            raise ConstraintError(
+                f"case iii forces a4 = 1 + a1 + a3 = {a4_fixed}, got {a4}"
+            )
+        a3, a4 = float(a3), a4_fixed
+        r, kappa = 1.0 + a1, 1.0 / (1.0 + a1)
+    else:
+        raise ConstraintError(
+            f"unknown separable case {case!r} (expected i, ii or iii)")
+    return SeparableCase(a3=a3, a4=a4, r=r, kappa=kappa,
+                         growth=1.0 + beta * beta * a1 * a1, delta1=delta1)
 
 
 def make_fam40(case: str, a1: float, a4: float | None, beta: float,
@@ -360,64 +410,36 @@ def make_fam40(case: str, a1: float, a4: float | None, beta: float,
                d3: float = 1.0) -> FamilyInstance:
     """Separable family u = e^(-beta a1 x) * U(t), v = V(t) - u/a1, w = W(t).
 
-    Case wiring: (i) a3 = 1, (ii) a3 = 0, (iii) a4 = 1 + a1 + a3 with
-    a3 != 0.  delta1, delta2 must be positive; the w-diffusivity d3 is free
-    because w depends on t only.  The evaluator fails with the critical
-    time when the shared denominator 1 - delta1 + delta1 e^(r t) is not
-    positive (possible only for t < 0 with delta1 > 1).
+    Case wiring and checks: `separable_case`.  The w-diffusivity d3 is
+    free because w depends on t only.  The evaluator fails with the
+    critical time when the shared denominator is not positive.
     """
-    if not (delta1 > 0 and delta2 > 0):
-        raise ConstraintError("fam40 requires delta1 > 0 and delta2 > 0")
-    a3_eff, a4_eff, r = _fam40_case(case, a1, a4, a3)
-    p = Params(a1=a1, a2=1.0, a3=a3_eff, a4=a4_eff, a5=a1 * a4_eff,
+    sc = separable_case(case, a1, beta, delta1, delta2, a4=a4, a3=a3)
+    a4 = sc.a4
+    p = Params(a1=a1, a2=1.0, a3=sc.a3, a4=a4, a5=a1 * a4,
                d1=1.0, d2=1.0, d3=d3)
-    growth = 1.0 + beta * beta * a1 * a1
     ba1 = beta * a1
-
     if case == "i":
-        kappa = (1.0 + a1) / (1.0 + a1 * a4_eff)
-        cV = (1.0 + a1) / (a1 * (1.0 + a1 * a4_eff))
-        cW = (1.0 - a4_eff) / (1.0 + a1 * a4_eff)
-    elif case == "ii":
-        kappa = 1.0 / a4_eff
-        cV = 1.0 / a1
-        cW = (1.0 - a4_eff) * (delta1 - 1.0) / a1
+        cV = (1.0 + a1) / (a1 * (1.0 + a1 * a4))
+        cW = (1.0 - a4) / (1.0 + a1 * a4)
     else:
-        kappa = 1.0 / (1.0 + a1)
         cV = 1.0 / a1
-        cW = 1.0 - delta1
-
-    def _denparts(t):
-        t = np.asarray(t, dtype=float)
-        m = (1.0 - delta1) * np.exp(-r * t) + delta1
-        if np.any(m <= 0):
-            tcrit = math.log((delta1 - 1.0) / delta1) / r
-            raise DomainError(
-                f"fam40 denominator vanishes at t = {tcrit}; "
-                f"requested times must stay above it"
-            )
-        return m, r * t + np.log(m)  # (e^{-rt} D, log D)
+        cW = (1.0 - a4) * (delta1 - 1.0) / a1 if case == "ii" \
+            else 1.0 - delta1
 
     def evaluate(t, x):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        m, logD = _denparts(t)
-        u = delta2 * np.exp(growth * t - ba1 * x - kappa * logD)
+        m, logD = sc.denominator(t)
+        u = delta2 * np.exp(sc.growth * t - ba1 * x - sc.kappa * logD)
         g = delta1 / m
-        if case == "i":
-            v = cV * g - u / a1
-            w = cW * g + np.zeros_like(u)
-        elif case == "ii":
-            v = cV * g - u / a1
-            w = cW * np.exp(-logD) + np.zeros_like(u)
-        else:
-            v = cV * g - u / a1
-            w = cW * np.exp(-logD) + np.zeros_like(u)
-        return (u, v, w)
+        v = cV * g - u / a1
+        w = cW * g if case == "i" else cW * np.exp(-logD)
+        return (u, v, w + np.zeros_like(u))
 
     t_limit = None
     if case == "i":
-        u_amp = delta2 * delta1**-kappa
+        u_amp = delta2 * delta1**-sc.kappa
 
         def t_limit(x):
             x = np.asarray(x, dtype=float)
@@ -432,10 +454,125 @@ def make_fam40(case: str, a1: float, a4: float | None, beta: float,
         params=p,
         t_limit=t_limit,
         key=f"fam40-{case}",
-        meta={"case": case, "a1": a1, "a4": a4_eff, "a3": a3_eff,
+        meta={"case": case, "a1": a1, "a4": a4, "a3": sc.a3,
               "beta": beta, "delta1": delta1, "delta2": delta2,
-              "growth_exponent": growth, "kappa": kappa},
+              "growth_exponent": sc.growth, "kappa": sc.kappa},
     )
+
+
+# ---------------------------------------------------------------------------
+# ansatz reconstruction: profiles -> PDE fields
+# ---------------------------------------------------------------------------
+
+ANSATZ_IDS = ("A34", "A37", "A44", "plane", "T2a", "T2b", "T2c", "T2d")
+OMEGA_BASED = frozenset({"A34", "A44", "plane", "T2a", "T2b"})
+
+
+@dataclass(frozen=True)
+class Ansatz:
+    """Algebraic reconstruction rule from profiles to PDE fields."""
+
+    aid: str
+    alpha: float = 0.0
+    beta: float = 0.0
+    gamma: float = 0.0
+    a1: float = 0.0
+    a4: float = 0.0
+
+    @property
+    def omega_based(self) -> bool:
+        return self.aid in OMEGA_BASED
+
+
+def make_ansatz(aid: str, **kw) -> Ansatz:
+    if aid not in ANSATZ_IDS:
+        raise ConstraintError(f"unknown ansatz id {aid!r}")
+    need = {
+        "A34": ("alpha", "beta", "a1"),
+        "A37": ("beta", "a1"),
+        "A44": ("alpha", "beta", "gamma"),
+        "plane": ("alpha",),
+        "T2a": ("alpha", "beta", "gamma", "a1", "a4"),
+        "T2b": ("alpha", "gamma", "a1", "a4"),
+        "T2c": ("beta", "gamma", "a1", "a4"),
+        "T2d": ("gamma", "a1", "a4"),
+    }[aid]
+    missing = [k for k in need if k not in kw]
+    extra = [k for k in kw if k not in need]
+    if missing or extra:
+        raise ConstraintError(
+            f"{aid} expects coefficients {need}; missing {missing}, "
+            f"unexpected {extra}"
+        )
+    if aid in ("A34", "A37", "T2a", "T2b", "T2c", "T2d") and kw.get("a1") == 0:
+        raise ConstraintError(f"{aid} requires a1 != 0")
+    if aid == "T2a" and 1.0 + kw["beta"] * kw["a1"] == 0.0:
+        raise ConstraintError("T2a requires 1 + beta*a1 != 0 (use T2b)")
+    if aid == "T2c" and kw["beta"] == 0.0:
+        raise ConstraintError("T2c requires beta != 0 (use T2d)")
+    return Ansatz(aid=aid, **kw)
+
+
+def _profile(profiles, name):
+    fn = profiles.get(name)
+    if fn is None:
+        return lambda s: np.zeros_like(np.asarray(s, dtype=float))
+    return fn
+
+
+def reconstruct(ansatz: Ansatz, profiles, t, x):
+    """Compose profiles through the ansatz at (t, x); exact algebra only."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+    U = _profile(profiles, "U")
+    V = _profile(profiles, "V")
+    W = _profile(profiles, "W")
+    a = ansatz
+    if a.aid in OMEGA_BASED:
+        om = x - a.alpha * t
+        if a.aid == "A34":
+            up = np.exp(-a.beta * a.a1 * t) * U(om)
+            return (up, V(om) - up / a.a1, W(om) + np.zeros_like(up))
+        if a.aid == "A44":
+            u = U(om)
+            shift = a.beta * t + a.gamma * np.exp(t)
+            v = V(om) + shift * u - a.gamma * np.exp(t)
+            return (u + np.zeros_like(v), v, W(om) + np.zeros_like(v))
+        if a.aid == "plane":
+            u = U(om)
+            z = np.zeros_like(u)
+            return (u, V(om) + z, W(om) + z)
+        s = (a.a4 - 1.0) * V(om) + W(om) + (1.0 - a.a4) / a.a1
+        if a.aid == "T2a":
+            u = np.exp(-a.beta * a.a1 * t) * U(om) \
+                + a.gamma * np.exp(t) / (1.0 + a.beta * a.a1) * s
+        else:
+            u = np.exp(t) * (U(om) + a.gamma * s * t)
+        return (u, V(om) - u / a.a1, W(om) + np.zeros_like(u))
+    if a.aid == "A37":
+        e = np.exp(-a.beta * a.a1 * x)
+        u = U(t) * e
+        return (u, V(t) - u / a.a1, W(t) + np.zeros_like(u))
+    # T2c / T2d: profiles over t, explicit x dependence
+    s = (a.a4 - 1.0) * V(t) + W(t) + (1.0 - a.a4) / a.a1
+    if a.aid == "T2c":
+        u = np.exp(-a.beta * a.a1 * x) * U(t) \
+            + a.gamma * np.exp(t) / (a.beta * a.a1) * s
+    else:
+        u = U(t) + a.gamma * np.exp(t) * s * x
+    return (u, V(t) - u / a.a1, W(t) + np.zeros_like(u))
+
+
+def ansatz_solution(ansatz: Ansatz, profiles, params: Params, key: str = "",
+                    speed: float | None = None,
+                    meta: dict | None = None) -> Solution:
+    """Wrap an ansatz + profiles as a full (t, x) sampler."""
+
+    def evaluate(t, x):
+        return reconstruct(ansatz, profiles, t, x)
+
+    return Solution(evaluate=evaluate, params=params, speed=speed, key=key,
+                    meta={"ansatz": ansatz.aid} if meta is None else meta)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +672,7 @@ def make_semi_exact(case: str, profile: Callable, *, a1: float | None = None,
                     beta: float = 0.0, gamma: float = 0.0,
                     window=None) -> FamilyInstance:
     """Assemble a semi-exact family from closed tanh parts and a numeric
-    profile.
+    profile, through ansatz A34 (cases 35-*) or A44 (cases 50/51).
 
     For the 35-cases `profile` is the u-profile U(omega) of the linear
     equation L36; for cases 50/51 it is the v-profile V(omega) of L52.
@@ -549,25 +686,14 @@ def make_semi_exact(case: str, profile: Callable, *, a1: float | None = None,
     if case in ("35-i", "35-ii", "35-iii"):
         cd = semi35_case(case, a1, a4, a3)
         alpha = cd["alpha"]
-        V, W = cd["V"], cd["W"]
+        ansatz = make_ansatz("A34", alpha=alpha, beta=beta, a1=a1)
+        profiles = {"U": profile, "V": cd["V"], "W": cd["W"]}
         p = Params(a1=a1, a2=1.0, a3=cd["a3"], a4=cd["a4"],
                    a5=a1 * cd["a4"], d1=1.0, d2=1.0, d3=1.0)
-        ba1 = beta * a1
-
-        def evaluate(t, x):
-            t = np.asarray(t, dtype=float)
-            x = np.asarray(x, dtype=float)
-            om = x - alpha * t
-            up = np.exp(-ba1 * t) * np.asarray(profile(om), dtype=float)
-            return (up, V(om) - up / a1, W(om) + np.zeros_like(up))
-
         meta = {"case": case, "a1": a1, "a4": cd["a4"], "a3": cd["a3"],
                 "beta": beta, "alpha": alpha,
                 "kappa1": cd["kappa1"], "kappa2": cd["kappa2"]}
-        return FamilyInstance(evaluate=evaluate, params=p, speed=alpha,
-                              key=f"semi{case}", meta=meta)
-
-    if case in ("50", "51"):
+    elif case in ("50", "51"):
         if case == "50":
             if a4 is None:
                 raise ConstraintError("semi50 needs a4")
@@ -580,6 +706,8 @@ def make_semi_exact(case: str, profile: Callable, *, a1: float | None = None,
             a4_eff = 1.0 + a3_eff
             W = w_profile_51()
         alpha = FISHER_SPEED
+        ansatz = make_ansatz("A44", alpha=alpha, beta=beta, gamma=gamma)
+        profiles = {"U": _fisher_profile, "V": profile, "W": W}
         p = Params(a1=0.0, a2=1.0, a3=a3_eff, a4=a4_eff, a5=0.0,
                    d1=1.0, d2=1.0, d3=1.0)
 
@@ -590,83 +718,15 @@ def make_semi_exact(case: str, profile: Callable, *, a1: float | None = None,
             probe = np.linspace(min(window), max(window), 601)
         pv = np.asarray(profile(probe), dtype=float)
         if np.max(np.abs(pv)) == 0.0:
-            forcing = _fisher_u(0.0, probe) * (W(probe) - beta)
+            forcing = _fisher_profile(probe) * (W(probe) - beta)
             if np.max(np.abs(forcing)) > 1e-12:
                 raise ConstraintError(
                     "zero v-profile demanded but the linear equation's "
                     "forcing U*(W - beta) is nonzero"
                 )
-
-        def evaluate(t, x):
-            t = np.asarray(t, dtype=float)
-            x = np.asarray(x, dtype=float)
-            om = x - alpha * t
-            u = _fisher_u(t, x)
-            shift = beta * t + gamma * np.exp(t)
-            v = np.asarray(profile(om), dtype=float) + shift * u - gamma * np.exp(t)
-            return (u, v, W(om) + np.zeros_like(u))
-
         meta = {"case": case, "a3": a3_eff, "a4": a4_eff, "beta": beta,
                 "gamma": gamma, "alpha": alpha}
-        return FamilyInstance(evaluate=evaluate, params=p, speed=alpha,
-                              key=f"semi{case}", meta=meta)
-
-    raise ConstraintError(f"unknown semi-exact case {case!r}")
-
-
-# ---------------------------------------------------------------------------
-# catalog metadata (CLI contract)
-# ---------------------------------------------------------------------------
-
-CATALOG = {
-    "fisher": {
-        "params": [],
-        "constraints": "none; defines u only, speed 5/sqrt(6)",
-    },
-    "fam40-i": {
-        "params": ["a1", "a4", "beta", "delta1", "delta2"],
-        "constraints": "a1 != 0, delta1 > 0, delta2 > 0; a3 = 1, a5 = a1*a4",
-    },
-    "fam40-ii": {
-        "params": ["a1", "a4", "beta", "delta1", "delta2"],
-        "constraints": "a1 != 0, delta1 > 0, delta2 > 0; a3 = 0, a5 = a1*a4",
-    },
-    "fam40-iii": {
-        "params": ["a1", "a3", "beta", "delta1", "delta2"],
-        "constraints": "a1 != 0, a3 != 0, a4 = 1+a1+a3, a5 = a1*a4",
-    },
-    "semi35-i": {
-        "params": ["a1", "a4", "beta"],
-        "constraints": "a1 != 0; numeric u-profile; a3 = 1, d = 1",
-        "profile": "L36",
-    },
-    "semi35-ii": {
-        "params": ["a1", "a4", "beta"],
-        "constraints": "a1 != 0, a4 > 0; numeric u-profile; a3 = 0, d = 1",
-        "profile": "L36",
-    },
-    "semi35-iii": {
-        "params": ["a1", "a3", "beta"],
-        "constraints": "a1 != 0, a3 != 0, a4 = 1+a1+a3; numeric u-profile",
-        "profile": "L36",
-    },
-    "semi50": {
-        "params": ["a4", "beta", "gamma"],
-        "constraints": "numeric v-profile; a1 = 0, a2 = 1, a3 = 1, d = 1",
-        "profile": "L52",
-    },
-    "semi51": {
-        "params": ["a3", "beta", "gamma"],
-        "constraints": "numeric v-profile; a1 = 0, a2 = 1, a4 = 1+a3, d = 1",
-        "profile": "L52",
-    },
-    "tf63": {
-        "params": ["a1", "delta", "a3", "d3"],
-        "constraints": "delta > 0, a1*delta < 1/2, derived d2 > 0; "
-                       "connects (1-2*a1*delta, 2*delta, 0) to (0, 0, 1)",
-    },
-    "tf65": {
-        "params": ["d"],
-        "constraints": "0 < d <= 5/3; fixed speed 5/sqrt(6)",
-    },
-}
+    else:
+        raise ConstraintError(f"unknown semi-exact case {case!r}")
+    return ansatz_solution(ansatz, profiles, p, key=f"semi{case}",
+                           speed=alpha, meta=meta)

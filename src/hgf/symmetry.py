@@ -45,6 +45,10 @@ OP_KINDS = (
     "Case12_UdV_plus_1mUdW", "Case12_ExpMinusT",
 )
 
+# coefficients each operator kind's flow reads from the coefficient set
+OP_COEFFS = {"Q1": ("a1",), "ExpA4WdV": ("a4",), "WdV_minus_a4WdW": ("a4",),
+             "Case9Op": ("a1", "a4"), "Case10Op": ("a2",), "Xinf": ("d2",)}
+
 _REL_TOL = 1e-12
 
 
@@ -119,10 +123,7 @@ class SymmetryOp:
     def __post_init__(self):
         if self.kind not in OP_KINDS:
             raise ConstraintError(f"unknown operator kind {self.kind!r}")
-        need = {"Q1": ("a1",), "ExpA4WdV": ("a4",),
-                "WdV_minus_a4WdW": ("a4",), "Case9Op": ("a1", "a4"),
-                "Case10Op": ("a2",), "Xinf": ("d2",)}.get(self.kind, ())
-        for name in need:
+        for name in OP_COEFFS.get(self.kind, ()):
             if getattr(self, name) is None:
                 raise ConstraintError(f"{self.kind} needs coefficient {name}")
         if self.kind == "Xinf" and self.profile is None:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from hgf import calculus, cli, solutions
+from hgf import calculus, cli
 from hgf.calculus import SpaceGrid
 
 
@@ -25,7 +25,7 @@ def test_eval_fisher_single_point(capsys):
 def test_catalog_lists_all_families(capsys):
     code, out, _ = run_cli(["catalog"], capsys)
     assert code == 0
-    for key in solutions.CATALOG:
+    for key in cli.FAMILIES:
         assert key in out
     assert "case 12" in out
 
@@ -167,6 +167,28 @@ def test_simulate_rejects_non_finite_bounds(tmp_path, capsys, block, key,
     assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize("block,key,value", [("grid", "n", 51.7),
+                                             ("grid", "n", "51"),
+                                             ("time", "cfl_safety", "0.4"),
+                                             ("time", "snapshot_every", "10"),
+                                             ("time", "snapshot_every", 2.5)])
+def test_simulate_rejects_malformed_numbers(tmp_path, capsys, block, key,
+                                            value):
+    # a truncated grid size or a TypeError escaping as "error: TypeError"
+    # hid which config entry was wrong
+    config = {"family": {"key": "fisher"},
+              "grid": {"x_min": -10.0, "x_max": 10.0, "n": 51},
+              "time": {"t_end": 0.1}}
+    config[block][key] = value
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, err = run_cli(["simulate", "--config", str(cfg_path), "--out",
+                            str(tmp_path / "run"), "--quiet"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and f"{key} must be" in err
+    assert "TypeError" not in err
+
+
 def test_flags_override_config_with_warning(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(
@@ -204,6 +226,8 @@ def test_semi_family_via_cli(tmp_path, capsys):
     report = json.loads(out_file.read_text())
     cli.validate_report(report)
     assert max(v for v in report["residual"]["linf"]) < 1e-4
+    check = report["inputs"]["family_params"]["profile_residual"]
+    assert 0.0 < check["linf"] <= 1e-5 * check["scale"]
 
 
 def test_reduce_l52_honours_alpha(tmp_path, capsys):
@@ -220,3 +244,45 @@ def test_reduce_l52_honours_alpha(tmp_path, capsys):
             == float(alpha)
         trajs.append(traj.read_bytes())
     assert trajs[0] != trajs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--system", "R38", "--case", "iv", "--a1", "0.5", "--a3", "1",
+     "--a4", "0.7", "--beta", "0.3"],
+    ["--system", "T2d", "--case", "i", "--a1", "0.5", "--a4", "0.8"],
+    ["--system", "R38", "--case", "i", "--a3", "0.5", "--a1", "0.5",
+     "--a4", "0.7", "--beta", "0.3", "--delta1", "1.3", "--delta2", "0.4"],
+    ["--system", "R38", "--case", "iii", "--a4", "9", "--a1", "0.5",
+     "--a3", "0.5", "--beta", "0.3", "--delta1", "1.3", "--delta2", "0.4"],
+], ids=["unknown-case", "system-without-cases", "case-i-a3", "case-iii-a4"])
+def test_reduce_rejects_input_it_would_drop(argv, capsys):
+    code, _, err = run_cli(["reduce", *argv, "--span", "0", "1"], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+
+
+_FAMILY_SAMPLE = {"a1": 0.1, "a3": 0.5, "a4": 0.5, "beta": 0.3,
+                  "delta1": 1.3, "delta2": 0.4, "gamma": 0.1, "delta": 0.35,
+                  "d3": 3.0, "d": 1.0}
+
+
+@pytest.mark.parametrize("key", sorted(cli.FAMILIES))
+def test_every_family_builds_from_its_listed_params(key):
+    family = cli.FAMILIES[key]
+    fam = cli.build_family(key, {n: _FAMILY_SAMPLE[n]
+                                 for n in family.params})
+    t = 0.5
+    lo, hi = family.default_window(fam, t)
+    for vals in fam.evaluate(t, np.linspace(lo, hi, 41)):
+        assert vals is None or np.isfinite(vals).all()
+
+
+@pytest.mark.parametrize("key,name", [
+    (f.key, n) for f in cli.FAMILIES.values() for n in f.required])
+def test_missing_required_family_param_is_named(key, name, capsys):
+    flags = [a for n in cli.FAMILIES[key].params if n != name
+             for a in (f"--{n}", str(_FAMILY_SAMPLE[n]))]
+    code, _, err = run_cli(["eval", "--family", key, *flags, "--xmin", "0",
+                            "--xmax", "1", "--n", "3"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and f"'{name}'" in err

@@ -152,9 +152,9 @@ def test_reconstruct_a34_beta_zero_is_plane_shift():
     U = lambda om: np.sin(om)
     V = lambda om: np.cos(om)
     W = lambda om: 0.5 * om
-    a = reduction.make_ansatz("A34", alpha=2.0, beta=0.0, a1=0.5)
+    a = solutions.make_ansatz("A34", alpha=2.0, beta=0.0, a1=0.5)
     t, x = 0.7, np.linspace(-1, 1, 5)
-    u, v, w = reduction.reconstruct(a, {"U": U, "V": V, "W": W}, t, x)
+    u, v, w = solutions.reconstruct(a, {"U": U, "V": V, "W": W}, t, x)
     om = x - 2.0 * t
     np.testing.assert_allclose(u, np.sin(om), rtol=1e-15)
     np.testing.assert_allclose(v, np.cos(om) - np.sin(om) / 0.5, rtol=1e-14)
@@ -164,8 +164,8 @@ def test_reconstruct_a34_beta_zero_is_plane_shift():
 def test_reconstruct_a37_at_x_zero():
     U = lambda t: 2.0 + t
     V = lambda t: 1.0 + t
-    a = reduction.make_ansatz("A37", beta=0.4, a1=0.5)
-    u, v, w = reduction.reconstruct(a, {"U": U, "V": V}, 0.3, 0.0)
+    a = solutions.make_ansatz("A37", beta=0.4, a1=0.5)
+    u, v, w = solutions.reconstruct(a, {"U": U, "V": V}, 0.3, 0.0)
     assert float(u) == pytest.approx(2.3, rel=1e-15)
     assert float(v) == pytest.approx(1.3 - 2.3 / 0.5, rel=1e-14)
     assert float(w) == 0.0
@@ -173,18 +173,18 @@ def test_reconstruct_a37_at_x_zero():
 
 def test_t2a_gamma_zero_matches_a34():
     profs = {"U": np.sin, "V": np.cos, "W": np.tanh}
-    t2a = reduction.make_ansatz("T2a", alpha=1.5, beta=0.3, gamma=0.0,
+    t2a = solutions.make_ansatz("T2a", alpha=1.5, beta=0.3, gamma=0.0,
                                 a1=0.5, a4=0.8)
-    a34 = reduction.make_ansatz("A34", alpha=1.5, beta=0.3, a1=0.5)
+    a34 = solutions.make_ansatz("A34", alpha=1.5, beta=0.3, a1=0.5)
     t, x = 0.4, np.linspace(-2, 2, 9)
-    for a, b in zip(reduction.reconstruct(t2a, profs, t, x),
-                    reduction.reconstruct(a34, profs, t, x)):
+    for a, b in zip(solutions.reconstruct(t2a, profs, t, x),
+                    solutions.reconstruct(a34, profs, t, x)):
         np.testing.assert_allclose(a, b, rtol=1e-14)
 
 
 def test_verify_reduction_pairing_enforced():
     sys = _r38()
-    a34 = reduction.make_ansatz("A34", alpha=1.0, beta=0.3, a1=0.5)
+    a34 = solutions.make_ansatz("A34", alpha=1.0, beta=0.3, a1=0.5)
     with pytest.raises(ConstraintError, match="pairs with"):
         reduction.verify_reduction(sys, a34, Params(1, 1, 1, 1, 1), {},
                                    (0.5, -1, 1), [4e-3, 2e-3])
@@ -205,10 +205,10 @@ def test_r38_profiles_through_a37_give_fam40(fam40_std):
     def W(t):
         return reduction.closed_form_R38("i", a1, d1, d2v, beta, t, a4=a4)[2]
 
-    ansatz = reduction.make_ansatz("A37", beta=beta, a1=a1)
+    ansatz = solutions.make_ansatz("A37", beta=beta, a1=a1)
     profs = {"U": U, "V": V, "W": W}
     t, x = 0.5, np.linspace(0, 5, 11)
-    for a, b in zip(reduction.reconstruct(ansatz, profs, t, x),
+    for a, b in zip(solutions.reconstruct(ansatz, profs, t, x),
                     fam40_std.evaluate(t, x)):
         np.testing.assert_allclose(a, b, rtol=1e-12)
     rep = reduction.verify_reduction(_r38(a1=a1, a4=a4, beta=beta), ansatz,
@@ -225,7 +225,7 @@ def test_r58_plane_ansatz_with_tf63_profiles(tf63_std):
         "V": lambda om: tf63_std.evaluate(0.0, om)[1],
         "W": lambda om: tf63_std.evaluate(0.0, om)[2],
     }
-    ansatz = reduction.make_ansatz("plane", alpha=tf63_std.speed)
+    ansatz = solutions.make_ansatz("plane", alpha=tf63_std.speed)
     rep = reduction.verify_reduction(sys, ansatz, tf63_std.params, profs,
                                      (0.5, -8.0, 8.0), [8e-3, 4e-3, 2e-3])
     assert all(order_ok(o) for o in rep.order_estimate)
@@ -244,7 +244,7 @@ def test_table2_rows_reconstruct_solutions(sid):
     akw = dict(coeffs)
     if sid in ("T2a", "T2c", "T2d"):
         akw["gamma"] = 0.15  # enters the ansatz only, not the reduced system
-    ansatz = reduction.make_ansatz(sid, **akw)
+    ansatz = solutions.make_ansatz(sid, **akw)
     p = Params(a1=a1, a2=1.0, a3=0.0, a4=a4, a5=a1 * a4)
     if sid in ("T2a", "T2b"):
         y0 = np.array([0.15, 0.0, 0.2, 0.0, 0.25, 0.0])
@@ -266,8 +266,26 @@ def test_r35_profiles_through_a34_solve_the_pde():
     a1, a4, d = 0.5, 0.7, 2.0
     sys = reduction.reduced_system("R35", alpha=1.2, a1=a1, beta=0.3, a3=1.0,
                                    a4=a4, d=d)
-    ansatz = reduction.make_ansatz("A34", alpha=1.2, beta=0.3, a1=a1)
+    ansatz = solutions.make_ansatz("A34", alpha=1.2, beta=0.3, a1=a1)
     p = Params(a1=a1, a2=1.0, a3=1.0, a4=a4, a5=a1 * a4, d3=d)
+    traj = reduction.dense_profile(sys, np.array([0.15, 0.0, 0.2, 0.0, 0.25,
+                                                  0.0]), 0.0, -6.0, 6.0,
+                                   step=2e-3)
+    rep = reduction.verify_reduction(sys, ansatz, p,
+                                     reduction.trajectory_profiles(sys, traj),
+                                     (0.5, -5.0, 5.0), [8e-3, 4e-3, 2e-3])
+    assert all(order_ok(o) for o in rep.order_estimate), rep.order_estimate
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.15])
+def test_r47_profiles_through_a44_solve_the_pde(gamma):
+    # A44 maps R47 profiles onto the a1 = 0, a2 = 1, a5 = 0 system with
+    # d3 = d for every gamma: an oracle for R47 (its V row included) that
+    # does not read ode_rhs
+    sys = reduction.reduced_system("R47", alpha=1.2, beta=0.3, a3=1.0,
+                                   a4=0.7, d=2.0)
+    ansatz = solutions.make_ansatz("A44", alpha=1.2, beta=0.3, gamma=gamma)
+    p = Params(0.0, 1.0, 1.0, 0.7, 0.0, d3=2.0)
     traj = reduction.dense_profile(sys, np.array([0.15, 0.0, 0.2, 0.0, 0.25,
                                                   0.0]), 0.0, -6.0, 6.0,
                                    step=2e-3)

@@ -126,6 +126,9 @@ def test_fam40_case_wiring_errors():
         solutions.make_fam40("i", 0.5, 0.5, 0.1, -1.0, 1.0)
     with pytest.raises(ConstraintError, match="a1 != 0"):
         solutions.make_fam40("i", 0.0, 0.5, 0.1, 1.0, 1.0)
+    # kappa = 1/a4: a ZeroDivisionError used to escape the CLI as a traceback
+    with pytest.raises(ConstraintError, match="a4 != 0"):
+        solutions.make_fam40("ii", 0.5, 0.0, 0.2, 1.5, 0.7)
 
 
 def test_fam40_denominator_error(fam40_std):
