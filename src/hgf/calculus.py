@@ -46,6 +46,11 @@ class SpaceGrid:
             raise ConstraintError(
                 f"SpaceGrid n must be an integer >= 5 (central stencils), "
                 f"got {self.n!r}")
+        for name in ("x_min", "x_max"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ConstraintError(
+                    f"SpaceGrid {name} must be a number, got "
+                    f"{getattr(self, name)!r}")
         if not all(map(math.isfinite,
                        (self.x_min, self.x_max, self.x_max - self.x_min))):
             raise ConstraintError(

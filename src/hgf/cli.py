@@ -266,12 +266,9 @@ class Family:
 
 def _lib(name: str, *args, **fixed):
     """Build through `solutions.<name>` (looked up at call time), passing
-    the given values whose names its signature takes."""
+    the given values by name."""
     def build(fp):
-        fn = getattr(solutions, name)
-        takes = inspect.signature(fn).parameters
-        return fn(*args, **{**fixed, **{k: v for k, v in fp.items()
-                                        if k in takes}})
+        return getattr(solutions, name)(*args, **{**fixed, **fp})
     return build
 
 
@@ -344,13 +341,15 @@ def _family(key: str) -> Family:
 
 
 def _merge_family_args(args, config) -> tuple[str, dict, list[str]]:
-    """Family key and parameters; flags win over config with a warning."""
+    """Family key and parameters; flags win over config with a warning.
+    A value the family does not take is rejected, not dropped."""
     warnings: list[str] = []
     fam_cfg = dict(config.get("family", {})) if config else {}
     key = getattr(args, "family", None) or fam_cfg.pop("key", None)
     if key is None:
         raise ConstraintError("no family given (flag --family or config)")
-    _family(key)
+    family = _family(key)
+    takes = family.params + (_PROFILE_FLAGS if family.profile else ())
     params = {}
     for name in _FAMILY_FLAGS + _PROFILE_FLAGS:
         if name in fam_cfg:
@@ -359,15 +358,24 @@ def _merge_family_args(args, config) -> tuple[str, dict, list[str]]:
     if fam_cfg:
         raise ConstraintError(
             f"config family has unknown keys {sorted(fam_cfg)}")
+    ignored = sorted(set(params) - set(takes))
+    if ignored:
+        raise ConstraintError(
+            f"config family {key} does not take keys {ignored}")
     for name in _FAMILY_FLAGS + _PROFILE_FLAGS:
         val = getattr(args, name, None)
-        if val is not None:
-            if name in params and params[name] != val:
-                warnings.append(
-                    f"flag --{name.replace('_', '-')} = {val} overrides "
-                    f"config value {params[name]}"
-                )
-            params[name] = val
+        if val is None:
+            continue
+        flag = f"--{name.replace('_', '-')}"
+        if name not in takes:
+            ignored.append(flag)
+        elif name in params and params[name] != val:
+            warnings.append(
+                f"flag {flag} = {val} overrides config value {params[name]}")
+        params[name] = val
+    if ignored:
+        raise ConstraintError(
+            f"family {key} does not take {', '.join(ignored)}")
     return key, params, warnings
 
 

@@ -37,14 +37,21 @@ def kinetics(a, u, v, w, lead):
     left to right.  This is the only place the kinetics are written: the
     method-of-lines right-hand side passes d*u_xx, the plane-wave
     reduction R58 passes alpha*U', and `Params.reaction` passes -0.0.
-    Broadcasts over numpy arrays.
+    Broadcasts over numpy arrays.  Where `lead` holds arrays the rates are
+    added onto them in place and those arrays are returned; scalar leading
+    terms are left alone.
     """
     a1, a2, a3, a4, a5 = a
     l1, l2, l3 = lead
     g = 1.0 - u - a1 * v
-    return (l1 + u * g,
-            l2 + a2 * v * g + u * w + a1 * v * w,
-            l3 + a3 * w * (1.0 - w) - a4 * u * w - a5 * v * w)
+    l1 += u * g
+    l2 += a2 * v * g
+    l2 += u * w
+    l2 += a1 * v * w
+    l3 += a3 * w * (1.0 - w)
+    l3 -= a4 * u * w
+    l3 -= a5 * v * w
+    return l1, l2, l3
 
 
 @dataclass(frozen=True)

@@ -526,8 +526,9 @@ def semi_exact_family(case: str, *, a1: float | None = None,
         sys = reduced_system("L36", alpha=cd["alpha"], a1=a1, beta=beta,
                              kappa1=cd["kappa1"], kappa2=cd["kappa2"])
     elif case in ("50", "51"):
+        a4_l52 = solutions.semi50_case(case, a4, a3)["a4"]
         sys = reduced_system("L52", beta=beta, case=case,
-                             a4=0.0 if case == "51" else a4)
+                             a4=0.0 if case == "51" else a4_l52)
     else:
         raise ConstraintError(f"unknown semi-exact case {case!r}")
     if anchor is None:

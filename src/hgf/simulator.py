@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import mol_run
+from ._kernels import FINITE_CHECK_EVERY, mol_run
 from .calculus import FieldState, SpaceGrid
 from .errors import ConstraintError, NumericalError
 from .model import Params
@@ -77,6 +77,10 @@ class SimConfig:
             raise ConstraintError(
                 f"cfl_safety must be a number in (0, 1), got "
                 f"{self.cfl_safety!r}")
+        for name in ("t0", "t_end"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ConstraintError(
+                    f"{name} must be a number, got {getattr(self, name)!r}")
         if not all(map(math.isfinite,
                        (self.t0, self.t_end, self.t_end - self.t0))):
             raise ConstraintError(
@@ -165,8 +169,11 @@ def run(config: SimConfig) -> SimRun:
     """Integrate the semi-discrete system; snapshots every
     `snapshot_every` steps plus the final state.
 
-    A non-finite state aborts with the last good snapshots attached to the
-    raised error (`.partial` attribute) together with the failing step.
+    The state is checked for non-finite values at every snapshot and
+    every `FINITE_CHECK_EVERY` steps.  A non-finite state aborts with the
+    last good snapshots attached to the raised error (`.partial`
+    attribute); the message brackets the blow-up between the last step
+    checked clean and the step where it was found.
     """
     grid = config.grid
     dt0 = stability_bound(config.params, grid, config.cfl_safety)
@@ -195,15 +202,18 @@ def run(config: SimConfig) -> SimRun:
                           w=snaps[idx, 2].copy())
 
     if status >= 0:
+        done = [s for s in snap_steps if s < status]
         good = [state(0, 0)]
-        for j, s in enumerate(snap_steps):
-            if s < status:
-                good.append(state(j + 1, s))
+        good.extend(state(j + 1, s) for j, s in enumerate(done))
         partial = SimRun(config=config, dt=dt, steps=status, snapshots=good,
                          rhs_evaluations=4 * status, aborted_at=status)
+        # the last step at which the kernel found the state finite
+        clean = max((status - 1) // FINITE_CHECK_EVERY * FINITE_CHECK_EVERY,
+                    done[-1] if done else 0)
         err = NumericalError(
             f"non-finite state detected at step {status} "
-            f"(t = {config.t0 + status * dt}); last good snapshot attached"
+            f"(t = {config.t0 + status * dt}), finite at step {clean} "
+            f"(t = {config.t0 + clean * dt}); last good snapshot attached"
         )
         err.partial = partial
         raise err

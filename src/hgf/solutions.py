@@ -363,6 +363,15 @@ class SeparableCase:
         return m, self.r * t + np.log(m)
 
 
+def _forced_a4(label: str, a4: float | None, a4_fixed: float,
+               rule: str) -> float:
+    """The a4 a case forces; a given a4 must match it to roundoff."""
+    if a4 is not None and abs(a4 - a4_fixed) > 1e-12 * max(1.0, abs(a4_fixed)):
+        raise ConstraintError(
+            f"{label} forces a4 = {rule} = {a4_fixed}, got {a4}")
+    return a4_fixed
+
+
 def separable_case(case: str, a1: float, beta: float, delta1: float,
                    delta2: float, a4: float | None = None,
                    a3: float | None = None) -> SeparableCase:
@@ -390,13 +399,8 @@ def separable_case(case: str, a1: float, beta: float, delta1: float,
     elif case == "iii":
         if a3 is None or a3 == 0.0:
             raise ConstraintError("case iii needs a3 != 0")
-        a4_fixed = 1.0 + a1 + a3
-        tol = 1e-12 * max(1.0, abs(a4_fixed))
-        if a4 is not None and abs(a4 - a4_fixed) > tol:
-            raise ConstraintError(
-                f"case iii forces a4 = 1 + a1 + a3 = {a4_fixed}, got {a4}"
-            )
-        a3, a4 = float(a3), a4_fixed
+        a4 = _forced_a4("case iii", a4, 1.0 + a1 + a3, "1 + a1 + a3")
+        a3 = float(a3)
         r, kappa = 1.0 + a1, 1.0 / (1.0 + a1)
     else:
         raise ConstraintError(
@@ -583,9 +587,16 @@ def ansatz_solution(ansatz: Ansatz, profiles, params: Params, key: str = "",
 def semi35_case(case: str, a1: float, a4: float | None,
                 a3: float | None = None) -> dict:
     """Closed data of the semi35 cases: speed, linear-equation coefficients
-    kappa1/kappa2 and the closed V, W profiles."""
+    kappa1/kappa2 and the closed V, W profiles.  A given a3 or a4 that the
+    case fixes must equal the fixed value (a3 = 1 in 35-i, a3 = 0 in
+    35-ii, a4 = 1 + a1 + a3 in 35-iii)."""
     if a1 == 0.0:
         raise ConstraintError("semi35 requires a1 != 0")
+    if case in ("35-i", "35-ii"):
+        a3_fixed = 1.0 if case == "35-i" else 0.0
+        if a3 is not None and a3 != a3_fixed:
+            raise ConstraintError(f"semi{case} fixes a3 = {a3_fixed:g}, "
+                                  f"got {a3}")
     if case == "35-i":
         if a4 is None:
             raise ConstraintError("semi35-i needs a4")
@@ -621,7 +632,8 @@ def semi35_case(case: str, a1: float, a4: float | None,
         if 1.0 + a1 <= 0:
             raise ConstraintError("semi35-iii needs 1 + a1 > 0")
         a3_eff = float(a3)
-        a4_eff = 1.0 + a1 + a3_eff
+        a4_eff = _forced_a4("semi35-iii", a4, 1.0 + a1 + a3_eff,
+                            "1 + a1 + a3")
         kappa1 = 0.25
         kappa2 = math.sqrt(1.0 + a1)
 
@@ -636,6 +648,25 @@ def semi35_case(case: str, a1: float, a4: float | None,
     alpha = FISHER_SPEED * kappa2
     return {"a3": a3_eff, "a4": a4_eff, "alpha": alpha,
             "kappa1": kappa1, "kappa2": kappa2, "V": V, "W": W}
+
+
+def semi50_case(case: str, a4: float | None,
+                a3: float | None = None) -> dict:
+    """Coefficients and closed w-profile of the A44 cases: 50 fixes a3 = 1
+    and needs a4, 51 needs a3 and forces a4 = 1 + a3.  A given value the
+    case fixes must equal the fixed value."""
+    if case == "50":
+        if a3 is not None and a3 != 1.0:
+            raise ConstraintError(f"semi50 fixes a3 = 1, got {a3}")
+        if a4 is None:
+            raise ConstraintError("semi50 needs a4")
+        return {"a3": 1.0, "a4": float(a4), "W": w_profile_50(float(a4))}
+    if case == "51":
+        if a3 is None:
+            raise ConstraintError("semi51 needs a3")
+        a4_eff = _forced_a4("semi51", a4, 1.0 + float(a3), "1 + a3")
+        return {"a3": float(a3), "a4": a4_eff, "W": w_profile_51()}
+    raise ConstraintError(f"unknown semi-exact case {case!r}")
 
 
 def w_profile_50(a4: float) -> Callable:
@@ -694,17 +725,8 @@ def make_semi_exact(case: str, profile: Callable, *, a1: float | None = None,
                 "beta": beta, "alpha": alpha,
                 "kappa1": cd["kappa1"], "kappa2": cd["kappa2"]}
     elif case in ("50", "51"):
-        if case == "50":
-            if a4 is None:
-                raise ConstraintError("semi50 needs a4")
-            a3_eff, a4_eff = 1.0, float(a4)
-            W = w_profile_50(a4_eff)
-        else:
-            if a3 is None:
-                raise ConstraintError("semi51 needs a3")
-            a3_eff = float(a3)
-            a4_eff = 1.0 + a3_eff
-            W = w_profile_51()
+        cd = semi50_case(case, a4, a3)
+        a3_eff, a4_eff, W = cd["a3"], cd["a4"], cd["W"]
         alpha = FISHER_SPEED
         ansatz = make_ansatz("A44", alpha=alpha, beta=beta, gamma=gamma)
         profiles = {"U": _fisher_profile, "V": profile, "W": W}

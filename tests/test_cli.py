@@ -171,7 +171,11 @@ def test_simulate_rejects_non_finite_bounds(tmp_path, capsys, block, key,
                                              ("grid", "n", "51"),
                                              ("time", "cfl_safety", "0.4"),
                                              ("time", "snapshot_every", "10"),
-                                             ("time", "snapshot_every", 2.5)])
+                                             ("time", "snapshot_every", 2.5),
+                                             ("grid", "x_min", "-10"),
+                                             ("grid", "x_max", "10"),
+                                             ("time", "t0", "0"),
+                                             ("time", "t_end", "0.1")])
 def test_simulate_rejects_malformed_numbers(tmp_path, capsys, block, key,
                                             value):
     # a truncated grid size or a TypeError escaping as "error: TypeError"
@@ -259,6 +263,30 @@ def test_reduce_rejects_input_it_would_drop(argv, capsys):
     code, _, err = run_cli(["reduce", *argv, "--span", "0", "1"], capsys)
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("key,flags,named", [
+    ("fisher", ["--a1", "5"], "--a1"),
+    ("fisher", ["--profile-lo", "-5"], "--profile-lo"),
+    ("semi35-i", ["--a1", "0.5", "--a4", "0.5", "--beta", "3", "--a3", "7"],
+     "--a3"),
+    ("tf63", ["--a1", "0.1", "--delta", "0.35", "--gamma", "1"], "--gamma"),
+], ids=["fisher-a1", "fisher-profile-lo", "semi35-i-a3", "tf63-gamma"])
+def test_family_rejects_flags_it_does_not_take(key, flags, named, capsys):
+    # these used to exit 0 with the value silently dropped
+    code, _, err = run_cli(["eval", "--family", key, *flags, "--xmin", "0",
+                            "--xmax", "1", "--n", "3"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and named in err
+
+
+def test_config_family_rejects_keys_it_does_not_take(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"family": {"key": "fisher", "a1": 5}}))
+    code, _, err = run_cli(["eval", "--config", str(cfg_path), "--xmin", "0",
+                            "--xmax", "1", "--n", "3"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "'a1'" in err
 
 
 _FAMILY_SAMPLE = {"a1": 0.1, "a3": 0.5, "a4": 0.5, "beta": 0.3,

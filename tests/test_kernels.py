@@ -1,4 +1,6 @@
 import importlib
+import itertools
+import math
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +35,121 @@ def test_mol_blowup_status():
     status = K.mol_run(F0.copy(), dco, aco, h, 1e-2, 50, 1, bc, snap_steps,
                        out)
     assert status >= 1
+
+
+def _kinetics_expr(a, u, v, w, lead):
+    # the kinetics in plain expression form, each sum left to right
+    a1, a2, a3, a4, a5 = a
+    l1, l2, l3 = lead
+    g = 1.0 - u - a1 * v
+    return (l1 + u * g,
+            l2 + a2 * v * g + u * w + a1 * v * w,
+            l3 + a3 * w * (1.0 - w) - a4 * u * w - a5 * v * w)
+
+
+def _reference_mol_run(F, dco, aco, h, dt, nsteps, bc_mode, bc_table,
+                       snap_steps, snaps):
+    """A plain, allocating RK4 loop with the kernel's contract and
+    operation order; the kernel must reproduce it bit for bit."""
+    d = np.asarray(dco, dtype=float)[:, None]
+    inv_h2 = 1.0 / (h * h)
+
+    def rhs(F):
+        lap = np.zeros_like(F)
+        lap[:, 1:-1] = (F[:, :-2] - 2.0 * F[:, 1:-1] + F[:, 2:]) * inv_h2
+        if bc_mode == 1:
+            lap[:, 0] = 2.0 * (F[:, 1] - F[:, 0]) * inv_h2
+            lap[:, -1] = 2.0 * (F[:, -2] - F[:, -1]) * inv_h2
+        k = np.stack(_kinetics_expr(aco, F[0], F[1], F[2], d * lap))
+        if bc_mode == 0:
+            k[:, 0] = k[:, -1] = 0.0
+        return k
+
+    def pinned(Y, tb, s):
+        if bc_mode == 0:
+            Y[:, 0] = tb[s, :, 0]
+            Y[:, -1] = tb[s, :, 1]
+        return Y
+
+    j = 0
+    for step in range(1, nsteps + 1):
+        tb = bc_table[step - 1] if bc_table.shape[0] > 1 else bc_table[0]
+        k1 = rhs(F)
+        k2 = rhs(pinned(F + 0.5 * dt * k1, tb, 1))
+        k3 = rhs(pinned(F + 0.5 * dt * k2, tb, 1))
+        k4 = rhs(pinned(F + dt * k3, tb, 2))
+        F = pinned(F + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4), tb, 2)
+        if j < len(snap_steps) and snap_steps[j] == step:
+            if not np.isfinite(F).all():
+                return step
+            snaps[j + 1] = F
+            j += 1
+    return -1
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "dirichlet-tabbed", "zero-flux"])
+def test_mol_kernel_matches_reference_rk4_bitwise(bc):
+    # the kernel writes into preallocated buffers; that must not change a
+    # bit of the plain RK4 result
+    F0, dco, aco, h, table = _mol_inputs(201)
+    tf63 = solutions.make_tf63(0.1, 0.35)
+    dt = 0.4 * h * h / (2.0 * dco.max())
+    nsteps = 150
+    if bc == "dirichlet-tabbed":
+        # per-step boundary values that move with every stage
+        t = np.arange(nsteps)[:, None] * dt + np.array([0.0, 0.5, 1.0]) * dt
+        table = np.empty((nsteps, 3, 3, 2))
+        for side, xb in enumerate((-10.0, 10.0)):
+            table[..., side] = np.stack(tf63.evaluate(t, xb), axis=-1)
+    mode = 1 if bc == "zero-flux" else 0
+    snap_steps = np.array([1, 64, 100, 150], dtype=np.int64)
+    runs = []
+    for kernel in (K.mol_run, _reference_mol_run):
+        snaps = np.empty((snap_steps.size + 1, 3, F0.shape[1]))
+        snaps[0] = F0
+        status = kernel(F0.copy(), dco, aco, h, dt, nsteps, mode, table,
+                        snap_steps, snaps)
+        runs.append((status, snaps))
+    (status, snaps), (ref_status, ref_snaps) = runs
+    assert status == ref_status == -1
+    assert np.abs(snaps[-1] - snaps[0]).max() > 1e-3  # the fields moved
+    assert np.array_equal(snaps, ref_snaps)
+
+
+def test_kinetics_adds_onto_array_lead_in_place(rng):
+    a = rng.uniform(-2, 2, 5)
+    u, v, w = rng.uniform(-1, 1, (3, 64))
+    u[:8], v[4:12], w[::5] = 0.0, -0.0, -0.0
+    fields = [f.copy() for f in (u, v, w)]
+    lead = rng.uniform(-1, 1, (3, 64))
+    lead[:, :6] = -0.0
+    expect = _kinetics_expr(a, u, v, w, lead.copy())
+    got = model.kinetics(a, u, v, w, lead)
+    for g, e in zip(got, expect):
+        assert g.base is lead  # the rows of lead themselves
+        assert g.tobytes() == e.tobytes()  # bitwise, signed zeros included
+    for f, f0 in zip((u, v, w), fields):
+        assert f.tobytes() == f0.tobytes()
+
+
+def test_params_reaction_keeps_signed_zero(rng):
+    for _ in range(20):
+        p = Params(*rng.uniform(-2, 2, 5))
+        for uvw in itertools.product([0.0, -0.0], repeat=3):
+            got = p.reaction(*uvw)
+            expect = _kinetics_expr(p.a_coefficients, *uvw,
+                                    (-0.0, -0.0, -0.0))
+            assert [math.copysign(1.0, g) for g in got] == \
+                [math.copysign(1.0, e) for e in expect]
+            assert list(got) == list(expect)
+        uvw = rng.uniform(-1, 1, (3, 16))
+        uvw[:, :4] = -0.0
+        for g, e in zip(p.reaction(*uvw), _kinetics_expr(
+                p.a_coefficients, *uvw, (-0.0, -0.0, -0.0))):
+            assert g.tobytes() == e.tobytes()
+    # the u-rate of the all -0.0 state is -0.0 * 1.0, not +0.0
+    assert math.copysign(1.0, Params(0.0, 1.0, 1.0, 1.0, 1.0)
+                         .reaction(-0.0, -0.0, -0.0)[0]) == -1.0
 
 
 def _zero_flux_run(params, initial, grid):

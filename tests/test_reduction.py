@@ -363,6 +363,21 @@ def test_trajectory_domain_and_estimate():
     assert fn.domain == traj.domain
 
 
+def test_semi_exact_family_checks_case_values_before_integrating(
+        monkeypatch):
+    # semi50 without a4 used to fail in float(None) inside reduced_system
+    def no_profile(*args, **kw):
+        raise AssertionError("profile integrated before the case check")
+
+    monkeypatch.setattr(reduction, "dense_profile", no_profile)
+    with pytest.raises(ConstraintError, match="semi50 needs a4"):
+        reduction.semi_exact_family("50", beta=0.3)
+    with pytest.raises(ConstraintError, match="semi51 needs a3"):
+        reduction.semi_exact_family("51", beta=0.3)
+    with pytest.raises(ConstraintError, match="fixes a3"):
+        reduction.semi_exact_family("35-i", a1=0.5, a4=0.5, a3=7.0)
+
+
 def test_semi_exact_family_profile_validation_rejects_garbage():
     # hand the case-51 assembler a profile that does not solve its
     # equation: the finite-difference check must catch it

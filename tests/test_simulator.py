@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -152,6 +153,24 @@ def test_blowup_aborts_with_partial_run():
     assert partial.aborted_at is not None
     assert len(partial.snapshots) >= 1
     assert np.isfinite(partial.snapshots[-1].stack()).all()
+
+
+def test_blowup_found_between_snapshots():
+    # the same run blows up at step 3; without snapshots to check it must
+    # still be caught within FINITE_CHECK_EVERY steps, with a bracket
+    p = Params(0.0, 0.0, 0.0, 1.0, 0.0)
+    n = 21
+    cfg = simulator.SimConfig(
+        params=p, grid=SpaceGrid(0, 2, n), t_end=1.0,
+        initial=(np.full(n, -1e4), np.zeros(n), np.zeros(n)),
+        bc=simulator.BoundaryCondition("neumann-zero"), snapshot_every=10**6)
+    with pytest.raises(NumericalError) as err:
+        simulator.run(cfg)
+    found = err.value.partial.aborted_at
+    assert 3 <= found <= 64
+    clean = int(re.search(r"finite at step (\d+)", str(err.value)).group(1))
+    assert found - 64 <= clean < 3
+    assert f"detected at step {found} " in str(err.value)
 
 
 def test_dirichlet_requires_triples():

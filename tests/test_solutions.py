@@ -171,6 +171,34 @@ def test_semi35_case_table():
     assert c3["a4"] == pytest.approx(1 + a1 + 0.7, rel=1e-15)
 
 
+@pytest.mark.parametrize("case,a4,a3", [("35-i", 0.5, 7.0),
+                                         ("35-ii", 0.81, 1.0),
+                                         ("35-iii", 9.0, 0.7)])
+def test_semi35_case_rejects_values_it_fixes(case, a4, a3):
+    # 35-i fixes a3 = 1, 35-ii a3 = 0 and 35-iii a4 = 1 + a1 + a3; a
+    # different value used to be dropped
+    with pytest.raises(ConstraintError, match="fixes a3|forces a4"):
+        solutions.semi35_case(case, 0.5, a4, a3)
+
+
+def test_semi_cases_accept_the_values_they_fix():
+    assert solutions.semi35_case("35-i", 0.5, 0.5, 1.0)["a3"] == 1.0
+    assert solutions.semi35_case("35-ii", 0.5, 0.81, 0.0)["a3"] == 0.0
+    assert solutions.semi35_case("35-iii", 0.5, 2.2, 0.7)["a4"] == \
+        pytest.approx(2.2, rel=1e-15)
+    assert solutions.semi50_case("50", 0.5, 1.0)["a4"] == 0.5
+    assert solutions.semi50_case("51", 1.7, 0.7)["a4"] == 1.7
+
+
+@pytest.mark.parametrize("case,a4,a3,match", [
+    ("50", None, None, "needs a4"), ("50", 0.5, 0.7, "fixes a3"),
+    ("51", 0.5, None, "needs a3"), ("51", 9.0, 0.7, "forces a4"),
+    ("52", 0.5, 0.7, "unknown")])
+def test_semi50_case_checks(case, a4, a3, match):
+    with pytest.raises(ConstraintError, match=match):
+        solutions.semi50_case(case, a4, a3)
+
+
 def test_semi51_w_component():
     def vprof(om):
         return 0.5 + 0.0 * np.asarray(om, dtype=float)
