@@ -1,6 +1,7 @@
-"""Hot numerical kernels: the method-of-lines RK4 time loop (`mol_run`)
-and the fixed-step RK4 tabulation of reduced-system profiles
-(`ode_rk4_table`), written with numpy.
+"""Hot numerical loops: the method-of-lines RK4 time loop (`mol_run`)
+and the fixed-step RK4 tabulation of y' = f(x, y, *c) (`ode_rk4_table`),
+written with numpy.  The reduced systems it tabulates are written in
+`hgf.reduction`.
 
 `mol_run` allocates its stage buffers once per call and steps with out=
 ufuncs: the Laplacian is written into the stage slope, scaled by the
@@ -14,7 +15,6 @@ sequential so output never depends on the thread count.
 
 from __future__ import annotations
 
-import math
 import os
 import warnings
 
@@ -27,10 +27,7 @@ __all__ = [
     "mol_run",
     "mol_run_numpy",
     "ode_rk4_table",
-    "ode_rhs",
 ]
-
-_SQRT6 = math.sqrt(6.0)
 
 # kernel-path constants kept for the benchmark harness's environment record
 USING_NUMBA = False
@@ -142,123 +139,16 @@ def mol_run_numpy(F, dco, aco, h, dt, nsteps, bc_mode, bc_table, snap_steps,
 mol_run = mol_run_numpy
 
 
-# ---------------------------------------------------------------------------
-# reduced-system right-hand sides, dispatched by the integer code of
-# hgf.reduction.SYSTEMS
-#
-# State layouts: second-order systems in first-order form use
-# (U, U', V, V', W, W'); first-order systems use (U, V, W); the scalar
-# linear profile equations use (U, U') / (V, V').  A state of shape
-# (dim, n) with x of shape (n,) evaluates n nodes at once.
-# ---------------------------------------------------------------------------
-
-
-def _tanh(x):
-    """math.tanh, elementwise on arrays: np.tanh differs from it in the
-    last bit, and a node's derivative must not depend on how many nodes
-    are evaluated together."""
-    if np.ndim(x) == 0:
-        return math.tanh(x)
-    return np.array([math.tanh(v) for v in x])
-
-
-def ode_rhs(code, c, x, y):
-    out = np.empty_like(y)
-    if code == 1:  # R35
-        alpha, a1, beta, a3, a4, d = c[0], c[1], c[2], c[3], c[4], c[5]
-        U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
-        out[0] = Up
-        out[1] = -alpha * Up - U * (1.0 + a1 * beta - a1 * V)
-        out[2] = Vp
-        out[3] = -alpha * Vp - V * (1.0 - a1 * V + a1 * W)
-        out[4] = Wp
-        out[5] = (-alpha * Wp - a3 * W * (1.0 - W) + a1 * a4 * V * W) / d
-    elif code == 2:  # R38
-        beta, a1, a3, a4 = c[0], c[1], c[2], c[3]
-        U, V, W = y[0], y[1], y[2]
-        out[0] = -U * (a1 * V - 1.0 - beta * beta * a1 * a1)
-        out[1] = -V * (a1 * V - a1 * W - 1.0)
-        out[2] = -W * (a3 * W + a1 * a4 * V - a3)
-    elif code == 3:  # R47
-        alpha, beta, a3, a4, d = c[0], c[1], c[2], c[3], c[4]
-        U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
-        out[0] = Up
-        out[1] = -alpha * Up - U * (1.0 - U)
-        out[2] = Vp
-        out[3] = -alpha * Vp - V * (1.0 - U) - U * (W - beta)
-        out[4] = Wp
-        out[5] = (-alpha * Wp - a3 * W * (1.0 - W) + a4 * U * W) / d
-    elif code == 4:  # R58: d P'' + alpha P' + C(U, V, W) = 0, d1 = 1
-        alpha, d2, d3 = c[0], c[6], c[7]
-        U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
-        cu, cv, cw = kinetics(c[1:6], U, V, W,
-                              (alpha * Up, alpha * Vp, alpha * Wp))
-        out[0] = Up
-        out[1] = -cu
-        out[2] = Vp
-        out[3] = -cv / d2
-        out[4] = Wp
-        out[5] = -cw / d3
-    elif code == 5:  # T2a
-        alpha, beta, a1, a4 = c[0], c[1], c[2], c[3]
-        U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
-        out[0] = Up
-        out[1] = -alpha * Up - U * (1.0 + a1 * beta - a1 * V)
-        out[2] = Vp
-        out[3] = -alpha * Vp - V * (1.0 - a1 * V + a1 * W)
-        out[4] = Wp
-        out[5] = -alpha * Wp + a1 * a4 * V * W
-    elif code == 6:  # T2b
-        alpha, gamma, a1, a4 = c[0], c[1], c[2], c[3]
-        U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
-        s = (a4 - 1.0) * V + W + (1.0 - a4) / a1
-        out[0] = Up
-        out[1] = -alpha * Up + a1 * U * V + gamma * s
-        out[2] = Vp
-        out[3] = -alpha * Vp - V * (1.0 - a1 * V + a1 * W)
-        out[4] = Wp
-        out[5] = -alpha * Wp + a1 * a4 * V * W
-    elif code == 7:  # T2c
-        beta, a1, a4 = c[0], c[1], c[2]
-        U, V, W = y[0], y[1], y[2]
-        out[0] = -U * (a1 * V - 1.0 - a1 * a1 * beta * beta)
-        out[1] = -V * (a1 * V - a1 * W - 1.0)
-        out[2] = -a1 * a4 * V * W
-    elif code == 8:  # T2d
-        a1, a4 = c[0], c[1]
-        U, V, W = y[0], y[1], y[2]
-        out[0] = -U * (a1 * V - 1.0)
-        out[1] = -V * (a1 * V - a1 * W - 1.0)
-        out[2] = -a1 * a4 * V * W
-    elif code == 9:  # L36
-        alpha, a1, beta, k1, k2 = c[0], c[1], c[2], c[3], c[4]
-        U, Up = y[0], y[1]
-        phi = 1.0 - _tanh(k2 * x / (2.0 * _SQRT6))
-        out[0] = Up
-        out[1] = -alpha * Up - U * (1.0 + a1 * beta - k1 * phi * phi)
-    else:  # L52
-        alpha, beta, a4, case50 = c[0], c[1], c[2], c[3]
-        V, Vp = y[0], y[1]
-        phi = 1.0 - _tanh(x / (2.0 * _SQRT6))
-        U = 0.25 * phi * phi
-        if case50 > 0.5:
-            W = 0.25 * (1.0 - a4) * phi * phi
-        else:
-            W = 1.0 - 0.25 * phi * phi
-        out[0] = Vp
-        out[1] = -alpha * Vp - V * (1.0 - U) - U * (W - beta)
-    return out
-
-
-def ode_rk4_table(code, c, y0, x0, step, nout, out):
-    """Fixed-step classic RK4 tabulation: out[i] = y(x0 + i*step)."""
+def ode_rk4_table(f, c, y0, x0, step, nout, out):
+    """Fixed-step classic RK4 tabulation of y' = f(x, y, *c):
+    out[i] = y(x0 + i*step)."""
     y = y0
     out[0] = y
     for i in range(1, nout):
         x = x0 + (i - 1) * step
-        k1 = ode_rhs(code, c, x, y)
-        k2 = ode_rhs(code, c, x + 0.5 * step, y + (0.5 * step) * k1)
-        k3 = ode_rhs(code, c, x + 0.5 * step, y + (0.5 * step) * k2)
-        k4 = ode_rhs(code, c, x + step, y + step * k3)
+        k1 = f(x, y, *c)
+        k2 = f(x + 0.5 * step, y + (0.5 * step) * k1, *c)
+        k3 = f(x + 0.5 * step, y + (0.5 * step) * k2, *c)
+        k4 = f(x + step, y + step * k3, *c)
         y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i] = y

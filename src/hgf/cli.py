@@ -57,7 +57,6 @@ REPORT_SCHEMA = {
     },
 }
 
-CONFIG_KEYS = {"params", "family", "grid", "time", "bc"}
 PARAM_KEYS = ("a1", "a2", "a3", "a4", "a5", "d1", "d2", "d3")
 
 
@@ -160,26 +159,25 @@ def write_snapshots_csv(path, snapshots) -> int:
 
 def read_snapshots_csv(path) -> list[calculus.FieldState]:
     """Rebuild snapshot states from a ``t,x,u,v,w`` CSV."""
-    groups: dict[float, list] = {}
-    order: list[float] = []
+    groups: dict[float, list] = {}  # in order of first appearance
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "t,x,u,v,w":
             raise ConstraintError(f"unexpected CSV header {header!r}")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
+            if len(parts) != 5:
+                raise ConstraintError(f"{path} line {lineno}: expected 5 "
+                                      f"cells t,x,u,v,w, got {len(parts)}")
             t = float(parts[0])
-            vals = [float(p) if p else math.nan for p in parts[1:5]]
-            if t not in groups:
-                groups[t] = []
-                order.append(t)
-            groups[t].append(vals)
+            vals = [float(p) if p else math.nan for p in parts[1:]]
+            groups.setdefault(t, []).append(vals)
     snapshots = []
-    for t in order:
-        arr = np.asarray(groups[t])
+    for t, rows in groups.items():
+        arr = np.asarray(rows)
         x = arr[:, 0]
         grid = calculus.SpaceGrid(float(x[0]), float(x[-1]), len(x))
         if not np.allclose(grid.x(), x, rtol=0, atol=1e-9 * max(1, abs(x[-1]))):
@@ -188,42 +186,6 @@ def read_snapshots_csv(path) -> list[calculus.FieldState]:
             grid=grid, t=t, u=arr[:, 1].copy(), v=arr[:, 2].copy(),
             w=arr[:, 3].copy()))
     return snapshots
-
-
-# ---------------------------------------------------------------------------
-# config files
-# ---------------------------------------------------------------------------
-
-
-def load_config(path) -> dict:
-    cfg = json.loads(Path(path).read_text())
-    if not isinstance(cfg, dict):
-        raise ConstraintError("config must be a JSON object")
-    unknown = set(cfg) - CONFIG_KEYS
-    if unknown:
-        raise ConstraintError(f"config has unknown keys {sorted(unknown)}")
-    if "params" in cfg:
-        bad = set(cfg["params"]) - set(PARAM_KEYS)
-        if bad:
-            raise ConstraintError(f"config params has unknown keys {sorted(bad)}")
-    if "grid" in cfg:
-        bad = set(cfg["grid"]) - {"x_min", "x_max", "n"}
-        if bad:
-            raise ConstraintError(f"config grid has unknown keys {sorted(bad)}")
-    if "time" in cfg:
-        bad = set(cfg["time"]) - {"t0", "t_end", "cfl_safety", "snapshot_every"}
-        if bad:
-            raise ConstraintError(f"config time has unknown keys {sorted(bad)}")
-    if "bc" in cfg:
-        bad = set(cfg["bc"]) - {"kind", "left", "right"}
-        if bad:
-            raise ConstraintError(f"config bc has unknown keys {sorted(bad)}")
-    if "family" in cfg:
-        fam = cfg["family"]
-        if "key" not in fam:
-            raise ConstraintError("config family needs a 'key'")
-        _family(fam["key"])
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -334,30 +296,80 @@ _PROFILE_FLAGS = ("profile_lo", "profile_hi", "profile_step", "anchor",
                   "y0", "dy0")
 
 
+# ---------------------------------------------------------------------------
+# config and params files
+# ---------------------------------------------------------------------------
+
+# the blocks of a run-config and the keys each block may hold
+CONFIG_BLOCKS = {
+    "params": PARAM_KEYS,
+    "family": ("key", *_FAMILY_FLAGS, *_PROFILE_FLAGS),
+    "grid": ("x_min", "x_max", "n"),
+    "time": ("t0", "t_end", "cfl_safety", "snapshot_every"),
+    "bc": ("kind", "left", "right"),
+}
+
+
+def _json_object(path, what) -> dict:
+    data = json.loads(Path(path).read_text())
+    if not isinstance(data, dict):
+        raise ConstraintError(f"{what} must be a JSON object")
+    return data
+
+
+def _check_config(cfg: dict) -> dict:
+    unknown = set(cfg) - set(CONFIG_BLOCKS)
+    if unknown:
+        raise ConstraintError(f"config has unknown keys {sorted(unknown)}")
+    for block, value in cfg.items():
+        if not isinstance(value, dict):
+            raise ConstraintError(f"config {block} must be a JSON object")
+        bad = set(value) - set(CONFIG_BLOCKS[block])
+        if bad:
+            raise ConstraintError(
+                f"config {block} has unknown keys {sorted(bad)}")
+    if "family" in cfg:
+        if "key" not in cfg["family"]:
+            raise ConstraintError("config family needs a 'key'")
+        _family(cfg["family"]["key"])
+    return cfg
+
+
+def load_config(path) -> dict:
+    return _check_config(_json_object(path, "config"))
+
+
+def _load_params_file(path, allowed, what, run_config=False) -> dict:
+    """The JSON object of a --params file, keys checked against `allowed`;
+    with `run_config`, also a run-config, whose `params` block is read."""
+    data = _json_object(path, f"{what} file")
+    if run_config and "params" in data:
+        data = _check_config(data).get("params", {})
+    bad = set(data) - set(allowed)
+    if bad:
+        raise ConstraintError(f"{what} file has unknown keys {sorted(bad)}")
+    return data
+
+
 def _family(key: str) -> Family:
     if key not in FAMILIES:
         raise ConstraintError(f"unknown family key {key!r}")
     return FAMILIES[key]
 
 
-def _merge_family_args(args, config) -> tuple[str, dict, list[str]]:
-    """Family key and parameters; flags win over config with a warning.
-    A value the family does not take is rejected, not dropped."""
+def _family_from_args(args, config) -> tuple[str, model.Solution,
+                                              list[str]]:
+    """Family key, the built family and warnings; flags win over config
+    with a warning.  A value the family does not take is rejected, not
+    dropped."""
     warnings: list[str] = []
-    fam_cfg = dict(config.get("family", {})) if config else {}
-    key = getattr(args, "family", None) or fam_cfg.pop("key", None)
+    params = dict(config.get("family", {})) if config else {}
+    key = getattr(args, "family", None) or params.get("key")
+    params.pop("key", None)
     if key is None:
         raise ConstraintError("no family given (flag --family or config)")
     family = _family(key)
     takes = family.params + (_PROFILE_FLAGS if family.profile else ())
-    params = {}
-    for name in _FAMILY_FLAGS + _PROFILE_FLAGS:
-        if name in fam_cfg:
-            params[name] = fam_cfg.pop(name)
-    fam_cfg.pop("key", None)
-    if fam_cfg:
-        raise ConstraintError(
-            f"config family has unknown keys {sorted(fam_cfg)}")
     ignored = sorted(set(params) - set(takes))
     if ignored:
         raise ConstraintError(
@@ -376,7 +388,7 @@ def _merge_family_args(args, config) -> tuple[str, dict, list[str]]:
     if ignored:
         raise ConstraintError(
             f"family {key} does not take {', '.join(ignored)}")
-    return key, params, warnings
+    return key, build_family(key, params), warnings
 
 
 def build_family(key: str, fp: dict):
@@ -394,7 +406,7 @@ def build_family(key: str, fp: dict):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args, config) -> int:
     if args.json:
         report = make_report(
             "catalog", {}, {
@@ -416,8 +428,7 @@ def _cmd_catalog(args) -> int:
 
 
 def _cmd_eval(args, config) -> int:
-    key, fp, warns = _merge_family_args(args, config)
-    fam = build_family(key, fp)
+    key, fam, warns = _family_from_args(args, config)
     if args.n < 1:
         raise ConstraintError("--n must be >= 1")
     x = np.linspace(args.xmin, args.xmax, args.n)
@@ -437,18 +448,16 @@ def _cmd_eval(args, config) -> int:
 
 
 def _cmd_residual(args, config) -> int:
-    key, fp, warns = _merge_family_args(args, config)
-    fam = build_family(key, fp)
+    key, fam, warns = _family_from_args(args, config)
     t = args.t
     window = tuple(args.window) if args.window \
         else FAMILIES[key].default_window(fam, t)
     if args.refine:
-        h_seq = args.h_seq or [4e-3, 2e-3, 1e-3]
         rep = calculus.refinement_study(fam.params, fam,
-                                        (t, window[0], window[1]), h_seq)
+                                        (t, window[0], window[1]), args.h_seq)
     else:
-        h = args.h or 2e-3
-        dt = args.dt or h
+        h = args.h
+        dt = h if args.dt is None else args.dt
         n = int(round((window[1] - window[0]) / h)) + 1
         grid = calculus.SpaceGrid(window[0], window[1], n)
         rep = calculus.pde_residual(fam.params, fam, grid, t, dt)
@@ -482,10 +491,10 @@ def _bc_from_config(cfg_bc, fam) -> simulator.BoundaryCondition:
     raise ConstraintError(f"unknown bc kind {kind!r}")
 
 
-def _cmd_simulate(args) -> int:
-    config = load_config(args.config)
-    key, fp, warns = _merge_family_args(args, config)
-    fam = build_family(key, fp)
+def _cmd_simulate(args, config) -> int:
+    if config is None:
+        raise ConstraintError("simulate needs a run-config: --config FILE")
+    key, fam, warns = _family_from_args(args, config)
     if "grid" not in config or "time" not in config:
         raise ConstraintError("simulate config needs 'grid' and 'time' blocks")
     g = config["grid"]
@@ -528,7 +537,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _cmd_speed(args) -> int:
+def _cmd_speed(args, config) -> int:
     rundir = Path(args.run)
     snaps = read_snapshots_csv(rundir / "snapshots.csv")
     fit_window = tuple(args.fit_window) if args.fit_window else None
@@ -547,25 +556,12 @@ def _cmd_speed(args) -> int:
     return 0
 
 
-def _load_params_file(path) -> dict:
-    """A params JSON file: either the bare eight-coefficient object or a
-    full run-config containing a `params` block."""
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict):
-        raise ConstraintError("params file must be a JSON object")
-    if "params" in data:
-        data = load_config(path).get("params", {})
-    bad = set(data) - set(PARAM_KEYS)
-    if bad:
-        raise ConstraintError(f"params file has unknown keys {sorted(bad)}")
-    return data
-
-
 def _params_from_args(args, config) -> tuple[model.Params, list[str]]:
     warns: list[str] = []
     vals = dict(config.get("params", {})) if config else {}
     if getattr(args, "params_file", None):
-        vals.update(_load_params_file(args.params_file))
+        vals.update(_load_params_file(args.params_file, PARAM_KEYS,
+                                      "params", run_config=True))
     for k in PARAM_KEYS:
         v = getattr(args, f"p_{k}", None)
         if v is not None:
@@ -597,13 +593,12 @@ def _cmd_symmetry(args, config) -> int:
         return 0
 
     # verify
-    key, fp, warns = _merge_family_args(args, config)
-    fam = build_family(key, fp)
+    key, fam, warns = _family_from_args(args, config)
     op = _op_from_args(args, fam.params)
     t = args.t
     window = tuple(args.window) if args.window \
         else FAMILIES[key].default_window(fam, t)
-    h = args.h or 2e-3
+    h = args.h
     before, after = symmetry.verify_flow_maps_solutions(
         op, args.eps, fam, (t, window[0], window[1]), h)
     results = {"op": op.kind, "eps": args.eps,
@@ -613,7 +608,7 @@ def _cmd_symmetry(args, config) -> int:
         flowed = symmetry.flow(op, args.eps, fam)
         rep = calculus.refinement_study(
             fam.params, flowed, (t, window[0], window[1]),
-            args.h_seq or [4e-3, 2e-3, 1e-3])
+            args.h_seq)
         results["after_refined"] = residual_block(rep)
     report = make_report("symmetry-verify",
                          _jsonable({"family": key, "t": t,
@@ -688,15 +683,12 @@ def _closed_form_R38(args, t):
                                      a3=args.a3)
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args, config) -> int:
     warns: list[str] = []
     results: dict = {}
     if args.params_file:
-        vals = json.loads(Path(args.params_file).read_text())
-        bad = set(vals) - set(_REDUCE_COEFFS)
-        if bad:
-            raise ConstraintError(
-                f"reduce params file has unknown keys {sorted(bad)}")
+        vals = _load_params_file(args.params_file, _REDUCE_COEFFS,
+                                 "reduce params")
         for name, v in vals.items():
             if getattr(args, name, None) is None:
                 setattr(args, name, v)
@@ -803,6 +795,21 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON run-config file")
 
 
+def _positive(text: str) -> float:
+    v = float(text)
+    if not (math.isfinite(v) and v > 0.0):
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return v
+
+
+def _add_step_flags(p: argparse.ArgumentParser) -> None:
+    """Grid spacing of one residual, and the spacings of a --refine study."""
+    p.add_argument("--h", type=_positive, default=2e-3)
+    p.add_argument("--refine", action="store_true")
+    p.add_argument("--h-seq", type=_positive, nargs="+",
+                   default=[4e-3, 2e-3, 1e-3])
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hgf",
@@ -811,10 +818,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("catalog", help="list families and symmetry cases")
+    p.set_defaults(handler=_cmd_catalog)
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("eval", help="sample a family to CSV")
+    p.set_defaults(handler=_cmd_eval)
     _add_family_flags(p)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--xmin", type=float, required=True)
@@ -823,21 +832,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("residual", help="PDE residual of a family")
+    p.set_defaults(handler=_cmd_residual)
     _add_family_flags(p)
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--window", type=float, nargs=2, default=None)
-    p.add_argument("--h", type=float, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--refine", action="store_true")
-    p.add_argument("--h-seq", type=float, nargs="+", default=None)
+    _add_step_flags(p)
+    p.add_argument("--dt", type=_positive, default=None,
+                   help="time step of the residual stencil (default: h)")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="method-of-lines run from a config")
+    p.set_defaults(handler=_cmd_simulate)
     _add_family_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("speed", help="front speed from a simulate run dir")
+    p.set_defaults(handler=_cmd_speed)
     p.add_argument("--run", required=True)
     p.add_argument("--component", choices=("u", "v", "w"), required=True)
     p.add_argument("--level", type=float, required=True)
@@ -845,6 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("symmetry", help="operator catalog commands")
+    p.set_defaults(handler=_cmd_symmetry)
     ssub = p.add_subparsers(dest="symmetry_cmd", required=True)
     pl = ssub.add_parser("list")
     for k in PARAM_KEYS:
@@ -859,9 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--eps", type=float, required=True)
     pv.add_argument("--t", type=float, default=0.5)
     pv.add_argument("--window", type=float, nargs=2, default=None)
-    pv.add_argument("--h", type=float, default=None)
-    pv.add_argument("--refine", action="store_true")
-    pv.add_argument("--h-seq", type=float, nargs="+", default=None)
+    _add_step_flags(pv)
     pv.add_argument("--heat-kind", default=None)
     pv.add_argument("--heat-a", type=float, default=0.7)
     pv.add_argument("--heat-b", type=float, default=0.4)
@@ -869,6 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", default=None)
 
     p = sub.add_parser("reduce", help="integrate a reduced ODE system")
+    p.set_defaults(handler=_cmd_reduce)
     p.add_argument("--system", required=True)
     p.add_argument("--params", dest="params_file", default=None,
                    help="JSON file with coefficient values (flags win)")
@@ -897,21 +908,7 @@ def dispatch(argv) -> int:
         config = None
         if getattr(args, "config", None):
             config = load_config(args.config)
-        if args.cmd == "catalog":
-            return _cmd_catalog(args)
-        if args.cmd == "eval":
-            return _cmd_eval(args, config)
-        if args.cmd == "residual":
-            return _cmd_residual(args, config)
-        if args.cmd == "simulate":
-            return _cmd_simulate(args)
-        if args.cmd == "speed":
-            return _cmd_speed(args)
-        if args.cmd == "symmetry":
-            return _cmd_symmetry(args, config)
-        if args.cmd == "reduce":
-            return _cmd_reduce(args)
-        raise ConstraintError(f"unknown command {args.cmd!r}")
+        return args.handler(args, config)
     except ConstraintError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -21,30 +21,129 @@ interpolant is accurate enough to sit below second-order stencil floors.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.interpolate import make_interp_spline
 
 from . import calculus, solutions
-from ._kernels import ode_rhs, ode_rk4_table
+from ._kernels import ode_rk4_table
 from .errors import ConstraintError, DomainError, NumericalError
-from .model import Params
+from .model import Params, kinetics
 
 
 # ---------------------------------------------------------------------------
 # reduced systems
+#
+# Each system is written once, as one equations function
+# eqs(out, x, y, *coeffs) that stores dy/dx into out: y is the state in
+# first-order form and the parameters after it name the coefficients in
+# order.  A second-order system writes only its odd rows (U'', V'', W''
+# or the single profile's second derivative); `SystemSpec.first_order`
+# copies the rows U', V', W' from the state.  A state of shape (dim, n)
+# with x of shape (n,) evaluates n nodes at once.
 # ---------------------------------------------------------------------------
+
+_SQRT6 = math.sqrt(6.0)
+
+
+def _tanh(x):
+    """math.tanh, elementwise on arrays: np.tanh differs from it in the
+    last bit, and a node's derivative must not depend on how many nodes
+    are evaluated together."""
+    if isinstance(x, float):  # np.float64 too; np.ndim is slow on floats
+        return math.tanh(x)
+    return np.array([math.tanh(v) for v in x])
+
+
+def _R35(out, x, y, alpha, a1, beta, a3, a4, d):
+    U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
+    out[1] = -alpha * Up - U * (1.0 + a1 * beta - a1 * V)
+    out[3] = -alpha * Vp - V * (1.0 - a1 * V + a1 * W)
+    out[5] = (-alpha * Wp - a3 * W * (1.0 - W) + a1 * a4 * V * W) / d
+
+
+def _R38(out, x, y, beta, a1, a3, a4):
+    U, V, W = y[0], y[1], y[2]
+    out[0] = -U * (a1 * V - 1.0 - beta * beta * a1 * a1)
+    out[1] = -V * (a1 * V - a1 * W - 1.0)
+    out[2] = -W * (a3 * W + a1 * a4 * V - a3)
+
+
+def _R47(out, x, y, alpha, beta, a3, a4, d):
+    U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
+    out[1] = -alpha * Up - U * (1.0 - U)
+    out[3] = -alpha * Vp - V * (1.0 - U) - U * (W - beta)
+    out[5] = (-alpha * Wp - a3 * W * (1.0 - W) + a4 * U * W) / d
+
+
+def _R58(out, x, y, alpha, a1, a2, a3, a4, a5, d2, d3):
+    """d P'' + alpha P' + C(U, V, W) = 0 with d1 = 1."""
+    U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
+    cu, cv, cw = kinetics((a1, a2, a3, a4, a5), U, V, W,
+                          (alpha * Up, alpha * Vp, alpha * Wp))
+    out[1] = -cu
+    out[3] = -cv / d2
+    out[5] = -cw / d3
+
+
+def _T2a(out, x, y, alpha, beta, a1, a4):
+    U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
+    out[1] = -alpha * Up - U * (1.0 + a1 * beta - a1 * V)
+    out[3] = -alpha * Vp - V * (1.0 - a1 * V + a1 * W)
+    out[5] = -alpha * Wp + a1 * a4 * V * W
+
+
+def _T2b(out, x, y, alpha, gamma, a1, a4):
+    U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
+    s = (a4 - 1.0) * V + W + (1.0 - a4) / a1
+    out[1] = -alpha * Up + a1 * U * V + gamma * s
+    out[3] = -alpha * Vp - V * (1.0 - a1 * V + a1 * W)
+    out[5] = -alpha * Wp + a1 * a4 * V * W
+
+
+def _T2c(out, x, y, beta, a1, a4):
+    U, V, W = y[0], y[1], y[2]
+    out[0] = -U * (a1 * V - 1.0 - a1 * a1 * beta * beta)
+    out[1] = -V * (a1 * V - a1 * W - 1.0)
+    out[2] = -a1 * a4 * V * W
+
+
+def _T2d(out, x, y, a1, a4):
+    U, V, W = y[0], y[1], y[2]
+    out[0] = -U * (a1 * V - 1.0)
+    out[1] = -V * (a1 * V - a1 * W - 1.0)
+    out[2] = -a1 * a4 * V * W
+
+
+def _L36(out, x, y, alpha, a1, beta, kappa1, kappa2):
+    U, Up = y[0], y[1]
+    phi = 1.0 - _tanh(kappa2 * x / (2.0 * _SQRT6))
+    out[1] = -alpha * Up - U * (1.0 + a1 * beta - kappa1 * phi * phi)
+
+
+def _L52(out, x, y, alpha, beta, a4, case):  # case 50: 1.0, 51: 0.0
+    V, Vp = y[0], y[1]
+    phi = 1.0 - _tanh(x / (2.0 * _SQRT6))
+    U = 0.25 * phi * phi
+    if case > 0.5:
+        W = 0.25 * (1.0 - a4) * phi * phi
+    else:
+        W = 1.0 - 0.25 * phi * phi
+    out[1] = -alpha * Vp - V * (1.0 - U) - U * (W - beta)
+
 
 @dataclass(frozen=True)
 class SystemSpec:
     """Catalog facts of one reduced system; everything else is derived.
 
-    `code` selects the equations in `_kernels.ode_rhs`, and `coeffs` names
-    its coefficient vector in order.  A `takes_params` system is built from
-    (alpha, params) and reads the other coefficients from the Params
+    `equations` is the system (see above); its parameters after the state
+    name the coefficients (`coeffs`).  A `takes_params` system is built
+    from (alpha, params) and reads the other coefficients from the Params
     record.  `ansatz` reconstructs a PDE solution from the profiles and
     fixes the independent variable.  `row_scale` maps an equation row to
     the coefficient multiplying its highest derivative (absent: 1);
@@ -52,14 +151,23 @@ class SystemSpec:
     """
 
     sid: str
-    code: int
-    coeffs: tuple[str, ...]
+    equations: Callable = field(repr=False)
     order: int
     profiles: tuple[str, ...]
     ansatz: str
     row_scale: dict = field(default_factory=dict)
     defaults: dict = field(default_factory=dict)
     takes_params: bool = False
+
+    @cached_property
+    def coeffs(self) -> tuple[str, ...]:
+        return tuple(inspect.signature(self.equations).parameters)[3:]
+
+    @cached_property
+    def _start_rows(self) -> np.ndarray:
+        """`first_order` starts dy/dx as y[_start_rows]: U' in the rows of
+        U and U' of a second-order system; eqs overwrites the rest."""
+        return np.arange(self.dim) | (self.order - 1)
 
     @property
     def dim(self) -> int:
@@ -74,24 +182,26 @@ class SystemSpec:
         """Keyword names `reduced_system` takes for this system."""
         return ("alpha", "params") if self.takes_params else self.coeffs
 
+    def first_order(self, x, y, *c):
+        """dy/dx at the first-order state y, coefficient values c."""
+        out = y[self._start_rows]
+        self.equations(out, x, y, *c)
+        return out
+
 
 _UVW = ("U", "V", "W")
 SYSTEMS = {s.sid: s for s in (
-    SystemSpec("R35", 1, ("alpha", "a1", "beta", "a3", "a4", "d"), 2, _UVW,
-               "A34", row_scale={2: "d"}),
-    SystemSpec("R38", 2, ("beta", "a1", "a3", "a4"), 1, _UVW, "A37"),
-    SystemSpec("R47", 3, ("alpha", "beta", "a3", "a4", "d"), 2, _UVW, "A44",
-               row_scale={2: "d"}),
-    SystemSpec("R58", 4, ("alpha", "a1", "a2", "a3", "a4", "a5", "d2", "d3"),
-               2, _UVW, "plane", row_scale={1: "d2", 2: "d3"},
+    SystemSpec("R35", _R35, 2, _UVW, "A34", row_scale={2: "d"}),
+    SystemSpec("R38", _R38, 1, _UVW, "A37"),
+    SystemSpec("R47", _R47, 2, _UVW, "A44", row_scale={2: "d"}),
+    SystemSpec("R58", _R58, 2, _UVW, "plane", row_scale={1: "d2", 2: "d3"},
                takes_params=True),
-    SystemSpec("T2a", 5, ("alpha", "beta", "a1", "a4"), 2, _UVW, "T2a"),
-    SystemSpec("T2b", 6, ("alpha", "gamma", "a1", "a4"), 2, _UVW, "T2b"),
-    SystemSpec("T2c", 7, ("beta", "a1", "a4"), 1, _UVW, "T2c"),
-    SystemSpec("T2d", 8, ("a1", "a4"), 1, _UVW, "T2d"),
-    SystemSpec("L36", 9, ("alpha", "a1", "beta", "kappa1", "kappa2"), 2,
-               ("U",), "A34"),
-    SystemSpec("L52", 10, ("alpha", "beta", "a4", "case"), 2, ("V",), "A44",
+    SystemSpec("T2a", _T2a, 2, _UVW, "T2a"),
+    SystemSpec("T2b", _T2b, 2, _UVW, "T2b"),
+    SystemSpec("T2c", _T2c, 1, _UVW, "T2c"),
+    SystemSpec("T2d", _T2d, 1, _UVW, "T2d"),
+    SystemSpec("L36", _L36, 2, ("U",), "A34"),
+    SystemSpec("L52", _L52, 2, ("V",), "A44",
                defaults={"alpha": solutions.FISHER_SPEED, "a4": 0.0}),
 )}
 
@@ -102,23 +212,21 @@ class ReducedSystem:
 
     spec: SystemSpec
     coeffs: dict
-    kcoeffs: np.ndarray = field(repr=False)
+    kcoeffs: tuple[float, ...] = field(repr=False)
 
     @property
     def sid(self) -> str:
         return self.spec.sid
 
     @property
-    def code(self) -> int:
-        return self.spec.code
+    def code(self) -> Callable:
+        """Alias of `spec.first_order`, read only by the benchmark harness
+        (``kernel(system.code, system.kcoeffs, ...)``)."""
+        return self.spec.first_order
 
     @property
     def dim(self) -> int:
         return self.spec.dim
-
-    @property
-    def second_order(self) -> bool:
-        return self.spec.order == 2
 
     @property
     def ivar(self) -> str:
@@ -135,23 +243,24 @@ class ReducedSystem:
                 f"{self.sid} state must have dimension {self.dim}, "
                 f"got shape {y.shape}"
             )
-        return ode_rhs(self.code, self.kcoeffs, float(x), y)
+        return self.spec.first_order(float(x), y, *self.kcoeffs)
 
     def rhs_nodes(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Derivatives at the nodes xs of the states ys (one per row)."""
-        return ode_rhs(self.code, self.kcoeffs, xs, ys.T).T
+        return self.spec.first_order(xs, ys.T, *self.kcoeffs).T
 
     def equation_residuals(self, x, vals, D1, D2):
         """Equation residuals from sampled profiles and their
         finite-difference derivatives (one row per equation): D1 - f for
         first-order systems, D2 - f in the row's scale for second-order
         ones."""
-        if not self.second_order:
-            return D1 - ode_rhs(self.code, self.kcoeffs, x, vals)
+        f = self.spec.first_order
+        if self.spec.order == 1:
+            return D1 - f(x, vals, *self.kcoeffs)
         y = np.empty((self.dim, vals.shape[1]))
         y[0::2] = vals
         y[1::2] = D1
-        r = D2 - ode_rhs(self.code, self.kcoeffs, x, y)[1::2]
+        r = D2 - f(x, y, *self.kcoeffs)[1::2]
         for row, name in self.spec.row_scale.items():
             r[row] *= self.kcoeffs[self.spec.coeffs.index(name)]
         return r
@@ -186,7 +295,7 @@ def reduced_system(sid: str, **coeffs) -> ReducedSystem:
         if coeffs["case"] not in ("50", "51"):
             raise ConstraintError(f"{spec.sid} case must be '50' or '51'")
         values["case"] = 1.0 if coeffs["case"] == "50" else 0.0
-    kc = np.array([float(values[k]) for k in spec.coeffs])
+    kc = tuple(float(values[k]) for k in spec.coeffs)
     return ReducedSystem(spec=spec, coeffs=dict(coeffs), kcoeffs=kc)
 
 
@@ -413,10 +522,11 @@ def dense_profile(sys: ReducedSystem, y0, x0: float, x_left: float,
         raise ConstraintError(f"initial state must have dimension {sys.dim}")
     n_r = int(math.ceil((x_right - x0) / step - 1e-12))
     n_l = int(math.ceil((x0 - x_left) / step - 1e-12))
+    f = sys.spec.first_order
     out_r = np.empty((n_r + 1, sys.dim))
-    ode_rk4_table(sys.code, sys.kcoeffs, y, float(x0), step, n_r + 1, out_r)
+    ode_rk4_table(f, sys.kcoeffs, y, float(x0), step, n_r + 1, out_r)
     out_l = np.empty((n_l + 1, sys.dim))
-    ode_rk4_table(sys.code, sys.kcoeffs, y, float(x0), -step, n_l + 1, out_l)
+    ode_rk4_table(f, sys.kcoeffs, y, float(x0), -step, n_l + 1, out_l)
     xs = x0 + step * np.arange(-n_l, n_r + 1)
     ys = np.concatenate((out_l[:0:-1], out_r), axis=0)
     if not np.isfinite(ys).all():

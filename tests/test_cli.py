@@ -314,3 +314,72 @@ def test_missing_required_family_param_is_named(key, name, capsys):
                             "--xmax", "1", "--n", "3"], capsys)
     assert code == 1
     assert err.startswith("error:") and f"'{name}'" in err
+
+
+def test_simulate_without_config_names_the_flag(tmp_path, capsys):
+    # used to escape as "error: TypeError: expected str, bytes or ..."
+    code, _, err = run_cli(["simulate", "--family", "fisher", "--out",
+                            str(tmp_path / "run")], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "--config" in err
+    assert "TypeError" not in err
+
+
+@pytest.mark.parametrize("block", ["family", "grid", "time", "params", "bc"])
+def test_config_block_must_be_an_object(tmp_path, capsys, block):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({block: 3}))
+    code, _, err = run_cli(["eval", "--family", "fisher", "--config",
+                            str(cfg_path), "--xmin", "0", "--xmax", "1",
+                            "--n", "3"], capsys)
+    assert code == 1
+    assert f"config {block} must be a JSON object" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--system", "T2d", "--a1", "0.5", "--a4", "0.8",
+     "--span", "0", "1"],
+    ["symmetry", "list"],
+], ids=["reduce", "symmetry-list"])
+def test_params_file_must_be_an_object(tmp_path, capsys, argv):
+    path = tmp_path / "params.json"
+    path.write_text("3")
+    code, _, err = run_cli([*argv, "--params", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "must be a JSON object" in err
+
+
+def test_reduce_params_file_keys_are_checked(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"a1": 0.5, "surprise": 1}))
+    code, _, err = run_cli(["reduce", "--system", "T2d", "--a4", "0.8",
+                            "--span", "0", "1", "--params", str(path)],
+                           capsys)
+    assert code == 1
+    assert "reduce params file has unknown keys ['surprise']" in err
+
+
+def test_speed_rejects_short_snapshot_rows(tmp_path, capsys):
+    (tmp_path / "snapshots.csv").write_text(
+        "t,x,u,v,w\n0,0,1,1,1\n0,0.5,1,1\n0,1,1,1,1\n")
+    code, _, err = run_cli(["speed", "--run", str(tmp_path), "--component",
+                            "u", "--level", "0.5"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "line 3" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["residual", "--family", "fisher", "--h", "0"], "--h"),
+    (["residual", "--family", "fisher", "--dt", "0"], "--dt"),
+    (["residual", "--family", "fisher", "--dt", "-0.001"], "--dt"),
+    (["residual", "--family", "fisher", "--refine", "--h-seq", "4e-3",
+      "0"], "--h-seq"),
+    (["symmetry", "verify", "--family", "fisher", "--op", "Q1", "--eps",
+      "0.1", "--h", "0"], "--h"),
+], ids=["residual-h", "residual-dt", "residual-negative-dt",
+        "residual-h-seq", "symmetry-verify-h"])
+def test_step_flags_must_be_positive(argv, flag, capsys):
+    # a zero used to fall back to the default and exit 0
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert f"argument {flag}: must be positive" in err
