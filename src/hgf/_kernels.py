@@ -8,15 +8,11 @@ ufuncs: the Laplacian is written into the stage slope, scaled by the
 diffusivities in place, and `model.kinetics` adds the reaction terms onto
 it.  No state-sized array is allocated per step.
 
-``HGF_THREADS`` caps the number of worker threads used for embarrassingly
-parallel work (independent refinement levels); kernels themselves are
-sequential so output never depends on the thread count.
+hgf starts no threads of its own: the kernels are sequential, and
+refinement levels run in order on the calling thread (`hgf.calculus`).
 """
 
 from __future__ import annotations
-
-import os
-import warnings
 
 import numpy as np
 
@@ -35,20 +31,9 @@ NUMBA_DISABLED_REASON = "hgf has a single numpy kernel path"
 
 
 def thread_cap() -> int:
-    """Worker-thread cap from HGF_THREADS (default: all cores).
-
-    A value that is not an integer falls back to 1 with a RuntimeWarning.
-    """
-    raw = os.environ.get("HGF_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            warnings.warn(f"HGF_THREADS={raw!r} is not an integer; using 1 "
-                          "worker thread", RuntimeWarning, stacklevel=2)
-            n = 1
-        return max(1, n)
-    return max(1, os.cpu_count() or 1)
+    """Worker threads hgf uses: always 1 (kept, like USING_NUMBA, for the
+    benchmark harness's environment record)."""
+    return 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,21 +10,21 @@ rates C_k from `hgf.model`.  Norms are taken over interior points only
 no one-sided stencils are ever used.  Any candidate field -- closed form,
 semi-closed form or simulated -- is verified by the same operator.
 
-Norm reductions use a fixed, single-threaded summation order, so reported
-numbers are bit-reproducible across runs and worker-thread settings.
+Every refinement study, PDE or ODE, runs its levels in order on the
+calling thread, and norm reductions use a fixed summation order, so
+reported numbers are bit-reproducible across runs.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from ._kernels import thread_cap
+from ._kernels import thread_cap  # noqa: F401  (read by perfbench)
 from .errors import ConstraintError, NumericalError
 
 _COMPONENT_INDEX = {"u": 0, "v": 1, "w": 2}
@@ -65,6 +65,11 @@ class SpaceGrid:
 
     def x(self) -> np.ndarray:
         return np.linspace(self.x_min, self.x_max, self.n)
+
+    @classmethod
+    def from_spacing(cls, x_min: float, x_max: float, h: float) -> SpaceGrid:
+        """The grid on [x_min, x_max] whose spacing is nearest to h."""
+        return cls(x_min, x_max, int(round((x_max - x_min) / h)) + 1)
 
 
 @dataclass(frozen=True)
@@ -118,7 +123,7 @@ class ResidualReport:
 def sample(sol, grid: SpaceGrid, t: float) -> FieldState:
     """Pointwise evaluation of a sampler on a grid at time t."""
     x = grid.x()
-    vals = sol.evaluate(t, x) if hasattr(sol, "evaluate") else sol(t, x)
+    vals = sol(t, x)
     arrays = []
     for name, arr in zip(("u", "v", "w"), vals):
         if arr is None:
@@ -218,40 +223,35 @@ def _fit_orders(h_used: Sequence[float], linf_rows: Sequence[tuple]) -> tuple:
     return tuple(orders)
 
 
-def refinement_study(p, sol, window, h_sequence, dt_over_h: float = 1.0,
-                     components=None) -> ResidualReport:
+def _refine(level, h_sequence) -> ResidualReport:
+    """The one refinement driver: `level(h)` for each h of a strictly
+    decreasing positive sequence, in order, then the observed orders and
+    the history, stored on the finest level's report."""
+    if len(h_sequence) < 2:
+        raise ConstraintError("a refinement study needs at least 2 grid "
+                              "spacings")
+    pairs = zip(h_sequence, h_sequence[1:])
+    if not (all(b < a for a, b in pairs) and h_sequence[-1] > 0):
+        raise ConstraintError("h_sequence must be strictly decreasing and "
+                              "positive")
+    reports = [level(h) for h in h_sequence]
+    orders = _fit_orders([r.h for r in reports], [r.linf for r in reports])
+    history = tuple((r.h, r.dt, r.linf, r.l2) for r in reports)
+    return replace(reports[-1], order_estimate=orders, history=history)
+
+
+def refinement_study(p, sol, window, h_sequence) -> ResidualReport:
     """Residuals over a decreasing h sequence plus observed orders.
 
-    `window` is (t, x_min, x_max); each level uses dt = dt_over_h * h.
-    Independent levels may run on worker threads (HGF_THREADS); the
-    reduction into the report keeps the given level order.
+    `window` is (t, x_min, x_max); each level uses dt = h.
     """
-    if len(h_sequence) < 2:
-        raise ConstraintError("refinement_study needs at least 2 grid spacings")
-    if any(b >= a for a, b in zip(h_sequence, h_sequence[1:])):
-        raise ConstraintError("h_sequence must be strictly decreasing")
     t, x_min, x_max = window
-    if components is None and hasattr(sol, "components"):
-        components = sol.components
 
-    def level(h_target: float):
-        n = int(round((x_max - x_min) / h_target)) + 1
-        grid = SpaceGrid(x_min, x_max, n)
-        dt = dt_over_h * grid.h
-        return pde_residual(p, sol, grid, t, dt, components=components)
+    def level(h: float) -> ResidualReport:
+        grid = SpaceGrid.from_spacing(x_min, x_max, h)
+        return pde_residual(p, sol, grid, t, grid.h)
 
-    cap = thread_cap()
-    if cap > 1 and len(h_sequence) > 1:
-        with ThreadPoolExecutor(max_workers=min(cap, len(h_sequence))) as pool:
-            reports = list(pool.map(level, h_sequence))
-    else:
-        reports = [level(h) for h in h_sequence]
-
-    h_used = [r.h for r in reports]
-    orders = _fit_orders(h_used, [r.linf for r in reports])
-    finest = reports[-1]
-    history = tuple((r.h, r.dt, r.linf, r.l2) for r in reports)
-    return replace(finest, order_estimate=orders, history=history)
+    return _refine(level, h_sequence)
 
 
 def ode_residual(system, profile_fn, window, h: float,
@@ -262,11 +262,7 @@ def ode_residual(system, profile_fn, window, h: float,
     the system's m profiles.  Central differences supply first and second
     derivatives on interior points.
     """
-    x_min, x_max = window
-    n = int(round((x_max - x_min) / h)) + 1
-    if n < 5:
-        raise ConstraintError("ode_residual window too small for the stencil")
-    x = np.linspace(x_min, x_max, n)
+    x = SpaceGrid.from_spacing(*window, h).x()
     hh = x[1] - x[0]
     vals = np.atleast_2d(np.asarray(profile_fn(x), dtype=float))
     if not np.isfinite(vals).all():
@@ -289,7 +285,5 @@ def ode_residual(system, profile_fn, window, h: float,
 
 def ode_refinement(system, profile_fn, window, h_sequence) -> ResidualReport:
     """Refinement study for `ode_residual` (orders per equation)."""
-    reports = [ode_residual(system, profile_fn, window, h) for h in h_sequence]
-    orders = _fit_orders([r.h for r in reports], [r.linf for r in reports])
-    history = tuple((r.h, r.dt, r.linf, r.l2) for r in reports)
-    return replace(reports[-1], order_estimate=orders, history=history)
+    return _refine(lambda h: ode_residual(system, profile_fn, window, h),
+                   h_sequence)

@@ -172,8 +172,11 @@ def read_snapshots_csv(path) -> list[calculus.FieldState]:
             if len(parts) != 5:
                 raise ConstraintError(f"{path} line {lineno}: expected 5 "
                                       f"cells t,x,u,v,w, got {len(parts)}")
-            t = float(parts[0])
-            vals = [float(p) if p else math.nan for p in parts[1:]]
+            try:
+                t = float(parts[0])
+                vals = [float(p) if p else math.nan for p in parts[1:]]
+            except ValueError as e:
+                raise ConstraintError(f"{path} line {lineno}: {e}") from None
             groups.setdefault(t, []).append(vals)
     snapshots = []
     for t, rows in groups.items():
@@ -348,6 +351,11 @@ def _load_params_file(path, allowed, what, run_config=False) -> dict:
     bad = set(data) - set(allowed)
     if bad:
         raise ConstraintError(f"{what} file has unknown keys {sorted(bad)}")
+    for key, v in data.items():  # reduce's L52 case is "50" or "51"
+        if key != "case" and (isinstance(v, bool)
+                              or not isinstance(v, (int, float))):
+            raise ConstraintError(f"{what} file: {key} = {v!r} is not a "
+                                  "number")
     return data
 
 
@@ -458,8 +466,7 @@ def _cmd_residual(args, config) -> int:
     else:
         h = args.h
         dt = h if args.dt is None else args.dt
-        n = int(round((window[1] - window[0]) / h)) + 1
-        grid = calculus.SpaceGrid(window[0], window[1], n)
+        grid = calculus.SpaceGrid.from_spacing(window[0], window[1], h)
         rep = calculus.pde_residual(fam.params, fam, grid, t, dt)
     inputs = {"family": key, "family_params": fam.meta,
               "t": t, "window": list(window)}
@@ -544,7 +551,8 @@ def _cmd_speed(args, config) -> int:
     est = simulator.measure_front_speed(snaps, args.component, args.level,
                                         fit_window=fit_window)
     warns = [] if est.reliable else [
-        f"fit quality r^2 = {est.r_squared} below 0.999: estimate unreliable"
+        f"fit quality r^2 = {est.r_squared} below "
+        f"{simulator.R2_RELIABLE}: estimate unreliable"
     ]
     inputs = {"run": str(rundir), "component": args.component,
               "level": args.level, "fit_window": list(est.fit_window),

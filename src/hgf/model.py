@@ -43,11 +43,12 @@ def kinetics(a, u, v, w, lead):
     """
     a1, a2, a3, a4, a5 = a
     l1, l2, l3 = lead
-    g = 1.0 - u - a1 * v
+    a1v = a1 * v
+    g = 1.0 - u - a1v
     l1 += u * g
     l2 += a2 * v * g
     l2 += u * w
-    l2 += a1 * v * w
+    l2 += a1v * w
     l3 += a3 * w * (1.0 - w)
     l3 -= a4 * u * w
     l3 -= a5 * v * w
@@ -207,10 +208,8 @@ def reflect_solution(sol) -> Solution:
     An involution; endpoint states swap sides and a traveling front's
     speed changes sign.
     """
-    base_eval = sol.evaluate if hasattr(sol, "evaluate") else sol
-
     def evaluate(t, x):
-        return base_eval(t, np.negative(x))
+        return sol(t, np.negative(x))
 
     if isinstance(sol, Solution):
         return replace(
@@ -234,7 +233,6 @@ def unrescale_solution(orig: OriginalParams, sol) -> Solution:
     at (r_f T, sqrt(r_f) X), with amplitudes F = (K/e1) u, C = (K L / r_f) v,
     H = L w.
     """
-    base_eval = sol.evaluate if hasattr(sol, "evaluate") else sol
     r = orig.r_f
     sq = math.sqrt(r)
     cF = orig.K / orig.e1
@@ -242,13 +240,13 @@ def unrescale_solution(orig: OriginalParams, sol) -> Solution:
     cH = orig.L
 
     def evaluate(T, X):
-        u, v, w = base_eval(np.asarray(T) * r, np.asarray(X) * sq)
+        u, v, w = sol(np.asarray(T) * r, np.asarray(X) * sq)
         F = None if u is None else cF * u
         C = None if v is None else cC * v
         H = None if w is None else cH * w
         return (F, C, H)
 
-    comps = sol.components if hasattr(sol, "components") else ("u", "v", "w")
+    comps = getattr(sol, "components", ("u", "v", "w"))
     return Solution(evaluate=evaluate, params=None, components=comps,
                     meta={"dimensional": True})
 

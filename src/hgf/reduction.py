@@ -415,10 +415,15 @@ _RK_B5 = (16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0,
 _RK_B4 = (25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0, -0.2, 0.0)
 _RK_E = tuple(b5 - b4 for b5, b4 in zip(_RK_B5, _RK_B4))
 
+# relative step floor of `integrate`: a shorter step is an underflow, and a
+# step that ends this close to the span's end is snapped onto it
+_STEP_FLOOR = 1e-13
+MAX_NODES = 4_000_000  # nodes one `integrate` call may store
+
 
 def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
-              abs_tol: float = 1e-12, max_step: float | None = None,
-              max_nodes: int = 4_000_000) -> ProfileTrajectory:
+              abs_tol: float = 1e-12,
+              max_step: float | None = None) -> ProfileTrajectory:
     """Adaptive embedded RK4(5) with PI step-size control.
 
     Propagates the fifth-order solution; the local error estimate comes
@@ -449,7 +454,7 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
     k = [None] * 6
     while (x1 - x) * direction > 1e-14 * max(1.0, abs(x1)):
         h = min(h, abs(x1 - x))
-        if h < 1e-13 * max(1.0, abs(x)):
+        if h < _STEP_FLOOR * max(1.0, abs(x)):
             raise NumericalError(
                 f"step-size underflow at {sys.ivar} = {x} "
                 f"(reached from {x0} toward {x1})"
@@ -478,13 +483,13 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
         scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
         err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
         if err_norm <= 1.0:
-            x = x1 if abs(x1 - (x + hs)) <= 1e-14 * max(1.0, abs(x1)) \
+            x = x1 if abs(x1 - (x + hs)) <= _STEP_FLOOR * max(1.0, abs(x1)) \
                 else x + hs
             y = y5
             xs.append(x)
             yss.append(y.copy())
             fss.append(sys.rhs(x, y))
-            if len(xs) > max_nodes:
+            if len(xs) > MAX_NODES:
                 raise NumericalError("node budget exceeded")
             e = max(err_norm, 1e-16)
             fac = 0.9 * e ** (-0.14) * max(err_prev, 1e-16) ** 0.08
@@ -584,8 +589,7 @@ def trajectory_profiles(sys: ReducedSystem, traj: ProfileTrajectory,
 
 def verify_reduction(sys: ReducedSystem, ansatz: solutions.Ansatz,
                      params: Params,
-                     profiles, window, h_sequence,
-                     dt_over_h: float = 1.0) -> calculus.ResidualReport:
+                     profiles, window, h_sequence) -> calculus.ResidualReport:
     """Reconstruct the PDE field from profiles and run the residual
     refinement study.
 
@@ -606,7 +610,7 @@ def verify_reduction(sys: ReducedSystem, ansatz: solutions.Ansatz,
         x_lo, x_hi = lo, hi
     sol = solutions.ansatz_solution(ansatz, profiles, params)
     return calculus.refinement_study(params, sol, (t, x_lo, x_hi),
-                                     h_sequence, dt_over_h=dt_over_h)
+                                     h_sequence)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ classic RK4 under the diffusive stability bound
 Boundary handling: Dirichlet (fixed triples), zero-flux (mirror ghost
 point), or pinned-to-exact (boundary values follow a family evaluator,
 precomputed per RK stage).  The update is per-cell independent and
-sequential, so identical configurations produce bit-identical snapshots
-regardless of worker settings; the hot loop lives in `hgf._kernels`.
+sequential, so identical configurations produce bit-identical snapshots;
+the hot loop lives in `hgf._kernels`.
 """
 
 from __future__ import annotations
@@ -27,6 +27,9 @@ from .errors import ConstraintError, NumericalError
 from .model import Params
 
 _COMPONENT_INDEX = {"u": 0, "v": 1, "w": 2}
+
+# a front-speed fit with r^2 below this is flagged unreliable
+R2_RELIABLE = 0.999
 
 
 @dataclass(frozen=True)
@@ -103,10 +106,6 @@ class SimRun:
     snapshots: list[FieldState]
     rhs_evaluations: int
     aborted_at: int | None = None
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray([s.t for s in self.snapshots])
 
 
 def stability_bound(params: Params, grid: SpaceGrid, cfl_safety: float) -> float:
@@ -276,14 +275,14 @@ def _level_crossing(x: np.ndarray, f: np.ndarray, level: float,
 
 
 def measure_front_speed(run_or_snapshots, component: str, level: float,
-                        fit_window: tuple[float, float] | None = None,
-                        r2_threshold: float = 0.999) -> SpeedEstimate:
+                        fit_window: tuple[float, float] | None = None
+                        ) -> SpeedEstimate:
     """Fit the level-crossing trajectory x_cross(t) with a straight line.
 
     Crossings are located by linear interpolation between adjacent grid
     points, one per snapshot (profiles must cross the level monotonically).
     The default fit window is the last half of the run; estimates with
-    r^2 below `r2_threshold` are flagged unreliable, not rejected.
+    r^2 below `R2_RELIABLE` are flagged unreliable, not rejected.
     """
     snapshots: Sequence[FieldState] = (
         run_or_snapshots.snapshots
@@ -321,5 +320,5 @@ def measure_front_speed(run_or_snapshots, component: str, level: float,
         r_squared=float(r2),
         crossing_times=ts,
         crossing_positions=xs,
-        reliable=bool(r2 >= r2_threshold),
+        reliable=bool(r2 >= R2_RELIABLE),
     )

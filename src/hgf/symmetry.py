@@ -209,15 +209,6 @@ class SymmetryOp:
         e = np.exp(-np.asarray(t, dtype=float)) * u
         return (z, e + z, -e + z)
 
-    @property
-    def xi(self) -> tuple[float, float]:
-        """(t, x)-direction generator components."""
-        if self.kind == "Pt":
-            return (1.0, 0.0)
-        if self.kind == "Px":
-            return (0.0, 1.0)
-        return (0.0, 0.0)
-
     def admissible_for(self, p: Params) -> bool:
         """Is this operator in the catalog for coefficient set p, with
         matching coefficient data?"""
@@ -346,7 +337,7 @@ def admissible_ops(p: Params) -> list[tuple[CaseId, tuple[SymmetryOp, ...]]]:
 
 
 def _full_fields(sol, t, x):
-    vals = sol.evaluate(t, x) if hasattr(sol, "evaluate") else sol(t, x)
+    vals = sol(t, x)
     shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
     return tuple(
         np.zeros(shape) if f is None else np.asarray(f, dtype=float)
@@ -434,17 +425,17 @@ def infinitesimal_consistency(op: SymmetryOp, points,
 
 
 def verify_flow_maps_solutions(op: SymmetryOp, eps: float, sol, window,
-                               h: float, dt_over_h: float = 1.0):
+                               h: float):
     """Residual reports before and after the flow on the same window.
 
-    `window` is (t, x_min, x_max).  A passing pair has after-norms bounded
-    by a small multiple of the before-norms plus stencil truncation.
+    `window` is (t, x_min, x_max); both residuals use dt = h.  A passing
+    pair has after-norms bounded by a small multiple of the before-norms
+    plus stencil truncation.
     """
     t, x_min, x_max = window
     params = sol.params
-    n = int(round((x_max - x_min) / h)) + 1
-    grid = calculus.SpaceGrid(x_min, x_max, n)
-    dt = dt_over_h * grid.h
+    grid = calculus.SpaceGrid.from_spacing(x_min, x_max, h)
+    dt = grid.h
     before = calculus.pde_residual(params, sol, grid, t, dt)
     after = calculus.pde_residual(params, flow(op, eps, sol), grid, t, dt,
                                   components=("u", "v", "w"))

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -178,18 +179,34 @@ def test_translation_invariance(tf63_std):
         assert r2 == pytest.approx(r1, rel=2e-2)
 
 
-def test_refinement_independent_of_thread_count(tf63_std, monkeypatch):
-    def study():
-        return calculus.refinement_study(tf63_std.params, tf63_std,
-                                         (0.0, -10, 10), [8e-3, 4e-3, 2e-3])
+def test_refinement_samples_on_calling_thread(tf63_std):
+    threads = []
 
-    monkeypatch.setenv("HGF_THREADS", "1")
-    serial = study()
-    monkeypatch.setenv("HGF_THREADS", "4")
-    threaded = study()
-    assert serial.linf == threaded.linf
-    assert serial.l2 == threaded.l2
-    assert serial.order_estimate == threaded.order_estimate
+    def evaluate(t, x):
+        threads.append(threading.get_ident())
+        return tf63_std.evaluate(t, x)
+
+    calculus.refinement_study(
+        tf63_std.params, Solution(evaluate=evaluate, params=tf63_std.params),
+        (0.0, -10, 10), [8e-3, 4e-3, 2e-3])
+    assert len(threads) == 9
+    assert set(threads) == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("h_seq", [[1e-2], [4e-3, 4e-3], [2e-3, 4e-3],
+                                   [4e-3, 0.0], [4e-3, math.nan]],
+                         ids=["one", "equal", "increasing", "zero", "nan"])
+def test_ode_refinement_rejects_bad_h_sequences(h_seq):
+    # one spacing used to give orders fitted to one point, and an
+    # increasing sequence reported its coarsest level as the finest
+    sys = reduction.reduced_system("R58", alpha=1.0,
+                                   params=Params(1, 1, 1, 1, 1))
+
+    def profiles(om):
+        return np.stack((np.tanh(om), np.cos(om), np.sin(om)))
+
+    with pytest.raises(ConstraintError, match="h_sequence|at least 2"):
+        calculus.ode_refinement(sys, profiles, (-5, 5), h_seq)
 
 
 def test_ode_residual_tf63_profiles_in_R58(tf63_std):

@@ -368,6 +368,41 @@ def test_speed_rejects_short_snapshot_rows(tmp_path, capsys):
     assert err.startswith("error:") and "line 3" in err
 
 
+def test_speed_rejects_non_numeric_snapshot_cells(tmp_path, capsys):
+    path = tmp_path / "snapshots.csv"
+    path.write_text("t,x,u,v,w\n0,0,1,1,1\n0,0.5,abc,1,1\n0,1,1,1,1\n")
+    code, _, err = run_cli(["speed", "--run", str(tmp_path), "--component",
+                            "u", "--level", "0.5"], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {path} line 3:") and "'abc'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--system", "T2d", "--a4", "0.8", "--span", "0", "1"],
+    ["symmetry", "list", "--a2", "0.7", "--a3", "0.9", "--a4", "1.1",
+     "--a5", "0.2"],
+], ids=["reduce", "symmetry-list"])
+@pytest.mark.parametrize("value", ["x", True, [0.5], None],
+                         ids=["string", "bool", "list", "null"])
+def test_params_file_values_must_be_numbers(tmp_path, capsys, argv, value):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"a1": value}))
+    code, _, err = run_cli([*argv, "--params", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "a1 = " in err
+    assert "is not a number" in err
+
+
+def test_reduce_params_file_takes_the_l52_case(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"beta": 0.3, "a4": 0.5, "case": "50"}))
+    code, out, _ = run_cli(["reduce", "--system", "L52", "--y0", "1,0",
+                            "--span", "-1", "1", "--params", str(path)],
+                           capsys)
+    assert code == 0
+    assert json.loads(out)["inputs"]["coeffs"]["case"] == "50"
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["residual", "--family", "fisher", "--h", "0"], "--h"),
     (["residual", "--family", "fisher", "--dt", "0"], "--dt"),

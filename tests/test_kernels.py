@@ -236,21 +236,6 @@ def test_ode_rhs_paths_agree(rng):
             np.testing.assert_array_equal(node, grid[:, i])
 
 
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("HGF_THREADS", "3")
-    assert K.thread_cap() == 3
-    monkeypatch.setenv("HGF_THREADS", "0")
-    assert K.thread_cap() == 1
-    monkeypatch.delenv("HGF_THREADS")
-    assert K.thread_cap() >= 1
-
-
-def test_thread_cap_warns_on_junk(monkeypatch):
-    monkeypatch.setenv("HGF_THREADS", "four")
-    with pytest.warns(RuntimeWarning, match="'four'"):
-        assert K.thread_cap() == 1
-
-
 def test_benchmark_harness_finds_what_it_wraps(monkeypatch):
     # perfbench wraps module attributes and reads kernel names; a refactor
     # that moves one of them would break the benchmark without failing here

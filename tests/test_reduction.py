@@ -112,6 +112,20 @@ def test_integrate_l36_bounded_both_directions():
     assert np.all(np.diff(left.xs) > 0)  # stored ascending
 
 
+@pytest.mark.parametrize("system,y0,span,max_step", [
+    (_r38(), (0.4, 0.3, 0.2), (0.0, 3.0), 0.002),
+    (_r38(), (0.4, 0.3, 0.2), (0.0, 3.0), 0.0025),
+    (reduction.reduced_system("L36", alpha=5 / math.sqrt(6), a1=0.5,
+                              beta=3.0, kappa1=0.25, kappa2=1.0),
+     (1.0, 0.0), (0.0, -7.0), 0.01),
+], ids=["R38-0.002", "R38-0.0025", "L36-backward"])
+def test_integrate_lands_on_span_end(system, y0, span, max_step):
+    # equal steps summing to the span leave a rounding remainder of about
+    # 1e-13, which used to be refused as a step-size underflow
+    traj = reduction.integrate(system, y0, span, max_step=max_step)
+    assert span[1] in (traj.xs[0], traj.xs[-1])
+
+
 def test_integrate_tolerance_validation():
     with pytest.raises(ConstraintError, match="tolerances"):
         reduction.integrate(_r38(), (1.0, 1.0, 1.0), (0, 1), rel_tol=0.5)
