@@ -308,7 +308,7 @@ CONFIG_BLOCKS = {
     "params": PARAM_KEYS,
     "family": ("key", *_FAMILY_FLAGS, *_PROFILE_FLAGS),
     "grid": ("x_min", "x_max", "n"),
-    "time": ("t0", "t_end", "cfl_safety", "snapshot_every"),
+    "time": ("t0", "t_end", "snapshot_every"),
     "bc": ("kind", "left", "right"),
 }
 
@@ -519,7 +519,7 @@ def _cmd_simulate(args, config) -> int:
                 break
     cfg = simulator.SimConfig(
         params=fam.params, grid=grid, t_end=tm["t_end"], initial=fam,
-        t0=tm.get("t0", 0.0), cfl_safety=tm.get("cfl_safety", 0.4),
+        t0=tm.get("t0", 0.0),
         bc=_bc_from_config(config.get("bc"), fam),
         snapshot_every=tm.get("snapshot_every", 100))
     outdir = Path(args.out)

@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
 
 from . import calculus, solutions
 from ._kernels import ode_rk4_table
@@ -296,6 +295,10 @@ def reduced_system(sid: str, **coeffs) -> ReducedSystem:
             raise ConstraintError(f"{spec.sid} case must be '50' or '51'")
         values["case"] = 1.0 if coeffs["case"] == "50" else 0.0
     kc = tuple(float(values[k]) for k in spec.coeffs)
+    for k, v in zip(spec.coeffs, kc):
+        if not math.isfinite(v):
+            raise ConstraintError(f"{spec.sid} coefficient {k} must be "
+                                  f"finite, got {v!r}")
     return ReducedSystem(spec=spec, coeffs=dict(coeffs), kcoeffs=kc)
 
 
@@ -361,6 +364,9 @@ class ProfileTrajectory:
 
     def _eval_quintic(self, x):
         if self._spline is None:
+            # imported here, its one use: scipy.interpolate takes most of
+            # the time and memory of `import hgf`
+            from scipy.interpolate import make_interp_spline
             k = 5 if len(self.xs) > 5 else 3
             self._spline = make_interp_spline(self.xs, self.ys, k=k, axis=0)
         return self._spline(x)

@@ -76,7 +76,7 @@ def test_simulate_speed_pipeline(tmp_path, capsys):
         "family": {"key": "tf63", "a1": 0.1, "delta": 0.35, "a3": 1.0,
                    "d3": 3.0},
         "grid": {"x_min": -15.0, "x_max": 20.0, "n": 351},
-        "time": {"t_end": 1.5, "cfl_safety": 0.4, "snapshot_every": 400},
+        "time": {"t_end": 1.5, "snapshot_every": 100},
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config))
@@ -169,7 +169,6 @@ def test_simulate_rejects_non_finite_bounds(tmp_path, capsys, block, key,
 
 @pytest.mark.parametrize("block,key,value", [("grid", "n", 51.7),
                                              ("grid", "n", "51"),
-                                             ("time", "cfl_safety", "0.4"),
                                              ("time", "snapshot_every", "10"),
                                              ("time", "snapshot_every", 2.5),
                                              ("grid", "x_min", "-10"),
@@ -391,6 +390,22 @@ def test_params_file_values_must_be_numbers(tmp_path, capsys, argv, value):
     assert code == 1
     assert err.startswith("error:") and "a1 = " in err
     assert "is not a number" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "params-file"])
+def test_reduce_rejects_non_finite_coefficients(tmp_path, capsys, source):
+    # a NaN coefficient used to reach the integrator and stop it with a
+    # step-size underflow (exit 2)
+    argv = ["reduce", "--system", "T2d", "--a4", "0.8", "--span", "0", "1"]
+    if source == "flag":
+        argv += ["--a1", "nan"]
+    else:
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps({"a1": math.nan}))  # writes NaN
+        argv += ["--params", str(path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("error:") and "a1 must be finite" in err
 
 
 def test_reduce_params_file_takes_the_l52_case(tmp_path, capsys):

@@ -1,37 +1,60 @@
+import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hgf import calculus, simulator, solutions
+from hgf import calculus, cli, simulator, solutions
 from hgf.calculus import SpaceGrid
 from hgf.errors import ConstraintError, NumericalError
 from hgf.model import Params
 
 
-def test_stability_bound_formula():
+def test_default_step_rule():
     grid = SpaceGrid(0.0, 0.05 * 100, 101)  # h = 0.05
-    p = Params(1, 1, 1, 1, 1, d1=1.0, d2=4.3793, d3=3.0)
-    dt = simulator.stability_bound(p, grid, 0.4)
-    assert dt == pytest.approx(0.4 * 0.05**2 / (2 * 4.3793), rel=1e-12)
+    slow = Params(1, 1, 1, 1, 1)  # d_max = 1: DT_PER_H * h = 1e-3 rules
+    fast = Params(1, 1, 1, 1, 1, d1=1.0, d2=4.3793, d3=3.0)
+    cfg = simulator.SimConfig(params=slow, grid=grid, t_end=0.5,
+                              initial=(None, None, None),
+                              snapshot_every=10**6)
+    run = simulator.run(cfg)
+    assert simulator.DT_PER_H * grid.h == pytest.approx(1e-3, rel=1e-12)
+    assert run.steps == 500
+    assert run.dt == pytest.approx(1e-3, rel=1e-12)
+    assert run.rhs_evaluations == 501  # the CN-Heun first step takes two
+    # h^2 / d_max = 5.709e-4 rules, shortened to divide the span
+    run = simulator.run(replace(cfg, params=fast))
+    assert run.steps == 876
+    assert run.dt == pytest.approx(0.5 / 876, rel=1e-12)
+    assert run.dt * 4.3793 / (2.0 * grid.h ** 2) <= 0.5
 
 
-def test_stability_bound_quarters_when_h_halves():
-    p = Params(1, 1, 1, 1, 1)
-    g1 = SpaceGrid(0, 1, 11)
-    g2 = SpaceGrid(0, 1, 21)
-    assert simulator.stability_bound(p, g1, 0.4) == pytest.approx(
-        4 * simulator.stability_bound(p, g2, 0.4), rel=1e-12)
+def test_one_cell_spike_stays_nonnegative():
+    # r = 1/2 at d = 4.38 and h = 0.005; at dt = DT_PER_H * h (r = 8.76)
+    # Crank-Nicolson took the spike to -0.667 in one step
+    p = Params(0.1, 1.0, 1.0, 1.0, 1.0, d1=4.38, d2=4.38, d3=4.38)
+    grid = SpaceGrid(-1.0, 1.0, 401)
+    F = np.zeros((3, grid.n))
+    F[:, grid.n // 2] = 1.0
+    cfg = simulator.SimConfig(params=p, grid=grid, t_end=3e-4,
+                              initial=tuple(F), snapshot_every=1)
+    run = simulator.run(cfg)
+    for s in run.snapshots:
+        assert s.stack().min() >= 0.0
+    assert run.steps >= 50
+    assert run.snapshots[-1].stack().max() < 0.1  # it spread
 
 
-def test_zero_safety_rejected():
-    p = Params(1, 1, 1, 1, 1)
-    with pytest.raises(ConstraintError):
-        simulator.stability_bound(p, SpaceGrid(0, 1, 11), 0.0)
-    with pytest.raises(ConstraintError, match="cfl_safety"):
-        simulator.SimConfig(params=p, grid=SpaceGrid(0, 1, 11), t_end=1.0,
-                            initial=(None, None, None), cfl_safety=0.0)
+@pytest.mark.parametrize("key", ["cfl_safety", "dt"])
+def test_step_knobs_are_unknown_time_keys(tmp_path, key):
+    # the step follows from h and the diffusivities alone
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"time": {"t_end": 1.0, key: 0.4}}))
+    with pytest.raises(ConstraintError,
+                       match=rf"time has unknown keys \['{key}'\]"):
+        cli.load_config(path)
 
 
 @pytest.mark.parametrize("t0,t_end", [(0.0, math.inf), (-math.inf, 1.0),
@@ -156,7 +179,7 @@ def test_blowup_aborts_with_partial_run():
 
 
 def test_blowup_found_between_snapshots():
-    # the same run blows up at step 3; without snapshots to check it must
+    # the same run blows up at step 7; without snapshots to check it must
     # still be caught within FINITE_CHECK_EVERY steps, with a bracket
     p = Params(0.0, 0.0, 0.0, 1.0, 0.0)
     n = 21
