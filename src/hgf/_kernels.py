@@ -1,7 +1,7 @@
-"""Hot numerical loops: the method-of-lines IMEX time loop (`mol_run`)
-and the fixed-step RK4 tabulation of y' = f(x, y, *c) (`ode_rk4_table`),
-written with numpy.  The reduced systems it tabulates are written in
-`hgf.reduction`.
+"""Hot numerical loops: the method-of-lines IMEX time loop (`mol_run`),
+written with numpy and LAPACK, and the fixed-step RK4 tabulation of
+y' = f(x, y, *c) (`ode_rk4_table`), written on Python floats.  The reduced
+systems it tabulates are written in `hgf.reduction`.
 
 `mol_run` factors its constant implicit matrix once per run (LAPACK
 `dpttrf`); a step is then one `model.kinetics` call and one in-place
@@ -171,14 +171,23 @@ mol_run_numpy = mol_run
 
 def ode_rk4_table(f, c, y0, x0, step, nout, out):
     """Fixed-step classic RK4 tabulation of y' = f(x, y, *c):
-    out[i] = y(x0 + i*step)."""
-    y = y0
-    out[0] = y
+    out[i] = y(x0 + i*step).
+
+    The state is a list of Python floats, and f is called with a list
+    state and must return a list (`SystemSpec.first_order` does): numpy
+    ufuncs on 2- to 6-entry vectors cost more than the arithmetic.  Each
+    sum keeps the operation order of the vector form, so the table is the
+    same to the bit."""
+    y = np.asarray(y0, dtype=float).tolist()
+    rows = [y]
+    half, sixth = 0.5 * step, step / 6.0
     for i in range(1, nout):
         x = x0 + (i - 1) * step
         k1 = f(x, y, *c)
-        k2 = f(x + 0.5 * step, y + (0.5 * step) * k1, *c)
-        k3 = f(x + 0.5 * step, y + (0.5 * step) * k2, *c)
-        k4 = f(x + step, y + step * k3, *c)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i] = y
+        k2 = f(x + half, [p + half * q for p, q in zip(y, k1)], *c)
+        k3 = f(x + half, [p + half * q for p, q in zip(y, k2)], *c)
+        k4 = f(x + step, [p + step * q for p, q in zip(y, k3)], *c)
+        y = [p + sixth * (q1 + 2.0 * q2 + 2.0 * q3 + q4)
+             for p, q1, q2, q3, q4 in zip(y, k1, k2, k3, k4)]
+        rows.append(y)
+    out[:] = rows

@@ -18,6 +18,7 @@ import inspect
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 from typing import Callable
 
@@ -332,10 +333,21 @@ def _check_config(cfg: dict) -> dict:
             raise ConstraintError(
                 f"config {block} has unknown keys {sorted(bad)}")
     if "family" in cfg:
-        if "key" not in cfg["family"]:
-            raise ConstraintError("config family needs a 'key'")
+        if not isinstance(cfg["family"].get("key"), str):
+            raise ConstraintError("config family needs a 'key' string")
+        _check_numbers(cfg["family"], "config family", skip="key")
         _family(cfg["family"]["key"])
     return cfg
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_numbers(data: dict, what: str, skip: str) -> None:
+    for key, v in data.items():
+        if key != skip and not _is_number(v):
+            raise ConstraintError(f"{what}: {key} = {v!r} is not a number")
 
 
 def load_config(path) -> dict:
@@ -351,11 +363,8 @@ def _load_params_file(path, allowed, what, run_config=False) -> dict:
     bad = set(data) - set(allowed)
     if bad:
         raise ConstraintError(f"{what} file has unknown keys {sorted(bad)}")
-    for key, v in data.items():  # reduce's L52 case is "50" or "51"
-        if key != "case" and (isinstance(v, bool)
-                              or not isinstance(v, (int, float))):
-            raise ConstraintError(f"{what} file: {key} = {v!r} is not a "
-                                  "number")
+    # reduce's L52 case is "50" or "51"
+    _check_numbers(data, f"{what} file", skip="case")
     return data
 
 
@@ -486,6 +495,12 @@ def _bc_from_config(cfg_bc, fam) -> simulator.BoundaryCondition:
         return simulator.BoundaryCondition("neumann-zero")
     kind = cfg_bc.get("kind")
     if kind == "dirichlet":
+        for side in ("left", "right"):
+            val = cfg_bc.get(side)
+            if not (isinstance(val, list) and len(val) == 3
+                    and all(map(_is_number, val))):
+                raise ConstraintError(
+                    f"config bc {side} must be a list of 3 numbers")
         return simulator.BoundaryCondition(
             "dirichlet", left=tuple(cfg_bc["left"]),
             right=tuple(cfg_bc["right"]))
@@ -504,6 +519,13 @@ def _cmd_simulate(args, config) -> int:
     key, fam, warns = _family_from_args(args, config)
     if "grid" not in config or "time" not in config:
         raise ConstraintError("simulate config needs 'grid' and 'time' blocks")
+    for block, keys in (("grid", CONFIG_BLOCKS["grid"]), ("time", ("t_end",)),
+                        ("params", PARAM_KEYS[:5])):
+        missing = [k for k in keys
+                   if block in config and k not in config[block]]
+        if missing:
+            raise ConstraintError(f"config {block} needs "
+                                  f"{', '.join(map(repr, missing))}")
     g = config["grid"]
     grid = calculus.SpaceGrid(g["x_min"], g["x_max"], g["n"])
     tm = config["time"]
@@ -719,7 +741,11 @@ def _cmd_reduce(args, config) -> int:
                 f"system {sys_.sid} has no cases; --case applies to R38 "
                 f"(i, ii, iii) and L52 (50, 51)")
     if args.y0 is not None:
-        y0 = np.asarray([float(s) for s in args.y0.split(",")])
+        try:
+            y0 = np.asarray([float(s) for s in args.y0.split(",")])
+        except ValueError:
+            raise ConstraintError(f"--y0 must be comma-separated numbers, "
+                                  f"got {args.y0!r}") from None
     elif separable:
         y0 = np.asarray(_closed_form_R38(args, 0.0), dtype=float)
     else:
@@ -926,9 +952,15 @@ def dispatch(argv) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except json.JSONDecodeError as e:  # a ValueError, but the user's file
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    except (KeyError, TypeError, ValueError) as e:
+        # bad input is raised as a ConstraintError that names it, so
+        # these are bugs in hgf
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return 3
 
 
 def main() -> None:

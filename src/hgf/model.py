@@ -17,6 +17,7 @@ to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -118,6 +119,10 @@ class Params:
 
     def __post_init__(self):
         for name in ("a1", "a2", "a3", "a4", "a5", "d1", "d2", "d3"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ConstraintError(
+                    f"Params requires a number for {name} "
+                    f"(got {getattr(self, name)!r})")
             if not math.isfinite(getattr(self, name)):
                 raise ConstraintError(
                     f"Params requires finite {name} (got {getattr(self, name)!r})"

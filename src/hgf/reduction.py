@@ -17,12 +17,15 @@ use (U, V, W); the scalar linear profile equations use (Y, Y').
 `dense_profile` tabulates a profile on a uniform grid with fixed-step RK4
 (`_kernels.ode_rk4_table`) and returns a trajectory whose quintic
 interpolant is accurate enough to sit below second-order stencil floors.
+Both step a list of Python floats: numpy calls on 2- to 6-entry states
+cost more than their arithmetic.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
@@ -43,8 +46,10 @@ from .model import Params, kinetics
 # first-order form and the parameters after it name the coefficients in
 # order.  A second-order system writes only its odd rows (U'', V'', W''
 # or the single profile's second derivative); `SystemSpec.first_order`
-# copies the rows U', V', W' from the state.  A state of shape (dim, n)
-# with x of shape (n,) evaluates n nodes at once.
+# copies the rows U', V', W' from the state.  The state is a list of
+# floats in the stepping loops, one node as an ndarray in
+# `ReducedSystem.rhs`, or of shape (dim, n) with x of shape (n,) to
+# evaluate n nodes at once; the arithmetic is the same in all three.
 # ---------------------------------------------------------------------------
 
 _SQRT6 = math.sqrt(6.0)
@@ -146,7 +151,8 @@ class SystemSpec:
     record.  `ansatz` reconstructs a PDE solution from the profiles and
     fixes the independent variable.  `row_scale` maps an equation row to
     the coefficient multiplying its highest derivative (absent: 1);
-    residual rows are reported in that scale.
+    residual rows are reported in that scale.  The equations divide by
+    the coefficients named in `divisors`, which must not be zero.
     """
 
     sid: str
@@ -156,6 +162,7 @@ class SystemSpec:
     ansatz: str
     row_scale: dict = field(default_factory=dict)
     defaults: dict = field(default_factory=dict)
+    divisors: tuple[str, ...] = ()
     takes_params: bool = False
 
     @cached_property
@@ -167,6 +174,11 @@ class SystemSpec:
         """`first_order` starts dy/dx as y[_start_rows]: U' in the rows of
         U and U' of a second-order system; eqs overwrites the rest."""
         return np.arange(self.dim) | (self.order - 1)
+
+    @cached_property
+    def _start_items(self) -> Callable:
+        """`_start_rows` of a list state."""
+        return operator.itemgetter(*self._start_rows.tolist())
 
     @property
     def dim(self) -> int:
@@ -182,21 +194,28 @@ class SystemSpec:
         return ("alpha", "params") if self.takes_params else self.coeffs
 
     def first_order(self, x, y, *c):
-        """dy/dx at the first-order state y, coefficient values c."""
-        out = y[self._start_rows]
+        """dy/dx at the first-order state y, coefficient values c: a list
+        of floats for a list state (the stepping loops'), else an
+        ndarray."""
+        if type(y) is list:
+            out = list(self._start_items(y))
+        else:
+            out = y[self._start_rows]
         self.equations(out, x, y, *c)
         return out
 
 
 _UVW = ("U", "V", "W")
 SYSTEMS = {s.sid: s for s in (
-    SystemSpec("R35", _R35, 2, _UVW, "A34", row_scale={2: "d"}),
+    SystemSpec("R35", _R35, 2, _UVW, "A34", row_scale={2: "d"},
+               divisors=("d",)),
     SystemSpec("R38", _R38, 1, _UVW, "A37"),
-    SystemSpec("R47", _R47, 2, _UVW, "A44", row_scale={2: "d"}),
+    SystemSpec("R47", _R47, 2, _UVW, "A44", row_scale={2: "d"},
+               divisors=("d",)),
     SystemSpec("R58", _R58, 2, _UVW, "plane", row_scale={1: "d2", 2: "d3"},
-               takes_params=True),
+               divisors=("d2", "d3"), takes_params=True),
     SystemSpec("T2a", _T2a, 2, _UVW, "T2a"),
-    SystemSpec("T2b", _T2b, 2, _UVW, "T2b"),
+    SystemSpec("T2b", _T2b, 2, _UVW, "T2b", divisors=("a1",)),
     SystemSpec("T2c", _T2c, 1, _UVW, "T2c"),
     SystemSpec("T2d", _T2d, 1, _UVW, "T2d"),
     SystemSpec("L36", _L36, 2, ("U",), "A34"),
@@ -220,7 +239,8 @@ class ReducedSystem:
     @property
     def code(self) -> Callable:
         """Alias of `spec.first_order`, read only by the benchmark harness
-        (``kernel(system.code, system.kcoeffs, ...)``)."""
+        (``kernel(system.code, system.kcoeffs, ...)``, an ndarray initial
+        state; `ode_rk4_table` steps it as a list all the same)."""
         return self.spec.first_order
 
     @property
@@ -299,6 +319,9 @@ def reduced_system(sid: str, **coeffs) -> ReducedSystem:
         if not math.isfinite(v):
             raise ConstraintError(f"{spec.sid} coefficient {k} must be "
                                   f"finite, got {v!r}")
+        if v == 0.0 and k in spec.divisors:
+            raise ConstraintError(f"{spec.sid} divides by {k}, which must "
+                                  "not be zero")
     return ReducedSystem(spec=spec, coeffs=dict(coeffs), kcoeffs=kc)
 
 
@@ -427,6 +450,54 @@ _STEP_FLOOR = 1e-13
 MAX_NODES = 4_000_000  # nodes one `integrate` call may store
 
 
+def _fehlberg_step(f, c, x, y, k0, hs):
+    """(y5, err) of one Fehlberg step of size hs from the node (x, y) with
+    dy/dx = k0, or None when a stage state is not finite.
+
+    The state is a list of floats.  Every sum runs term by term, left to
+    right, as the vector form y + (hs a) k does, so the result is numpy's
+    to the bit.  Each stage is one list comprehension: a loop over the
+    tableau with one comprehension per term made `integrate` about 1.5x
+    slower."""
+    isfinite = math.isfinite
+    ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
+     (a50, a51, a52, a53, a54)) = ([hs * a for a in row] for row in _RK_A[1:])
+    yi = [p + a10 * q0 for p, q0 in zip(y, k0)]
+    if not all(map(isfinite, yi)):
+        return None
+    k1 = f(x + _RK_C[1] * hs, yi, *c)
+    yi = [p + a20 * q0 + a21 * q1 for p, q0, q1 in zip(y, k0, k1)]
+    if not all(map(isfinite, yi)):
+        return None
+    k2 = f(x + _RK_C[2] * hs, yi, *c)
+    yi = [p + a30 * q0 + a31 * q1 + a32 * q2
+          for p, q0, q1, q2 in zip(y, k0, k1, k2)]
+    if not all(map(isfinite, yi)):
+        return None
+    k3 = f(x + _RK_C[3] * hs, yi, *c)
+    yi = [p + a40 * q0 + a41 * q1 + a42 * q2 + a43 * q3
+          for p, q0, q1, q2, q3 in zip(y, k0, k1, k2, k3)]
+    if not all(map(isfinite, yi)):
+        return None
+    k4 = f(x + _RK_C[4] * hs, yi, *c)
+    yi = [p + a50 * q0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4
+          for p, q0, q1, q2, q3, q4 in zip(y, k0, k1, k2, k3, k4)]
+    if not all(map(isfinite, yi)):
+        return None
+    k5 = f(x + _RK_C[5] * hs, yi, *c)
+    b0, b1, b2, b3, b4, b5 = (hs * b for b in _RK_B5)
+    e0, e1, e2, e3, e4, e5 = (hs * e for e in _RK_E)
+    ks = list(zip(y, k0, k1, k2, k3, k4, k5))
+    y5 = [p + b0 * q0 + b1 * q1 + b2 * q2 + b3 * q3 + b4 * q4 + b5 * q5
+          for p, q0, q1, q2, q3, q4, q5 in ks]
+    if not all(map(isfinite, y5)):
+        return None
+    # the sign of a zero in err is never read: err is squared
+    err = [e0 * q0 + e1 * q1 + e2 * q2 + e3 * q3 + e4 * q4 + e5 * q5
+           for _, q0, q1, q2, q3, q4, q5 in ks]
+    return y5, err
+
+
 def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
               abs_tol: float = 1e-12,
               max_step: float | None = None) -> ProfileTrajectory:
@@ -434,7 +505,9 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
 
     Propagates the fifth-order solution; the local error estimate comes
     from the embedded fourth-order weights.  Step-size underflow (stiff or
-    blowing-up problems) raises with the reach point.
+    blowing-up problems) raises with the reach point.  The state is a list
+    of floats (`_fehlberg_step`); the first stage of a step is the
+    derivative stored at its node for the Hermite rule.
     """
     if not (0.0 < rel_tol <= 1e-2 and 0.0 < abs_tol <= 1e-2):
         raise ConstraintError("tolerances must lie in (0, 1e-2]")
@@ -448,16 +521,17 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
         )
     if not np.isfinite(y).all():
         raise ConstraintError("initial state must be finite")
+    f, c, n = sys.spec.first_order, sys.kcoeffs, sys.dim
     direction = 1.0 if x1 > x0 else -1.0
     total = abs(x1 - x0)
     hmax = total if max_step is None else min(abs(max_step), total)
     h = min(hmax, total / 100.0, 0.1)
     x = x0
+    y = y.tolist()
     xs = [x]
-    yss = [y.copy()]
-    fss = [sys.rhs(x, y)]
+    yss = [y]
+    fss = [f(x, y, *c)]
     err_prev = 1.0
-    k = [None] * 6
     while (x1 - x) * direction > 1e-14 * max(1.0, abs(x1)):
         h = min(h, abs(x1 - x))
         if h < _STEP_FLOOR * max(1.0, abs(x)):
@@ -466,35 +540,23 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
                 f"(reached from {x0} toward {x1})"
             )
         hs = h * direction
-        k[0] = sys.rhs(x, y)
-        failed = False
-        for i in range(1, 6):
-            yi = y.copy()
-            for j, a in enumerate(_RK_A[i]):
-                yi += hs * a * k[j]
-            if not np.isfinite(yi).all():
-                failed = True
-                break
-            k[i] = sys.rhs(x + _RK_C[i] * hs, yi)
-        if not failed:
-            y5 = y.copy()
-            err = np.zeros_like(y)
-            for i in range(6):
-                y5 += hs * _RK_B5[i] * k[i]
-                err += hs * _RK_E[i] * k[i]
-            failed = not np.isfinite(y5).all()
-        if failed:
+        step = _fehlberg_step(f, c, x, y, fss[-1], hs)
+        if step is None:
             h *= 0.25
             continue
-        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        y5, err = step
+        sq = 0.0
+        for e, p, q in zip(err, y, y5):
+            r = e / (abs_tol + rel_tol * max(abs(p), abs(q)))
+            sq += r * r
+        err_norm = math.sqrt(sq / n)
         if err_norm <= 1.0:
             x = x1 if abs(x1 - (x + hs)) <= _STEP_FLOOR * max(1.0, abs(x1)) \
                 else x + hs
             y = y5
             xs.append(x)
-            yss.append(y.copy())
-            fss.append(sys.rhs(x, y))
+            yss.append(y)
+            fss.append(f(x, y, *c))
             if len(xs) > MAX_NODES:
                 raise NumericalError("node budget exceeded")
             e = max(err_norm, 1e-16)

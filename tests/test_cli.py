@@ -433,3 +433,77 @@ def test_step_flags_must_be_positive(argv, flag, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert f"argument {flag}: must be positive" in err
+
+
+@pytest.mark.parametrize("exc", [KeyError, TypeError, ValueError])
+def test_program_bug_exits_3_with_traceback(monkeypatch, capsys, exc):
+    # a bug in a handler is not a user error: it gets its own exit code,
+    # and the traceback that locates it
+    def broken(args, config):
+        raise exc("planted")
+
+    monkeypatch.setattr(cli, "_cmd_catalog", broken)
+    code, _, err = run_cli(["catalog"], capsys)
+    assert code == 3
+    assert err.startswith(f"internal error: {exc.__name__}: ")
+    assert "Traceback (most recent call last)" in err
+    assert "in broken" in err
+
+
+def test_malformed_json_config_exits_1(tmp_path, capsys):
+    # json.JSONDecodeError is a ValueError, but the file is the user's
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"family": ')
+    code, _, err = run_cli(["eval", "--config", str(cfg_path), "--t", "0",
+                            "--xmin", "0", "--xmax", "1", "--n", "3"],
+                           capsys)
+    assert code == 1
+    assert err.startswith("error: JSONDecodeError")
+    assert "Traceback" not in err
+
+
+_FISHER_RUN = {"family": {"key": "fisher"},
+               "grid": {"x_min": -10.0, "x_max": 10.0, "n": 51},
+               "time": {"t_end": 0.1}}
+
+
+@pytest.mark.parametrize("block,value,named", [
+    ("grid", {"x_min": -10.0, "x_max": 10.0}, "config grid needs 'n'"),
+    ("time", {"snapshot_every": 5}, "config time needs 't_end'"),
+    ("bc", {"kind": "dirichlet", "left": [0, 0, 0]}, "bc right"),
+    ("bc", {"kind": "dirichlet", "left": 1, "right": [0, 0, 0]}, "bc left"),
+    ("bc", {"kind": "dirichlet", "left": [1, 2], "right": [0, 0, 0]},
+     "bc left"),
+    ("params", {"a1": 1.0}, "config params needs"),
+    ("params", {"a1": "x", "a2": 1, "a3": 1, "a4": 1, "a5": 1},
+     "a number for a1"),
+], ids=["grid-n", "time-t_end", "bc-no-right", "bc-scalar", "bc-short",
+        "params-partial", "params-string"])
+def test_config_mistakes_are_user_errors(tmp_path, capsys, block, value,
+                                         named):
+    # these reached the handler as KeyError, TypeError or ValueError,
+    # which now mean a bug in the program
+    config = {**_FISHER_RUN, block: value}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, err = run_cli(["simulate", "--config", str(cfg_path), "--out",
+                            str(tmp_path / "run"), "--quiet"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and named in err
+
+
+def test_reduce_y0_must_be_numbers(capsys):
+    code, _, err = run_cli(["reduce", "--system", "T2d", "--a1", "0.5",
+                            "--a4", "0.8", "--y0", "1,x,2", "--span", "0",
+                            "1"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "--y0" in err
+
+
+def test_reduce_zero_divisor_is_a_user_error(capsys):
+    # T2b divides by a1: a1 = 0 escaped as a ZeroDivisionError traceback
+    code, _, err = run_cli(["reduce", "--system", "T2b", "--alpha", "1",
+                            "--gamma", "0.1", "--a1", "0", "--a4", "0.7",
+                            "--span", "0", "1"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "divides by a1" in err

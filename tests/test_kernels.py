@@ -196,28 +196,48 @@ def _fields(u, v, w, params):
     return Solution(evaluate=lambda t, x: (u(x), v(x), w(x)), params=params)
 
 
-def test_q1_flow_commutes_with_simulation():
-    # Q1 is affine in the fields and independent of t, so in its admissible
-    # case the semi-discrete system carries it exactly: simulating the
-    # flowed data must give the flowed simulation up to roundoff.  The
+def _assert_flow_commutes(p, case, kind, eps):
+    # a flow that is affine in the fields and independent of t is carried
+    # exactly by the semi-discrete system in its admissible case: simulating
+    # the flowed data must give the flowed simulation up to roundoff.  The
     # zero-flux ghost rows are part of that system.
-    p = Params(0.5, 1.0, 2.0, 3.0, 1.5, 1.0, 1.0, 4.0)
-    q1, = [op for case, ops in symmetry.admissible_ops(p) if case.case == 4
-           for op in ops]
-    assert q1.kind == "Q1"
+    op, = [op for c, ops in symmetry.admissible_ops(p) if c.case == case
+           for op in ops if op.kind == kind]
     grid = calculus.SpaceGrid(-10.0, 10.0, 201)
     x = grid.x()
     F0 = _fields(lambda x: 0.5 + 0.3 * np.tanh(x),
                  lambda x: 0.2 * np.exp(-x * x),
                  lambda x: 0.6 + 0.2 * np.cos(x), p)
-    eps = 0.4
-    lhs = _zero_flux_run(p, symmetry.flow(q1, eps, F0), grid)
+    lhs = _zero_flux_run(p, symmetry.flow(op, eps, F0), grid)
     end = _zero_flux_run(p, F0, grid)
-    rhs = np.stack(symmetry.flow(q1, eps, _fields(
+    rhs = np.stack(symmetry.flow(op, eps, _fields(
         lambda x: end[0], lambda x: end[1], lambda x: end[2], p)
     ).evaluate(1.0, x))
     assert np.abs(lhs - end).max() > 1e-2  # the flow moved the fields
     np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
+
+
+def test_q1_flow_commutes_with_simulation():
+    _assert_flow_commutes(Params(0.5, 1.0, 2.0, 3.0, 1.5, 1.0, 1.0, 4.0),
+                          4, "Q1", 0.4)
+
+
+_AFFINE_FLOWS = [
+    (1, "I", Params(0.0, 1.5, 0.0, 2.0, 0.0, 1.0, 2.0, 3.0)),
+    (5, "UdV", Params(0.0, 1.0, 2.0, 3.0, 0.0, 1.0, 1.0, 4.0)),
+    (8, "WdV_minus_a4WdW", Params(0.0, 0.0, 0.0, 3.0, 0.0, 1.0, 2.0, 2.0)),
+    (10, "Case10Op", Params(0.0, 2.0, 0.0, 1.0, 0.0, 1.5, 1.5, 1.5)),
+    (12, "Case12_WdV_minus_WdW", Params(0.0, 0.0, 0.0, 1.0, 0.0, 1.5, 1.5,
+                                        1.5)),
+    (12, "Case12_UdV_plus_1mUdW", Params(0.0, 0.0, 0.0, 1.0, 0.0, 1.5, 1.5,
+                                         1.5)),
+]
+
+
+@pytest.mark.parametrize("case,kind,params", _AFFINE_FLOWS,
+                         ids=[kind for _, kind, _ in _AFFINE_FLOWS])
+def test_affine_flow_commutes_with_simulation(case, kind, params):
+    _assert_flow_commutes(params, case, kind, 0.4)
 
 
 def test_space_reflection_commutes_with_simulation():
@@ -251,9 +271,10 @@ def test_zero_flux_conserves_mass():
 
 
 def test_ode_rhs_paths_agree(rng):
-    # each system's first-order right-hand side: single nodes and a whole
-    # (dim, n) grid agree bit for bit, and a second-order system's even
-    # rows are the state's odd ones
+    # each system's first-order right-hand side: single nodes (as an
+    # ndarray or as the stepping loops' list of floats) and a whole (dim, n)
+    # grid agree bit for bit, and a second-order system's even rows are the
+    # state's odd ones
     for spec in reduction.SYSTEMS.values():
         c = tuple(rng.uniform(0.5, 2.0, len(spec.coeffs)))
         ys = rng.uniform(-1, 1, (spec.dim, 7))
@@ -265,6 +286,9 @@ def test_ode_rhs_paths_agree(rng):
         for i in range(xs.size):
             node = spec.first_order(xs[i], ys[:, i].copy(), *c)
             np.testing.assert_array_equal(node, grid[:, i])
+            listed = spec.first_order(float(xs[i]), ys[:, i].tolist(), *c)
+            assert type(listed) is list
+            assert np.array(listed).tobytes() == node.tobytes()
 
 
 def test_benchmark_harness_finds_what_it_wraps(monkeypatch):

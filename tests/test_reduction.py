@@ -49,6 +49,17 @@ def test_reduced_system_coefficient_checking():
             "R58", alpha=1.0, params=Params(1, 1, 1, 1, 1, d1=2.0))
 
 
+@pytest.mark.parametrize("sid,name", [("R35", "d"), ("R47", "d"),
+                                      ("T2b", "a1")])
+def test_zero_divisor_rejected_by_name(sid, name):
+    # a zero divisor used to reach the integrator: R35 and R47 ended in a
+    # step-size underflow, T2b in an uncaught ZeroDivisionError
+    kw = {k: _SAMPLE_COEFFS[k] for k in reduction.SYSTEMS[sid].arguments}
+    kw[name] = 0.0
+    with pytest.raises(ConstraintError, match=f"divides by {name}"):
+        reduction.reduced_system(sid, **kw)
+
+
 def test_integrate_r38_matches_closed_form():
     a1, a4, beta = 0.5, 0.7, 0.3
     d1, d2v = 1.3, 0.4
@@ -398,3 +409,146 @@ def test_semi_exact_family_profile_validation_rejects_garbage():
     with pytest.raises(NumericalError, match="residual check"):
         fam, traj = reduction.semi_exact_family(
             "51", a3=0.7, beta=0.1, window=(-6.0, 6.0), step=0.5)
+
+
+# ---------------------------------------------------------------------------
+# the stepping loops on numpy state vectors, as they were before they moved
+# to Python floats: test-only references that pin the float loops bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _reference_integrate(sys, y0, span, rel_tol=1e-9, abs_tol=1e-12,
+                         max_step=None):
+    """(xs, ys, fs) of the numpy Fehlberg loop with `integrate`'s step
+    control, which evaluated k[0] afresh at every attempt."""
+    x0, x1 = float(span[0]), float(span[1])
+    y = np.asarray(y0, dtype=float)
+    direction = 1.0 if x1 > x0 else -1.0
+    total = abs(x1 - x0)
+    hmax = total if max_step is None else min(abs(max_step), total)
+    h = min(hmax, total / 100.0, 0.1)
+    x = x0
+    xs, yss, fss = [x], [y.copy()], [sys.rhs(x, y)]
+    err_prev = 1.0
+    k = [None] * 6
+    floor = reduction._STEP_FLOOR
+    while (x1 - x) * direction > 1e-14 * max(1.0, abs(x1)):
+        h = min(h, abs(x1 - x))
+        if h < floor * max(1.0, abs(x)):
+            raise NumericalError(
+                f"step-size underflow at {sys.ivar} = {x} "
+                f"(reached from {x0} toward {x1})")
+        hs = h * direction
+        k[0] = sys.rhs(x, y)
+        failed = False
+        for i in range(1, 6):
+            yi = y.copy()
+            for j, a in enumerate(reduction._RK_A[i]):
+                yi += hs * a * k[j]
+            if not np.isfinite(yi).all():
+                failed = True
+                break
+            k[i] = sys.rhs(x + reduction._RK_C[i] * hs, yi)
+        if not failed:
+            y5 = y.copy()
+            err = np.zeros_like(y)
+            for i in range(6):
+                y5 += hs * reduction._RK_B5[i] * k[i]
+                err += hs * reduction._RK_E[i] * k[i]
+            failed = not np.isfinite(y5).all()
+        if failed:
+            h *= 0.25
+            continue
+        scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        if err_norm <= 1.0:
+            x = x1 if abs(x1 - (x + hs)) <= floor * max(1.0, abs(x1)) \
+                else x + hs
+            y = y5
+            xs.append(x)
+            yss.append(y.copy())
+            fss.append(sys.rhs(x, y))
+            e = max(err_norm, 1e-16)
+            fac = 0.9 * e ** (-0.14) * max(err_prev, 1e-16) ** 0.08
+            err_prev = e
+            h = min(h * min(max(fac, 0.2), 5.0), hmax)
+        else:
+            h *= max(0.1, 0.9 * err_norm ** (-0.2))
+    out = [np.asarray(v) for v in (xs, yss, fss)]
+    return [v[::-1] for v in out] if direction < 0 else out
+
+
+def _reference_rk4_table(f, c, y0, x0, step, nout, out):
+    """The numpy classic RK4 table loop, with `ode_rk4_table`'s contract."""
+    y = y0
+    out[0] = y
+    for i in range(1, nout):
+        x = x0 + (i - 1) * step
+        k1 = f(x, y, *c)
+        k2 = f(x + 0.5 * step, y + (0.5 * step) * k1, *c)
+        k3 = f(x + 0.5 * step, y + (0.5 * step) * k2, *c)
+        k4 = f(x + step, y + step * k3, *c)
+        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i] = y
+
+
+def _sample_system(sid):
+    spec = reduction.SYSTEMS[sid]
+    sys = reduction.reduced_system(
+        sid, **{k: _SAMPLE_COEFFS[k] for k in spec.arguments})
+    y0 = np.linspace(0.9, 0.2, sys.dim)
+    y0[-1] = -0.0  # a signed zero must come through as the numpy loop left it
+    return sys, y0
+
+
+def _assert_bitwise(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()  # signed zeros included
+
+
+_PINNED_RUNS = [(sid, (0.0, end), None) for sid in sorted(reduction.SYSTEMS)
+                for end in (1.0, -1.0)] + [
+    ("R38", (0.0, 3.0), 0.002),  # equal steps, the last snapped onto 3.0
+    ("L36", (0.0, -7.0), 0.01),
+]
+
+
+@pytest.mark.parametrize("sid,span,max_step", _PINNED_RUNS)
+def test_integrate_matches_numpy_loop_bitwise(sid, span, max_step):
+    sys, y0 = _sample_system(sid)
+    traj = reduction.integrate(sys, y0, span, max_step=max_step)
+    _assert_bitwise((traj.xs, traj.ys, traj.fs),
+                    _reference_integrate(sys, y0, span, max_step=max_step))
+
+
+def test_integrate_blowup_matches_numpy_loop():
+    sys = _r38(a1=1.0, a4=1.0, a3=1.0, beta=0.0)
+    y0, span = (0.0, -50.0, 0.0), (0.0, 10.0)
+    with pytest.raises(NumericalError) as want:
+        _reference_integrate(sys, y0, span)
+    with pytest.raises(NumericalError) as got:
+        reduction.integrate(sys, y0, span)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("sid", sorted(reduction.SYSTEMS))
+def test_dense_profile_matches_numpy_loop_bitwise(sid, monkeypatch):
+    # the window reaches both ways from the anchor: a forward and a
+    # backward table
+    sys, y0 = _sample_system(sid)
+    got = reduction.dense_profile(sys, y0, 0.2, -1.0, 1.0, step=5e-3)
+    monkeypatch.setattr(reduction, "ode_rk4_table", _reference_rk4_table)
+    want = reduction.dense_profile(sys, y0, 0.2, -1.0, 1.0, step=5e-3)
+    _assert_bitwise((got.xs, got.ys, got.fs), (want.xs, want.ys, want.fs))
+
+
+def test_rk4_table_takes_an_ndarray_state():
+    # the benchmark harness hands the kernel `ReducedSystem.code` with an
+    # ndarray initial state and output table
+    sys, y0 = _sample_system("R58")
+    got, want = np.empty((101, 6)), np.empty((101, 6))
+    reduction.ode_rk4_table(sys.code, sys.kcoeffs, y0, -0.5, 0.01, 101, got)
+    _reference_rk4_table(sys.code, sys.kcoeffs, y0, -0.5, 0.01, 101, want)
+    assert np.isfinite(got).all()
+    _assert_bitwise((got,), (want,))
