@@ -130,9 +130,8 @@ def sample(sol, grid: SpaceGrid, t: float) -> FieldState:
             arrays.append(np.zeros(grid.n))
             continue
         arr = np.broadcast_to(np.asarray(arr, dtype=float), (grid.n,)).copy()
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            i = int(np.argmax(bad))
+        if not np.isfinite(arr).all():
+            i = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise NumericalError(
                 f"non-finite {name} sample at t = {t}, x = {x[i]}"
             )
@@ -140,10 +139,11 @@ def sample(sol, grid: SpaceGrid, t: float) -> FieldState:
     return FieldState(grid=grid, t=t, u=arrays[0], v=arrays[1], w=arrays[2])
 
 
-def _norms(r: np.ndarray) -> tuple[float, float]:
-    linf = float(np.max(np.abs(r)))
+def _norms(r: np.ndarray, buf: np.ndarray) -> tuple[float, float]:
+    """(max |r|, sqrt(mean r^2)); `buf`, shaped like r, is overwritten."""
+    linf = float(np.max(np.abs(r, out=buf)))
     # ufunc reduce: fixed order, never multi-threaded
-    l2 = float(math.sqrt(np.add.reduce(r * r) / r.size))
+    l2 = float(math.sqrt(np.add.reduce(np.multiply(r, r, out=buf)) / r.size))
     return linf, l2
 
 
@@ -167,24 +167,37 @@ def residual_from_states(
     The three states must share one grid and be centered at mid.t with
     spacing dt.  Exposed separately so externally stored samples (CSV
     round trips) reproduce in-process residuals exactly.
+
+    Each equation is formed in place in one row buffer, with one scratch
+    row, in the fixed order
+    ((f[:-2] - 2 f[1:-1]) + f[2:]) / h^2 * d_k - (f2 - f0) / (2 dt) + C_k;
+    another order changes the last bits.  `fields` (NaN rows for
+    undefined components) is allocated only when asked for.
     """
     grid = mid.grid
     h = grid.h
-    F0 = before.stack()
-    F1 = mid.stack()
-    F2 = after.stack()
-    lap = (F1[:, :-2] - 2.0 * F1[:, 1:-1] + F1[:, 2:]) / (h * h)
-    ddt = (F2[:, 1:-1] - F0[:, 1:-1]) / (2.0 * dt)
-    rates = p.reaction(F1[0, 1:-1], F1[1, 1:-1], F1[2, 1:-1])
+    hh = h * h
+    two_dt = 2.0 * dt
+    rates = p.reaction(mid.u[1:-1], mid.v[1:-1], mid.w[1:-1])
     dco = p.diffusivities
-    eqs = _equations_for(components)
     linf: list = [None, None, None]
     l2: list = [None, None, None]
-    fields = np.full((3, grid.n - 2), np.nan)
-    for k in eqs:
-        r = dco[k] * lap[k] - ddt[k] + rates[k]
-        fields[k] = r
-        linf[k], l2[k] = _norms(r)
+    fields = np.full((3, grid.n - 2), np.nan) if return_fields else None
+    r, buf = np.empty((2, grid.n - 2))
+    for k in _equations_for(components):
+        f0, f1, f2 = (getattr(s, "uvw"[k]) for s in (before, mid, after))
+        if return_fields:
+            r = fields[k]
+        np.multiply(2.0, f1[1:-1], out=buf)
+        np.subtract(f1[:-2], buf, out=r)
+        r += f1[2:]
+        r /= hh
+        r *= dco[k]
+        np.subtract(f2[1:-1], f0[1:-1], out=buf)
+        buf /= two_dt
+        r -= buf
+        r += rates[k]
+        linf[k], l2[k] = _norms(r, buf)
     report = ResidualReport(linf=tuple(linf), l2=tuple(l2), h=h, dt=dt,
                             meta={"t": mid.t})
     if return_fields:
@@ -272,8 +285,10 @@ def ode_residual(system, profile_fn, window, h: float,
     r = system.equation_residuals(x[1:-1], vals[:, 1:-1], d1, d2)
     linf = []
     l2 = []
-    for row in np.atleast_2d(r):
-        a, b = _norms(row)
+    rows = np.atleast_2d(r)
+    buf = np.empty(rows.shape[1])
+    for row in rows:
+        a, b = _norms(row, buf)
         linf.append(a)
         l2.append(b)
     report = ResidualReport(linf=tuple(linf), l2=tuple(l2), h=hh, dt=0.0,

@@ -44,6 +44,10 @@ R2_RELIABLE = 0.999
 # the time step per unit of grid spacing, unless h^2 / d_max is smaller
 DT_PER_H = 0.02
 
+# the most steps one run may take, and the most float64 values it may store
+# in snapshots and boundary tables (400 MB)
+MAX_STORED = 50_000_000
+
 
 @dataclass(frozen=True)
 class BoundaryCondition:
@@ -157,6 +161,25 @@ def _bc_mode_table(config: SimConfig, dt: float, nsteps: int):
     return 0, table
 
 
+def _check_storage(config: SimConfig, steps: float) -> None:
+    """Reject, before anything is allocated, a run of about `steps` steps
+    if the steps or the values its snapshots and boundary table hold
+    exceed `MAX_STORED`."""
+    stored = math.inf
+    if math.isfinite(steps):
+        every = min(config.snapshot_every, max(steps, 1.0))
+        stored = (steps / every + 2.0) * 3 * config.grid.n
+        if config.bc.kind == "pinned-to-exact":
+            stored += 6.0 * steps
+    if max(steps, stored) > MAX_STORED:
+        raise ConstraintError(
+            f"t_end = {config.t_end!r} needs {steps:.4g} steps and "
+            f"{stored:.4g} stored values (snapshot_every = "
+            f"{config.snapshot_every}, n = {config.grid.n}), above the "
+            f"limit of {MAX_STORED:,} for each; shorten t_end or raise "
+            f"snapshot_every")
+
+
 def run(config: SimConfig) -> SimRun:
     """Integrate the semi-discrete system; snapshots every
     `snapshot_every` steps plus the final state.
@@ -171,6 +194,7 @@ def run(config: SimConfig) -> SimRun:
     dt0 = min(DT_PER_H * grid.h,
               grid.h * grid.h / max(config.params.diffusivities))
     span = config.t_end - config.t0
+    _check_storage(config, span / dt0)
     nsteps = max(1, int(math.ceil(span / dt0 - 1e-12)))
     dt = span / nsteps
     F = _initial_fields(config)

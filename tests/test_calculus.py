@@ -1,5 +1,6 @@
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hgf import calculus, model, reduction, solutions, symmetry
 from hgf.calculus import SpaceGrid
 from hgf.errors import ConstraintError, NumericalError
 from hgf.model import Params, Solution
+from test_acceptance import _criterion1_instances, _criterion6_cases
 
 
 def _const_sampler(u, v, w):
@@ -266,3 +268,111 @@ def test_w_profiles_satisfy_third_equation(case, a3, a4):
     assert 1.8 <= rep.order_estimate[2] <= 2.2
     # the v-equation is forced (V = 0 is not a solution there)
     assert abs(rep.order_estimate[1]) < 0.5
+
+
+# ---------------------------------------------------------------------------
+# the row-buffer residual operator against the stacked form it replaced
+# ---------------------------------------------------------------------------
+
+def _stacked_residual(p, before, mid, after, dt, components=None):
+    """The earlier `residual_from_states`, kept as a test-only reference:
+    (3, n) stacked copies, whole-block stencils and temporary norms.
+    Returns (linf, l2, fields)."""
+    h = mid.grid.h
+    F0, F1, F2 = (s.stack() for s in (before, mid, after))
+    lap = (F1[:, :-2] - 2.0 * F1[:, 1:-1] + F1[:, 2:]) / (h * h)
+    ddt = (F2[:, 1:-1] - F0[:, 1:-1]) / (2.0 * dt)
+    rates = p.reaction(F1[0, 1:-1], F1[1, 1:-1], F1[2, 1:-1])
+    dco = p.diffusivities
+    linf: list = [None, None, None]
+    l2: list = [None, None, None]
+    fields = np.full((3, mid.grid.n - 2), np.nan)
+    for k in calculus._equations_for(components):
+        r = dco[k] * lap[k] - ddt[k] + rates[k]
+        fields[k] = r
+        linf[k] = float(np.max(np.abs(r)))
+        l2[k] = float(math.sqrt(np.add.reduce(r * r) / r.size))
+    return tuple(linf), tuple(l2), fields
+
+
+def _pin_cases():
+    """(name, params, sampler, window, components): the criterion-1
+    families, the criterion-6 flows, a semi-exact family with only some
+    components checked, and seeded tf63 draws like the sweep's."""
+    cases = [(name, fam.params, fam, window, None)
+             for name, fam, window in _criterion1_instances()]
+    cases += [(name, base.params, symmetry.flow(op, 0.3, base), window, None)
+              for name, base, op, window in _criterion6_cases()]
+    fam50, _ = reduction.semi_exact_family(
+        "50", a4=0.5, beta=0.3, gamma=0.2, window=(-24.0, 24.0),
+        anchor=-24.0)
+    window = (0.5, -20.0 + fam50.speed * 0.5, 20.0 + fam50.speed * 0.5)
+    cases += [("semi50 " + "".join(c), fam50.params, fam50, window, c)
+              for c in (("v",), ("u", "w"))]
+    rng = np.random.default_rng(9)
+    while len(cases) < 20:
+        a1, delta = rng.uniform(-0.5, 1.2), rng.uniform(0.05, 1.5)
+        a3, d3 = rng.uniform(-0.5, 2.0), rng.uniform(0.2, 5.0)
+        if a1 * delta >= 0.5:
+            continue
+        vals = solutions.tf63_parameter_values(a1, delta, a3, d3)
+        if vals["d2"] > 0 and vals["a2"] >= 0 and vals["a5"] >= 0:
+            inst = solutions.make_tf63(a1, delta, a3=a3, d3=d3)
+            cases.append((f"tf63 draw {len(cases)}", inst.params, inst,
+                          (0.0, -25.0, 25.0), None))
+    return cases
+
+
+def _same_bits(a, b):
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("h", [4e-3, 1e-3])
+def test_residual_matches_stacked_form_bitwise(h):
+    for name, p, sol, (t, x_min, x_max), comps in _pin_cases():
+        grid = SpaceGrid.from_spacing(x_min, x_max, h)
+        dt = grid.h
+        states = [calculus.sample(sol, grid, tt) for tt in (t - dt, t, t + dt)]
+        if comps is None:
+            comps = getattr(sol, "components", None)
+        linf, l2, fields = _stacked_residual(p, *states, dt, comps)
+        rep = calculus.residual_from_states(p, *states, dt, components=comps)
+        rep_f, got = calculus.residual_from_states(
+            p, *states, dt, components=comps, return_fields=True)
+        for r in (rep, rep_f):
+            assert r.linf == linf and r.l2 == l2, name
+        assert _same_bits(got, fields), name
+
+
+def test_residual_leaves_states_alone_and_fields_unshared(tf63_std):
+    grid = SpaceGrid(-5.0, 5.0, 1001)
+    dt = grid.h
+    states = [calculus.sample(tf63_std, grid, t) for t in (-dt, 0.0, dt)]
+    kept = [s.stack() for s in states]
+    _, f1 = calculus.residual_from_states(tf63_std.params, *states, dt,
+                                          return_fields=True)
+    _, f2 = calculus.residual_from_states(tf63_std.params, *states, dt,
+                                          return_fields=True)
+    for s, k in zip(states, kept):
+        assert np.array_equal(s.stack(), k)
+    assert np.array_equal(f1, f2)
+    assert not np.shares_memory(f1, f2)
+    for s in states:
+        for row in (s.u, s.v, s.w):
+            assert not np.shares_memory(f1, row)
+
+
+def test_residual_peak_allocation_is_a_few_rows(tf63_std):
+    # the stacked form peaked at 24 rows of n; each fresh row page-faults
+    grid = SpaceGrid(-25.0, 25.0, 25001)
+    dt = grid.h
+    states = [calculus.sample(tf63_std, grid, t) for t in (-dt, 0.0, dt)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        calculus.residual_from_states(tf63_std.params, *states, dt)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * grid.n * 8

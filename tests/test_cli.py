@@ -167,6 +167,22 @@ def test_simulate_rejects_non_finite_bounds(tmp_path, capsys, block, key,
     assert err.startswith("error:") and "finite" in err
 
 
+@pytest.mark.parametrize("t_end", [1e300, 1e9])
+def test_simulate_rejects_unholdable_run_by_name(tmp_path, capsys, t_end):
+    # the snapshot schedule used to be built first, so a huge t_end died
+    # in range() with Python's own traceback
+    config = {"family": {"key": "fisher"},
+              "grid": {"x_min": -10.0, "x_max": 10.0, "n": 201},
+              "time": {"t_end": t_end}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, err = run_cli(["simulate", "--config", str(cfg_path), "--out",
+                            str(tmp_path / "run"), "--quiet"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "t_end" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("block,key,value", [("grid", "n", 51.7),
                                              ("grid", "n", "51"),
                                              ("time", "snapshot_every", "10"),

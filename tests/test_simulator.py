@@ -66,6 +66,26 @@ def test_non_finite_times_rejected(t0, t_end):
                             t0=t0, initial=(None, None, None))
 
 
+@pytest.mark.parametrize("t_end,every,bc", [
+    (1e300, 100, None),
+    (1e300, 10**400, None),  # few snapshots, but too many steps
+    (1e308, 10**400, None),  # the step count overflows to inf
+    (2e4, 100, None),  # 1e7 steps: the snapshots hold too many values
+    (2e4, 10**9, "pinned"),  # the boundary table holds too many values
+])
+def test_unholdable_run_rejected_before_allocating(t_end, every, bc):
+    fam = solutions.fisher_tf()
+    grid = SpaceGrid(-10.0, 10.0, 201)
+    kw = {}
+    if bc == "pinned":
+        kw["bc"] = simulator.BoundaryCondition(kind="pinned-to-exact",
+                                               family=fam)
+    cfg = simulator.SimConfig(params=fam.params, grid=grid, t_end=t_end,
+                              initial=fam, snapshot_every=every, **kw)
+    with pytest.raises(ConstraintError, match="t_end"):
+        simulator.run(cfg)
+
+
 def test_zero_initial_stays_zero():
     p = Params(1, 1, 1, 1, 1)
     n = 41
