@@ -7,7 +7,8 @@ JSON reports validating against `REPORT_SCHEMA`.
 
 Exit codes: 0 success, 1 constraint/validation error (the message names
 the violated constraint), 2 numerical failure (blow-up, missing level
-crossing, step underflow).
+crossing, step underflow), 3 internal error (an exception no input check
+caught: a bug in hgf, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -61,46 +62,15 @@ REPORT_SCHEMA = {
 PARAM_KEYS = ("a1", "a2", "a3", "a4", "a5", "d1", "d2", "d3")
 
 
-def _finite_or_none(x):
-    if x is None:
-        return None
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
 def residual_block(report: calculus.ResidualReport) -> dict:
-    block = {
-        "linf": [_finite_or_none(v) for v in report.linf],
-        "l2": [_finite_or_none(v) for v in report.l2],
-        "h": report.h,
-        "dt": report.dt,
-    }
+    block = {"linf": report.linf, "l2": report.l2, "h": report.h,
+             "dt": report.dt}
     if report.order_estimate is not None:
-        block["order"] = [_finite_or_none(o) for o in report.order_estimate]
+        block["order"] = report.order_estimate
     if report.history:
-        block["history"] = [
-            {"h": h, "dt": dt,
-             "linf": [_finite_or_none(v) for v in linf],
-             "l2": [_finite_or_none(v) for v in l2]}
-            for h, dt, linf, l2 in report.history
-        ]
+        block["history"] = [{"h": h, "dt": dt, "linf": linf, "l2": l2}
+                            for h, dt, linf, l2 in report.history]
     return block
-
-
-def make_report(command: str, inputs: dict, results: dict,
-                residual: dict | None = None, speed: dict | None = None,
-                warnings=()) -> dict:
-    report = {
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-        "warnings": list(warnings),
-    }
-    if residual is not None:
-        report["residual"] = residual
-    if speed is not None:
-        report["speed"] = speed
-    return report
 
 
 def validate_report(report: dict) -> None:
@@ -118,13 +88,39 @@ def validate_report(report: dict) -> None:
     jsonschema.validate(report, REPORT_SCHEMA)
 
 
-def _emit_report(report: dict, out: str | None) -> None:
+def _jsonable(obj):
+    """`obj` as JSON data; a non-finite float becomes null."""
+    if isinstance(obj, dict):
+        return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        return float(obj) if math.isfinite(obj) else None
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return [_jsonable(v) for v in obj.tolist()]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return _jsonable(dataclasses.asdict(obj))
+    if callable(obj):
+        return repr(obj)
+    return obj
+
+
+def _emit(command: str, out: str | None, inputs: dict, results: dict,
+          warnings=(), **blocks) -> int:
+    """Write one validated report, with the optional `residual` and
+    `speed` blocks, to the file `out` or to stdout."""
+    report = _jsonable({"command": command, "inputs": inputs,
+                        "results": results, "warnings": list(warnings),
+                        **blocks})
     validate_report(report)
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -132,21 +128,17 @@ def _emit_report(report: dict, out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x) -> str:
-    return "" if x is None else format(float(x), ".17g")
-
-
-def write_fields_csv(fh, t, x, vals) -> int:
-    """Rows t,x,u,v,w; undefined components print as empty cells."""
-    cols = [None if v is None else np.broadcast_to(
-        np.asarray(v, dtype=float), np.shape(x)) for v in vals]
-    rows = 0
-    for i in range(len(x)):
-        cells = [_fmt(t), _fmt(x[i])]
-        cells.extend("" if c is None else _fmt(c[i]) for c in cols)
-        fh.write(",".join(cells) + "\n")
-        rows += 1
-    return rows
+def write_columns(fh, cols) -> int:
+    """One CSV row per index of `cols`, broadcast to a common length, and
+    the number of rows.  Every value prints with 17 significant digits,
+    which round-trip float64; a None column prints as empty cells."""
+    given = np.broadcast_arrays(*(np.asarray(c, dtype=float)
+                                  for c in cols if c is not None))
+    n = len(given[0])
+    text = iter([format(v, ".17g") for v in a.tolist()] for a in given)
+    cells = [[""] * n if c is None else next(text) for c in cols]
+    fh.writelines(",".join(row) + "\n" for row in zip(*cells))
+    return n
 
 
 def write_snapshots_csv(path, snapshots) -> int:
@@ -154,7 +146,7 @@ def write_snapshots_csv(path, snapshots) -> int:
     with open(path, "w") as fh:
         fh.write("t,x,u,v,w\n")
         for s in snapshots:
-            rows += write_fields_csv(fh, s.t, s.grid.x(), (s.u, s.v, s.w))
+            rows += write_columns(fh, (s.t, s.grid.x(), s.u, s.v, s.w))
     return rows
 
 
@@ -374,12 +366,30 @@ def _family(key: str) -> Family:
     return FAMILIES[key]
 
 
+def _flag(name: str) -> str:
+    return f"--{name.replace('_', '-')}"
+
+
+def _overlay(vals: dict, args, names, source: str) -> list[str]:
+    """Put each flag in `names` that was given over `vals`, in place, and
+    return a warning for each value of the `source` that a flag changed."""
+    warnings = []
+    for name in names:
+        v = getattr(args, name, None)
+        if v is None:
+            continue
+        if name in vals and vals[name] != v:
+            warnings.append(f"flag {_flag(name)} = {v} overrides {source} "
+                            f"value {vals[name]}")
+        vals[name] = v
+    return warnings
+
+
 def _family_from_args(args, config) -> tuple[str, model.Solution,
                                               list[str]]:
     """Family key, the built family and warnings; flags win over config
     with a warning.  A value the family does not take is rejected, not
     dropped."""
-    warnings: list[str] = []
     params = dict(config.get("family", {})) if config else {}
     key = getattr(args, "family", None) or params.get("key")
     params.pop("key", None)
@@ -391,20 +401,13 @@ def _family_from_args(args, config) -> tuple[str, model.Solution,
     if ignored:
         raise ConstraintError(
             f"config family {key} does not take keys {ignored}")
-    for name in _FAMILY_FLAGS + _PROFILE_FLAGS:
-        val = getattr(args, name, None)
-        if val is None:
-            continue
-        flag = f"--{name.replace('_', '-')}"
-        if name not in takes:
-            ignored.append(flag)
-        elif name in params and params[name] != val:
-            warnings.append(
-                f"flag {flag} = {val} overrides config value {params[name]}")
-        params[name] = val
+    flags = _FAMILY_FLAGS + _PROFILE_FLAGS
+    ignored = [_flag(n) for n in flags
+               if n not in takes and getattr(args, n, None) is not None]
     if ignored:
         raise ConstraintError(
             f"family {key} does not take {', '.join(ignored)}")
+    warnings = _overlay(params, args, flags, "config")
     return key, build_family(key, params), warnings
 
 
@@ -425,15 +428,12 @@ def build_family(key: str, fp: dict):
 
 def _cmd_catalog(args, config) -> int:
     if args.json:
-        report = make_report(
-            "catalog", {}, {
-                "families": {k: f.listing() for k, f in FAMILIES.items()},
-                "symmetry_cases": [
-                    {"case": c.case, "label": c.label} for c in symmetry.CASES
-                ],
-            })
-        _emit_report(report, args.out)
-        return 0
+        return _emit("catalog", args.out, {}, {
+            "families": {k: f.listing() for k, f in FAMILIES.items()},
+            "symmetry_cases": [
+                {"case": c.case, "label": c.label} for c in symmetry.CASES
+            ],
+        })
     print("solution families:")
     for key, f in FAMILIES.items():
         params = ", ".join(f.params) or "-"
@@ -450,12 +450,10 @@ def _cmd_eval(args, config) -> int:
         raise ConstraintError("--n must be >= 1")
     x = np.linspace(args.xmin, args.xmax, args.n)
     vals = fam.evaluate(args.t, x)
-    vals = tuple(None if v is None else np.broadcast_to(
-        np.asarray(v, float), x.shape) for v in vals)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         out.write("t,x,u,v,w\n")
-        write_fields_csv(out, args.t, x, vals)
+        write_columns(out, (args.t, x, *vals))
     finally:
         if args.out:
             out.close()
@@ -464,33 +462,34 @@ def _cmd_eval(args, config) -> int:
     return 0
 
 
+def _window(args, key, fam) -> tuple[float, float]:
+    """The residual window: the --window flag or the family's default."""
+    return tuple(args.window) if args.window \
+        else FAMILIES[key].default_window(fam, args.t)
+
+
 def _cmd_residual(args, config) -> int:
     key, fam, warns = _family_from_args(args, config)
-    t = args.t
-    window = tuple(args.window) if args.window \
-        else FAMILIES[key].default_window(fam, t)
+    t, window = args.t, _window(args, key, fam)
     if args.refine:
-        rep = calculus.refinement_study(fam.params, fam,
-                                        (t, window[0], window[1]), args.h_seq)
+        rep = calculus.refinement_study(fam.params, fam, (t, *window),
+                                        args.h_seq)
     else:
         h = args.h
         dt = h if args.dt is None else args.dt
         grid = calculus.SpaceGrid.from_spacing(window[0], window[1], h)
         rep = calculus.pde_residual(fam.params, fam, grid, t, dt)
-    inputs = {"family": key, "family_params": fam.meta,
-              "t": t, "window": list(window)}
-    results = {"params": {k: getattr(fam.params, k) for k in PARAM_KEYS},
-               "components": list(fam.components)}
-    report = make_report("residual", _jsonable(inputs), _jsonable(results),
-                         residual=residual_block(rep),
-                         warnings=(*warns, *fam.warnings))
-    _emit_report(report, args.out)
-    return 0
+    return _emit("residual", args.out,
+                 {"family": key, "family_params": fam.meta, "t": t,
+                  "window": window},
+                 {"params": fam.params, "components": fam.components},
+                 (*warns, *fam.warnings), residual=residual_block(rep))
 
 
 def _bc_from_config(cfg_bc, fam) -> simulator.BoundaryCondition:
+    """The config's bc block; `BoundaryCondition` checks the kind."""
     if cfg_bc is None:
-        if fam is not None and fam.endpoint_states is not None:
+        if fam.endpoint_states is not None:
             return simulator.dirichlet_at_endpoints(fam)
         return simulator.BoundaryCondition("neumann-zero")
     kind = cfg_bc.get("kind")
@@ -504,13 +503,7 @@ def _bc_from_config(cfg_bc, fam) -> simulator.BoundaryCondition:
         return simulator.BoundaryCondition(
             "dirichlet", left=tuple(cfg_bc["left"]),
             right=tuple(cfg_bc["right"]))
-    if kind == "neumann-zero":
-        return simulator.BoundaryCondition("neumann-zero")
-    if kind == "pinned-to-exact":
-        if fam is None:
-            raise ConstraintError("pinned-to-exact bc needs a family")
-        return simulator.BoundaryCondition("pinned-to-exact", family=fam)
-    raise ConstraintError(f"unknown bc kind {kind!r}")
+    return simulator.BoundaryCondition(kind, family=fam)
 
 
 def _cmd_simulate(args, config) -> int:
@@ -544,22 +537,19 @@ def _cmd_simulate(args, config) -> int:
         t0=tm.get("t0", 0.0),
         bc=_bc_from_config(config.get("bc"), fam),
         snapshot_every=tm.get("snapshot_every", 100))
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     run = simulator.run(cfg)
+    outdir = Path(args.out)  # made only for a run that succeeded
+    outdir.mkdir(parents=True, exist_ok=True)
     rows = write_snapshots_csv(outdir / "snapshots.csv", run.snapshots)
-    results = {
-        "steps": run.steps, "dt": run.dt, "snapshots": len(run.snapshots),
-        "csv_rows": rows, "rhs_evaluations": run.rhs_evaluations,
-        "params": {k: getattr(fam.params, k) for k in PARAM_KEYS},
-    }
-    inputs = {"config": str(args.config), "family": key,
-              "grid": {"x_min": grid.x_min, "x_max": grid.x_max,
-                       "n": grid.n, "h": grid.h},
-              "time": dict(tm)}
-    report = make_report("simulate", _jsonable(inputs), _jsonable(results),
-                         warnings=(*warns, *fam.warnings))
-    _emit_report(report, str(outdir / "report.json"))
+    _emit("simulate", str(outdir / "report.json"),
+          {"config": str(args.config), "family": key,
+           "grid": {"x_min": grid.x_min, "x_max": grid.x_max, "n": grid.n,
+                    "h": grid.h},
+           "time": tm},
+          {"steps": run.steps, "dt": run.dt, "snapshots": len(run.snapshots),
+           "csv_rows": rows, "rhs_evaluations": run.rhs_evaluations,
+           "params": fam.params},
+          (*warns, *fam.warnings))
     if not args.quiet:
         print(f"wrote {outdir / 'snapshots.csv'} ({rows} rows) and "
               f"{outdir / 'report.json'}")
@@ -576,28 +566,19 @@ def _cmd_speed(args, config) -> int:
         f"fit quality r^2 = {est.r_squared} below "
         f"{simulator.R2_RELIABLE}: estimate unreliable"
     ]
-    inputs = {"run": str(rundir), "component": args.component,
-              "level": args.level, "fit_window": list(est.fit_window),
-              "snapshots": len(snaps)}
-    report = make_report("speed", _jsonable(inputs),
-                         {"n_snapshots": len(snaps)},
-                         speed=_jsonable(est.as_dict()), warnings=warns)
-    _emit_report(report, args.out)
-    return 0
+    return _emit("speed", args.out,
+                 {"run": str(rundir), "component": args.component,
+                  "level": args.level, "fit_window": est.fit_window,
+                  "snapshots": len(snaps)},
+                 {"n_snapshots": len(snaps)}, warns, speed=est.as_dict())
 
 
 def _params_from_args(args, config) -> tuple[model.Params, list[str]]:
-    warns: list[str] = []
     vals = dict(config.get("params", {})) if config else {}
-    if getattr(args, "params_file", None):
+    if args.params_file:
         vals.update(_load_params_file(args.params_file, PARAM_KEYS,
                                       "params", run_config=True))
-    for k in PARAM_KEYS:
-        v = getattr(args, f"p_{k}", None)
-        if v is not None:
-            if k in vals and vals[k] != v:
-                warns.append(f"flag --{k} = {v} overrides file value {vals[k]}")
-            vals[k] = v
+    warns = _overlay(vals, args, PARAM_KEYS, "file")
     missing = [k for k in ("a1", "a2", "a3", "a4", "a5") if k not in vals]
     if missing:
         raise ConstraintError(f"symmetry list needs coefficients {missing}")
@@ -615,38 +596,26 @@ def _cmd_symmetry(args, config) -> int:
             ops_flat.extend(n for n in names if n not in ops_flat)
             cases.append({"case": case.case, "label": case.label,
                           "operators": names})
-        report = make_report(
-            "symmetry-list",
-            _jsonable({"params": {k: getattr(p, k) for k in PARAM_KEYS}}),
-            {"operators": ops_flat, "cases": cases}, warnings=warns)
-        _emit_report(report, args.out)
-        return 0
+        return _emit("symmetry-list", args.out, {"params": p},
+                     {"operators": ops_flat, "cases": cases}, warns)
 
     # verify
     key, fam, warns = _family_from_args(args, config)
     op = _op_from_args(args, fam.params)
-    t = args.t
-    window = tuple(args.window) if args.window \
-        else FAMILIES[key].default_window(fam, t)
-    h = args.h
+    t, window, h = args.t, _window(args, key, fam), args.h
     before, after = symmetry.verify_flow_maps_solutions(
-        op, args.eps, fam, (t, window[0], window[1]), h)
+        op, args.eps, fam, (t, *window), h)
     results = {"op": op.kind, "eps": args.eps,
                "before": residual_block(before),
                "after": residual_block(after)}
     if args.refine:
         flowed = symmetry.flow(op, args.eps, fam)
-        rep = calculus.refinement_study(
-            fam.params, flowed, (t, window[0], window[1]),
-            args.h_seq)
+        rep = calculus.refinement_study(fam.params, flowed, (t, *window),
+                                        args.h_seq)
         results["after_refined"] = residual_block(rep)
-    report = make_report("symmetry-verify",
-                         _jsonable({"family": key, "t": t,
-                                    "window": list(window), "h": h}),
-                         _jsonable(results),
-                         warnings=(*warns, *fam.warnings))
-    _emit_report(report, args.out)
-    return 0
+    return _emit("symmetry-verify", args.out,
+                 {"family": key, "t": t, "window": window, "h": h}, results,
+                 (*warns, *fam.warnings))
 
 
 def _op_from_args(args, params: model.Params) -> symmetry.SymmetryOp:
@@ -715,16 +684,11 @@ def _closed_form_R38(args, t):
 
 def _cmd_reduce(args, config) -> int:
     warns: list[str] = []
-    results: dict = {}
     if args.params_file:
         vals = _load_params_file(args.params_file, _REDUCE_COEFFS,
                                  "reduce params")
-        for name, v in vals.items():
-            if getattr(args, name, None) is None:
-                setattr(args, name, v)
-            elif getattr(args, name) != v:
-                warns.append(f"flag --{name} = {getattr(args, name)} "
-                             f"overrides file value {v}")
+        warns = _overlay(vals, args, list(vals), "file")
+        vars(args).update(vals)
     separable = args.system == "R38" and args.case is not None
     if separable:
         for name in ("a1", "beta", "delta1", "delta2"):
@@ -755,15 +719,11 @@ def _cmd_reduce(args, config) -> int:
     traj = reduction.integrate(sys_, y0, span, rel_tol=args.rel_tol,
                                abs_tol=args.abs_tol, max_step=args.max_step)
     if args.traj_out:
-        headers = _STATE_HEADERS[sys_.dim]
         with open(args.traj_out, "w") as fh:
-            fh.write(sys_.ivar + "," + ",".join(headers) + "\n")
-            for i in range(len(traj.xs)):
-                fh.write(",".join(
-                    [_fmt(traj.xs[i])] + [_fmt(v) for v in traj.ys[i]]) + "\n")
-    results.update({"system": sys_.sid, "nodes": int(len(traj.xs)),
-                    "span": list(span),
-                    "interp_error_estimate": traj.interp_error_estimate})
+            fh.write(",".join((sys_.ivar, *_STATE_HEADERS[sys_.dim])) + "\n")
+            write_columns(fh, (traj.xs, *traj.ys.T))
+    results = {"system": sys_.sid, "nodes": len(traj.xs), "span": span,
+               "interp_error_estimate": traj.interp_error_estimate}
 
     if args.verify:
         if separable:
@@ -774,34 +734,10 @@ def _cmd_reduce(args, config) -> int:
         else:
             warns.append("--verify oracle comparison is available for "
                          "R38 with --case only; skipped")
-    report = make_report(
-        "reduce",
-        _jsonable({"system": sys_.sid, "coeffs": sys_.coeffs,
-                   "y0": list(map(float, y0)), "span": list(span),
-                   "rel_tol": args.rel_tol, "abs_tol": args.abs_tol}),
-        _jsonable(results), warnings=warns)
-    _emit_report(report, args.out)
-    return 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return _finite_or_none(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, model.Params):
-        return {k: getattr(obj, k) for k in PARAM_KEYS}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _jsonable(dataclasses.asdict(obj))
-    if callable(obj):
-        return repr(obj)
-    return obj
+    return _emit("reduce", args.out,
+                 {"system": sys_.sid, "coeffs": sys_.coeffs, "y0": y0,
+                  "span": span, "rel_tol": args.rel_tol,
+                  "abs_tol": args.abs_tol}, results, warns)
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +748,7 @@ def _jsonable(obj):
 def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help="catalog family key")
     for name in _FAMILY_FLAGS:
-        p.add_argument(f"--{name.replace('_', '-')}", type=float, default=None)
+        p.add_argument(_flag(name), type=float, default=None)
     p.add_argument("--profile-lo", type=float, default=None,
                    help="semi families: profile window lower edge")
     p.add_argument("--profile-hi", type=float, default=None,
@@ -829,9 +765,16 @@ def _add_family_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None, help="JSON run-config file")
 
 
-def _positive(text: str) -> float:
+def _finite(text: str) -> float:
     v = float(text)
-    if not (math.isfinite(v) and v > 0.0):
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return v
+
+
+def _positive(text: str) -> float:
+    v = _finite(text)
+    if not v > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return v
 
@@ -859,17 +802,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="sample a family to CSV")
     p.set_defaults(handler=_cmd_eval)
     _add_family_flags(p)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--xmin", type=float, required=True)
-    p.add_argument("--xmax", type=float, required=True)
+    p.add_argument("--t", type=_finite, default=0.0)
+    p.add_argument("--xmin", type=_finite, required=True)
+    p.add_argument("--xmax", type=_finite, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("residual", help="PDE residual of a family")
     p.set_defaults(handler=_cmd_residual)
     _add_family_flags(p)
-    p.add_argument("--t", type=float, default=0.0)
-    p.add_argument("--window", type=float, nargs=2, default=None)
+    p.add_argument("--t", type=_finite, default=0.0)
+    p.add_argument("--window", type=_finite, nargs=2, default=None)
     _add_step_flags(p)
     p.add_argument("--dt", type=_positive, default=None,
                    help="time step of the residual stencil (default: h)")
@@ -885,8 +828,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_speed)
     p.add_argument("--run", required=True)
     p.add_argument("--component", choices=("u", "v", "w"), required=True)
-    p.add_argument("--level", type=float, required=True)
-    p.add_argument("--fit-window", type=float, nargs=2, default=None)
+    p.add_argument("--level", type=_finite, required=True)
+    p.add_argument("--fit-window", type=_finite, nargs=2, default=None)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("symmetry", help="operator catalog commands")
@@ -894,7 +837,7 @@ def build_parser() -> argparse.ArgumentParser:
     ssub = p.add_subparsers(dest="symmetry_cmd", required=True)
     pl = ssub.add_parser("list")
     for k in PARAM_KEYS:
-        pl.add_argument(f"--{k}", dest=f"p_{k}", type=float, default=None)
+        pl.add_argument(f"--{k}", type=float, default=None)
     pl.add_argument("--params", dest="params_file", default=None,
                     help="JSON file with the eight coefficients")
     pl.add_argument("--config", default=None)
@@ -902,9 +845,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv = ssub.add_parser("verify")
     _add_family_flags(pv)
     pv.add_argument("--op", required=True)
-    pv.add_argument("--eps", type=float, required=True)
-    pv.add_argument("--t", type=float, default=0.5)
-    pv.add_argument("--window", type=float, nargs=2, default=None)
+    pv.add_argument("--eps", type=_finite, required=True)
+    pv.add_argument("--t", type=_finite, default=0.5)
+    pv.add_argument("--window", type=_finite, nargs=2, default=None)
     _add_step_flags(pv)
     pv.add_argument("--heat-kind", default=None)
     pv.add_argument("--heat-a", type=float, default=0.7)
@@ -921,10 +864,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", type=str if name == "case" else float,
                        default=None)
     p.add_argument("--y0", default=None, help="comma-separated initial state")
-    p.add_argument("--span", type=float, nargs=2, required=True)
+    p.add_argument("--span", type=_finite, nargs=2, required=True)
     p.add_argument("--rel-tol", type=float, default=1e-9)
     p.add_argument("--abs-tol", type=float, default=1e-12)
-    p.add_argument("--max-step", type=float, default=None)
+    p.add_argument("--max-step", type=_positive, default=None)
     p.add_argument("--traj-out", default=None, help="trajectory CSV path")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--out", default=None, help="report JSON path")

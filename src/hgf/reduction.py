@@ -512,8 +512,15 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
     if not (0.0 < rel_tol <= 1e-2 and 0.0 < abs_tol <= 1e-2):
         raise ConstraintError("tolerances must lie in (0, 1e-2]")
     x0, x1 = float(span[0]), float(span[1])
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise ConstraintError(f"integration span ends must be finite, "
+                              f"got ({x0}, {x1})")
     if x0 == x1:
         raise ConstraintError("integration span is empty")
+    if max_step is not None and not (math.isfinite(max_step)
+                                     and max_step > 0.0):
+        raise ConstraintError(f"max_step must be a finite positive number, "
+                              f"got {max_step}")
     y = np.asarray(y0, dtype=float)
     if y.shape != (sys.dim,):
         raise ConstraintError(
@@ -524,7 +531,7 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
     f, c, n = sys.spec.first_order, sys.kcoeffs, sys.dim
     direction = 1.0 if x1 > x0 else -1.0
     total = abs(x1 - x0)
-    hmax = total if max_step is None else min(abs(max_step), total)
+    hmax = total if max_step is None else min(max_step, total)
     h = min(hmax, total / 100.0, 0.1)
     x = x0
     y = y.tolist()
@@ -590,6 +597,8 @@ def dense_profile(sys: ReducedSystem, y0, x0: float, x_left: float,
         raise ConstraintError("need x_left <= x0 <= x_right")
     if step <= 0:
         raise ConstraintError("step must be positive")
+    if not math.isfinite(step):
+        raise ConstraintError(f"step must be finite, got {step}")
     y = np.asarray(y0, dtype=float)
     if y.shape != (sys.dim,):
         raise ConstraintError(f"initial state must have dimension {sys.dim}")

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hgf
 from hgf import calculus, cli
 from hgf.calculus import SpaceGrid
+from hgf.errors import ConstraintError
 
 
 def run_cli(argv, capsys):
@@ -183,6 +189,26 @@ def test_simulate_rejects_unholdable_run_by_name(tmp_path, capsys, t_end):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("bc,code", [
+    (None, 1),  # t_end = 1e300: rejected by run size
+    ({"kind": "dirichlet", "left": [1e200, 0, 0], "right": [0, 0, 1]}, 2),
+], ids=["constraint", "blow-up"])
+def test_failed_simulate_leaves_no_output_directory(tmp_path, capsys, bc,
+                                                    code):
+    config = {"family": {"key": "fisher"},
+              "grid": {"x_min": -10.0, "x_max": 10.0, "n": 51},
+              "time": {"t_end": 1e300 if bc is None else 0.5}}
+    if bc is not None:
+        config["bc"] = bc
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    outdir = tmp_path / "out" / "run"
+    got, _, err = run_cli(["simulate", "--config", str(cfg_path), "--out",
+                           str(outdir), "--quiet"], capsys)
+    assert got == code, err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("block,key,value", [("grid", "n", 51.7),
                                              ("grid", "n", "51"),
                                              ("time", "snapshot_every", "10"),
@@ -223,15 +249,114 @@ def test_flags_override_config_with_warning(tmp_path, capsys):
     assert report["inputs"]["family_params"]["a1"] == 0.1
 
 
-def test_byte_identical_reports(tmp_path, capsys):
-    argv = ["residual", "--family", "fisher", "--window", "-8", "8",
-            "--h", "0.01"]
-    paths = []
+_TF63_FLAGS = ["--a1", "0.1", "--delta", "0.35", "--a3", "1", "--d3", "3"]
+_TF63_RUN = {"family": {"key": "tf63", "a1": 0.1, "delta": 0.35, "a3": 1.0,
+                        "d3": 3.0},
+             "grid": {"x_min": -15.0, "x_max": 20.0, "n": 351},
+             "time": {"t_end": 1.5, "snapshot_every": 100}}
+
+# every writer of the CLI: JSON reports, field CSVs and trajectory CSVs
+_WRITERS = {
+    "catalog": [["catalog", "--json", "--out", "cat.json"]],
+    "eval": [["eval", "--family", "tf63", *_TF63_FLAGS, "--t", "0.5",
+              "--xmin", "-5", "--xmax", "5", "--n", "41",
+              "--out", "eval.csv"]],
+    "residual": [["residual", "--family", "fisher", "--window", "-8", "8",
+                  "--h", "0.01", "--out", "r.json"]],
+    "simulate-speed": [["simulate", "--config", "cfg.json", "--out", "run",
+                        "--quiet"],
+                       ["speed", "--run", "run", "--component", "w",
+                        "--level", "0.5", "--out", "speed.json"]],
+    "symmetry-list": [["symmetry", "list", "--a1", "0.3", "--a2", "0.7",
+                       "--a3", "0.9", "--a4", "1.1", "--a5", "0.2",
+                       "--out", "list.json"]],
+    "symmetry-verify": [["symmetry", "verify", "--family", "fam40-i",
+                         "--a1", "0.1", "--a4", "0.5", "--beta", "2.1822",
+                         "--delta1", "2", "--delta2", "0.5", "--op", "Q1",
+                         "--eps", "0.3", "--h", "0.01",
+                         "--out", "verify.json"]],
+    "reduce": [["reduce", "--system", "R38", "--case", "i", "--a1", "0.5",
+                "--a4", "0.7", "--beta", "0.3", "--delta1", "1.3",
+                "--delta2", "0.4", "--span", "0", "3", "--verify",
+                "--traj-out", "traj.csv", "--out", "red.json"]],
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+def test_byte_identical_reports(tmp_path, capsys, monkeypatch, writer):
+    outputs = []
     for i in (0, 1):
-        p = tmp_path / f"r{i}.json"
-        assert run_cli(argv + ["--out", str(p)], capsys)[0] == 0
-        paths.append(p.read_bytes())
-    assert paths[0] == paths[1]
+        rundir = tmp_path / f"run{i}"
+        rundir.mkdir()
+        (rundir / "cfg.json").write_text(json.dumps(_TF63_RUN))
+        monkeypatch.chdir(rundir)  # relative paths: the reports name them
+        for argv in _WRITERS[writer]:
+            code, out, err = run_cli(argv, capsys)
+            assert code == 0, err
+            assert out == ""
+        outputs.append({str(p.relative_to(rundir)): p.read_bytes()
+                        for p in sorted(rundir.rglob("*")) if p.is_file()})
+    assert len(outputs[0]) > 1
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("argv,files,warnings,where,values", [
+    (["residual", "--family", "tf63", "--delta", "0.35", "--a1", "0.1",
+      "--config", "cfg.json", "--window", "-5", "5", "--h", "0.01"],
+     {"cfg.json": {"family": {"key": "tf63", "a1": 0.2, "delta": 0.3}}},
+     ["flag --a1 = 0.1 overrides config value 0.2",
+      "flag --delta = 0.35 overrides config value 0.3"],
+     "family_params", {"a1": 0.1, "delta": 0.35}),
+    (["symmetry", "list", "--params", "p.json", "--d2", "1", "--a2", "0",
+      "--a1", "1"],
+     {"p.json": {"a1": 1.0, "a2": 1.0, "a3": 1.0, "a4": 1.0, "a5": 1.0,
+                 "d2": 2.0}},
+     ["flag --a2 = 0.0 overrides file value 1.0",
+      "flag --d2 = 1.0 overrides file value 2.0"],
+     "params", {"a1": 1.0, "a2": 0.0, "d2": 1.0}),
+    (["symmetry", "list", "--config", "cfg.json", "--a5", "0.4"],
+     {"cfg.json": {"params": {"a1": 0.3, "a2": 0.7, "a3": 0.9, "a4": 1.1,
+                              "a5": 0.2}}},
+     ["flag --a5 = 0.4 overrides file value 0.2"],
+     "params", {"a1": 0.3, "a5": 0.4}),
+    (["reduce", "--system", "L52", "--params", "p.json", "--a4", "0.5",
+      "--beta", "0.3", "--y0", "1,0", "--span", "-1", "1"],
+     {"p.json": {"beta": 0.2, "a4": 0.4, "case": "50", "alpha": 2.0}},
+     ["flag --beta = 0.3 overrides file value 0.2",
+      "flag --a4 = 0.5 overrides file value 0.4"],
+     "coeffs", {"beta": 0.3, "a4": 0.5, "alpha": 2.0, "case": "50"}),
+], ids=["config-family", "symmetry-list-params", "symmetry-list-config",
+        "reduce-params"])
+def test_flag_overrides_file_with_warning(tmp_path, capsys, monkeypatch,
+                                          argv, files, warnings, where,
+                                          values):
+    # the flag wins; each changed value warns once, in the order the
+    # command has always listed them
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["warnings"][:len(warnings)] == warnings
+    assert not any("overrides" in w
+                   for w in report["warnings"][len(warnings):])
+    for name, value in values.items():
+        assert report["inputs"][where][name] == value
+
+
+def test_validate_report_without_jsonschema(monkeypatch):
+    # the structural fallback is the only check on an install without
+    # the test extra
+    monkeypatch.setitem(sys.modules, "jsonschema", None)
+    good = {"command": "x", "inputs": {}, "results": {}, "warnings": [],
+            "residual": {"linf": [1.0], "l2": [None]}}
+    cli.validate_report(good)
+    missing = {k: v for k, v in good.items() if k != "warnings"}
+    with pytest.raises(ConstraintError, match=r"missing keys \['warnings'\]"):
+        cli.validate_report(missing)
+    with pytest.raises(ConstraintError, match=r"unknown keys \['extra'\]"):
+        cli.validate_report({**good, "extra": 1})
 
 
 def test_semi_family_via_cli(tmp_path, capsys):
@@ -449,6 +574,66 @@ def test_step_flags_must_be_positive(argv, flag, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert f"argument {flag}: must be positive" in err
+
+
+_R38 = ["reduce", "--system", "R38", "--a1", "0.5", "--a3", "1", "--a4",
+        "0.7", "--beta", "0.3"]
+
+
+@pytest.mark.parametrize("argv,flag,what", [
+    (["eval", "--family", "fisher", "--xmin", "nan", "--xmax", "1", "--n",
+      "3"], "--xmin", "finite"),
+    (["eval", "--family", "fisher", "--xmin", "0", "--xmax", "inf", "--n",
+      "3"], "--xmax", "finite"),
+    (["eval", "--family", "fisher", "--t", "inf", "--xmin", "0", "--xmax",
+      "1", "--n", "3"], "--t", "finite"),
+    (["residual", "--family", "fisher", "--t", "nan"], "--t", "finite"),
+    (["residual", "--family", "fisher", "--window", "-1", "nan"],
+     "--window", "finite"),
+    (["symmetry", "verify", "--family", "fisher", "--op", "Q1", "--eps",
+      "nan"], "--eps", "finite"),
+    (["speed", "--run", ".", "--component", "u", "--level", "nan"],
+     "--level", "finite"),
+    (["speed", "--run", ".", "--component", "u", "--level", "0.5",
+      "--fit-window", "0", "inf"], "--fit-window", "finite"),
+    ([*_R38, "--span", "0", "nan"], "--span", "finite"),
+    ([*_R38, "--span", "0", "1", "--max-step", "-0.5"], "--max-step",
+     "positive"),
+    ([*_R38, "--span", "0", "1", "--max-step", "inf"], "--max-step",
+     "finite"),
+    (["residual", "--family", "fisher", "--h", "nan"], "--h", "finite"),
+], ids=["eval-xmin", "eval-xmax", "eval-t", "residual-t", "residual-window",
+        "verify-eps", "speed-level", "speed-fit-window", "reduce-span",
+        "reduce-negative-max-step", "reduce-inf-max-step", "residual-nan-h"])
+def test_float_flags_must_be_finite(argv, flag, what, capsys):
+    # these wrote nan or inf rows and exited 0, read a negative step as
+    # positive, or failed later as a "numerical failure"
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert f"argument {flag}: must be {what}" in err
+
+
+def test_reduce_nan_max_step_is_rejected_not_hung():
+    # a NaN step never shrank below the floor, so the integrator spun
+    # forever; run it where a hang is a timeout
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(hgf.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "hgf.cli", *_R38, "--span", "0", "1",
+         "--max-step", "nan"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "argument --max-step: must be finite" in proc.stderr
+
+
+def test_semi_family_rejects_non_finite_profile_step(capsys):
+    # the tabulation step reached int(ceil(nan)) and exited 3 as a bug
+    code, _, err = run_cli(["eval", "--family", "semi50", "--a4", "0.5",
+                            "--beta", "0.3", "--profile-step", "nan",
+                            "--xmin", "0", "--xmax", "1", "--n", "3"],
+                           capsys)
+    assert code == 1
+    assert err.startswith("error:") and "step must be finite" in err
 
 
 @pytest.mark.parametrize("exc", [KeyError, TypeError, ValueError])

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,6 +144,53 @@ def test_integrate_lands_on_span_end(system, y0, span, max_step):
 def test_integrate_tolerance_validation():
     with pytest.raises(ConstraintError, match="tolerances"):
         reduction.integrate(_r38(), (1.0, 1.0, 1.0), (0, 1), rel_tol=0.5)
+
+
+@pytest.mark.parametrize("span,max_step,named", [
+    ((0.0, math.nan), None, "span"),
+    ((0.0, math.inf), None, "span"),
+    ((-math.inf, 1.0), None, "span"),
+    ((0.0, 1.0), -0.5, "max_step"),
+    ((0.0, 1.0), 0.0, "max_step"),
+    ((0.0, 1.0), math.inf, "max_step"),
+], ids=["nan-end", "inf-end", "inf-start", "negative-step", "zero-step",
+        "inf-step"])
+def test_integrate_rejects_non_finite_span_and_bad_max_step(span, max_step,
+                                                             named):
+    # a NaN end returned a one-node trajectory and a negative max_step
+    # was read as its absolute value
+    with pytest.raises(ConstraintError, match=named):
+        reduction.integrate(_r38(), (0.4, 0.3, 0.2), span, max_step=max_step)
+
+
+def test_integrate_nan_max_step_is_rejected_not_hung():
+    # a NaN step times 0.25 stays NaN, so the failed-stage branch looped
+    # forever; run it where a hang is a timeout
+    code = ("import math\n"
+            "from hgf import reduction\n"
+            "from hgf.errors import ConstraintError\n"
+            "s = reduction.reduced_system('R38', beta=0.3, a1=0.5, a3=1.0, "
+            "a4=0.7)\n"
+            "try:\n"
+            "    reduction.integrate(s, (0.4, 0.3, 0.2), (0.0, 1.0), "
+            "max_step=math.nan)\n"
+            "except ConstraintError as e:\n"
+            "    print(e)\n")
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(reduction.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "max_step" in proc.stdout
+
+
+@pytest.mark.parametrize("step", [math.nan, math.inf])
+def test_dense_profile_rejects_non_finite_step(step):
+    # a NaN step passed the `step <= 0` check and reached int(ceil(nan))
+    sys_ = reduction.reduced_system("L36", alpha=5 / math.sqrt(6), a1=0.5,
+                                    beta=3.0, kappa1=0.3, kappa2=1.0)
+    with pytest.raises(ConstraintError, match="step must be finite"):
+        reduction.dense_profile(sys_, (1.0, 0.0), 0.0, -1.0, 1.0, step=step)
 
 
 def test_integrate_blowup_reports_reach_point():

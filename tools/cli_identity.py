@@ -1,0 +1,277 @@
+"""Compare the hgf command line of two source trees byte for byte.
+
+    python tools/cli_identity.py PARENT_SRC CHANGE_SRC
+
+Each argument is a directory holding the ``hgf`` package (a checkout's
+``src``).  Every case below runs its commands, in order, as
+``python -m hgf.cli ...`` against each tree, in a fresh temporary
+directory that holds only the case's input files.  Per command the exit
+code, stdout and stderr are compared; after the case, every file and
+directory left in the temporary directory is compared too.  A command
+that has not returned after ``TIMEOUT_S`` counts as the outcome
+"timeout".  Prints one line per case and exits 1 on any difference.
+
+The cases cover every subcommand and every report and CSV writer, the
+flag-over-file and flag-over-config warnings (two overrides in one
+command included), a pinned-to-exact ``simulate`` and the user errors of
+each kind.  All paths are relative, so reports and messages do not depend
+on where the temporary directory lies.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+TIMEOUT_S = 10
+
+TF63 = ["--a1", "0.1", "--delta", "0.35", "--a3", "1", "--d3", "3"]
+FAM40 = ["--a1", "0.1", "--a4", "0.5", "--beta", "2.1822", "--delta1", "2",
+         "--delta2", "0.5"]
+SEMI50 = ["--a4", "0.5", "--beta", "0.3", "--gamma", "0.1", "--profile-lo",
+          "-16", "--profile-hi", "16"]
+R38_I = ["--system", "R38", "--case", "i", "--a1", "0.5", "--a4", "0.7",
+         "--beta", "0.3", "--delta1", "1.3", "--delta2", "0.4"]
+R38 = ["--system", "R38", "--a1", "0.5", "--a3", "1", "--a4", "0.7",
+       "--beta", "0.3"]
+STEP = ["--window", "-8", "8", "--h", "0.01"]
+
+
+def _config(family, grid=(-15.0, 20.0, 351), t_end=1.5, every=100, **extra):
+    cfg = {"family": family,
+           "grid": {"x_min": grid[0], "x_max": grid[1], "n": grid[2]},
+           "time": {"t_end": t_end, "snapshot_every": every}}
+    return json.dumps({**cfg, **extra})
+
+
+TF63_FAMILY = {"key": "tf63", "a1": 0.1, "delta": 0.35, "a3": 1.0, "d3": 3.0}
+FISHER = {"key": "fisher"}
+COEFFS = {"a1": 0.3, "a2": 0.7, "a3": 0.9, "a4": 1.1, "a5": 0.2}
+
+# (name, {file: text}, [argv, ...])
+CASES = [
+    ("catalog", {}, [["catalog"]]),
+    ("catalog-json", {}, [["catalog", "--json"],
+                          ["catalog", "--json", "--out", "cat.json"]]),
+    ("eval-fisher", {}, [["eval", "--family", "fisher", "--xmin", "-2",
+                          "--xmax", "2", "--n", "9"]]),
+    ("eval-tf63-out", {}, [["eval", "--family", "tf63", *TF63, "--t", "0.5",
+                            "--xmin", "-5", "--xmax", "5", "--n", "101",
+                            "--out", "tf63.csv"]]),
+    ("eval-fam40", {}, [["eval", "--family", "fam40-i", *FAM40, "--xmin",
+                         "0", "--xmax", "4", "--n", "17"]]),
+    ("eval-tf65-single", {}, [["eval", "--family", "tf65", "--d", "1",
+                               "--xmin", "0", "--xmax", "0", "--n", "1"]]),
+    ("eval-semi50", {}, [["eval", "--family", "semi50", *SEMI50, "--xmin",
+                          "-3", "--xmax", "3", "--n", "13", "--out",
+                          "semi.csv"]]),
+    ("eval-config-two-overrides",
+     {"cfg.json": json.dumps({"family": {**TF63_FAMILY, "a1": 0.2,
+                                         "d3": 2.0}})},
+     [["eval", "--config", "cfg.json", "--a1", "0.1", "--d3", "3",
+       "--xmin", "-1", "--xmax", "1", "--n", "5"]]),
+    ("residual-fisher", {}, [["residual", "--family", "fisher", *STEP]]),
+    ("residual-tf63-refine", {}, [["residual", "--family", "tf63", *TF63,
+                                   "--refine", "--h-seq", "8e-3", "4e-3",
+                                   "2e-3", "--window", "-15", "15", "--out",
+                                   "rep.json"]]),
+    ("residual-semi50-default-window", {},
+     [["residual", "--family", "semi50", *SEMI50[:6], "--t", "0.4", "--h",
+       "0.02", "--dt", "0.01"]]),
+    ("residual-config-override",
+     {"cfg.json": json.dumps({"family": {"key": "tf63", "a1": 0.2,
+                                         "delta": 0.35}})},
+     [["residual", "--family", "tf63", "--a1", "0.1", "--config",
+       "cfg.json", *STEP, "--out", "rep.json"]]),
+    ("simulate-speed-tf63",
+     {"cfg.json": _config(TF63_FAMILY)},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"],
+      ["speed", "--run", "run", "--component", "w", "--level", "0.5",
+       "--out", "speed.json"],
+      ["speed", "--run", "run", "--component", "u", "--level", "0.4",
+       "--fit-window", "0", "1.5"]]),
+    ("simulate-pinned-to-exact",
+     {"cfg.json": _config(TF63_FAMILY, bc={"kind": "pinned-to-exact"})},
+     [["simulate", "--config", "cfg.json", "--out", "run"],
+      ["speed", "--run", "run", "--component", "w", "--level", "0.5"]]),
+    ("simulate-dirichlet-params-differ",
+     {"cfg.json": _config(FISHER, grid=(-10.0, 10.0, 101), t_end=0.2,
+                          every=10,
+                          params={**COEFFS, "d1": 1.0},
+                          bc={"kind": "dirichlet", "left": [1, 0, 0],
+                              "right": [0, 0, 1]})},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"]]),
+    ("simulate-neumann-flag-override",
+     {"cfg.json": _config({"key": "tf65", "d": 1.2}, grid=(-15.0, 15.0, 151),
+                          t_end=0.5, every=10,
+                          bc={"kind": "neumann-zero"})},
+     [["simulate", "--config", "cfg.json", "--d", "1", "--out", "run",
+       "--quiet"]]),
+    ("symmetry-list-flags", {},
+     [["symmetry", "list", "--a1", "0.3", "--a2", "0.7", "--a3", "0.9",
+       "--a4", "1.1", "--a5", "0.2"]]),
+    ("symmetry-list-params-two-overrides",
+     {"params.json": json.dumps({"a1": 1.0, "a2": 1.0, "a3": 1.0,
+                                 "a4": 1.0, "a5": 1.0, "d2": 2.0})},
+     [["symmetry", "list", "--params", "params.json", "--a2", "0",
+       "--d2", "1", "--a1", "1", "--out", "list.json"]]),
+    ("symmetry-list-config",
+     {"cfg.json": json.dumps({"params": COEFFS})},
+     [["symmetry", "list", "--config", "cfg.json", "--a5", "0.4"]]),
+    ("symmetry-verify", {},
+     [["symmetry", "verify", "--family", "fam40-i", *FAM40, "--op", "Q1",
+       "--eps", "0.3", "--h", "0.01"]]),
+    ("symmetry-verify-refine", {},
+     [["symmetry", "verify", "--family", "tf63", *TF63, "--op", "Px",
+       "--eps", "0.2", "--refine", "--h-seq", "8e-3", "4e-3", "--window",
+       "-6", "6", "--out", "ver.json"]]),
+    ("symmetry-verify-xinf", {},
+     [["symmetry", "verify", "--family", "fisher", "--op", "Xinf", "--eps",
+       "0.1", "--heat-kind", "affine", "--h", "0.02"]]),
+    ("reduce-r38-oracle", {},
+     [["reduce", *R38_I, "--span", "0", "3", "--verify", "--traj-out",
+       "traj.csv", "--out", "red.json"]]),
+    ("reduce-params-two-overrides",
+     {"params.json": json.dumps({"beta": 0.2, "a4": 0.4, "case": "50",
+                                 "alpha": 2.0})},
+     [["reduce", "--system", "L52", "--params", "params.json", "--beta",
+       "0.3", "--a4", "0.5", "--y0", "1,0", "--span", "-1", "1",
+       "--traj-out", "l52.csv"]]),
+    ("reduce-verify-skipped", {},
+     [["reduce", "--system", "T2d", "--a1", "0.5", "--a4", "0.8", "--y0",
+       "0.5,0.5,0.5", "--span", "0", "1", "--verify", "--max-step", "0.05",
+       "--traj-out", "t2d.csv"]]),
+    ("reduce-r35-six-states", {},
+     [["reduce", "--system", "R35", "--alpha", "2", "--beta", "0.3",
+       "--a1", "0.5", "--a3", "1", "--a4", "0.7", "--d", "1", "--y0",
+       "0.1,0,0.1,0,0.9,0", "--span", "0", "0.5", "--traj-out",
+       "r35.csv"]]),
+    # user errors
+    ("error-constraint", {},
+     [["residual", "--family", "tf63", "--a1", "2.0", "--delta", "1.0"]]),
+    ("error-unknown-config-key",
+     {"cfg.json": json.dumps({"family": FISHER, "surprise": 1})},
+     [["eval", "--config", "cfg.json", "--xmin", "0", "--xmax", "1", "--n",
+       "3"]]),
+    ("error-family-flag", {},
+     [["eval", "--family", "fisher", "--a1", "5", "--profile-lo", "-5",
+       "--xmin", "0", "--xmax", "1", "--n", "3"]]),
+    ("error-argparse", {},
+     [["residual", "--family", "fisher", "--h", "0"],
+      ["reduce", "--system", "R38"]]),
+    ("error-bc",
+     {"bad-kind.json": _config(FISHER, bc={"kind": "periodic"}),
+      "bad-left.json": _config(FISHER, bc={"kind": "dirichlet",
+                                           "left": [1, 2],
+                                           "right": [0, 0, 0]})},
+     [["simulate", "--config", "bad-kind.json", "--out", "run1"],
+      ["simulate", "--config", "bad-left.json", "--out", "run2"]]),
+    ("error-numerical", {"cfg.json": _config({"key": "tf65", "d": 1.0},
+                                             grid=(-15.0, 15.0, 151),
+                                             t_end=0.5, every=10)},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"],
+      ["speed", "--run", "run", "--component", "w", "--level", "0.1"]]),
+    ("error-params-file", {"params.json": json.dumps({"a1": "x"})},
+     [["symmetry", "list", "--params", "params.json"],
+      ["reduce", *R38, "--params", "params.json", "--span", "0", "1"]]),
+    ("error-missing-file", {},
+     [["speed", "--run", "nowhere", "--component", "u", "--level", "0.5"]]),
+    ("error-failed-run-leaves-no-directory",
+     {"huge.json": _config(FISHER, t_end=1e300),
+      "blow-up.json": _config(FISHER, grid=(-10.0, 10.0, 51), t_end=0.5,
+                              bc={"kind": "dirichlet", "left": [1e200, 0, 0],
+                                  "right": [0, 0, 1]})},
+     [["simulate", "--config", "huge.json", "--out", "run1", "--quiet"],
+      ["simulate", "--config", "blow-up.json", "--out", "run2", "--quiet"]]),
+    ("error-non-finite-flags", {},
+     [["eval", "--family", "fisher", "--xmin", "nan", "--xmax", "1",
+       "--n", "3"],
+      ["eval", "--family", "fisher", "--t", "inf", "--xmin", "0",
+       "--xmax", "1", "--n", "3"],
+      ["residual", "--family", "fisher", "--t", "nan", *STEP],
+      ["speed", "--run", "nowhere", "--component", "u", "--level", "nan"],
+      ["reduce", *R38, "--span", "0", "nan"],
+      ["reduce", *R38, "--span", "0", "1", "--max-step", "-0.5"],
+      ["eval", "--family", "semi50", *SEMI50, "--profile-step", "nan",
+       "--xmin", "0", "--xmax", "1", "--n", "3"]]),
+    ("error-nan-max-step", {},
+     [["reduce", *R38, "--span", "0", "1", "--max-step", "nan"]]),
+]
+
+
+def _run(src: Path, argv: list[str], cwd: Path) -> tuple:
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": "0"}
+    try:
+        p = subprocess.run([sys.executable, "-m", "hgf.cli", *argv], cwd=cwd,
+                           env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return ("timeout",)
+    # a traceback names the tree it ran from
+    err = p.stderr.replace(str(src).encode(), b"<src>")
+    return (p.returncode, p.stdout, err)
+
+
+def _tree(root: Path) -> dict:
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in sorted(root.rglob("*"))}
+
+
+def run_case(src: Path, files: dict, commands: list) -> tuple[list, dict]:
+    with tempfile.TemporaryDirectory(prefix="hgf-cli-") as tmp:
+        cwd = Path(tmp)
+        for name, text in files.items():
+            (cwd / name).write_text(text)
+        outcomes = [_run(src, argv, cwd) for argv in commands]
+        return outcomes, _tree(cwd)
+
+
+def _describe(a: tuple, b: tuple) -> str:
+    if len(a) != len(b) or a[0] != b[0]:
+        return f"exit {a[0]} vs {b[0]}"
+    parts = [name for name, x, y in (("stdout", a[1], b[1]),
+                                     ("stderr", a[2], b[2])) if x != y]
+    return " and ".join(parts) + " differ"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python tools/cli_identity.py PARENT_SRC CHANGE_SRC",
+              file=sys.stderr)
+        return 2
+    srcs = [Path(a).resolve() for a in argv]
+    for src in srcs:
+        if not (src / "hgf" / "cli.py").is_file():
+            print(f"no hgf package under {src}", file=sys.stderr)
+            return 2
+    differ = 0
+    for name, files, commands in CASES:
+        (out_a, tree_a), (out_b, tree_b) = (run_case(s, files, commands)
+                                            for s in srcs)
+        notes = [f"command {i + 1} ({commands[i][0]}): {_describe(a, b)}"
+                 for i, (a, b) in enumerate(zip(out_a, out_b)) if a != b]
+        for f in sorted(set(tree_a) | set(tree_b)):
+            if (f in tree_a) != (f in tree_b):
+                side = "PARENT_SRC" if f in tree_a else "CHANGE_SRC"
+                notes.append(f"file {f}: left by {side} only")
+            elif tree_a[f] != tree_b[f]:
+                notes.append(f"file {f}: bytes differ")
+        codes = ",".join(str(o[0]) for o in out_b)
+        if notes:
+            differ += 1
+            print(f"DIFFER     {name} [{codes}]")
+            for note in notes:
+                print(f"    {note}")
+        else:
+            print(f"identical  {name} [{codes}]")
+    total = sum(len(c) for _, _, c in CASES)
+    print(f"{len(CASES) - differ} of {len(CASES)} cases identical "
+          f"({total} commands)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
