@@ -121,22 +121,16 @@ class ResidualReport:
 
 
 def sample(sol, grid: SpaceGrid, t: float) -> FieldState:
-    """Pointwise evaluation of a sampler on a grid at time t."""
+    """Pointwise evaluation of a `model.Solution` on a grid at time t."""
     x = grid.x()
-    vals = sol(t, x)
-    arrays = []
-    for name, arr in zip(("u", "v", "w"), vals):
-        if arr is None:
-            arrays.append(np.zeros(grid.n))
-            continue
-        arr = np.broadcast_to(np.asarray(arr, dtype=float), (grid.n,)).copy()
+    fields = sol(t, x)
+    for name, arr in zip("uvw", fields):
         if not np.isfinite(arr).all():
             i = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise NumericalError(
                 f"non-finite {name} sample at t = {t}, x = {x[i]}"
             )
-        arrays.append(arr)
-    return FieldState(grid=grid, t=t, u=arrays[0], v=arrays[1], w=arrays[2])
+    return FieldState(grid, t, *fields)
 
 
 def _norms(r: np.ndarray, buf: np.ndarray) -> tuple[float, float]:
@@ -208,7 +202,7 @@ def residual_from_states(
 def pde_residual(p, sol, grid: SpaceGrid, t: float, dt: float,
                  components=None, return_fields: bool = False):
     """Sample a solution at t - dt, t, t + dt and form the residual."""
-    if components is None and hasattr(sol, "components"):
+    if components is None:
         components = sol.components
     before = sample(sol, grid, t - dt)
     mid = sample(sol, grid, t)

@@ -448,8 +448,12 @@ def _cmd_eval(args, config) -> int:
     key, fam, warns = _family_from_args(args, config)
     if args.n < 1:
         raise ConstraintError("--n must be >= 1")
+    if not math.isfinite(args.xmax - args.xmin):
+        raise ConstraintError(f"--xmin {args.xmin} to --xmax {args.xmax} "
+                              f"is not a finite width")
     x = np.linspace(args.xmin, args.xmax, args.n)
-    vals = fam.evaluate(args.t, x)
+    vals = [f if c in fam.components else None
+            for c, f in zip("uvw", fam(args.t, x))]
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         out.write("t,x,u,v,w\n")
@@ -464,8 +468,13 @@ def _cmd_eval(args, config) -> int:
 
 def _window(args, key, fam) -> tuple[float, float]:
     """The residual window: the --window flag or the family's default."""
-    return tuple(args.window) if args.window \
-        else FAMILIES[key].default_window(fam, args.t)
+    if args.window is None:
+        return FAMILIES[key].default_window(fam, args.t)
+    lo, hi = args.window
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise ConstraintError(f"--window must run from low to high over a "
+                              f"finite width, got {lo} {hi}")
+    return lo, hi
 
 
 def _cmd_residual(args, config) -> int:
@@ -898,7 +907,7 @@ def dispatch(argv) -> int:
     except json.JSONDecodeError as e:  # a ValueError, but the user's file
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except (KeyError, TypeError, ValueError) as e:
+    except (ArithmeticError, KeyError, TypeError, ValueError) as e:
         # bad input is raised as a ConstraintError that names it, so
         # these are bugs in hgf
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

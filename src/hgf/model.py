@@ -187,10 +187,12 @@ def rescale_params(orig: OriginalParams) -> Params:
 class Solution:
     """A (t, x) -> (u, v, w) sampler bundled with its coefficient set.
 
-    `evaluate` must broadcast over numpy arrays in t and x and return a
-    triple of arrays; entries for components the sampler does not define
-    are None (the catalog treats undefined components as identically zero
-    when kinetics are needed).
+    `evaluate` is the raw formula: it must broadcast over numpy arrays in
+    t and x and return a triple whose entries are arrays, scalars, or None
+    for a component the sampler does not define.  Calling the solution is
+    the sampler contract every consumer reads: three float arrays of the
+    broadcast shape of t and x, with zeros for an undefined component.
+    `components` names the components that are defined.
     """
 
     evaluate: Callable = field(repr=False)
@@ -204,11 +206,19 @@ class Solution:
     meta: dict = field(default_factory=dict)
 
     def __call__(self, t, x):
-        return self.evaluate(t, x)
+        """(u, v, w) at (t, x): three separate float arrays of the
+        broadcast shape of t and x; an undefined component is zeros.
+        Values are broadcast, never added to zeros, so a -0.0 keeps its
+        sign; an array already of that shape is returned as it is."""
+        shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+        fields = (np.zeros(shape) if f is None else np.asarray(f, dtype=float)
+                  for f in self.evaluate(t, x))
+        return tuple(f if f.shape == shape else np.broadcast_to(f, shape).copy()
+                     for f in fields)
 
 
-def reflect_solution(sol) -> Solution:
-    """Mirror a sampler in space: returns (t, x) -> sol(t, -x).
+def reflect_solution(sol: Solution) -> Solution:
+    """Mirror a solution in space: returns (t, x) -> sol(t, -x).
 
     An involution; endpoint states swap sides and a traveling front's
     speed changes sign.
@@ -216,21 +226,19 @@ def reflect_solution(sol) -> Solution:
     def evaluate(t, x):
         return sol(t, np.negative(x))
 
-    if isinstance(sol, Solution):
-        return replace(
-            sol,
-            evaluate=evaluate,
-            speed=None if sol.speed is None else -sol.speed,
-            endpoint_states=None
-            if sol.endpoint_states is None
-            else tuple(reversed(sol.endpoint_states)),
-            t_limit=None,
-            meta={**sol.meta, "reflected": not sol.meta.get("reflected", False)},
-        )
-    return Solution(evaluate=evaluate)
+    return replace(
+        sol,
+        evaluate=evaluate,
+        speed=None if sol.speed is None else -sol.speed,
+        endpoint_states=None
+        if sol.endpoint_states is None
+        else tuple(reversed(sol.endpoint_states)),
+        t_limit=None,
+        meta={**sol.meta, "reflected": not sol.meta.get("reflected", False)},
+    )
 
 
-def unrescale_solution(orig: OriginalParams, sol) -> Solution:
+def unrescale_solution(orig: OriginalParams, sol: Solution) -> Solution:
     """Dimensional sampler (T, X) -> (F, C, H) from a nondimensional one.
 
     Uses the substitution that produces the nondimensional system exactly:
@@ -246,13 +254,9 @@ def unrescale_solution(orig: OriginalParams, sol) -> Solution:
 
     def evaluate(T, X):
         u, v, w = sol(np.asarray(T) * r, np.asarray(X) * sq)
-        F = None if u is None else cF * u
-        C = None if v is None else cC * v
-        H = None if w is None else cH * w
-        return (F, C, H)
+        return (cF * u, cC * v, cH * w)
 
-    comps = getattr(sol, "components", ("u", "v", "w"))
-    return Solution(evaluate=evaluate, params=None, components=comps,
+    return Solution(evaluate=evaluate, params=None, components=sol.components,
                     meta={"dimensional": True})
 
 

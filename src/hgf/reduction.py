@@ -447,7 +447,8 @@ _RK_E = tuple(b5 - b4 for b5, b4 in zip(_RK_B5, _RK_B4))
 # relative step floor of `integrate`: a shorter step is an underflow, and a
 # step that ends this close to the span's end is snapped onto it
 _STEP_FLOOR = 1e-13
-MAX_NODES = 4_000_000  # nodes one `integrate` call may store
+# nodes one `integrate` or `dense_profile` call may store
+MAX_NODES = 4_000_000
 
 
 def _fehlberg_step(f, c, x, y, k0, hs):
@@ -593,6 +594,9 @@ def dense_profile(sys: ReducedSystem, y0, x0: float, x_left: float,
     derivatives stay below second-order stencil floors for grid spacings
     down to ~1e-3.
     """
+    if not (math.isfinite(x_left) and math.isfinite(x_right)):
+        raise ConstraintError(f"profile window ends must be finite, got "
+                              f"({x_left}, {x_right})")
     if not (x_left <= x0 <= x_right):
         raise ConstraintError("need x_left <= x0 <= x_right")
     if step <= 0:
@@ -602,8 +606,16 @@ def dense_profile(sys: ReducedSystem, y0, x0: float, x_left: float,
     y = np.asarray(y0, dtype=float)
     if y.shape != (sys.dim,):
         raise ConstraintError(f"initial state must have dimension {sys.dim}")
-    n_r = int(math.ceil((x_right - x0) / step - 1e-12))
-    n_l = int(math.ceil((x0 - x_left) / step - 1e-12))
+    if not np.isfinite(y).all():
+        raise ConstraintError(f"initial state must be finite, got "
+                              f"{y.tolist()}")
+    # steps to each end, counted in floats so that no count overflows
+    n_r, n_l = (np.ceil(d / step - 1e-12) for d in (x_right - x0, x0 - x_left))
+    if not n_r + n_l + 1 <= MAX_NODES:
+        raise ConstraintError(
+            f"profile window ({x_left}, {x_right}) at step {step} needs "
+            f"{n_r + n_l + 1:.4g} nodes, above the limit of {MAX_NODES:,}")
+    n_r, n_l = int(n_r), int(n_l)
     f = sys.spec.first_order
     out_r = np.empty((n_r + 1, sys.dim))
     ode_rk4_table(f, sys.kcoeffs, y, float(x0), step, n_r + 1, out_r)

@@ -34,9 +34,7 @@ import numpy as np
 from ._kernels import FINITE_CHECK_EVERY, mol_run
 from .calculus import FieldState, SpaceGrid
 from .errors import ConstraintError, NumericalError
-from .model import Params
-
-_COMPONENT_INDEX = {"u": 0, "v": 1, "w": 2}
+from .model import Params, Solution
 
 # a front-speed fit with r^2 below this is flagged unreliable
 R2_RELIABLE = 0.999
@@ -57,7 +55,7 @@ class BoundaryCondition:
     kind: str
     left: tuple[float, float, float] | None = None
     right: tuple[float, float, float] | None = None
-    family: object = None
+    family: Solution | None = None
 
     def __post_init__(self):
         if self.kind == "dirichlet":
@@ -84,7 +82,7 @@ class SimConfig:
     params: Params
     grid: SpaceGrid
     t_end: float
-    initial: object  # family-like sampler or (u, v, w) arrays
+    initial: Solution | tuple  # a Solution called at t0, or (u, v, w) arrays
     t0: float = 0.0
     bc: BoundaryCondition = field(
         default_factory=lambda: BoundaryCondition(kind="neumann-zero"))
@@ -120,14 +118,9 @@ class SimRun:
 
 
 def _initial_fields(config: SimConfig) -> np.ndarray:
-    x = config.grid.x()
     init = config.initial
-    if hasattr(init, "evaluate"):
-        vals = init.evaluate(config.t0, x)
-        F = np.zeros((3, config.grid.n))
-        for k, arr in enumerate(vals):
-            if arr is not None:
-                F[k] = np.broadcast_to(np.asarray(arr, float), (config.grid.n,))
+    if isinstance(init, Solution):
+        F = np.array(init(config.t0, config.grid.x()))
     else:
         F = np.zeros((3, config.grid.n))
         for k, arr in enumerate(init):
@@ -154,10 +147,8 @@ def _bc_mode_table(config: SimConfig, dt: float, nsteps: int):
     times = config.t0 + np.arange(1, nsteps + 1, dtype=float) * dt
     table = np.empty((nsteps, 1, 3, 2))
     for side, xb in enumerate((config.grid.x_min, config.grid.x_max)):
-        vals = bc.family.evaluate(times, xb)
-        for c, arr in enumerate(vals):
-            table[:, 0, c, side] = 0.0 if arr is None else \
-                np.asarray(arr, float).reshape(nsteps)
+        for c, arr in enumerate(bc.family(times, xb)):
+            table[:, 0, c, side] = arr
     return 0, table
 
 
@@ -306,7 +297,7 @@ def measure_front_speed(run_or_snapshots, component: str, level: float,
         run_or_snapshots.snapshots
         if hasattr(run_or_snapshots, "snapshots") else run_or_snapshots
     )
-    if component not in _COMPONENT_INDEX:
+    if component not in ("u", "v", "w"):
         raise ConstraintError("component must be one of u, v, w")
     times = np.asarray([s.t for s in snapshots])
     if fit_window is None:

@@ -363,6 +363,14 @@ class SeparableCase:
         return m, self.r * t + np.log(m)
 
 
+def _require_finite(what: str, coeffs: dict) -> None:
+    """Reject a non-finite coefficient by name; None means not given."""
+    for name, v in coeffs.items():
+        if v is not None and not math.isfinite(v):
+            raise ConstraintError(f"{what} coefficient {name} must be "
+                                  f"finite, got {v!r}")
+
+
 def _forced_a4(label: str, a4: float | None, a4_fixed: float,
                rule: str) -> float:
     """The a4 a case forces; a given a4 must match it to roundoff."""
@@ -378,6 +386,8 @@ def separable_case(case: str, a1: float, beta: float, delta1: float,
     """Check and resolve the case wiring: (i) a3 = 1, (ii) a3 = 0 with
     a4 != 0, (iii) a4 = 1 + a1 + a3 with a3 != 0.  A given a3 or a4 that
     the case fixes must equal the fixed value."""
+    _require_finite(f"case {case}", dict(a1=a1, beta=beta, delta1=delta1,
+                                         delta2=delta2, a4=a4, a3=a3))
     if not (delta1 > 0 and delta2 > 0):
         raise ConstraintError("separable cases need delta1 > 0 and delta2 > 0")
     if a1 == 0.0:
@@ -508,6 +518,7 @@ def make_ansatz(aid: str, **kw) -> Ansatz:
             f"{aid} expects coefficients {need}; missing {missing}, "
             f"unexpected {extra}"
         )
+    _require_finite(aid, kw)
     if aid in ("A34", "A37", "T2a", "T2b", "T2c", "T2d") and kw.get("a1") == 0:
         raise ConstraintError(f"{aid} requires a1 != 0")
     if aid == "T2a" and 1.0 + kw["beta"] * kw["a1"] == 0.0:
@@ -590,6 +601,7 @@ def semi35_case(case: str, a1: float, a4: float | None,
     kappa1/kappa2 and the closed V, W profiles.  A given a3 or a4 that the
     case fixes must equal the fixed value (a3 = 1 in 35-i, a3 = 0 in
     35-ii, a4 = 1 + a1 + a3 in 35-iii)."""
+    _require_finite(f"semi{case}", dict(a1=a1, a4=a4, a3=a3))
     if a1 == 0.0:
         raise ConstraintError("semi35 requires a1 != 0")
     if case in ("35-i", "35-ii"):
@@ -655,6 +667,7 @@ def semi50_case(case: str, a4: float | None,
     """Coefficients and closed w-profile of the A44 cases: 50 fixes a3 = 1
     and needs a4, 51 needs a3 and forces a4 = 1 + a3.  A given value the
     case fixes must equal the fixed value."""
+    _require_finite(f"semi{case}", dict(a4=a4, a3=a3))
     if case == "50":
         if a3 is not None and a3 != 1.0:
             raise ConstraintError(f"semi50 fixes a3 = 1, got {a3}")

@@ -336,47 +336,37 @@ def admissible_ops(p: Params) -> list[tuple[CaseId, tuple[SymmetryOp, ...]]]:
 # ---------------------------------------------------------------------------
 
 
-def _full_fields(sol, t, x):
-    vals = sol(t, x)
-    shape = np.broadcast(np.asarray(t), np.asarray(x)).shape
-    return tuple(
-        np.zeros(shape) if f is None else np.asarray(f, dtype=float)
-        for f in vals
-    )
-
-
-def flow(op: SymmetryOp, eps: float, sol) -> Solution:
+def flow(op: SymmetryOp, eps: float, sol: Solution) -> Solution:
     """Transformed solution under the finite flow of `op`.
 
     The pairing must be admissible: `op` has to belong to a catalog case
-    satisfied by the solution's coefficient set (undefined components of
-    the input are treated as identically zero).
+    satisfied by the solution's coefficient set.  The flow reads the
+    fields through `sol(t, x)`, so an undefined component of the input
+    enters as zeros; the result defines all three components.
     """
-    params = getattr(sol, "params", None)
+    params = sol.params
     if params is not None and not op.admissible_for(params):
         raise ConstraintError(
             f"operator {op.kind} is not admissible for params {params}"
         )
 
-    if op.kind in ("Pt", "Px"):
+    if op.kind == "Pt":
         def evaluate(t, x):
-            t = np.asarray(t, dtype=float)
-            x = np.asarray(x, dtype=float)
-            if op.kind == "Pt":
-                return _full_fields(sol, t - eps, x)
-            return _full_fields(sol, t, x - eps)
+            return sol(np.asarray(t, dtype=float) - eps, x)
+    elif op.kind == "Px":
+        def evaluate(t, x):
+            return sol(t, np.asarray(x, dtype=float) - eps)
     else:
         def evaluate(t, x):
             t = np.asarray(t, dtype=float)
             x = np.asarray(x, dtype=float)
-            u, v, w = _full_fields(sol, t, x)
+            u, v, w = sol(t, x)
             _, _, u2, v2, w2 = op.point_map(eps, t, x, u, v, w)
             z = np.zeros(np.broadcast(t, x).shape)
             return (u2 + z, v2 + z, w2 + z)
 
-    base_key = getattr(sol, "key", "")
     return Solution(evaluate=evaluate, params=params,
-                    key=f"{base_key}+{op.kind}({eps})" if base_key else "",
+                    key=f"{sol.key}+{op.kind}({eps})" if sol.key else "",
                     meta={"op": op.kind, "eps": eps})
 
 
@@ -437,6 +427,5 @@ def verify_flow_maps_solutions(op: SymmetryOp, eps: float, sol, window,
     grid = calculus.SpaceGrid.from_spacing(x_min, x_max, h)
     dt = grid.h
     before = calculus.pde_residual(params, sol, grid, t, dt)
-    after = calculus.pde_residual(params, flow(op, eps, sol), grid, t, dt,
-                                  components=("u", "v", "w"))
+    after = calculus.pde_residual(params, flow(op, eps, sol), grid, t, dt)
     return before, after

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hgf
-from hgf import calculus, cli
+from hgf import calculus, cli, solutions, symmetry
 from hgf.calculus import SpaceGrid
 from hgf.errors import ConstraintError
 
@@ -636,7 +636,8 @@ def test_semi_family_rejects_non_finite_profile_step(capsys):
     assert err.startswith("error:") and "step must be finite" in err
 
 
-@pytest.mark.parametrize("exc", [KeyError, TypeError, ValueError])
+@pytest.mark.parametrize("exc", [KeyError, TypeError, ValueError,
+                                 OverflowError, ZeroDivisionError])
 def test_program_bug_exits_3_with_traceback(monkeypatch, capsys, exc):
     # a bug in a handler is not a user error: it gets its own exit code,
     # and the traceback that locates it
@@ -708,3 +709,139 @@ def test_reduce_zero_divisor_is_a_user_error(capsys):
                             "--span", "0", "1"], capsys)
     assert code == 1
     assert err.startswith("error:") and "divides by a1" in err
+
+
+_FAM40_FLAGS = ["--a1", "0.1", "--a4", "0.5", "--delta1", "2"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["eval", "--family", "fam40-i", *_FAM40_FLAGS, "--beta", "nan",
+      "--delta2", "0.5", "--xmin", "0", "--xmax", "1", "--n", "3"], "beta"),
+    (["eval", "--family", "fam40-ii", *_FAM40_FLAGS, "--beta", "1",
+      "--delta2", "inf", "--xmin", "0", "--xmax", "1", "--n", "3"],
+     "delta2"),
+    (["eval", "--family", "semi51", "--a3", "0.5", "--gamma", "inf",
+      "--profile-lo", "-5", "--profile-hi", "5", "--xmin", "0", "--xmax",
+      "1", "--n", "3"], "gamma"),
+    (["residual", "--family", "fam40-i", *_FAM40_FLAGS, "--beta", "nan",
+      "--delta2", "0.5"], "beta"),
+], ids=["eval-fam40-i-beta", "eval-fam40-ii-delta2", "eval-semi51-gamma",
+        "residual-fam40-i-beta"])
+def test_family_coefficients_must_be_finite(argv, named, capsys):
+    # the evals wrote NaN or inf rows and exited 0; the residual exited 2
+    # as a numerical failure
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("error:") and f"{named} must be finite" in err
+    assert out == ""
+
+
+_SEMI35 = ["eval", "--family", "semi35-i", "--a1", "0.5", "--a4", "0.5",
+           "--beta", "0.3", "--xmin", "0", "--xmax", "1", "--n", "3"]
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--profile-hi", "inf"], "window ends must be finite"),
+    (["--profile-lo=-inf"], "window ends must be finite"),
+    (["--y0", "nan"], "initial state must be finite"),
+    (["--dy0", "inf"], "initial state must be finite"),
+], ids=["profile-hi-inf", "profile-lo-inf", "y0-nan", "dy0-inf"])
+def test_semi_profile_inputs_must_be_finite(flags, named, capsys):
+    # an infinite window end escaped as an OverflowError traceback; a
+    # non-finite initial state exited 2 as a blow-up
+    code, _, err = run_cli([*_SEMI35, *flags], capsys)
+    assert code == 1
+    assert err.startswith("error:") and named in err
+
+
+def test_eval_span_width_must_be_finite(capsys):
+    # each end is finite but the width overflows: rows with x = nan, inf
+    code, out, err = run_cli(["eval", "--family", "fisher", "--xmin=-1.7e308",
+                              "--xmax", "1.7e308", "--n", "3"], capsys)
+    assert code == 1
+    assert err.startswith("error:") and "--xmin" in err and "--xmax" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("cmd", [
+    ["residual", "--family", "fisher", "--h", "0.1"],
+    ["symmetry", "verify", "--family", "fisher", "--op", "Px", "--eps",
+     "0.1", "--h", "0.1"]], ids=["residual", "symmetry-verify"])
+@pytest.mark.parametrize("window", [["5", "-5"], ["2", "2"],
+                                    # argparse reads "-1e308" as an option
+                                    ["-1" + "0" * 308, "1e308"]],
+                         ids=["reversed", "empty", "overflowing"])
+def test_window_is_checked_by_flag_name(cmd, window, capsys):
+    # a reversed window was reported as "SpaceGrid n ... got -99"
+    code, _, err = run_cli([*cmd, "--window", *window], capsys)
+    assert code == 1
+    assert err.startswith("error: --window")
+
+
+def test_symmetry_verify_refine_reports_the_flowed_orders(tmp_path, capsys):
+    out_file = tmp_path / "ver.json"
+    code, _, _ = run_cli(
+        ["symmetry", "verify", "--family", "fam40-i", *_FAM40_FLAGS,
+         "--beta", "2.1822", "--delta2", "0.5", "--op", "Q1", "--eps", "0.3",
+         "--window", "0", "4", "--refine", "--h-seq", "8e-3", "4e-3", "2e-3",
+         "--out", str(out_file)], capsys)
+    assert code == 0
+    results = json.loads(out_file.read_text())["results"]
+    refined = results["after_refined"]
+    assert len(refined["history"]) == 3
+    assert refined["h"] == pytest.approx(2e-3)
+    assert all(1.8 <= o <= 2.2 for o in refined["order"])
+
+
+_XINF = ["symmetry", "verify", "--family", "fisher", "--op", "Xinf", "--eps",
+         "0.1", "--window", "-5", "5", "--h", "0.02"]
+
+
+@pytest.mark.parametrize("flags,profile", [
+    ([], symmetry.heat_decaying(0.7, 0.4, 1.0)),
+    (["--heat-kind", "constant", "--heat-a", "0.2"],
+     symmetry.heat_constant(0.2)),
+    (["--heat-kind", "affine", "--heat-b", "-0.5"],
+     symmetry.heat_affine(0.7, -0.5)),
+    (["--heat-kind", "exponential", "--heat-mu", "0.3"],
+     symmetry.heat_exponential(0.7, 0.3)),
+    (["--heat-kind", "decaying-mode", "--heat-a", "0.1", "--heat-b", "0.2",
+      "--heat-mu", "2"], symmetry.heat_decaying(0.1, 0.2, 2.0)),
+], ids=["default", "constant", "affine", "exponential", "decaying-mode"])
+def test_symmetry_verify_xinf_heat_kinds(flags, profile, capsys):
+    args = cli.build_parser().parse_args([*_XINF, *flags])
+    op = cli._op_from_args(args, solutions.fisher_tf().params)
+    assert op.profile == profile and op.d2 == 1.0
+    code, out, _ = run_cli([*_XINF, *flags], capsys)
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["op"] == "Xinf"
+    # Xinf moves v only: the u equation is untouched
+    assert results["after"]["linf"][0] == results["before"]["linf"][0]
+    assert results["after"]["linf"][1] < 1e-2
+
+
+def test_symmetry_verify_unknown_heat_kind(capsys):
+    code, _, err = run_cli([*_XINF, "--heat-kind", "periodic"], capsys)
+    assert code == 1
+    assert "unknown heat profile kind 'periodic'" in err
+
+
+def test_reduce_r58_follows_the_tf63_plane_wave(tmp_path, tf63_std):
+    # R58 takes the model coefficients as a Params record; from tf63's
+    # profile data at omega = 0 it must trace the front's profiles
+    p, m = tf63_std.params, tf63_std.meta
+    amp, mu, delta = 0.25 * (1 - 2 * m["a1"] * m["delta"]), m["mu"], m["delta"]
+    y0 = (amp, -2 * amp * mu, delta, -delta * mu, 0.5, 0.5 * mu)
+    traj = tmp_path / "r58.csv"
+    code = cli.dispatch(
+        ["reduce", "--system", "R58", "--alpha", repr(tf63_std.speed),
+         *[a for k in ("a1", "a2", "a3", "a4", "a5", "d2", "d3")
+           for a in (f"--{k}", repr(getattr(p, k)))],
+         "--y0", ",".join(map(repr, y0)), "--span", "0", "3",
+         "--traj-out", str(traj)])
+    assert code == 0
+    rows = np.loadtxt(traj, delimiter=",", skiprows=1)
+    exact = tf63_std.evaluate(0.0, rows[:, 0])
+    for col, f in zip((1, 3, 5), exact):
+        np.testing.assert_allclose(rows[:, col], f, rtol=0, atol=1e-8)

@@ -193,6 +193,45 @@ def test_dense_profile_rejects_non_finite_step(step):
         reduction.dense_profile(sys_, (1.0, 0.0), 0.0, -1.0, 1.0, step=step)
 
 
+def _l36():
+    return reduction.reduced_system("L36", alpha=5 / math.sqrt(6), a1=0.5,
+                                    beta=3.0, kappa1=0.3, kappa2=1.0)
+
+
+@pytest.mark.parametrize("window", [(-1.0, math.inf), (-math.inf, 1.0),
+                                    (math.nan, 1.0)])
+def test_dense_profile_rejects_non_finite_window_ends(window):
+    # an infinite end reached int(ceil(inf)): an OverflowError traceback
+    with pytest.raises(ConstraintError, match="window ends must be finite"):
+        reduction.dense_profile(_l36(), (1.0, 0.0), 0.0, *window)
+
+
+@pytest.mark.parametrize("y0", [(math.nan, 0.0), (1.0, math.inf)])
+def test_dense_profile_rejects_non_finite_initial_state(y0):
+    # the table filled with NaN and was reported as a blow-up (exit 2)
+    with pytest.raises(ConstraintError, match="initial state must be finite"):
+        reduction.dense_profile(_l36(), y0, 0.0, -1.0, 1.0)
+
+
+def test_dense_profile_checks_node_budget_before_allocating(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("tabulated past the node budget")
+
+    sys_ = _l36()
+    # (-1, 1) at step 0.005 around 0 holds 401 nodes
+    monkeypatch.setattr(reduction, "MAX_NODES", 401)
+    assert len(reduction.dense_profile(sys_, (1.0, 0.0), 0.0, -1.0,
+                                       1.0).xs) == 401
+    monkeypatch.setattr(reduction, "MAX_NODES", 400)
+    monkeypatch.setattr(reduction, "ode_rk4_table", no_table)
+    with pytest.raises(ConstraintError, match="401 nodes"):
+        reduction.dense_profile(sys_, (1.0, 0.0), 0.0, -1.0, 1.0)
+    # a node count that overflows to inf is over any budget
+    with pytest.raises(ConstraintError, match="nodes"):
+        reduction.dense_profile(sys_, (1.0, 0.0), 0.0, -1.0, 1.0,
+                                step=5e-324)
+
+
 def test_integrate_blowup_reports_reach_point():
     # logistic-type quadratic growth from far outside the basin
     sys = _r38(a1=1.0, a4=1.0, a3=1.0, beta=0.0)
@@ -603,3 +642,21 @@ def test_rk4_table_takes_an_ndarray_state():
     _reference_rk4_table(sys.code, sys.kcoeffs, y0, -0.5, 0.01, 101, want)
     assert np.isfinite(got).all()
     _assert_bitwise((got,), (want,))
+
+
+def test_integrate_retries_non_finite_stages(monkeypatch):
+    # from V = -1e150 every Fehlberg step leaves the floats; each failed
+    # step is retried at a quarter of its size until the step underflows
+    failed = []
+    step = reduction._fehlberg_step
+
+    def counted(*args):
+        out = step(*args)
+        failed.append(out is None)
+        return out
+
+    monkeypatch.setattr(reduction, "_fehlberg_step", counted)
+    sys_ = reduction.reduced_system("T2d", a1=1.0, a4=0.5)
+    with pytest.raises(NumericalError, match="step-size underflow at t = 0.0"):
+        reduction.integrate(sys_, (1.0, -1e150, 0.0), (0.0, 1.0))
+    assert failed == [True] * 19

@@ -269,3 +269,41 @@ def test_tf63_tanh_shape_endpoint_constraints(tf63_std, rng):
         inst = solutions.make_tf63(a1, delta)
         d1, d2 = inst.meta["tanh_shape"].endpoint_defects(a1)
         assert abs(d1) <= 1e-14 and abs(d2) <= 1e-14
+
+
+_SEPARABLE = dict(a1=0.5, beta=0.2, delta1=1.5, delta2=0.7)
+
+
+@pytest.mark.parametrize("case,name,value", [
+    ("i", "a1", math.nan), ("i", "beta", math.nan), ("ii", "beta", math.inf),
+    ("i", "delta1", math.inf), ("ii", "delta2", math.inf),
+    ("i", "a4", math.nan), ("iii", "a3", math.inf)])
+def test_separable_case_rejects_non_finite_coefficients(case, name, value):
+    # NaN or inf coefficients gave NaN or inf fields and no error; the
+    # delta checks let inf through
+    kw = {**_SEPARABLE, "a4": 0.6 if case != "iii" else None,
+          "a3": 0.4 if case == "iii" else None, name: value}
+    with pytest.raises(ConstraintError, match=f"{name} must be finite"):
+        solutions.separable_case(case, **kw)
+
+
+@pytest.mark.parametrize("aid,kw,name", [
+    ("A44", dict(alpha=1.2, beta=0.3, gamma=math.inf), "gamma"),
+    ("A34", dict(alpha=math.nan, beta=0.3, a1=0.5), "alpha"),
+    ("T2d", dict(gamma=0.1, a1=0.5, a4=-math.inf), "a4")])
+def test_make_ansatz_rejects_non_finite_coefficients(aid, kw, name):
+    with pytest.raises(ConstraintError, match=f"{aid} coefficient {name} "
+                                              f"must be finite"):
+        solutions.make_ansatz(aid, **kw)
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: solutions.semi35_case("35-i", 0.5, math.nan), "a4"),
+    (lambda: solutions.semi35_case("35-iii", math.inf, None, 0.7), "a1"),
+    (lambda: solutions.semi50_case("51", None, math.inf), "a3")],
+    ids=["semi35-i-a4", "semi35-iii-a1", "semi51-a3"])
+def test_semi_cases_name_non_finite_coefficients(build, name):
+    # these were caught later, under the name of a derived coefficient
+    # (L36's kappa1) or not at all (semi51's a4 = 1 + a3 = inf)
+    with pytest.raises(ConstraintError, match=f"{name} must be finite"):
+        build()

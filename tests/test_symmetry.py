@@ -167,3 +167,11 @@ def test_xinf_flow_preserves_exactness_up_to_stencil():
     before, after = symmetry.verify_flow_maps_solutions(
         op, 0.3, base, (0.5, -10.0, 10.0), 2e-3)
     assert after.linf[1] < 1e-5  # stencil truncation of the heat profile
+
+
+def test_px_flow_is_the_shifted_solution(tf63_std, rng):
+    eps = 0.7
+    moved = symmetry.flow(symmetry.px(), eps, tf63_std)
+    t, x = rng.uniform(0.0, 2.0, 50), rng.uniform(-10.0, 10.0, 50)
+    for a, b in zip(moved(t, x), tf63_std(t, x - eps)):
+        assert a.tobytes() == b.tobytes()

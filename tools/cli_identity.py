@@ -34,6 +34,7 @@ FAM40 = ["--a1", "0.1", "--a4", "0.5", "--beta", "2.1822", "--delta1", "2",
          "--delta2", "0.5"]
 SEMI50 = ["--a4", "0.5", "--beta", "0.3", "--gamma", "0.1", "--profile-lo",
           "-16", "--profile-hi", "16"]
+SEMI35 = ["--a1", "0.5", "--a4", "0.5", "--beta", "0.3"]
 R38_I = ["--system", "R38", "--case", "i", "--a1", "0.5", "--a4", "0.7",
          "--beta", "0.3", "--delta1", "1.3", "--delta2", "0.4"]
 R38 = ["--system", "R38", "--a1", "0.5", "--a3", "1", "--a4", "0.7",
@@ -66,6 +67,10 @@ CASES = [
                          "0", "--xmax", "4", "--n", "17"]]),
     ("eval-tf65-single", {}, [["eval", "--family", "tf65", "--d", "1",
                                "--xmin", "0", "--xmax", "0", "--n", "1"]]),
+    # amp = -0.0 at d = 5/3: v and w print as -0
+    ("eval-tf65-signed-zero", {}, [["eval", "--family", "tf65", "--d",
+                                    "1.6666666666666667", "--xmin", "-2",
+                                    "--xmax", "2", "--n", "5"]]),
     ("eval-semi50", {}, [["eval", "--family", "semi50", *SEMI50, "--xmin",
                           "-3", "--xmax", "3", "--n", "13", "--out",
                           "semi.csv"]]),
@@ -129,6 +134,11 @@ CASES = [
      [["symmetry", "verify", "--family", "tf63", *TF63, "--op", "Px",
        "--eps", "0.2", "--refine", "--h-seq", "8e-3", "4e-3", "--window",
        "-6", "6", "--out", "ver.json"]]),
+    # a flow over a family that defines u only
+    ("symmetry-verify-fisher-px", {},
+     [["symmetry", "verify", "--family", "fisher", "--op", "Px", "--eps",
+       "0.3", "--window", "-6", "6", "--h", "0.02", "--refine", "--h-seq",
+       "0.04", "0.02"]]),
     ("symmetry-verify-xinf", {},
      [["symmetry", "verify", "--family", "fisher", "--op", "Xinf", "--eps",
        "0.1", "--heat-kind", "affine", "--h", "0.02"]]),
@@ -200,6 +210,30 @@ CASES = [
        "--xmin", "0", "--xmax", "1", "--n", "3"]]),
     ("error-nan-max-step", {},
      [["reduce", *R38, "--span", "0", "1", "--max-step", "nan"]]),
+    ("error-non-finite-family-coefficients", {},
+     [["eval", "--family", "fam40-i", *FAM40[:4], "--beta", "nan",
+       *FAM40[6:], "--xmin", "0", "--xmax", "1", "--n", "3"],
+      ["eval", "--family", "fam40-ii", *FAM40[:8], "--delta2", "inf",
+       "--xmin", "0", "--xmax", "1", "--n", "3"],
+      ["eval", "--family", "semi51", "--a3", "0.5", "--gamma", "inf",
+       *SEMI50[6:], "--xmin", "0", "--xmax", "1", "--n", "3"],
+      ["residual", "--family", "fam40-i", *FAM40[:4], "--beta", "nan",
+       *FAM40[6:]]]),
+    ("error-semi-profile-inputs", {},
+     [["eval", "--family", "semi35-i", *SEMI35, *flags, "--xmin", "0",
+       "--xmax", "1", "--n", "3"]
+      for flags in (["--profile-hi", "inf"], ["--profile-lo=-inf"],
+                    ["--y0", "nan"], ["--dy0", "inf"])]),
+    ("error-eval-span-overflow", {},
+     [["eval", "--family", "fisher", "--xmin=-1.7e308", "--xmax",
+       "1.7e308", "--n", "3"]]),
+    ("error-window", {},
+     [["residual", "--family", "fisher", "--window", "5", "-5", "--h",
+       "0.1"],
+      ["symmetry", "verify", "--family", "fisher", "--op", "Px", "--eps",
+       "0.1", "--window", "2", "2"],
+      ["residual", "--family", "fisher", "--window", "-1" + "0" * 308,
+       "1e308"]]),
 ]
 
 
