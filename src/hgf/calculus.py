@@ -123,8 +123,9 @@ class ResidualReport:
 def sample(sol, grid: SpaceGrid, t: float) -> FieldState:
     """Pointwise evaluation of a `model.Solution` on a grid at time t."""
     x = grid.x()
-    fields = sol(t, x)
-    for name, arr in zip("uvw", fields):
+    fields = []
+    for name, arr in zip("uvw", sol(t, x)):
+        fields.append(arr.copy())  # rows the state owns
         if not np.isfinite(arr).all():
             i = int(np.flatnonzero(~np.isfinite(arr))[0])
             raise NumericalError(
@@ -200,15 +201,14 @@ def residual_from_states(
 
 
 def pde_residual(p, sol, grid: SpaceGrid, t: float, dt: float,
-                 components=None, return_fields: bool = False):
-    """Sample a solution at t - dt, t, t + dt and form the residual."""
-    if components is None:
-        components = sol.components
+                 return_fields: bool = False):
+    """Sample a solution at t - dt, t, t + dt and form the residual of
+    the equations of its defined components."""
     before = sample(sol, grid, t - dt)
     mid = sample(sol, grid, t)
     after = sample(sol, grid, t + dt)
     return residual_from_states(p, before, mid, after, dt,
-                                components=components,
+                                components=sol.components,
                                 return_fields=return_fields)
 
 

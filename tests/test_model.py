@@ -182,3 +182,22 @@ def test_unrescale_maps_solutions_of_the_rescaled_system(fam40_std):
     rep = calculus.refinement_study(orig, dim_sol, (0.25, 0.0, 5.0),
                                     [8e-3, 4e-3, 2e-3])
     assert all(1.8 <= o <= 2.2 for o in rep.order_estimate)
+
+
+def test_called_solution_returns_three_full_arrays():
+    # undefined components come back as zeros, scalars are broadcast, and
+    # nothing is added to zeros: tf65 at d = 5/3 has amplitude -0.0
+    t, x = np.array([[0.0], [0.5]]), np.linspace(-2.0, 2.0, 5)
+    fisher = solutions.fisher_tf()
+    u, v, w = fisher(t, x)
+    assert u.shape == v.shape == w.shape == (2, 5)
+    np.testing.assert_array_equal(u, fisher.evaluate(t, x)[0])
+    assert not (v.any() or w.any())
+    _, v, w = solutions.make_tf65(5.0 / 3.0)(0.3, x)
+    assert v.shape == w.shape == (5,)
+    assert np.signbit(v).all() and np.signbit(w).all()
+    const = model.Solution(evaluate=lambda t, x: (1.5, -0.0, None))
+    u, v, w = const(t, x)
+    assert u.shape == (2, 5) and (u == 1.5).all()
+    assert np.signbit(v).all() and not np.signbit(w).any()
+    assert not any(np.shares_memory(a, b) for a, b in ((u, v), (v, w), (u, w)))
