@@ -226,7 +226,7 @@ def _lib(name: str, *args, **fixed):
     """Build through `solutions.<name>` (looked up at call time), passing
     the given values by name."""
     def build(fp):
-        return getattr(solutions, name)(*args, **{**fixed, **fp})
+        return vars(solutions)[name](*args, **{**fixed, **fp})
     return build
 
 

@@ -210,7 +210,7 @@ class Solution:
         broadcast shape of t and x; an undefined component is zeros.
         Values are broadcast, never added to zeros, so a -0.0 keeps its
         sign; an array already of that shape is returned as it is."""
-        shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+        shape = np.broadcast(t, x).shape
         fields = (np.zeros(shape) if f is None else np.asarray(f, dtype=float)
                   for f in self.evaluate(t, x))
         return tuple(f if f.shape == shape else np.broadcast_to(f, shape).copy()
