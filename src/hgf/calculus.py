@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +31,9 @@ _COMPONENT_INDEX = {"u": 0, "v": 1, "w": 2}
 
 # refinement levels with residuals below this floor count as exactly zero
 ZERO_RESIDUAL_FLOOR = 1e-14
+
+# the most nodes a grid may have (32 MB per float64 row)
+MAX_NODES = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,9 @@ class SpaceGrid:
             raise ConstraintError(
                 f"SpaceGrid n must be an integer >= 5 (central stencils), "
                 f"got {self.n!r}")
+        if self.n > MAX_NODES:
+            raise ConstraintError(f"SpaceGrid n = {self.n:,} is above the "
+                                  f"limit of {MAX_NODES:,} nodes")
         for name in ("x_min", "x_max"):
             if not isinstance(getattr(self, name), numbers.Real):
                 raise ConstraintError(
@@ -69,7 +75,12 @@ class SpaceGrid:
     @classmethod
     def from_spacing(cls, x_min: float, x_max: float, h: float) -> SpaceGrid:
         """The grid on [x_min, x_max] whose spacing is nearest to h."""
-        return cls(x_min, x_max, int(round((x_max - x_min) / h)) + 1)
+        cells = (x_max - x_min) / h  # a float, so that no count overflows
+        if not cells < MAX_NODES - 0.5:  # round(cells) + 1 <= MAX_NODES
+            raise ConstraintError(
+                f"window ({x_min}, {x_max}) at spacing {h} needs "
+                f"{cells + 1.0:.4g} nodes, above the limit of {MAX_NODES:,}")
+        return cls(x_min, x_max, int(round(cells)) + 1)
 
 
 @dataclass(frozen=True)
@@ -113,7 +124,6 @@ class ResidualReport:
     dt: float
     order_estimate: tuple | None = None
     history: tuple = ()
-    meta: dict = field(default_factory=dict)
 
     def max_linf(self) -> float:
         vals = [v for v in self.linf if v is not None]
@@ -193,8 +203,7 @@ def residual_from_states(
         r -= buf
         r += rates[k]
         linf[k], l2[k] = _norms(r, buf)
-    report = ResidualReport(linf=tuple(linf), l2=tuple(l2), h=h, dt=dt,
-                            meta={"t": mid.t})
+    report = ResidualReport(linf=tuple(linf), l2=tuple(l2), h=h, dt=dt)
     if return_fields:
         return report, fields
     return report
@@ -285,8 +294,7 @@ def ode_residual(system, profile_fn, window, h: float,
         a, b = _norms(row, buf)
         linf.append(a)
         l2.append(b)
-    report = ResidualReport(linf=tuple(linf), l2=tuple(l2), h=hh, dt=0.0,
-                            meta={"system": getattr(system, "sid", "?")})
+    report = ResidualReport(linf=tuple(linf), l2=tuple(l2), h=hh, dt=0.0)
     if return_fields:
         return report, r
     return report

@@ -448,6 +448,9 @@ def _cmd_eval(args, config) -> int:
     key, fam, warns = _family_from_args(args, config)
     if args.n < 1:
         raise ConstraintError("--n must be >= 1")
+    if args.n > calculus.MAX_NODES:
+        raise ConstraintError(f"--n {args.n} is above the limit of "
+                              f"{calculus.MAX_NODES:,} nodes")
     if not math.isfinite(args.xmax - args.xmin):
         raise ConstraintError(f"--xmin {args.xmin} to --xmax {args.xmax} "
                               f"is not a finite width")
@@ -628,26 +631,20 @@ def _cmd_symmetry(args, config) -> int:
 
 
 def _op_from_args(args, params: model.Params) -> symmetry.SymmetryOp:
-    kind = args.op
-    if kind not in symmetry.OP_KINDS:
-        raise ConstraintError(f"unknown operator kind {kind!r}")
-    profile = None
-    if kind == "Xinf":
-        hk = args.heat_kind or "decaying-mode"
-        prof = {
-            "constant": lambda: symmetry.heat_constant(args.heat_a),
-            "affine": lambda: symmetry.heat_affine(args.heat_a, args.heat_b),
-            "exponential": lambda: symmetry.heat_exponential(
-                args.heat_a, args.heat_mu),
-            "decaying-mode": lambda: symmetry.heat_decaying(
-                args.heat_a, args.heat_b, args.heat_mu),
-        }.get(hk)
-        if prof is None:
-            raise ConstraintError(f"unknown heat profile kind {hk!r}")
-        profile = prof()
-    return symmetry.SymmetryOp(
-        kind, profile=profile,
-        **{n: getattr(params, n) for n in symmetry.OP_COEFFS.get(kind, ())})
+    if args.op != "Xinf":
+        return symmetry.op_for(args.op, params)
+    hk = args.heat_kind or "decaying-mode"
+    prof = {
+        "constant": lambda: symmetry.heat_constant(args.heat_a),
+        "affine": lambda: symmetry.heat_affine(args.heat_a, args.heat_b),
+        "exponential": lambda: symmetry.heat_exponential(
+            args.heat_a, args.heat_mu),
+        "decaying-mode": lambda: symmetry.heat_decaying(
+            args.heat_a, args.heat_b, args.heat_mu),
+    }.get(hk)
+    if prof is None:
+        raise ConstraintError(f"unknown heat profile kind {hk!r}")
+    return symmetry.op_for("Xinf", params, prof())
 
 
 def _build_system(args) -> reduction.ReducedSystem:

@@ -344,7 +344,6 @@ class ProfileTrajectory:
     ys: np.ndarray
     fs: np.ndarray
     rule: str = "cubic"
-    meta: dict = field(default_factory=dict)
     interp_error_estimate: float = math.nan
     _spline: object = field(default=None, repr=False)
 
@@ -580,9 +579,7 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
         xs = xs[::-1].copy()
         ys = ys[::-1].copy()
         fs = fs[::-1].copy()
-    return ProfileTrajectory(xs=xs, ys=ys, fs=fs, rule="cubic",
-                             meta={"sid": sys.sid, "rel_tol": rel_tol,
-                                   "abs_tol": abs_tol})
+    return ProfileTrajectory(xs=xs, ys=ys, fs=fs, rule="cubic")
 
 
 def dense_profile(sys: ReducedSystem, y0, x0: float, x_left: float,
@@ -627,8 +624,7 @@ def dense_profile(sys: ReducedSystem, y0, x0: float, x_left: float,
         raise NumericalError("dense profile tabulation produced non-finite "
                              "values (blow-up); shrink the window")
     fs = sys.rhs_nodes(xs, ys)
-    return ProfileTrajectory(xs=xs, ys=ys, fs=fs, rule="quintic",
-                             meta={"sid": sys.sid, "step": step})
+    return ProfileTrajectory(xs=xs, ys=ys, fs=fs, rule="quintic")
 
 
 # ---------------------------------------------------------------------------

@@ -122,12 +122,18 @@ def _initial_fields(config: SimConfig) -> np.ndarray:
     if isinstance(init, Solution):
         F = np.array(init(config.t0, config.grid.x()))
     else:
+        if len(init) != 3:
+            raise ConstraintError(f"initial data must hold 3 entries "
+                                  f"(u, v, w), got {len(init)}")
         F = np.zeros((3, config.grid.n))
-        for k, arr in enumerate(init):
+        for name, row, arr in zip("uvw", F, init):
             if arr is not None:
-                F[k] = np.asarray(arr, dtype=float)
-        if F.shape != (3, config.grid.n):
-            raise ConstraintError("initial arrays must match the grid")
+                arr = np.asarray(arr, dtype=float)
+                if arr.shape != row.shape:
+                    raise ConstraintError(
+                        f"initial {name} must have shape {row.shape}, "
+                        f"got {arr.shape}")
+                row[:] = arr
     if not np.isfinite(F).all():
         raise ConstraintError("initial data must be finite")
     return F

@@ -1,12 +1,14 @@
 """Operator catalog: admissibility cases, finite one-parameter group flows
 and solution-to-solution verification.
 
-Each operator kind carries exactly the coefficients its closed-form flow
-needs.  Invariance is verified numerically: apply the finite flow to a
-known solution and check that the residual of the transformed field still
-vanishes to stencil order.  The symbolic machinery behind the catalog is
-out of scope; the flows below are the integrated characteristic systems
-of the catalog generators.
+Each catalog row (`CASES`) names the operator kinds its coefficient case
+admits; `op_for` builds any kind with the coefficients `OP_COEFFS` names,
+exactly those its closed-form flow needs.  Invariance is verified
+numerically: apply the finite flow to a known solution and check that the
+residual of the transformed field still vanishes to stencil order.  The
+flows below are the integrated characteristic systems of the catalog
+generators; the tests check every (case, generator) pair of the table
+against the infinitesimal invariance criterion in sympy.
 
 Flow catalog (eps is the group parameter, fields at fixed (t, x)):
 
@@ -30,7 +32,7 @@ Flow catalog (eps is the group parameter, fields at fixed (t, x)):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -38,12 +40,6 @@ import numpy as np
 from . import calculus
 from .errors import ConstraintError
 from .model import Params, Solution
-
-OP_KINDS = (
-    "Pt", "Px", "I", "Xinf", "Q1", "UdV", "Q2", "ExpA4WdV",
-    "WdV_minus_a4WdW", "Case9Op", "Case10Op", "Case12_WdV_minus_WdW",
-    "Case12_UdV_plus_1mUdW", "Case12_ExpMinusT",
-)
 
 # coefficients each operator kind's flow reads from the coefficient set
 OP_COEFFS = {"Q1": ("a1",), "ExpA4WdV": ("a4",), "WdV_minus_a4WdW": ("a4",),
@@ -218,12 +214,7 @@ class SymmetryOp:
         for name, val in checks.items():
             if val is not None and not _eq(val, getattr(p, name)):
                 return False
-        for case, ops in admissible_ops(p):
-            if case.case == 0:
-                continue
-            if any(op.kind == self.kind for op in ops):
-                return True
-        return False
+        return any(self.kind in c.kinds for c in CASES if c.predicate(p))
 
 
 def pt() -> SymmetryOp:
@@ -238,6 +229,12 @@ def xinf(profile: HeatProfile, d2: float) -> SymmetryOp:
     return SymmetryOp(kind="Xinf", profile=profile, d2=d2)
 
 
+def op_for(kind: str, p: Params, profile=None) -> SymmetryOp:
+    """Operator `kind` with the coefficients `OP_COEFFS` names, from p."""
+    return SymmetryOp(kind, profile=profile,
+                      **{n: getattr(p, n) for n in OP_COEFFS.get(kind, ())})
+
+
 # ---------------------------------------------------------------------------
 # the twelve parameter cases
 # ---------------------------------------------------------------------------
@@ -245,15 +242,15 @@ def xinf(profile: HeatProfile, d2: float) -> SymmetryOp:
 
 @dataclass(frozen=True)
 class CaseId:
-    """One catalog row: its coefficient predicate and operator set."""
+    """One catalog row: its coefficient predicate and operator kinds."""
 
     case: int
     label: str
     predicate: Callable = field(repr=False)
-    make_ops: Callable = field(repr=False)
+    kinds: tuple[str, ...]
 
     def operators(self, p: Params) -> tuple[SymmetryOp, ...]:
-        return self.make_ops(p)
+        return tuple(op_for(kind, p) for kind in self.kinds)
 
 
 def _z(x) -> bool:
@@ -263,59 +260,58 @@ def _z(x) -> bool:
 CASES: tuple[CaseId, ...] = (
     CaseId(1, "a1=0, a3=0, a5=0, a2!=0",
            lambda p: _z(p.a1) and _z(p.a3) and _z(p.a5) and p.a2 != 0,
-           lambda p: (SymmetryOp("I"),)),
+           ("I",)),
     CaseId(2, "a1=0, a2=0, a5=0, a3!=0",
            lambda p: _z(p.a1) and _z(p.a2) and _z(p.a5) and p.a3 != 0,
-           lambda p: (xinf(heat_constant(1.0), p.d2),)),
+           ("Xinf",)),
     CaseId(3, "a1=0, a2=0, a3=0, a5=0",
            lambda p: _z(p.a1) and _z(p.a2) and _z(p.a3) and _z(p.a5),
-           lambda p: (SymmetryOp("I"), xinf(heat_constant(1.0), p.d2))),
+           ("I", "Xinf")),
     CaseId(4, "d1=d2, a2=1, a5=a1*a4, a1!=0",
            lambda p: p.d1 == p.d2 and p.a2 == 1.0 and p.a1 != 0
            and _eq(p.a5, p.a1 * p.a4),
-           lambda p: (SymmetryOp("Q1", a1=p.a1),)),
+           ("Q1",)),
     CaseId(5, "d1=d2, a1=0, a2=1, a5=0, a3!=0",
            lambda p: p.d1 == p.d2 and _z(p.a1) and p.a2 == 1.0
            and _z(p.a5) and p.a3 != 0,
-           lambda p: (SymmetryOp("UdV"), SymmetryOp("Q2"))),
+           ("UdV", "Q2")),
     CaseId(6, "d1=d2, a1=0, a2=1, a3=0, a5=0",
            lambda p: p.d1 == p.d2 and _z(p.a1) and p.a2 == 1.0
            and _z(p.a3) and _z(p.a5),
-           lambda p: (SymmetryOp("UdV"), SymmetryOp("I"), SymmetryOp("Q2"))),
+           ("UdV", "I", "Q2")),
     CaseId(7, "d2=d3, a1=0, a2=a4, a3=0, a5=0",
            lambda p: p.d2 == p.d3 and _z(p.a1) and _eq(p.a2, p.a4)
            and _z(p.a3) and _z(p.a5),
-           lambda p: (SymmetryOp("ExpA4WdV", a4=p.a4), SymmetryOp("I"))),
+           ("ExpA4WdV", "I")),
     CaseId(8, "d2=d3, a1=0, a2=0, a3=0, a5=0",
            lambda p: p.d2 == p.d3 and _z(p.a1) and _z(p.a2) and _z(p.a3)
            and _z(p.a5),
-           lambda p: (SymmetryOp("WdV_minus_a4WdW", a4=p.a4),
-                      SymmetryOp("I"), xinf(heat_constant(1.0), p.d2))),
+           ("WdV_minus_a4WdW", "I", "Xinf")),
     CaseId(9, "d1=d2=d3, a2=1, a3=0, a5=a1*a4, a1!=0",
            lambda p: p.d1 == p.d2 == p.d3 and p.a2 == 1.0 and _z(p.a3)
            and p.a1 != 0 and _eq(p.a5, p.a1 * p.a4),
-           lambda p: (SymmetryOp("Q1", a1=p.a1),
-                      SymmetryOp("Case9Op", a1=p.a1, a4=p.a4))),
+           ("Q1", "Case9Op")),
     CaseId(10, "d1=d2=d3, a1=0, a3=0, a4=1, a5=0, a2 not in {0,1}",
            lambda p: p.d1 == p.d2 == p.d3 and _z(p.a1) and _z(p.a3)
            and p.a4 == 1.0 and _z(p.a5) and p.a2 not in (0.0, 1.0),
-           lambda p: (SymmetryOp("I"), SymmetryOp("Case10Op", a2=p.a2))),
+           ("I", "Case10Op")),
     CaseId(11, "d1=d2=d3, a1=0, a2=1, a3=0, a4=1, a5=0",
            lambda p: p.d1 == p.d2 == p.d3 and _z(p.a1) and p.a2 == 1.0
            and _z(p.a3) and p.a4 == 1.0 and _z(p.a5),
-           lambda p: (SymmetryOp("UdV"), SymmetryOp("ExpA4WdV", a4=1.0),
-                      SymmetryOp("I"), SymmetryOp("Q2"))),
+           ("UdV", "ExpA4WdV", "I", "Q2")),
     CaseId(12, "d1=d2=d3, a1=0, a2=0, a3=0, a4=1, a5=0",
            lambda p: p.d1 == p.d2 == p.d3 and _z(p.a1) and _z(p.a2)
            and _z(p.a3) and p.a4 == 1.0 and _z(p.a5),
-           lambda p: (SymmetryOp("Case12_WdV_minus_WdW"),
-                      SymmetryOp("Case12_UdV_plus_1mUdW"),
-                      SymmetryOp("Case12_ExpMinusT"),
-                      SymmetryOp("I"), xinf(heat_constant(1.0), p.d2))),
+           ("Case12_WdV_minus_WdW", "Case12_UdV_plus_1mUdW",
+            "Case12_ExpMinusT", "I", "Xinf")),
 )
 
-_PRINCIPAL = CaseId(0, "principal (all coefficient sets)",
-                    lambda p: True, lambda p: (pt(), px()))
+_PRINCIPAL = CaseId(0, "principal (all coefficient sets)", lambda p: True,
+                    ("Pt", "Px"))
+
+# every operator kind, in the order the table first names it
+OP_KINDS = tuple(dict.fromkeys(
+    kind for c in (_PRINCIPAL, *CASES) for kind in c.kinds))
 
 
 def admissible_ops(p: Params) -> list[tuple[CaseId, tuple[SymmetryOp, ...]]]:
@@ -324,11 +320,8 @@ def admissible_ops(p: Params) -> list[tuple[CaseId, tuple[SymmetryOp, ...]]]:
     The principal translations always appear first (case number 0); the
     remaining entries list only each case's nontrivial extensions.
     """
-    out = [(_PRINCIPAL, _PRINCIPAL.operators(p))]
-    for case in CASES:
-        if case.predicate(p):
-            out.append((case, case.operators(p)))
-    return out
+    return [(c, c.operators(p)) for c in (_PRINCIPAL, *CASES)
+            if c.predicate(p)]
 
 
 # ---------------------------------------------------------------------------

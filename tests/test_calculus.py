@@ -36,6 +36,26 @@ def test_spacegrid_rejects_non_finite_bounds(x_min, x_max):
         SpaceGrid(x_min, x_max, 5)
 
 
+def test_spacegrid_node_budget(monkeypatch):
+    monkeypatch.setattr(calculus, "MAX_NODES", 1000)
+    assert SpaceGrid(0.0, 1.0, 1000).n == 1000
+    with pytest.raises(ConstraintError, match=r"n = 1,001 .*1,000"):
+        SpaceGrid(0.0, 1.0, 1001)
+
+
+@pytest.mark.parametrize("h", [5e-324, 1e-4])
+def test_from_spacing_counts_nodes_before_building(monkeypatch, h):
+    # 5e-324 gives an infinite count, which int() used to refuse with an
+    # OverflowError; 1e-4 gives 20,001 nodes, above the patched budget
+    monkeypatch.setattr(calculus, "MAX_NODES", 1000)
+    assert SpaceGrid.from_spacing(-1.0, 1.0, 4e-3).n == 501
+    with pytest.raises(ConstraintError) as err:
+        SpaceGrid.from_spacing(-1.0, 1.0, h)
+    msg = str(err.value)
+    assert "(-1.0, 1.0)" in msg and f"spacing {h}" in msg
+    assert "limit of 1,000" in msg
+
+
 def test_sample_constant():
     s = calculus.sample(_const_sampler(0, 0, 1), SpaceGrid(-1, 1, 5), 0.3)
     np.testing.assert_array_equal(s.u, 0.0)

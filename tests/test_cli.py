@@ -127,6 +127,42 @@ def test_exit_1_on_constraint_violation(capsys):
     assert "complex" in err
 
 
+@pytest.mark.parametrize("argv,what", [
+    # an infinite node count used to reach int(): exit 3, OverflowError
+    (["residual", "--family", "fisher", "--h", "5e-324"],
+     "window (-30.0, 30.0) at spacing 5e-324 needs inf nodes"),
+    (["residual", "--family", "fisher", "--window", "-1", "1", "--h",
+      "1e-3"], "window (-1.0, 1.0) at spacing 0.001"),
+    (["residual", "--family", "fisher", "--window", "-1", "1", "--refine",
+      "--h-seq", "0.01", "1e-3"], "window (-1.0, 1.0) at spacing 0.001"),
+    (["symmetry", "verify", "--family", "fisher", "--op", "Px", "--eps",
+      "0.1", "--window", "-1", "1", "--h", "1e-3"], "at spacing 0.001"),
+    (["eval", "--family", "fisher", "--xmin", "0", "--xmax", "1", "--n",
+      "1001"], "--n 1001"),
+], ids=["residual-inf", "residual", "residual-refine", "symmetry-verify",
+        "eval"])
+def test_grid_over_node_budget_is_named(monkeypatch, capsys, argv, what):
+    monkeypatch.setattr(calculus, "MAX_NODES", 1000)
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and what in err
+    assert "limit of 1,000" in err
+
+
+def test_simulate_grid_over_node_budget(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(calculus, "MAX_NODES", 1000)
+    config = {"family": {"key": "fisher"},
+              "grid": {"x_min": -10.0, "x_max": 10.0, "n": 1001},
+              "time": {"t_end": 0.1}}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, err = run_cli(["simulate", "--config", str(cfg_path), "--out",
+                            str(tmp_path / "run"), "--quiet"], capsys)
+    assert code == 1
+    assert "n = 1,001" in err and "limit of 1,000" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_exit_2_on_numerical_failure(tmp_path, capsys):
     # pulse-shaped component has two crossings -> numerical failure
     config = {

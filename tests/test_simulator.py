@@ -47,6 +47,24 @@ def test_one_cell_spike_stays_nonnegative():
     assert run.snapshots[-1].stack().max() < 0.1  # it spread
 
 
+@pytest.mark.parametrize("initial,match", [
+    ((np.zeros(5), None, None), r"initial u must have shape \(201,\)"),
+    ((np.array([0.3]), None, None), r"initial u must have shape"),
+    ((None, None, np.zeros((1, 201))), r"initial w must have shape"),
+    ((np.zeros(201),) * 4, r"3 entries \(u, v, w\), got 4"),
+    ((np.zeros(201),) * 2, r"3 entries \(u, v, w\), got 2"),
+], ids=["short", "one-element", "row-matrix", "four", "two"])
+def test_array_initial_data_checked_by_component(initial, match):
+    # a short array used to raise numpy's broadcast error, a one-element
+    # one was spread over the grid, four arrays raised IndexError and two
+    # left w at zero
+    cfg = simulator.SimConfig(params=Params(1, 1, 1, 1, 1),
+                              grid=SpaceGrid(-10.0, 10.0, 201), t_end=0.01,
+                              initial=initial)
+    with pytest.raises(ConstraintError, match=match):
+        simulator.run(cfg)
+
+
 @pytest.mark.parametrize("key", ["cfl_safety", "dt"])
 def test_step_knobs_are_unknown_time_keys(tmp_path, key):
     # the step follows from h and the diffusivities alone

@@ -64,6 +64,61 @@ def test_admissible_monotone_under_tightening():
     assert ops_loose <= ops_tight
 
 
+# one coefficient set per catalog row (d1, d2, d3 last), the operator kinds
+# the paper gives that row, and the coefficients each kind's flow reads
+ROW_OPS = {
+    1: (Params(0, 0.7, 0, 1.1, 0, 1.3, 1.7, 2.1), ("I",)),
+    2: (Params(0, 0, 0.9, 1.1, 0, 1.3, 1.7, 2.1), ("Xinf",)),
+    3: (Params(0, 0, 0, 1.1, 0, 1.3, 1.7, 2.1), ("I", "Xinf")),
+    4: (Params(0.5, 1, 0.9, 0.8, 0.4, 1.7, 1.7, 2.1), ("Q1",)),
+    5: (Params(0, 1, 0.9, 1.1, 0, 1.7, 1.7, 2.1), ("UdV", "Q2")),
+    6: (Params(0, 1, 0, 1.1, 0, 1.7, 1.7, 2.1), ("UdV", "I", "Q2")),
+    7: (Params(0, 1.1, 0, 1.1, 0, 1.3, 1.7, 1.7), ("ExpA4WdV", "I")),
+    8: (Params(0, 0, 0, 1.1, 0, 1.3, 1.7, 1.7),
+        ("WdV_minus_a4WdW", "I", "Xinf")),
+    9: (Params(0.5, 1, 0, 0.8, 0.4, 1.7, 1.7, 1.7), ("Q1", "Case9Op")),
+    10: (Params(0, 0.7, 0, 1, 0, 1.7, 1.7, 1.7), ("I", "Case10Op")),
+    11: (Params(0, 1, 0, 1, 0, 1.7, 1.7, 1.7), ("UdV", "ExpA4WdV", "I", "Q2")),
+    12: (Params(0, 0, 0, 1, 0, 1.7, 1.7, 1.7),
+         ("Case12_WdV_minus_WdW", "Case12_UdV_plus_1mUdW",
+          "Case12_ExpMinusT", "I", "Xinf")),
+}
+FLOW_COEFFS = {"Q1": ("a1",), "ExpA4WdV": ("a4",),
+               "WdV_minus_a4WdW": ("a4",), "Case9Op": ("a1", "a4"),
+               "Case10Op": ("a2",), "Xinf": ("d2",)}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_OPS))
+def test_each_row_wires_its_operators_from_the_params(case):
+    p, kinds = ROW_OPS[case]
+    ops, = [ops for c, ops in symmetry.admissible_ops(p) if c.case == case]
+    assert tuple(op.kind for op in ops) == kinds
+    for op in ops:
+        for name in ("a1", "a2", "a4", "d2"):
+            want = (getattr(p, name) if name in FLOW_COEFFS.get(op.kind, ())
+                    else None)
+            assert getattr(op, name) == want, (op.kind, name)
+        want = symmetry.heat_constant(1.0) if op.kind == "Xinf" else None
+        assert op.profile == want
+        assert op.admissible_for(p)
+
+
+def test_operator_kinds_in_table_order():
+    assert symmetry.OP_KINDS == (
+        "Pt", "Px", "I", "Xinf", "Q1", "UdV", "Q2", "ExpA4WdV",
+        "WdV_minus_a4WdW", "Case9Op", "Case10Op", "Case12_WdV_minus_WdW",
+        "Case12_UdV_plus_1mUdW", "Case12_ExpMinusT")
+
+
+def test_operator_with_other_coefficients_not_admissible():
+    p = ROW_OPS[4][0]
+    op = symmetry.SymmetryOp("Q1", a1=0.3)  # the row's set has a1 = 0.5
+    assert not op.admissible_for(p)
+    sol = model.Solution(evaluate=lambda t, x: (x, x, x), params=p)
+    with pytest.raises(ConstraintError, match="not admissible"):
+        symmetry.flow(op, 0.1, sol)
+
+
 def test_flow_scaling_example():
     op = symmetry.SymmetryOp("I")
     _, _, u, v, w = op.point_map(1.0, 0.0, 0.0, 0.3, 1.0, 2.0)

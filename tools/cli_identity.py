@@ -139,6 +139,14 @@ CASES = [
      [["symmetry", "verify", "--family", "fisher", "--op", "Px", "--eps",
        "0.3", "--window", "-6", "6", "--h", "0.02", "--refine", "--h-seq",
        "0.04", "0.02"]]),
+    # coefficients that meet cases 0, 3, 8 and 12 at once
+    ("symmetry-list-four-cases", {},
+     [["symmetry", "list", "--a1", "0", "--a2", "0", "--a3", "0", "--a4",
+       "1", "--a5", "0"]]),
+    # an operator that reads two coefficients (a1 and a4)
+    ("symmetry-verify-case9op", {},
+     [["symmetry", "verify", "--family", "fam40-ii", *FAM40, "--op",
+       "Case9Op", "--eps", "0.3", "--h", "0.01"]]),
     ("symmetry-verify-xinf", {},
      [["symmetry", "verify", "--family", "fisher", "--op", "Xinf", "--eps",
        "0.1", "--heat-kind", "affine", "--h", "0.02"]]),
@@ -227,6 +235,23 @@ CASES = [
     ("error-eval-span-overflow", {},
      [["eval", "--family", "fisher", "--xmin=-1.7e308", "--xmax",
        "1.7e308", "--n", "3"]]),
+    ("error-unknown-operator", {},
+     [["symmetry", "verify", "--family", "fisher", "--op", "Bogus", "--eps",
+       "0.1"]]),
+    ("error-operator-not-admissible", {},
+     [["symmetry", "verify", "--family", "fisher", "--op", "Case10Op",
+       "--eps", "0.1"]]),
+    # the grid budget: a spacing with no finite node count, a config grid
+    # and an --n above the limit (both refused before any allocation)
+    ("error-grid-spacing-budget", {},
+     [["residual", "--family", "fisher", "--h", "5e-324"]]),
+    ("error-grid-n-budget",
+     {"cfg.json": _config(FISHER, grid=(-10.0, 10.0, 20_000_000),
+                          t_end=0.1)},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"]]),
+    ("error-eval-n-budget", {},
+     [["eval", "--family", "fisher", "--xmin", "0", "--xmax", "1", "--n",
+       str(10**19)]]),
     ("error-window", {},
      [["residual", "--family", "fisher", "--window", "5", "-5", "--h",
        "0.1"],
