@@ -5,7 +5,9 @@ systems it tabulates are written in `hgf.reduction`.
 
 `mol_run` factors its constant implicit matrix once per run (LAPACK
 `dpttrf`); a step is then one `model.kinetics` call and one in-place
-`dpttrs` solve, into buffers allocated once per call.
+`dpttrs` solve, into buffers allocated once per call.  LAPACK is loaded
+from `scipy.linalg` on first use, not at import: `scipy.linalg` takes
+most of the time of `import hgf`, and only the MOL time step needs it.
 
 hgf starts no threads of its own: the kernels are sequential, and
 refinement levels run in order on the calling thread (`hgf.calculus`).
@@ -14,7 +16,6 @@ refinement levels run in order on the calling thread (`hgf.calculus`).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .errors import NumericalError
 from .model import kinetics
@@ -76,6 +77,7 @@ def _cn_factor(r, n, bc_mode):
     Dirichlet rows are identity rows; their neighbours take the boundary
     values on the right-hand side.  Zero-flux rows are halved, the
     trapezoid weights under which L is symmetric."""
+    from scipy.linalg.lapack import dpttrf
     rr = np.repeat(r, n)
     diag = 1.0 + 2.0 * rr
     off = -rr[:-1]  # off[g] couples rows g and g + 1
@@ -87,7 +89,7 @@ def _cn_factor(r, n, bc_mode):
         off[first] = off[last - 1] = 0.0
     else:
         diag[first] = diag[last] = 0.5 + r
-    d, e, info = lapack.dpttrf(diag, off)
+    d, e, info = dpttrf(diag, off)
     if info != 0:
         raise NumericalError(f"implicit diffusion matrix not factored "
                              f"(dpttrf info {info})")
@@ -96,6 +98,7 @@ def _cn_factor(r, n, bc_mode):
 
 def mol_run(F, dco, aco, h, dt, nsteps, bc_mode, bc_table, snap_steps,
             snaps):
+    from scipy.linalg.lapack import dpttrs
     F = np.ascontiguousarray(F, dtype=float)  # flat views for dpttrs
     n = F.shape[1]
     r = (0.5 * dt / (h * h)) * np.asarray(dco, dtype=float)
@@ -128,7 +131,7 @@ def mol_run(F, dco, aco, h, dt, nsteps, bc_mode, bc_table, snap_steps,
             B[:, 0] = 0.5 * B[:, 0] + r * (F[:, 1] - F[:, 0])
             B[:, -1] = 0.5 * B[:, -1] + r * (F[:, -2] - F[:, -1])
         flat = B.reshape(-1)  # a view: B is C-contiguous
-        x, info = lapack.dpttrs(d, e, flat, overwrite_b=1)
+        x, info = dpttrs(d, e, flat, overwrite_b=1)
         if info != 0:
             raise NumericalError(f"implicit diffusion solve failed "
                                  f"(dpttrs info {info})")

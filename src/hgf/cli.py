@@ -131,14 +131,14 @@ def _emit(command: str, out: str | None, inputs: dict, results: dict,
 def write_columns(fh, cols) -> int:
     """One CSV row per index of `cols`, broadcast to a common length, and
     the number of rows.  Every value prints with 17 significant digits,
-    which round-trip float64; a None column prints as empty cells."""
+    which round-trip float64; a None column prints as empty cells.  Each
+    row is one %-format of a row template, and the rows are written as
+    one string."""
     given = np.broadcast_arrays(*(np.asarray(c, dtype=float)
                                   for c in cols if c is not None))
-    n = len(given[0])
-    text = iter([format(v, ".17g") for v in a.tolist()] for a in given)
-    cells = [[""] * n if c is None else next(text) for c in cols]
-    fh.writelines(",".join(row) + "\n" for row in zip(*cells))
-    return n
+    row = ",".join("" if c is None else "%.17g" for c in cols) + "\n"
+    fh.write("".join(map(row.__mod__, zip(*(a.tolist() for a in given)))))
+    return len(given[0])
 
 
 def write_snapshots_csv(path, snapshots) -> int:

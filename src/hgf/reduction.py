@@ -386,8 +386,8 @@ class ProfileTrajectory:
 
     def _eval_quintic(self, x):
         if self._spline is None:
-            # imported here, its one use: scipy.interpolate takes most of
-            # the time and memory of `import hgf`
+            # imported here, its one use, as `_kernels` imports LAPACK:
+            # `import hgf` loads no scipy module
             from scipy.interpolate import make_interp_spline
             k = 5 if len(self.xs) > 5 else 3
             self._spline = make_interp_spline(self.xs, self.ys, k=k, axis=0)
