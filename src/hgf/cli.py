@@ -856,9 +856,9 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--window", type=_finite, nargs=2, default=None)
     _add_step_flags(pv)
     pv.add_argument("--heat-kind", default=None)
-    pv.add_argument("--heat-a", type=float, default=0.7)
-    pv.add_argument("--heat-b", type=float, default=0.4)
-    pv.add_argument("--heat-mu", type=float, default=1.0)
+    pv.add_argument("--heat-a", type=_finite, default=0.7)
+    pv.add_argument("--heat-b", type=_finite, default=0.4)
+    pv.add_argument("--heat-mu", type=_finite, default=1.0)
     pv.add_argument("--out", default=None)
 
     p = sub.add_parser("reduce", help="integrate a reduced ODE system")

@@ -52,8 +52,6 @@ from .model import Params, kinetics
 # evaluate n nodes at once; the arithmetic is the same in all three.
 # ---------------------------------------------------------------------------
 
-_SQRT6 = math.sqrt(6.0)
-
 
 def _tanh(x):
     """math.tanh, elementwise on arrays: np.tanh differs from it in the
@@ -126,13 +124,13 @@ def _T2d(out, x, y, a1, a4):
 
 def _L36(out, x, y, alpha, a1, beta, kappa1, kappa2):
     U, Up = y[0], y[1]
-    phi = 1.0 - _tanh(kappa2 * x / (2.0 * _SQRT6))
+    phi = 1.0 - _tanh(kappa2 * x / (2.0 * solutions.SQRT6))
     out[1] = -alpha * Up - U * (1.0 + a1 * beta - kappa1 * phi * phi)
 
 
 def _L52(out, x, y, alpha, beta, a4, case):  # case 50: 1.0, 51: 0.0
     V, Vp = y[0], y[1]
-    phi = 1.0 - _tanh(x / (2.0 * _SQRT6))
+    phi = 1.0 - _tanh(x / (2.0 * solutions.SQRT6))
     U = 0.25 * phi * phi
     if case > 0.5:
         W = 0.25 * (1.0 - a4) * phi * phi
@@ -702,13 +700,15 @@ def verify_reduction(sys: ReducedSystem, ansatz: solutions.Ansatz,
 # checked builder for the semi-exact families
 # ---------------------------------------------------------------------------
 
+# spacing of the finite-difference residual that checks a tabulated profile
+_CHECK_H = 2e-3
+
 
 def semi_exact_family(case: str, *, a1: float | None = None,
                       a4: float | None = None, a3: float | None = None,
                       beta: float = 0.0, gamma: float = 0.0,
                       window=(-22.0, 22.0), step: float = 5e-3,
-                      y0=(1.0, 0.0), anchor: float | None = None,
-                      check_h: float = 2e-3):
+                      y0=(1.0, 0.0), anchor: float | None = None):
     """Integrate the free profile of a semi-exact family and assemble it.
 
     Returns (family, trajectory).  The initial data `y0` is imposed at
@@ -737,8 +737,8 @@ def semi_exact_family(case: str, *, a1: float | None = None,
     traj = dense_profile(sys, np.asarray(y0, dtype=float), anchor, lo, hi,
                          step=step)
     prof = traj.profile_matrix((0,))
-    inner = (lo + 4 * check_h, hi - 4 * check_h)
-    linf = float(calculus.ode_residual(sys, prof, inner, check_h).linf[0])
+    inner = (lo + 4 * _CHECK_H, hi - 4 * _CHECK_H)
+    linf = float(calculus.ode_residual(sys, prof, inner, _CHECK_H).linf[0])
     scale = 1.0 + float(np.max(np.abs(traj.ys[:, 0])))
     if linf > 1e-5 * scale:
         raise NumericalError(

@@ -7,8 +7,9 @@ exactly those its closed-form flow needs.  Invariance is verified
 numerically: apply the finite flow to a known solution and check that the
 residual of the transformed field still vanishes to stencil order.  The
 flows below are the integrated characteristic systems of the catalog
-generators; the tests check every (case, generator) pair of the table
-against the infinitesimal invariance criterion in sympy.
+generators, and `SymmetryOp.point_map` is their one code form.  The tests
+check every (case, generator) pair of the table against the infinitesimal
+invariance criterion in sympy, and pin `point_map` to this catalog.
 
 Flow catalog (eps is the group parameter, fields at fixed (t, x)):
 
@@ -169,42 +170,6 @@ class SymmetryOp:
         shift = eps * np.exp(-np.asarray(t, dtype=float)) * u
         return (t, x, u, v + shift, w - shift)
 
-    # -- infinitesimals -----------------------------------------------------
-
-    def eta(self, t, x, u, v, w):
-        """Field-direction generator components (eta1, eta2, eta3)."""
-        k = self.kind
-        z = np.zeros(np.broadcast(np.asarray(t), np.asarray(u)).shape)
-        if k in ("Pt", "Px"):
-            return (z, z, z)
-        if k == "I":
-            return (z, v + z, w + z)
-        if k == "Xinf":
-            return (z, self.profile(t, x, self.d2) + z, z)
-        if k == "Q1":
-            return (-self.a1 * u + z, u + z, z)
-        if k == "UdV":
-            return (z, u + z, z)
-        if k == "Q2":
-            return (z, np.exp(t) * (u - 1.0) + z, z)
-        if k == "ExpA4WdV":
-            return (z, np.exp(self.a4 * t) * w + z, z)
-        if k == "WdV_minus_a4WdW":
-            return (z, w + z, -self.a4 * w + z)
-        if k == "Case9Op":
-            a1, a4 = self.a1, self.a4
-            s = ((a4 - 1.0) / a1) * u + (a4 - 1.0) * v + w + (1.0 - a4) / a1
-            e = np.exp(t) * s
-            return (e + z, -e / a1 + z, z)
-        if k == "Case10Op":
-            return (z, u + z, (self.a2 - 1.0) * (u - 1.0) + z)
-        if k == "Case12_WdV_minus_WdW":
-            return (z, w + z, -w + z)
-        if k == "Case12_UdV_plus_1mUdW":
-            return (z, u + z, 1.0 - u + z)
-        e = np.exp(-np.asarray(t, dtype=float)) * u
-        return (z, e + z, -e + z)
-
     def admissible_for(self, p: Params) -> bool:
         """Is this operator in the catalog for coefficient set p, with
         matching coefficient data?"""
@@ -351,12 +316,7 @@ def flow(op: SymmetryOp, eps: float, sol: Solution) -> Solution:
             return sol(t, np.asarray(x, dtype=float) - eps)
     else:
         def evaluate(t, x):
-            t = np.asarray(t, dtype=float)
-            x = np.asarray(x, dtype=float)
-            u, v, w = sol(t, x)
-            _, _, u2, v2, w2 = op.point_map(eps, t, x, u, v, w)
-            z = np.zeros(np.broadcast(t, x).shape)
-            return (u2 + z, v2 + z, w2 + z)
+            return op.point_map(eps, t, x, *sol(t, x))[2:]
 
     return Solution(evaluate=evaluate, params=params,
                     key=f"{sol.key}+{op.kind}({eps})" if sol.key else "",
@@ -385,26 +345,6 @@ def flow_group_check(op: SymmetryOp, eps1: float, eps2: float,
     return all(close(a, b) for a, b in zip(comp, direct)) and all(
         close(a, b) for a, b in zip(ident, orig)
     )
-
-
-def infinitesimal_consistency(op: SymmetryOp, points,
-                              eps: float = 1e-6) -> float:
-    """Max relative gap between (flow(eps) - id)/eps and the generator.
-
-    Ties the implemented finite flows back to the catalog infinitesimals;
-    only meaningful for field-direction operators.
-    """
-    if op.kind in ("Pt", "Px"):
-        raise ConstraintError("translations have no field-direction generator")
-    t, x, u, v, w = (np.asarray(a, dtype=float) for a in points)
-    moved = op.point_map(eps, t, x, u, v, w)
-    etas = op.eta(t, x, u, v, w)
-    worst = 0.0
-    for before, after, gen in zip((u, v, w), moved[2:], etas):
-        fd = (after - before) / eps
-        gap = np.abs(fd - gen) / (1.0 + np.abs(gen))
-        worst = max(worst, float(np.max(gap)))
-    return worst
 
 
 def verify_flow_maps_solutions(op: SymmetryOp, eps: float, sol, window,

@@ -614,6 +614,8 @@ def test_step_flags_must_be_positive(argv, flag, capsys):
 
 _R38 = ["reduce", "--system", "R38", "--a1", "0.5", "--a3", "1", "--a4",
         "0.7", "--beta", "0.3"]
+_XINF = ["symmetry", "verify", "--family", "fisher", "--op", "Xinf", "--eps",
+         "0.1"]
 
 
 @pytest.mark.parametrize("argv,flag,what", [
@@ -638,9 +640,15 @@ _R38 = ["reduce", "--system", "R38", "--a1", "0.5", "--a3", "1", "--a4",
     ([*_R38, "--span", "0", "1", "--max-step", "inf"], "--max-step",
      "finite"),
     (["residual", "--family", "fisher", "--h", "nan"], "--h", "finite"),
+    ([*_XINF, "--heat-a", "nan"], "--heat-a", "finite"),
+    ([*_XINF, "--heat-kind", "exponential", "--heat-mu", "nan"], "--heat-mu",
+     "finite"),
+    ([*_XINF, "--heat-kind", "constant", "--heat-b", "nan"], "--heat-b",
+     "finite"),
 ], ids=["eval-xmin", "eval-xmax", "eval-t", "residual-t", "residual-window",
         "verify-eps", "speed-level", "speed-fit-window", "reduce-span",
-        "reduce-negative-max-step", "reduce-inf-max-step", "residual-nan-h"])
+        "reduce-negative-max-step", "reduce-inf-max-step", "residual-nan-h",
+        "verify-heat-a", "verify-heat-mu", "verify-heat-b"])
 def test_float_flags_must_be_finite(argv, flag, what, capsys):
     # these wrote nan or inf rows and exited 0, read a negative step as
     # positive, or failed later as a "numerical failure"

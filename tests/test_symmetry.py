@@ -154,11 +154,6 @@ def test_group_axioms(op, rng):
     assert symmetry.flow_group_check(op, 0.4, -0.4, _points(rng))
 
 
-@pytest.mark.parametrize("op", ALL_FIELD_OPS, ids=lambda o: o.kind)
-def test_infinitesimal_consistency(op, rng):
-    assert symmetry.infinitesimal_consistency(op, _points(rng)) <= 1e-5
-
-
 def test_heat_profiles_solve_heat_equation():
     d2 = 1.7
     profiles = [symmetry.heat_constant(0.8),

@@ -1,19 +1,21 @@
 """Symbolic oracle for the symmetry catalog (sympy; tests only).
 
-The generators below are not read from `SymmetryOp.eta`.  Each is
-d/d(eps) at eps = 0 of a finite flow written here from the flow catalog
-in the `hgf.symmetry` docstring, and the kinetics are the model equations
-in the `hgf.model` docstring.  For every (case, operator) pair that the
-catalog table lists, the infinitesimal invariance criterion for a
+The finite flows below are written here from the flow catalog in the
+`hgf.symmetry` docstring, not read from the code, and the kinetics are
+the model equations in the `hgf.model` docstring.  Each generator is
+d/d(eps) at eps = 0 of its flow.  For every (case, operator) pair that
+the catalog table lists, the infinitesimal invariance criterion for a
 generator that moves the fields only,
 
     D_t eta^k - d_k D_x^2 eta^k - sum_j eta^j dC_k/du_j = 0,
 
 must hold on solutions of the PDE under that case's coefficient
 conditions (Olver 1993, GTM 107, ch. 2; Cherniha & King 2000,
-J. Phys. A 33:267).
+J. Phys. A 33:267).  The flows are then pinned numerically to
+`SymmetryOp.point_map`, the one code form of the catalog.
 """
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -131,3 +133,30 @@ def test_oracle_sees_a_dropped_condition():
     r = _criterion(_eta("Q1"), loose)
     assert r[:2] == [0, 0]
     assert sp.expand(r[2] - U * W * (a5 - a1 * a4)) == 0
+
+
+# Xinf's P in the pin: a decaying mode of P_t = d2 P_xx, written out here
+amp, b, mu = sp.symbols("amp b mu")
+_HEAT = sp.exp(-d2 * mu**2 * t) * (amp * sp.cos(mu * x) + b * sp.sin(mu * x))
+_MODE = {amp: 0.7, b: 0.4, mu: 1.3}
+_UVW = sp.symbols("u v w")
+_COEFFS = (a1, a2, a4, d2, amp, b, mu)
+
+
+@pytest.mark.parametrize("kind", FLOWS)
+def test_point_map_is_the_catalog_flow(kind, rng):
+    exprs = [f.subs(P, _HEAT).subs(dict(zip(FIELDS, _UVW)))
+             for f in FLOWS[kind]]
+    flow = sp.lambdify((eps, t, x, *_UVW, *_COEFFS), [t, x, *exprs], "numpy")
+    values = {**_GENERIC, **_MODE}
+    op = symmetry.op_for(kind, Params(**{s.name: v for s, v in
+                                         _GENERIC.items()}),
+                         symmetry.heat_decaying(*_MODE.values()))
+    point = (rng.uniform(-1.5, 1.5, 1000), rng.uniform(-5.0, 5.0, 1000),
+             *rng.uniform(-1.5, 1.5, (3, 1000)))
+    for e in (-0.7, 0.3, 1.1):
+        got = op.point_map(e, *point)
+        want = flow(e, *point, *(values[s] for s in _COEFFS))
+        for g, w in zip(got, want):
+            gap = np.max(np.abs(g - w) / (1.0 + np.abs(w)))
+            assert gap <= 1e-13, (e, gap)

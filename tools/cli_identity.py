@@ -216,6 +216,12 @@ CASES = [
       ["reduce", *R38, "--span", "0", "1", "--max-step", "-0.5"],
       ["eval", "--family", "semi50", *SEMI50, "--profile-step", "nan",
        "--xmin", "0", "--xmax", "1", "--n", "3"]]),
+    ("error-non-finite-heat-flags", {},
+     [["symmetry", "verify", "--family", "fisher", "--op", "Xinf", "--eps",
+       "0.1", *flags]
+      for flags in (["--heat-a", "nan"],
+                    ["--heat-kind", "exponential", "--heat-mu", "nan"],
+                    ["--heat-kind", "constant", "--heat-b", "nan"])]),
     ("error-nan-max-step", {},
      [["reduce", *R38, "--span", "0", "1", "--max-step", "nan"]]),
     ("error-non-finite-family-coefficients", {},
