@@ -630,27 +630,43 @@ def _cmd_symmetry(args, config) -> int:
                  (*warns, *fam.warnings))
 
 
+# Xinf's heat profile kinds: the constructor and the flags it reads, in
+# its argument order; and each flag's default
+_HEAT_KINDS = {
+    "constant": (symmetry.heat_constant, ("heat_a",)),
+    "affine": (symmetry.heat_affine, ("heat_a", "heat_b")),
+    "exponential": (symmetry.heat_exponential, ("heat_a", "heat_mu")),
+    "decaying-mode": (symmetry.heat_decaying,
+                      ("heat_a", "heat_b", "heat_mu")),
+}
+_HEAT_DEFAULTS = {"heat_a": 0.7, "heat_b": 0.4, "heat_mu": 1.0}
+
+
 def _op_from_args(args, params: model.Params) -> symmetry.SymmetryOp:
+    """The operator of `symmetry verify`; a heat flag that it does not read
+    is rejected, not dropped."""
+    given = [n for n in ("heat_kind", *_HEAT_DEFAULTS)
+             if getattr(args, n) is not None]
     if args.op != "Xinf":
-        return symmetry.op_for(args.op, params)
+        op = symmetry.op_for(args.op, params)
+        if given:
+            raise ConstraintError(f"operator {args.op} does not take "
+                                  f"{', '.join(map(_flag, given))}")
+        return op
     hk = args.heat_kind or "decaying-mode"
-    prof = {
-        "constant": lambda: symmetry.heat_constant(args.heat_a),
-        "affine": lambda: symmetry.heat_affine(args.heat_a, args.heat_b),
-        "exponential": lambda: symmetry.heat_exponential(
-            args.heat_a, args.heat_mu),
-        "decaying-mode": lambda: symmetry.heat_decaying(
-            args.heat_a, args.heat_b, args.heat_mu),
-    }.get(hk)
-    if prof is None:
+    if hk not in _HEAT_KINDS:
         raise ConstraintError(f"unknown heat profile kind {hk!r}")
-    return symmetry.op_for("Xinf", params, prof())
+    make, reads = _HEAT_KINDS[hk]
+    unread = [_flag(n) for n in given if n not in ("heat_kind", *reads)]
+    if unread:
+        raise ConstraintError(f"heat kind {hk} does not take "
+                              f"{', '.join(unread)}")
+    values = (_HEAT_DEFAULTS[n] if getattr(args, n) is None
+              else getattr(args, n) for n in reads)
+    return symmetry.op_for("Xinf", params, make(*values))
 
 
-def _build_system(args) -> reduction.ReducedSystem:
-    spec = reduction.SYSTEMS.get(args.system)
-    if spec is None:
-        raise ConstraintError(f"unknown system id {args.system!r}")
+def _build_system(args, spec) -> reduction.ReducedSystem:
     kw = {name: _req(args, name) for name in spec.coeffs
           if name not in spec.defaults or getattr(args, name) is not None}
     if spec.takes_params:
@@ -680,6 +696,8 @@ _STATE_HEADERS = {
 _REDUCE_COEFFS = tuple(dict.fromkeys(
     [n for spec in reduction.SYSTEMS.values() for n in spec.coeffs]
     + ["delta1", "delta2"]))
+# what R38 with --case reads: the closed form's coefficients
+_SEPARABLE_COEFFS = ("case", "a1", "beta", "delta1", "delta2", "a3", "a4")
 
 
 def _closed_form_R38(args, t):
@@ -690,12 +708,33 @@ def _closed_form_R38(args, t):
 
 def _cmd_reduce(args, config) -> int:
     warns: list[str] = []
+    flags = [n for n in _REDUCE_COEFFS if getattr(args, n) is not None]
+    keys: list[str] = []
     if args.params_file:
         vals = _load_params_file(args.params_file, _REDUCE_COEFFS,
                                  "reduce params")
+        keys = sorted(vals)
         warns = _overlay(vals, args, list(vals), "file")
         vars(args).update(vals)
-    separable = args.system == "R38" and args.case is not None
+    spec = reduction.SYSTEMS.get(args.system)
+    if spec is None:
+        raise ConstraintError(f"unknown system id {args.system!r}")
+    separable = spec.sid == "R38" and args.case is not None
+    if args.case is not None and not separable and "case" not in spec.coeffs:
+        raise ConstraintError(
+            f"system {spec.sid} has no cases; --case applies to R38 "
+            f"(i, ii, iii) and L52 (50, 51)")
+    # a coefficient the system does not read is rejected, not dropped
+    reads = _SEPARABLE_COEFFS if separable else spec.coeffs
+    label = f"{spec.sid} --case {args.case}" if separable else spec.sid
+    ignored = [_flag(n) for n in flags if n not in reads]
+    if ignored:
+        raise ConstraintError(f"system {label} does not take "
+                              f"{', '.join(ignored)}")
+    ignored = [k for k in keys if k not in reads]
+    if ignored:
+        raise ConstraintError(f"reduce params file: system {label} does "
+                              f"not take keys {ignored}")
     if separable:
         for name in ("a1", "beta", "delta1", "delta2"):
             _req(args, name)
@@ -705,11 +744,7 @@ def _cmd_reduce(args, config) -> int:
         sys_ = reduction.reduced_system("R38", beta=args.beta, a1=args.a1,
                                         a3=sc.a3, a4=sc.a4)
     else:
-        sys_ = _build_system(args)
-        if args.case is not None and "case" not in sys_.spec.coeffs:
-            raise ConstraintError(
-                f"system {sys_.sid} has no cases; --case applies to R38 "
-                f"(i, ii, iii) and L52 (50, 51)")
+        sys_ = _build_system(args, spec)
     if args.y0 is not None:
         try:
             y0 = np.asarray([float(s) for s in args.y0.split(",")])
@@ -728,8 +763,7 @@ def _cmd_reduce(args, config) -> int:
         with open(args.traj_out, "w") as fh:
             fh.write(",".join((sys_.ivar, *_STATE_HEADERS[sys_.dim])) + "\n")
             write_columns(fh, (traj.xs, *traj.ys.T))
-    results = {"system": sys_.sid, "nodes": len(traj.xs), "span": span,
-               "interp_error_estimate": traj.interp_error_estimate}
+    results = {"system": sys_.sid, "nodes": len(traj.xs), "span": span}
 
     if args.verify:
         if separable:
@@ -856,9 +890,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--window", type=_finite, nargs=2, default=None)
     _add_step_flags(pv)
     pv.add_argument("--heat-kind", default=None)
-    pv.add_argument("--heat-a", type=_finite, default=0.7)
-    pv.add_argument("--heat-b", type=_finite, default=0.4)
-    pv.add_argument("--heat-mu", type=_finite, default=1.0)
+    for name in _HEAT_DEFAULTS:
+        pv.add_argument(_flag(name), type=_finite, default=None)
     pv.add_argument("--out", default=None)
 
     p = sub.add_parser("reduce", help="integrate a reduced ODE system")

@@ -158,13 +158,9 @@ def rescale_params(orig: OriginalParams) -> Params:
 
     a1 = e2 L / r_f, a2 = r_c / r_f, a3 = r_h / r_f, a4 = K / r_f,
     a5 = e2 K L / r_f^2; diffusivities pass through unchanged.
-    K = 0 or r_f = 0 are rejected (they would force a4 = 0 or divide by
-    zero) -- `OriginalParams` already refuses to hold them.
+    `OriginalParams` holds K > 0 and r_f > 0 only, so no division is by
+    zero and a4 never vanishes.
     """
-    if orig.r_f == 0:
-        raise ConstraintError("rescale_params requires r_f != 0")
-    if orig.K == 0:
-        raise ConstraintError("rescale_params requires K != 0 (a4 would vanish)")
     r = orig.r_f
     return Params(
         a1=orig.e2 * orig.L / r,

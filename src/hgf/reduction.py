@@ -15,10 +15,11 @@ use (U, V, W); the scalar linear profile equations use (Y, Y').
 
 `integrate` is an embedded Runge-Kutta 4(5) pair with PI step control;
 `dense_profile` tabulates a profile on a uniform grid with fixed-step RK4
-(`_kernels.ode_rk4_table`) and returns a trajectory whose quintic
-interpolant is accurate enough to sit below second-order stencil floors.
-Both step a list of Python floats: numpy calls on 2- to 6-entry states
-cost more than their arithmetic.
+(`_kernels.ode_rk4_table`).  Both step a list of Python floats: numpy
+calls on 2- to 6-entry states cost more than their arithmetic.  Both
+return a `ProfileTrajectory`, the nodes and states only; its one
+interpolant, the quintic B-spline through the nodes, is accurate enough
+to sit below second-order stencil floors.
 """
 
 from __future__ import annotations
@@ -262,10 +263,6 @@ class ReducedSystem:
             )
         return self.spec.first_order(float(x), y, *self.kcoeffs)
 
-    def rhs_nodes(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Derivatives at the nodes xs of the states ys (one per row)."""
-        return self.spec.first_order(xs, ys.T, *self.kcoeffs).T
-
     def equation_residuals(self, x, vals, D1, D2):
         """Equation residuals from sampled profiles and their
         finite-difference derivatives (one row per equation): D1 - f for
@@ -332,57 +329,35 @@ def reduced_system(sid: str, **coeffs) -> ReducedSystem:
 class ProfileTrajectory:
     """Sampled ODE solution with dense evaluation.
 
-    `rule` selects the interpolant: "cubic" (Hermite, uses stored
-    derivatives) or "quintic" (B-spline through the nodes; needed when the
-    result feeds second-difference stencils).  `interp_error_estimate` is
-    the max observed cubic/quintic disagreement at interval midpoints.
+    The interpolant is the B-spline through the nodes, quintic (cubic
+    below six nodes), built on first evaluation: its error sits below the
+    floors of the second-difference stencils the profiles feed.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    fs: np.ndarray
-    rule: str = "cubic"
-    interp_error_estimate: float = math.nan
     _spline: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.xs) <= 0):
             raise ConstraintError("trajectory sample grid must be increasing")
-        if math.isnan(self.interp_error_estimate) and len(self.xs) >= 8:
-            mids = 0.5 * (self.xs[:-1] + self.xs[1:])
-            if len(mids) > 512:
-                mids = mids[:: len(mids) // 512 + 1]
-            a = self._eval_cubic(mids)
-            b = self._eval_quintic(mids)
-            self.interp_error_estimate = float(np.max(np.abs(a - b)))
 
     @property
     def domain(self) -> tuple[float, float]:
         return (float(self.xs[0]), float(self.xs[-1]))
 
-    def _check_domain(self, x):
+    def evaluate(self, x, rule: str = "quintic") -> np.ndarray:
+        # the one rule; the keyword stays while the benchmark harness
+        # (perfbench/workloads.py) passes rule="quintic"
+        if rule != "quintic":
+            raise ConstraintError(f"unknown interpolation rule {rule!r}")
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         lo, hi = self.domain
         tol = 1e-12 * max(1.0, abs(lo), abs(hi))
         if np.any(x < lo - tol) or np.any(x > hi + tol):
             raise DomainError(
                 f"evaluation outside trajectory domain [{lo}, {hi}]"
             )
-
-    def _eval_cubic(self, x):
-        xs, ys, fs = self.xs, self.ys, self.fs
-        j = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-        dx = xs[j + 1] - xs[j]
-        s = (x - xs[j]) / dx
-        s2 = s * s
-        s3 = s2 * s
-        h00 = 2.0 * s3 - 3.0 * s2 + 1.0
-        h10 = s3 - 2.0 * s2 + s
-        h01 = -2.0 * s3 + 3.0 * s2
-        h11 = s3 - s2
-        return (h00[:, None] * ys[j] + (h10 * dx)[:, None] * fs[j]
-                + h01[:, None] * ys[j + 1] + (h11 * dx)[:, None] * fs[j + 1])
-
-    def _eval_quintic(self, x):
         if self._spline is None:
             # imported here, its one use, as `_kernels` imports LAPACK:
             # `import hgf` loads no scipy module
@@ -391,32 +366,20 @@ class ProfileTrajectory:
             self._spline = make_interp_spline(self.xs, self.ys, k=k, axis=0)
         return self._spline(x)
 
-    def evaluate(self, x, rule: str | None = None) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        self._check_domain(x)
-        rule = rule or self.rule
-        if rule == "cubic":
-            return self._eval_cubic(x)
-        if rule == "quintic":
-            return self._eval_quintic(x)
-        raise ConstraintError(f"unknown interpolation rule {rule!r}")
-
-    def component(self, i: int, rule: str | None = None) -> Callable:
+    def component(self, i: int) -> Callable:
         def fn(x):
             scalar = np.isscalar(x)
-            out = self.evaluate(x, rule=rule)[:, i]
+            out = self.evaluate(x)[:, i]
             return float(out[0]) if scalar else out
 
         fn.domain = self.domain
         return fn
 
-    def profile_matrix(self, indices: Sequence[int],
-                       rule: str | None = None) -> Callable:
+    def profile_matrix(self, indices: Sequence[int]) -> Callable:
         """Callable x -> (m, n) matrix of the selected state components."""
 
         def fn(x):
-            vals = self.evaluate(x, rule=rule)
-            return vals[:, list(indices)].T
+            return self.evaluate(x)[:, list(indices)].T
 
         fn.domain = self.domain
         return fn
@@ -450,45 +413,38 @@ MAX_NODES = 4_000_000
 
 def _fehlberg_step(f, c, x, y, k0, hs):
     """(y5, err) of one Fehlberg step of size hs from the node (x, y) with
-    dy/dx = k0, or None when a stage state is not finite.
+    dy/dx = k0, or None when y5 is not finite.
 
     The state is a list of floats.  Every sum runs term by term, left to
     right, as the vector form y + (hs a) k does, so the result is numpy's
     to the bit.  Each stage is one list comprehension: a loop over the
     tableau with one comprehension per term made `integrate` about 1.5x
-    slower."""
-    isfinite = math.isfinite
+    slower.  One check of y5 covers every stage: the equations use only
+    + - * on the state (and divide by nonzero coefficients), so a
+    non-finite stage state gives a non-finite stage derivative, which
+    reaches y5 even through b1 = 0 (0 * inf is nan), and no stage
+    raises."""
     ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
      (a50, a51, a52, a53, a54)) = ([hs * a for a in row] for row in _RK_A[1:])
     yi = [p + a10 * q0 for p, q0 in zip(y, k0)]
-    if not all(map(isfinite, yi)):
-        return None
     k1 = f(x + _RK_C[1] * hs, yi, *c)
     yi = [p + a20 * q0 + a21 * q1 for p, q0, q1 in zip(y, k0, k1)]
-    if not all(map(isfinite, yi)):
-        return None
     k2 = f(x + _RK_C[2] * hs, yi, *c)
     yi = [p + a30 * q0 + a31 * q1 + a32 * q2
           for p, q0, q1, q2 in zip(y, k0, k1, k2)]
-    if not all(map(isfinite, yi)):
-        return None
     k3 = f(x + _RK_C[3] * hs, yi, *c)
     yi = [p + a40 * q0 + a41 * q1 + a42 * q2 + a43 * q3
           for p, q0, q1, q2, q3 in zip(y, k0, k1, k2, k3)]
-    if not all(map(isfinite, yi)):
-        return None
     k4 = f(x + _RK_C[4] * hs, yi, *c)
     yi = [p + a50 * q0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4
           for p, q0, q1, q2, q3, q4 in zip(y, k0, k1, k2, k3, k4)]
-    if not all(map(isfinite, yi)):
-        return None
     k5 = f(x + _RK_C[5] * hs, yi, *c)
     b0, b1, b2, b3, b4, b5 = (hs * b for b in _RK_B5)
     e0, e1, e2, e3, e4, e5 = (hs * e for e in _RK_E)
     ks = list(zip(y, k0, k1, k2, k3, k4, k5))
     y5 = [p + b0 * q0 + b1 * q1 + b2 * q2 + b3 * q3 + b4 * q4 + b5 * q5
           for p, q0, q1, q2, q3, q4, q5 in ks]
-    if not all(map(isfinite, y5)):
+    if not all(map(math.isfinite, y5)):
         return None
     # the sign of a zero in err is never read: err is squared
     err = [e0 * q0 + e1 * q1 + e2 * q2 + e3 * q3 + e4 * q4 + e5 * q5
@@ -504,8 +460,9 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
     Propagates the fifth-order solution; the local error estimate comes
     from the embedded fourth-order weights.  Step-size underflow (stiff or
     blowing-up problems) raises with the reach point.  The state is a list
-    of floats (`_fehlberg_step`); the first stage of a step is the
-    derivative stored at its node for the Hermite rule.
+    of floats (`_fehlberg_step`); the derivative at the last accepted node
+    is the first stage of the next step (first same as last), so a step
+    costs six right-hand-side calls.
     """
     if not (0.0 < rel_tol <= 1e-2 and 0.0 < abs_tol <= 1e-2):
         raise ConstraintError("tolerances must lie in (0, 1e-2]")
@@ -535,7 +492,7 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
     y = y.tolist()
     xs = [x]
     yss = [y]
-    fss = [f(x, y, *c)]
+    k0 = f(x, y, *c)
     err_prev = 1.0
     while (x1 - x) * direction > 1e-14 * max(1.0, abs(x1)):
         h = min(h, abs(x1 - x))
@@ -545,7 +502,7 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
                 f"(reached from {x0} toward {x1})"
             )
         hs = h * direction
-        step = _fehlberg_step(f, c, x, y, fss[-1], hs)
+        step = _fehlberg_step(f, c, x, y, k0, hs)
         if step is None:
             h *= 0.25
             continue
@@ -561,7 +518,7 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
             y = y5
             xs.append(x)
             yss.append(y)
-            fss.append(f(x, y, *c))
+            k0 = f(x, y, *c)
             if len(xs) > MAX_NODES:
                 raise NumericalError("node budget exceeded")
             e = max(err_norm, 1e-16)
@@ -572,22 +529,19 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
             h *= max(0.1, 0.9 * err_norm ** (-0.2))
     xs = np.asarray(xs)
     ys = np.asarray(yss)
-    fs = np.asarray(fss)  # rhs is dy/dx regardless of sweep direction
     if direction < 0:
         xs = xs[::-1].copy()
         ys = ys[::-1].copy()
-        fs = fs[::-1].copy()
-    return ProfileTrajectory(xs=xs, ys=ys, fs=fs, rule="cubic")
+    return ProfileTrajectory(xs=xs, ys=ys)
 
 
 def dense_profile(sys: ReducedSystem, y0, x0: float, x_left: float,
                   x_right: float, step: float = 5e-3) -> ProfileTrajectory:
     """Uniform fixed-step RK4 tabulation around x0.
 
-    Sweeps backward to x_left and forward to x_right from the anchor x0;
-    the returned trajectory defaults to the quintic rule so its second
-    derivatives stay below second-order stencil floors for grid spacings
-    down to ~1e-3.
+    Sweeps backward to x_left and forward to x_right from the anchor x0.
+    The trajectory's quintic interpolant keeps its second derivatives
+    below second-order stencil floors for grid spacings down to ~1e-3.
     """
     if not (math.isfinite(x_left) and math.isfinite(x_right)):
         raise ConstraintError(f"profile window ends must be finite, got "
@@ -621,8 +575,7 @@ def dense_profile(sys: ReducedSystem, y0, x0: float, x_left: float,
     if not np.isfinite(ys).all():
         raise NumericalError("dense profile tabulation produced non-finite "
                              "values (blow-up); shrink the window")
-    fs = sys.rhs_nodes(xs, ys)
-    return ProfileTrajectory(xs=xs, ys=ys, fs=fs, rule="quintic")
+    return ProfileTrajectory(xs=xs, ys=ys)
 
 
 # ---------------------------------------------------------------------------
@@ -662,11 +615,11 @@ def closed_form_R38(case: str, a1: float, delta1: float, delta2: float,
 # ---------------------------------------------------------------------------
 
 
-def trajectory_profiles(sys: ReducedSystem, traj: ProfileTrajectory,
-                        rule: str | None = "quintic") -> dict:
+def trajectory_profiles(sys: ReducedSystem,
+                        traj: ProfileTrajectory) -> dict:
     """Profile callables {"U", "V", "W"} (or a single one) from a
     trajectory of `sys`."""
-    return {n: traj.component(i, rule=rule)
+    return {n: traj.component(i)
             for n, i in zip(sys.spec.profiles, sys.profile_indices)}
 
 

@@ -170,10 +170,8 @@ def tf63_parameter_values(a1: float, delta: float, a3: float, d3: float) -> dict
         raise ConstraintError(
             "tf63 requires a1*delta < 1/2 (zero steepness, speed undefined)"
         )
-    if abs(-3.0 + 2.0 * ad) < 1e-300:
-        raise ConstraintError("tf63: a1*delta = 3/2 makes d2 singular")
     alpha = (5.0 - 4.0 * ad) / math.sqrt(6.0 - 12.0 * ad)
-    den = delta * (-3.0 + 2.0 * ad)
+    den = delta * (-3.0 + 2.0 * ad)  # nonzero: -3 + 2 ad < -2 here
     d2 = (-3.0 - 5.0 * delta + 6.0 * ad + 4.0 * ad * delta) / den
     a2 = (3.0 - 10.0 * delta + 6.0 * ad + 8.0 * ad * delta) / (6.0 * den)
     a4 = d3 / 3.0

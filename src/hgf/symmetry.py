@@ -69,6 +69,11 @@ class HeatProfile:
     b: float = 0.0
     mu: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in ("constant", "affine", "exponential",
+                             "decaying-mode"):
+            raise ConstraintError(f"unknown heat profile kind {self.kind!r}")
+
     def __call__(self, t, x, d2: float):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
@@ -78,11 +83,9 @@ class HeatProfile:
             return self.c0 + self.c1 * x + 0.0 * t
         if self.kind == "exponential":
             return self.amp * np.exp(self.mu * x + d2 * self.mu**2 * t)
-        if self.kind == "decaying-mode":
-            return np.exp(-d2 * self.mu**2 * t) * (
-                self.amp * np.cos(self.mu * x) + self.b * np.sin(self.mu * x)
-            )
-        raise ConstraintError(f"unknown heat profile kind {self.kind!r}")
+        return np.exp(-d2 * self.mu**2 * t) * (
+            self.amp * np.cos(self.mu * x) + self.b * np.sin(self.mu * x)
+        )
 
 
 def heat_constant(c0: float = 1.0) -> HeatProfile:

@@ -871,6 +871,55 @@ def test_symmetry_verify_unknown_heat_kind(capsys):
     assert "unknown heat profile kind 'periodic'" in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    (["symmetry", "verify", "--family", "fisher", "--op", "Px", "--eps",
+      "0.1", "--heat-kind", "bogus", "--heat-a", "5"],
+     "operator Px does not take --heat-kind, --heat-a"),
+    ([*_XINF, "--heat-kind", "constant", "--heat-b", "9", "--heat-mu", "3"],
+     "heat kind constant does not take --heat-b, --heat-mu"),
+    ([*_XINF, "--heat-kind", "affine", "--heat-mu", "0.3"],
+     "heat kind affine does not take --heat-mu"),
+    ([*_XINF, "--heat-kind", "exponential", "--heat-b", "0.3"],
+     "heat kind exponential does not take --heat-b"),
+], ids=["px-heat-flags", "constant-b-mu", "affine-mu", "exponential-b"])
+def test_symmetry_verify_rejects_heat_flags_it_does_not_read(argv, named,
+                                                             capsys):
+    # each of these exited 0 and dropped the flags
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--system", "R38", "--a1", "0.5", "--a3", "1", "--a4", "0.7",
+      "--beta", "0.3", "--alpha", "9", "--kappa1", "3"],
+     "system R38 does not take --alpha, --kappa1"),
+    (["--system", "L36", "--alpha", "1", "--a1", "0.5", "--beta", "0.3",
+      "--kappa1", "0.3", "--kappa2", "1", "--delta1", "4"],
+     "system L36 does not take --delta1"),
+    (["--system", "R38", "--case", "i", "--a1", "0.5", "--a4", "0.7",
+      "--beta", "0.3", "--delta1", "1.3", "--delta2", "0.4", "--d", "2"],
+     "system R38 --case i does not take --d"),
+], ids=["r38", "l36", "r38-case-i"])
+def test_reduce_rejects_coefficient_flags_it_does_not_read(argv, named,
+                                                           capsys):
+    # each of these exited 0 and dropped the flags
+    code, _, err = run_cli(["reduce", *argv, "--span", "0", "1"], capsys)
+    assert code == 1
+    assert err == f"error: {named}\n"
+
+
+def test_reduce_rejects_params_file_keys_it_does_not_read(tmp_path, capsys):
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"a1": 0.5, "kappa2": 1.0, "d": 2.0}))
+    code, _, err = run_cli(["reduce", "--system", "T2d", "--a4", "0.8",
+                            "--span", "0", "1", "--params", str(path)],
+                           capsys)
+    assert code == 1
+    assert err == ("error: reduce params file: system T2d does not take "
+                   "keys ['d', 'kappa2']\n")
+
+
 def test_reduce_r58_follows_the_tf63_plane_wave(tmp_path, tf63_std):
     # R58 takes the model coefficients as a Params record; from tf63's
     # profile data at omega = 0 it must trace the front's profiles

@@ -153,8 +153,9 @@ def test_integrate_tolerance_validation():
     ((0.0, 1.0), -0.5, "max_step"),
     ((0.0, 1.0), 0.0, "max_step"),
     ((0.0, 1.0), math.inf, "max_step"),
+    ((1.0, 1.0), None, "^integration span is empty$"),
 ], ids=["nan-end", "inf-end", "inf-start", "negative-step", "zero-step",
-        "inf-step"])
+        "inf-step", "empty-span"])
 def test_integrate_rejects_non_finite_span_and_bad_max_step(span, max_step,
                                                              named):
     # a NaN end returned a one-node trajectory and a negative max_step
@@ -473,7 +474,10 @@ def test_trajectory_domain_and_estimate():
     traj = reduction.integrate(sys, y0, (0.0, 2.0))
     with pytest.raises(DomainError):
         traj.evaluate(2.5)
-    assert math.isfinite(traj.interp_error_estimate)
+    # the quintic spline is the one interpolant
+    with pytest.raises(ConstraintError,
+                       match="^unknown interpolation rule 'cubic'$"):
+        traj.evaluate(1.0, rule="cubic")
     fn = traj.component(0)
     assert fn.domain == traj.domain
 
@@ -493,6 +497,33 @@ def test_semi_exact_family_checks_case_values_before_integrating(
         reduction.semi_exact_family("35-i", a1=0.5, a4=0.5, a3=7.0)
 
 
+def test_reduced_system_rejects_unknown_id_and_l52_case():
+    with pytest.raises(ConstraintError,
+                       match="^unknown reduced system id 'R99'$"):
+        reduction.reduced_system("R99", a1=0.5)
+    with pytest.raises(ConstraintError,
+                       match="^L52 case must be '50' or '51'$"):
+        reduction.reduced_system("L52", beta=0.3, case="52")
+
+
+@pytest.mark.parametrize("x0,step,match", [
+    (2.0, 5e-3, r"^need x_left <= x0 <= x_right$"),
+    (-1.5, 5e-3, r"^need x_left <= x0 <= x_right$"),
+    (0.0, 0.0, r"^step must be positive$"),
+    (0.0, -5e-3, r"^step must be positive$"),
+], ids=["x0-right", "x0-left", "step-zero", "step-negative"])
+def test_dense_profile_rejects_anchor_and_step(x0, step, match):
+    with pytest.raises(ConstraintError, match=match):
+        reduction.dense_profile(_l36(), (1.0, 0.0), x0, -1.0, 1.0, step=step)
+
+
+def test_semi_exact_family_rejects_anchor_outside_window():
+    with pytest.raises(ConstraintError,
+                       match="^anchor must lie inside the profile window$"):
+        reduction.semi_exact_family("50", a4=0.5, beta=0.3,
+                                    window=(-6.0, 6.0), anchor=7.0)
+
+
 def test_semi_exact_family_profile_validation_rejects_garbage():
     # hand the case-51 assembler a profile that does not solve its
     # equation: the finite-difference check must catch it
@@ -509,7 +540,7 @@ def test_semi_exact_family_profile_validation_rejects_garbage():
 
 def _reference_integrate(sys, y0, span, rel_tol=1e-9, abs_tol=1e-12,
                          max_step=None):
-    """(xs, ys, fs) of the numpy Fehlberg loop with `integrate`'s step
+    """(xs, ys) of the numpy Fehlberg loop with `integrate`'s step
     control, which evaluated k[0] afresh at every attempt."""
     x0, x1 = float(span[0]), float(span[1])
     y = np.asarray(y0, dtype=float)
@@ -518,7 +549,7 @@ def _reference_integrate(sys, y0, span, rel_tol=1e-9, abs_tol=1e-12,
     hmax = total if max_step is None else min(abs(max_step), total)
     h = min(hmax, total / 100.0, 0.1)
     x = x0
-    xs, yss, fss = [x], [y.copy()], [sys.rhs(x, y)]
+    xs, yss = [x], [y.copy()]
     err_prev = 1.0
     k = [None] * 6
     floor = reduction._STEP_FLOOR
@@ -557,14 +588,13 @@ def _reference_integrate(sys, y0, span, rel_tol=1e-9, abs_tol=1e-12,
             y = y5
             xs.append(x)
             yss.append(y.copy())
-            fss.append(sys.rhs(x, y))
             e = max(err_norm, 1e-16)
             fac = 0.9 * e ** (-0.14) * max(err_prev, 1e-16) ** 0.08
             err_prev = e
             h = min(h * min(max(fac, 0.2), 5.0), hmax)
         else:
             h *= max(0.1, 0.9 * err_norm ** (-0.2))
-    out = [np.asarray(v) for v in (xs, yss, fss)]
+    out = [np.asarray(v) for v in (xs, yss)]
     return [v[::-1] for v in out] if direction < 0 else out
 
 
@@ -608,7 +638,7 @@ _PINNED_RUNS = [(sid, (0.0, end), None) for sid in sorted(reduction.SYSTEMS)
 def test_integrate_matches_numpy_loop_bitwise(sid, span, max_step):
     sys, y0 = _sample_system(sid)
     traj = reduction.integrate(sys, y0, span, max_step=max_step)
-    _assert_bitwise((traj.xs, traj.ys, traj.fs),
+    _assert_bitwise((traj.xs, traj.ys),
                     _reference_integrate(sys, y0, span, max_step=max_step))
 
 
@@ -630,7 +660,7 @@ def test_dense_profile_matches_numpy_loop_bitwise(sid, monkeypatch):
     got = reduction.dense_profile(sys, y0, 0.2, -1.0, 1.0, step=5e-3)
     monkeypatch.setattr(reduction, "ode_rk4_table", _reference_rk4_table)
     want = reduction.dense_profile(sys, y0, 0.2, -1.0, 1.0, step=5e-3)
-    _assert_bitwise((got.xs, got.ys, got.fs), (want.xs, want.ys, want.fs))
+    _assert_bitwise((got.xs, got.ys), (want.xs, want.ys))
 
 
 def test_rk4_table_takes_an_ndarray_state():
@@ -642,6 +672,23 @@ def test_rk4_table_takes_an_ndarray_state():
     _reference_rk4_table(sys.code, sys.kcoeffs, y0, -0.5, 0.01, 101, want)
     assert np.isfinite(got).all()
     _assert_bitwise((got,), (want,))
+
+
+def test_fehlberg_step_returns_none_when_a_stage_overflows():
+    # from V = -1e150 the derivative at the node is finite (V' = -1e300),
+    # but the next stage's derivative overflows to -inf; no later stage
+    # raises, and the one check of y5 catches the overflow
+    sys_ = reduction.reduced_system("T2d", a1=1.0, a4=0.5)
+    f, c = sys_.spec.first_order, sys_.kcoeffs
+    y = [1.0, -1e150, 0.0]
+    k0 = f(0.0, y, *c)
+    stage = [p + 0.25 * 0.1 * q for p, q in zip(y, k0)]
+    assert all(map(math.isfinite, k0))
+    assert not all(map(math.isfinite, f(0.025, stage, *c)))
+    assert reduction._fehlberg_step(f, c, 0.0, y, k0, 0.1) is None
+    y = [1.0, 0.5, 0.5]
+    y5, err = reduction._fehlberg_step(f, c, 0.0, y, f(0.0, y, *c), 0.1)
+    assert all(map(math.isfinite, y5 + err))
 
 
 def test_integrate_retries_non_finite_stages(monkeypatch):

@@ -84,6 +84,14 @@ def test_non_finite_times_rejected(t0, t_end):
                             t0=t0, initial=(None, None, None))
 
 
+@pytest.mark.parametrize("t0,t_end", [(0.0, 0.0), (1.0, 0.5)])
+def test_empty_time_span_rejected(t0, t_end):
+    p = Params(1, 1, 1, 1, 1)
+    with pytest.raises(ConstraintError, match="^t_end must exceed t0$"):
+        simulator.SimConfig(params=p, grid=SpaceGrid(0, 1, 11), t_end=t_end,
+                            t0=t0, initial=(None, None, None))
+
+
 @pytest.mark.parametrize("t_end,every,bc", [
     (1e300, 100, None),
     (1e300, 10**400, None),  # few snapshots, but too many steps
@@ -162,6 +170,18 @@ def test_speed_no_crossing_on_constant():
              for t in range(4)]
     with pytest.raises(NumericalError, match="no level-0.5 crossing"):
         simulator.measure_front_speed(snaps, "u", 0.5)
+
+
+def test_speed_rejects_bad_component_and_short_window(tf63_std):
+    grid = SpaceGrid(-30, 50, 161)
+    snaps = [calculus.sample(tf63_std, grid, t) for t in (0.0, 1.0, 2.0)]
+    with pytest.raises(ConstraintError,
+                       match="^component must be one of u, v, w$"):
+        simulator.measure_front_speed(snaps, "x", 0.5)
+    with pytest.raises(ConstraintError,
+                       match="^fit window contains fewer than 2 snapshots$"):
+        simulator.measure_front_speed(snaps, "w", 0.5,
+                                      fit_window=(0.5, 1.5))
 
 
 def test_speed_multiple_crossings_on_pulse():

@@ -34,6 +34,23 @@ def test_import_cli_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_reduce_without_verify_loads_no_scipy(tmp_path):
+    # the trajectory built its spline at construction, for an error
+    # estimate, and so imported 354 scipy modules; the spline is now
+    # built on the first evaluation, which only --verify asks for
+    report = tmp_path / "red.json"
+    out = _run_python(
+        "import sys\n"
+        "from hgf import cli\n"
+        "code = cli.dispatch(['reduce', '--system', 'R38', '--a1', '0.5',\n"
+        "                     '--a3', '1', '--a4', '0.7', '--beta', '0.3',\n"
+        f"                     '--span', '0', '3', '--out', {str(report)!r}])\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m.split('.')[0] == 'scipy'))\n")
+    assert out.strip() == "0 []"
+    assert json.loads(report.read_text())["results"]["nodes"] > 5
+
+
 def _have_mallopt() -> bool:
     try:
         ctypes.CDLL("libc.so.6").mallopt

@@ -171,6 +171,13 @@ def test_heat_profiles_solve_heat_equation():
         assert np.max(np.abs(d2 * lap - ddt)) < 1e-3  # stencil order only
 
 
+def test_heat_profile_kind_is_checked_at_construction():
+    # an unknown kind used to build and fail only when first evaluated
+    with pytest.raises(ConstraintError,
+                       match="unknown heat profile kind 'periodic'"):
+        symmetry.HeatProfile("periodic")
+
+
 def test_inadmissible_pairing_rejected():
     tf65 = solutions.make_tf65(1.0)  # a1 = 0 coefficient set
     op = symmetry.SymmetryOp("Q1", a1=0.5)

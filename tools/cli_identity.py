@@ -222,6 +222,21 @@ CASES = [
       for flags in (["--heat-a", "nan"],
                     ["--heat-kind", "exponential", "--heat-mu", "nan"],
                     ["--heat-kind", "constant", "--heat-b", "nan"])]),
+    # flags that the chosen operator, heat kind or system does not read
+    ("error-unread-heat-flags", {},
+     [["symmetry", "verify", "--family", "fisher", "--op", *flags, "--eps",
+       "0.1", "--h", "0.05"]
+      for flags in (["Px", "--heat-kind", "bogus", "--heat-a", "5"],
+                    ["Xinf", "--heat-kind", "constant", "--heat-b", "9",
+                     "--heat-mu", "3"])]),
+    ("error-unread-reduce-flags",
+     {"params.json": json.dumps({"a1": 0.5, "kappa2": 1.0})},
+     [["reduce", *R38, "--alpha", "9", "--kappa1", "3", "--span", "0", "1"],
+      ["reduce", "--system", "L36", "--alpha", "1", "--a1", "0.5", "--beta",
+       "0.3", "--kappa1", "0.3", "--kappa2", "1", "--delta1", "4", "--span",
+       "0", "1"],
+      ["reduce", "--system", "T2d", "--a4", "0.8", "--params", "params.json",
+       "--span", "0", "1"]]),
     ("error-nan-max-step", {},
      [["reduce", *R38, "--span", "0", "1", "--max-step", "nan"]]),
     ("error-non-finite-family-coefficients", {},
