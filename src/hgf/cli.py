@@ -2,8 +2,14 @@
 
 Subcommands: catalog, eval, residual, simulate, speed, symmetry, reduce.
 Field data goes to CSV (header ``t,x,u,v,w``, 17 significant digits, empty
-cells for components a family does not define); structured results go to
-JSON reports validating against `REPORT_SCHEMA`.
+cells for components a family does not define), which `read_snapshots_csv`
+reads back in blocks of lines; structured results go to JSON reports
+validating against `REPORT_SCHEMA`.
+
+A process pays the fixed costs once, however many commands `dispatch`
+runs: the argument parser is built on first use, and the report
+validator, with its check of `REPORT_SCHEMA` against the metaschema, on
+the first report.
 
 Exit codes: 0 success, 1 constraint/validation error (the message names
 the violated constraint), 2 numerical failure (blow-up, missing level
@@ -15,7 +21,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -73,8 +81,20 @@ def residual_block(report: calculus.ResidualReport) -> dict:
     return block
 
 
+@functools.cache
+def _report_validator():
+    """REPORT_SCHEMA's validator, its schema checked against the
+    metaschema once per process."""
+    from jsonschema.validators import validator_for
+
+    cls = validator_for(REPORT_SCHEMA)
+    cls.check_schema(REPORT_SCHEMA)
+    return cls(REPORT_SCHEMA)
+
+
 def validate_report(report: dict) -> None:
-    """Validate against REPORT_SCHEMA (jsonschema when available)."""
+    """Validate against REPORT_SCHEMA (jsonschema when available), raising
+    the error `jsonschema.validate` would raise."""
     try:
         import jsonschema
     except ImportError:  # fall back to the structural essentials
@@ -85,7 +105,10 @@ def validate_report(report: dict) -> None:
         if unknown:
             raise ConstraintError(f"report has unknown keys {sorted(unknown)}")
         return
-    jsonschema.validate(report, REPORT_SCHEMA)
+    error = jsonschema.exceptions.best_match(
+        _report_validator().iter_errors(report))
+    if error is not None:
+        raise error
 
 
 def _jsonable(obj):
@@ -150,30 +173,75 @@ def write_snapshots_csv(path, snapshots) -> int:
     return rows
 
 
+# lines per parsed block: a whole file's lines and cells would take more
+# memory than its snapshots
+_CSV_BLOCK = 2048
+
+
+def _parse_lines(path, lineno: int, lines) -> np.ndarray:
+    """Rows ``t, x, u, v, w`` of CSV `lines`, the first of which is line
+    `lineno` of the file, one line at a time: the ConstraintError of the
+    first bad line names it.  Blank lines are skipped and an empty cell
+    other than t reads as nan."""
+    rows = []
+    for lineno, line in enumerate(lines, start=lineno):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise ConstraintError(f"{path} line {lineno}: expected 5 "
+                                  f"cells t,x,u,v,w, got {len(parts)}")
+        try:
+            t = float(parts[0])
+            rows.append([t, *(float(p) if p else math.nan
+                              for p in parts[1:])])
+        except ValueError as e:
+            raise ConstraintError(f"{path} line {lineno}: {e}") from None
+        if not math.isfinite(t):
+            raise ConstraintError(f"{path} line {lineno}: snapshot time "
+                                  f"t = {t} is not finite")
+    return np.array(rows).reshape(-1, 5)
+
+
+def _parse_block(path, lineno: int, lines) -> np.ndarray:
+    """`_parse_lines`, with all cells of the block read in one pass; the
+    line-by-line parse runs only to find a bad line."""
+    rows = [s.split(",") for s in map(str.strip, lines) if s]
+    try:
+        if set(map(len, rows)) <= {5}:
+            block = np.array([float(p) if p else math.nan
+                              for row in rows for p in row]).reshape(-1, 5)
+            if np.isfinite(block[:, 0]).all():  # an empty t reads as nan
+                return block
+    except ValueError:  # a cell that is not a number
+        pass
+    return _parse_lines(path, lineno, lines)
+
+
 def read_snapshots_csv(path) -> list[calculus.FieldState]:
-    """Rebuild snapshot states from a ``t,x,u,v,w`` CSV."""
-    groups: dict[float, list] = {}  # in order of first appearance
+    """Rebuild snapshot states from a ``t,x,u,v,w`` CSV: one per time t,
+    in order of first appearance, of all rows with that t."""
+    blocks = []
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "t,x,u,v,w":
             raise ConstraintError(f"unexpected CSV header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 5:
-                raise ConstraintError(f"{path} line {lineno}: expected 5 "
-                                      f"cells t,x,u,v,w, got {len(parts)}")
-            try:
-                t = float(parts[0])
-                vals = [float(p) if p else math.nan for p in parts[1:]]
-            except ValueError as e:
-                raise ConstraintError(f"{path} line {lineno}: {e}") from None
-            groups.setdefault(t, []).append(vals)
+        lineno = 2
+        while lines := list(itertools.islice(fh, _CSV_BLOCK)):
+            blocks.append(_parse_block(path, lineno, lines))
+            lineno += len(lines)
+    data = np.concatenate([np.empty((0, 5)), *blocks])
+    ts = data[:, 0]
+    # the runs of equal t, grouped by t: the rows of one t need not be
+    # adjacent
+    groups: dict[float, list] = {}
+    for run in np.split(data, np.flatnonzero(ts[1:] != ts[:-1]) + 1):
+        if len(run):  # a file without rows is one empty run
+            groups.setdefault(float(run[0, 0]), []).append(run[:, 1:])
     snapshots = []
-    for t, rows in groups.items():
-        arr = np.asarray(rows)
+    for t, runs in groups.items():
+        arr = np.concatenate(runs)
         x = arr[:, 0]
         grid = calculus.SpaceGrid(float(x[0]), float(x[-1]), len(x))
         if not np.allclose(grid.x(), x, rtol=0, atol=1e-9 * max(1, abs(x[-1]))):
@@ -716,9 +784,7 @@ def _cmd_reduce(args, config) -> int:
         keys = sorted(vals)
         warns = _overlay(vals, args, list(vals), "file")
         vars(args).update(vals)
-    spec = reduction.SYSTEMS.get(args.system)
-    if spec is None:
-        raise ConstraintError(f"unknown system id {args.system!r}")
+    spec = reduction.system_spec(args.system)
     separable = spec.sid == "R38" and args.case is not None
     if args.case is not None and not separable and "case" not in spec.coeffs:
         raise ConstraintError(
@@ -824,7 +890,7 @@ def _add_step_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--h", type=_positive, default=2e-3)
     p.add_argument("--refine", action="store_true")
     p.add_argument("--h-seq", type=_positive, nargs="+",
-                   default=[4e-3, 2e-3, 1e-3])
+                   default=(4e-3, 2e-3, 1e-3))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -835,12 +901,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("catalog", help="list families and symmetry cases")
-    p.set_defaults(handler=_cmd_catalog)
+    p.set_defaults(handler="_cmd_catalog")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("eval", help="sample a family to CSV")
-    p.set_defaults(handler=_cmd_eval)
+    p.set_defaults(handler="_cmd_eval")
     _add_family_flags(p)
     p.add_argument("--t", type=_finite, default=0.0)
     p.add_argument("--xmin", type=_finite, required=True)
@@ -849,7 +915,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("residual", help="PDE residual of a family")
-    p.set_defaults(handler=_cmd_residual)
+    p.set_defaults(handler="_cmd_residual")
     _add_family_flags(p)
     p.add_argument("--t", type=_finite, default=0.0)
     p.add_argument("--window", type=_finite, nargs=2, default=None)
@@ -859,13 +925,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate", help="method-of-lines run from a config")
-    p.set_defaults(handler=_cmd_simulate)
+    p.set_defaults(handler="_cmd_simulate")
     _add_family_flags(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--quiet", action="store_true")
 
     p = sub.add_parser("speed", help="front speed from a simulate run dir")
-    p.set_defaults(handler=_cmd_speed)
+    p.set_defaults(handler="_cmd_speed")
     p.add_argument("--run", required=True)
     p.add_argument("--component", choices=("u", "v", "w"), required=True)
     p.add_argument("--level", type=_finite, required=True)
@@ -873,7 +939,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("symmetry", help="operator catalog commands")
-    p.set_defaults(handler=_cmd_symmetry)
+    p.set_defaults(handler="_cmd_symmetry")
     ssub = p.add_subparsers(dest="symmetry_cmd", required=True)
     pl = ssub.add_parser("list")
     for k in PARAM_KEYS:
@@ -895,7 +961,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--out", default=None)
 
     p = sub.add_parser("reduce", help="integrate a reduced ODE system")
-    p.set_defaults(handler=_cmd_reduce)
+    p.set_defaults(handler="_cmd_reduce")
     p.add_argument("--system", required=True)
     p.add_argument("--params", dest="params_file", default=None,
                    help="JSON file with coefficient values (flags win)")
@@ -913,18 +979,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `dispatch` in this process."""
+    return build_parser()
+
+
 def dispatch(argv) -> int:
     """Run one CLI invocation; returns the process exit code."""
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code in (0, None) else 1
     try:
         config = None
         if getattr(args, "config", None):
             config = load_config(args.config)
-        return args.handler(args, config)
+        # by name, so that the one parser reaches the current handler
+        return globals()[args.handler](args, config)
     except ConstraintError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -937,7 +1009,7 @@ def dispatch(argv) -> int:
     except json.JSONDecodeError as e:  # a ValueError, but the user's file
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except (ArithmeticError, KeyError, TypeError, ValueError) as e:
+    except (ArithmeticError, LookupError, TypeError, ValueError) as e:
         # bad input is raised as a ConstraintError that names it, so
         # these are bugs in hgf
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)

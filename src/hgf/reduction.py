@@ -280,11 +280,19 @@ class ReducedSystem:
         return r
 
 
+def system_spec(sid: str) -> SystemSpec:
+    """The catalog row of `sid`.  The ids are matched exactly: they are
+    what ``hgf reduce --system`` takes."""
+    spec = SYSTEMS.get(sid)
+    if spec is None:
+        raise ConstraintError(f"unknown reduced system id {sid!r}; known "
+                              f"ids: {', '.join(SYSTEMS)}")
+    return spec
+
+
 def reduced_system(sid: str, **coeffs) -> ReducedSystem:
     """Build a catalog system; coefficient names are checked strictly."""
-    spec = SYSTEMS.get(sid) or SYSTEMS.get(sid.upper())
-    if spec is None:
-        raise ConstraintError(f"unknown reduced system id {sid!r}")
+    spec = system_spec(sid)
     for name, value in spec.defaults.items():
         coeffs.setdefault(name, value)
     need = spec.arguments

@@ -305,6 +305,8 @@ def measure_front_speed(run_or_snapshots, component: str, level: float,
     )
     if component not in ("u", "v", "w"):
         raise ConstraintError("component must be one of u, v, w")
+    if not snapshots:
+        raise ConstraintError("no snapshots to measure a front speed in")
     times = np.asarray([s.t for s in snapshots])
     if fit_window is None:
         mid = times[0] + 0.5 * (times[-1] - times[0])

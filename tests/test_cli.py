@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hgf
-from hgf import calculus, cli, solutions, symmetry
+from hgf import calculus, cli, reduction, solutions, symmetry
 from hgf.calculus import SpaceGrid
 from hgf.errors import ConstraintError
 
@@ -395,6 +395,78 @@ def test_validate_report_without_jsonschema(monkeypatch):
         cli.validate_report({**good, "extra": 1})
 
 
+def test_report_schema_passes_its_metaschema():
+    import jsonschema
+
+    cls = jsonschema.validators.validator_for(cli.REPORT_SCHEMA)
+    cls.check_schema(cli.REPORT_SCHEMA)
+
+
+_GOOD = {"command": "x", "inputs": {}, "results": {}, "warnings": []}
+
+
+@pytest.mark.parametrize("bad", [
+    {k: v for k, v in _GOOD.items() if k != "warnings"},
+    {**_GOOD, "extra": 1},
+    {**_GOOD, "warnings": ["ok", 3]},
+    {**_GOOD, "residual": {"linf": [1.0, "x"], "l2": []}},
+    {**_GOOD, "command": 1, "residual": {"l2": [None]}, "speed": []},
+], ids=["missing", "unknown", "warning-type", "residual-item", "several"])
+def test_bad_report_raises_what_jsonschema_validate_raises(bad):
+    import jsonschema
+
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(bad, cli.REPORT_SCHEMA)
+    with pytest.raises(jsonschema.ValidationError) as got:
+        cli.validate_report(bad)
+    assert str(got.value) == str(want.value)
+
+
+def test_dispatch_builds_parser_and_checks_schema_once(monkeypatch, capsys):
+    # both are fixed costs of the process, not of each command
+    import jsonschema
+
+    cls = jsonschema.validators.validator_for(cli.REPORT_SCHEMA)
+    calls = {"check_schema": 0, "build_parser": 0}
+    check_schema, build_parser = cls.check_schema, cli.build_parser
+
+    def counted_check_schema(_, schema, **kwargs):
+        calls["check_schema"] += 1
+        return check_schema(schema, **kwargs)
+
+    def counted_build_parser():
+        calls["build_parser"] += 1
+        return build_parser()
+
+    monkeypatch.setattr(cls, "check_schema",
+                        classmethod(counted_check_schema))
+    monkeypatch.setattr(cli, "build_parser", counted_build_parser)
+    cli._parser.cache_clear()
+    cli._report_validator.cache_clear()
+    for _ in range(3):
+        assert run_cli(["catalog", "--json"], capsys)[0] == 0
+    assert calls == {"check_schema": 1, "build_parser": 1}
+
+
+def test_refine_dispatches_in_one_process_match_fresh_processes(
+        tmp_path, monkeypatch, capsys):
+    # one parser serves every dispatch, so no parse may leak into the
+    # next: --h-seq given, then left to its default
+    argv = ["residual", "--family", "fisher", "--window", "-6", "6",
+            "--refine"]
+    runs = {"given.json": [*argv, "--h-seq", "0.04", "0.02", "0.01"],
+            "default.json": argv}
+    monkeypatch.chdir(tmp_path)
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(hgf.__file__).resolve().parents[1])}
+    for name, args in runs.items():
+        assert run_cli([*args, "--out", name], capsys)[0] == 0
+        subprocess.run([sys.executable, "-m", "hgf.cli", *args, "--out",
+                        f"fresh-{name}"], env=env, check=True, timeout=60)
+        fresh = (tmp_path / f"fresh-{name}").read_bytes()
+        assert (tmp_path / name).read_bytes() == fresh
+
+
 def test_semi_family_via_cli(tmp_path, capsys):
     out_file = tmp_path / "semi.json"
     code, _, _ = run_cli(
@@ -439,6 +511,14 @@ def test_reduce_rejects_input_it_would_drop(argv, capsys):
     code, _, err = run_cli(["reduce", *argv, "--span", "0", "1"], capsys)
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_reduce_unknown_system_names_the_catalog_ids(capsys):
+    code, _, err = run_cli(["reduce", "--system", "r38", "--span", "0", "1"],
+                           capsys)
+    assert code == 1
+    assert err == ("error: unknown reduced system id 'r38'; known ids: "
+                   f"{', '.join(reduction.SYSTEMS)}\n")
 
 
 @pytest.mark.parametrize("key,flags,named", [
@@ -551,6 +631,117 @@ def test_speed_rejects_non_numeric_snapshot_cells(tmp_path, capsys):
                             "u", "--level", "0.5"], capsys)
     assert code == 1
     assert err.startswith(f"error: {path} line 3:") and "'abc'" in err
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_speed_rejects_non_finite_snapshot_times(tmp_path, capsys, t):
+    # NaN times never compare equal, so each such row became a one-node
+    # snapshot, and the error named its grid, not its time
+    path = tmp_path / "snapshots.csv"
+    path.write_text("t,x,u,v,w\n"
+                    + "".join(f"{s},{x},1,1,1\n" for s in ("0", t)
+                              for x in range(6)))
+    code, _, err = run_cli(["speed", "--run", str(tmp_path), "--component",
+                            "u", "--level", "0.5"], capsys)
+    assert code == 1
+    assert err.startswith(f"error: {path} line 8: snapshot time t = {t} ")
+    with pytest.raises(ConstraintError, match=f"line 8: snapshot time "
+                                              f"t = {t} is not finite"):
+        cli.read_snapshots_csv(path)
+
+
+@pytest.mark.parametrize("text", ["t,x,u,v,w\n", "t,x,u,v,w\n\n  \n"],
+                         ids=["header-only", "blank-lines"])
+def test_speed_rejects_snapshot_file_without_rows(tmp_path, capsys, text):
+    # an IndexError from the empty time list used to escape dispatch as a
+    # bare traceback
+    (tmp_path / "snapshots.csv").write_text(text)
+    code, _, err = run_cli(["speed", "--run", str(tmp_path), "--component",
+                            "u", "--level", "0.5"], capsys)
+    assert code == 1
+    assert err == "error: no snapshots to measure a front speed in\n"
+
+
+def _reference_read_snapshots(path):
+    """The per-line reader that `read_snapshots_csv` replaced, kept as
+    the reference for its block reader: {t: rows of x, u, v, w} in order
+    of first appearance, or the ConstraintError it raised."""
+    groups: dict[float, list] = {}
+    with open(path) as fh:
+        fh.readline()
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 5:
+                return ConstraintError(f"{path} line {lineno}: expected 5 "
+                                       f"cells t,x,u,v,w, got {len(parts)}")
+            try:
+                t = float(parts[0])
+                vals = [float(p) if p else math.nan for p in parts[1:]]
+            except ValueError as e:
+                return ConstraintError(f"{path} line {lineno}: {e}")
+            groups.setdefault(t, []).append(vals)
+    return {t: np.asarray(rows) for t, rows in groups.items()}
+
+
+def _snapshot_lines(t, n=1500, vw=True):
+    """CSV lines of one snapshot; without `vw`, the v and w cells are
+    empty."""
+    xs = np.linspace(-3.0, 4.0, n).tolist()
+    if not vw:
+        return [f"{t},{x!r},{math.sin(x)!r},," for x in xs]
+    return [f"{t},{x!r},{math.sin(x)!r},{math.cos(x)!r},{x * x!r}"
+            for x in xs]
+
+
+def _bad_cell(line, i, cell):
+    parts = line.split(",")
+    parts[i:i + 1] = cell
+    return ",".join(parts)
+
+
+# the lines after the header: 1,500-node snapshots, so that each file
+# runs over more than one 2,048-line block; an error sits on line 2,502
+# or 2,602, past the first block, after a blank line that counts
+_READER_CASES = {
+    "crlf-and-blank-lines": lambda a, b, c: [*a[:700], "", "  ", *a[700:],
+                                             "", *b, *c, ""],
+    # rows of one t in non-adjacent runs, the first at t = -0, the rest
+    # at t = 0
+    "split-runs": lambda a, b, c: [*a[:900], *b[:300],
+                                   *_snapshot_lines("0")[900:], *c,
+                                   *b[300:]],
+    "empty-cells": lambda a, b, c: [*_snapshot_lines("0", vw=False), *b],
+    "bad-cell": lambda a, b, c: [*a, "", *b[:999],
+                                 _bad_cell(b[999], 2, ["1e3x"]), *b[1000:]],
+    "short-row": lambda a, b, c: [*a, "", *b[:1099],
+                                  _bad_cell(b[1099], 4, []), *b[1100:]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READER_CASES))
+def test_block_reader_matches_per_line_reader(tmp_path, name):
+    lines = _READER_CASES[name](*(_snapshot_lines(t)
+                                  for t in ("-0", "0.25", "0.5")))
+    path = tmp_path / "snapshots.csv"
+    newline = "\r\n" if name.startswith("crlf") else "\n"
+    path.write_bytes(newline.join(["t,x,u,v,w", *lines, ""]).encode())
+    want = _reference_read_snapshots(path)
+    if isinstance(want, ConstraintError):
+        with pytest.raises(ConstraintError) as got:
+            cli.read_snapshots_csv(path)
+        assert str(got.value) == str(want)
+        assert f" line {2502 if name == 'bad-cell' else 2602}: " in str(want)
+        return
+    snaps = cli.read_snapshots_csv(path)
+    assert [repr(s.t) for s in snaps] == [repr(t) for t in want]
+    for s, rows in zip(snaps, want.values()):
+        assert (s.grid.x_min, s.grid.x_max, s.grid.n) == (
+            rows[0, 0], rows[-1, 0], len(rows))
+        for got, col in zip((s.u, s.v, s.w), rows[:, 1:].T):
+            assert got.tobytes() == col.tobytes()
 
 
 @pytest.mark.parametrize("argv", [
@@ -681,7 +872,8 @@ def test_semi_family_rejects_non_finite_profile_step(capsys):
 
 
 @pytest.mark.parametrize("exc", [KeyError, TypeError, ValueError,
-                                 OverflowError, ZeroDivisionError])
+                                 OverflowError, ZeroDivisionError,
+                                 IndexError])
 def test_program_bug_exits_3_with_traceback(monkeypatch, capsys, exc):
     # a bug in a handler is not a user error: it gets its own exit code,
     # and the traceback that locates it

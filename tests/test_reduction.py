@@ -498,9 +498,13 @@ def test_semi_exact_family_checks_case_values_before_integrating(
 
 
 def test_reduced_system_rejects_unknown_id_and_l52_case():
-    with pytest.raises(ConstraintError,
-                       match="^unknown reduced system id 'R99'$"):
+    known = "R35, R38, R47, R58, T2a, T2b, T2c, T2d, L36, L52"
+    with pytest.raises(ConstraintError, match=f"^unknown reduced system id "
+                                              f"'R99'; known ids: {known}$"):
         reduction.reduced_system("R99", a1=0.5)
+    # the catalog ids are the CLI's contract: no other spelling is taken
+    with pytest.raises(ConstraintError, match="id 'r38'; known ids: R35,"):
+        reduction.reduced_system("r38", beta=0.3, a1=0.5, a3=1.0, a4=0.7)
     with pytest.raises(ConstraintError,
                        match="^L52 case must be '50' or '51'$"):
         reduction.reduced_system("L52", beta=0.3, case="52")

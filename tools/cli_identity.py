@@ -13,14 +13,18 @@ that has not returned after ``TIMEOUT_S`` counts as the outcome
 
 The cases cover every subcommand and every report and CSV writer, the
 flag-over-file and flag-over-config warnings (two overrides in one
-command included), a pinned-to-exact ``simulate`` and the user errors of
-each kind.  All paths are relative, so reports and messages do not depend
-on where the temporary directory lies.
+command included), a pinned-to-exact ``simulate``, snapshot files that
+the ``speed`` reader must take apart the same way (line ends, blank
+lines, rows of one time apart, empty cells, bad lines past its first
+block) and the user errors of each kind.  All paths are relative, so
+reports and messages do not depend on where the temporary directory
+lies.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -47,6 +51,36 @@ def _config(family, grid=(-15.0, 20.0, 351), t_end=1.5, every=100, **extra):
            "grid": {"x_min": grid[0], "x_max": grid[1], "n": grid[2]},
            "time": {"t_end": t_end, "snapshot_every": every}}
     return json.dumps({**cfg, **extra})
+
+
+def _front_rows(times=(0.0, 0.25, 0.5, 0.75, 1.0), n=1001, vw=True):
+    """``t,x,u,v,w`` rows of a tanh front moving at speed 2 over
+    [-10, 10]; without `vw` the v and w cells are empty."""
+    rows = []
+    for t in times:
+        for i in range(n):
+            x = -10.0 + 20.0 * i / (n - 1)
+            u = 0.5 * (1.0 - math.tanh(x - 2.0 * t))
+            vw_cells = f"{1.0 - u!r},{u * u!r}" if vw else ","
+            rows.append(f"{t!r},{x!r},{u!r},{vw_cells}")
+    return rows
+
+
+def _snapshots(rows, newline="\n"):
+    """The text of a snapshots CSV holding `rows`."""
+    return newline.join(["t,x,u,v,w", *rows, ""])
+
+
+# 5 snapshots of 1,001 rows (file lines 2-5006), so that the snapshot
+# reader's 2,048-line blocks split them
+FRONT = _front_rows()
+SNAPSHOTS = "run/snapshots.csv"
+SPEED = ["speed", "--run", "run", "--fit-window", "0", "1", "--component"]
+
+
+def _with_line(rows, lineno, line):
+    """`rows` with file line `lineno` (the header is line 1) replaced."""
+    return [*rows[:lineno - 2], line, *rows[lineno - 1:]]
 
 
 TF63_FAMILY = {"key": "tf63", "a1": 0.1, "delta": 0.35, "a3": 1.0, "d3": 3.0}
@@ -196,6 +230,31 @@ CASES = [
     ("error-params-file", {"params.json": json.dumps({"a1": "x"})},
      [["symmetry", "list", "--params", "params.json"],
       ["reduce", *R38, "--params", "params.json", "--span", "0", "1"]]),
+    # the snapshot reader: CRLF line ends and blank lines, rows of one t in
+    # runs that are not adjacent, empty cells
+    ("speed-reader-crlf-blank-lines",
+     {SNAPSHOTS: _snapshots([*FRONT[:1500], "", " \t", *FRONT[1500:], ""],
+                            newline="\r\n")},
+     [[*SPEED, "u", "--level", "0.5"],
+      [*SPEED, "w", "--level", "0.25", "--out", "speed.json"]]),
+    ("speed-reader-split-runs",
+     {SNAPSHOTS: _snapshots([*FRONT[:600], *FRONT[2002:3003],
+                             *FRONT[600:2002], *FRONT[3003:3503],
+                             *FRONT[4004:], *FRONT[3503:4004]])},
+     [[*SPEED, "u", "--level", "0.5"],
+      ["speed", "--run", "run", "--component", "v", "--level", "0.5"]]),
+    ("speed-reader-empty-cells",
+     {SNAPSHOTS: _snapshots(_front_rows(vw=False))},
+     [[*SPEED, "u", "--level", "0.5"], [*SPEED, "w", "--level", "0.25"]]),
+    # bad lines past the first 2,048-line block, after a blank line
+    ("error-speed-reader-bad-line",
+     {"bad-cell/snapshots.csv": _snapshots(_with_line(
+         [*FRONT[:1000], "", *FRONT[1000:]], 3001,
+         "0.5,0.1,1e3x,0.5,0.25")),
+      "short-row/snapshots.csv": _snapshots(_with_line(
+          [*FRONT[:1000], "", *FRONT[1000:]], 4001, "0.75,0.1,0.5,0.5"))},
+     [["speed", "--run", run, "--component", "u", "--level", "0.5"]
+      for run in ("bad-cell", "short-row")]),
     ("error-missing-file", {},
      [["speed", "--run", "nowhere", "--component", "u", "--level", "0.5"]]),
     ("error-failed-run-leaves-no-directory",
@@ -304,7 +363,8 @@ def run_case(src: Path, files: dict, commands: list) -> tuple[list, dict]:
     with tempfile.TemporaryDirectory(prefix="hgf-cli-") as tmp:
         cwd = Path(tmp)
         for name, text in files.items():
-            (cwd / name).write_text(text)
+            (cwd / name).parent.mkdir(parents=True, exist_ok=True)
+            (cwd / name).write_bytes(text.encode())
         outcomes = [_run(src, argv, cwd) for argv in commands]
         return outcomes, _tree(cwd)
 
