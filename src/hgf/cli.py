@@ -537,15 +537,20 @@ def _cmd_eval(args, config) -> int:
     return 0
 
 
+def _interval(flag: str, pair) -> tuple[float, float]:
+    """The (low, high) pair a flag gave, checked by the flag's name."""
+    lo, hi = pair
+    if not (hi > lo and math.isfinite(hi - lo)):
+        raise ConstraintError(f"{flag} must run from low to high over a "
+                              f"finite width, got {lo} {hi}")
+    return lo, hi
+
+
 def _window(args, key, fam) -> tuple[float, float]:
     """The residual window: the --window flag or the family's default."""
     if args.window is None:
         return FAMILIES[key].default_window(fam, args.t)
-    lo, hi = args.window
-    if not (hi > lo and math.isfinite(hi - lo)):
-        raise ConstraintError(f"--window must run from low to high over a "
-                              f"finite width, got {lo} {hi}")
-    return lo, hi
+    return _interval("--window", args.window)
 
 
 def _cmd_residual(args, config) -> int:
@@ -637,9 +642,10 @@ def _cmd_simulate(args, config) -> int:
 
 
 def _cmd_speed(args, config) -> int:
+    fit_window = (_interval("--fit-window", args.fit_window)
+                  if args.fit_window else None)
     rundir = Path(args.run)
     snaps = read_snapshots_csv(rundir / "snapshots.csv")
-    fit_window = tuple(args.fit_window) if args.fit_window else None
     est = simulator.measure_front_speed(snaps, args.component, args.level,
                                         fit_window=fit_window)
     warns = [] if est.reliable else [
@@ -768,12 +774,6 @@ _REDUCE_COEFFS = tuple(dict.fromkeys(
 _SEPARABLE_COEFFS = ("case", "a1", "beta", "delta1", "delta2", "a3", "a4")
 
 
-def _closed_form_R38(args, t):
-    return reduction.closed_form_R38(args.case, args.a1, args.delta1,
-                                     args.delta2, args.beta, t, a4=args.a4,
-                                     a3=args.a3)
-
-
 def _cmd_reduce(args, config) -> int:
     warns: list[str] = []
     flags = [n for n in _REDUCE_COEFFS if getattr(args, n) is not None]
@@ -818,7 +818,7 @@ def _cmd_reduce(args, config) -> int:
             raise ConstraintError(f"--y0 must be comma-separated numbers, "
                                   f"got {args.y0!r}") from None
     elif separable:
-        y0 = np.asarray(_closed_form_R38(args, 0.0), dtype=float)
+        y0 = np.asarray(sc.closed(0.0), dtype=float)
     else:
         y0 = np.zeros(sys_.dim)
         y0[0] = 1.0
@@ -834,7 +834,7 @@ def _cmd_reduce(args, config) -> int:
     if args.verify:
         if separable:
             ts = np.linspace(span[0], span[1], 301)
-            exact = np.stack(_closed_form_R38(args, ts), axis=1)
+            exact = np.stack(sc.closed(ts), axis=1)
             dev = float(np.max(np.abs(traj.evaluate(ts) - exact)))
             results["oracle_max_deviation"] = dev
         else:

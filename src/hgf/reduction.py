@@ -596,26 +596,14 @@ def closed_form_R38(case: str, a1: float, delta1: float, delta2: float,
                     a3: float | None = None):
     """Closed solutions (U, V, W) of R38 for the three special cases.
 
-    Case wiring, checks and the shared denominator are fam40's
-    (`solutions.separable_case`); the denominator must stay positive over
-    the requested times (it can vanish only at negative t, for
+    They live in `solutions.SeparableCase.closed`, which the fam40
+    families read too; case wiring and checks are
+    `solutions.separable_case`.  The shared denominator must stay positive
+    over the requested times (it can vanish only at negative t, for
     delta1 > 1).
     """
-    sc = solutions.separable_case(case, a1, beta, delta1, delta2, a4=a4,
-                                  a3=a3)
-    a4 = sc.a4
-    t = np.asarray(t, dtype=float)
-    m, logD = sc.denominator(t)
-    g = delta1 / m
-    U = delta2 * np.exp(sc.growth * t - sc.kappa * logD)
-    if case == "i":
-        V = (1.0 + a1) / (a1 * (1.0 + a1 * a4)) * g
-        W = (1.0 - a4) / (1.0 + a1 * a4) * g
-    else:
-        V = g / a1
-        W = ((1.0 - a4) * (delta1 - 1.0) / a1 if case == "ii"
-             else 1.0 - delta1) * np.exp(-logD)
-    return (U, V, W + np.zeros_like(U))
+    return solutions.separable_case(case, a1, beta, delta1, delta2, a4=a4,
+                                    a3=a3).closed(t)
 
 
 # ---------------------------------------------------------------------------
@@ -681,16 +669,9 @@ def semi_exact_family(case: str, *, a1: float | None = None,
     silently wrong family.
     """
     lo, hi = float(window[0]), float(window[1])
-    if case in ("35-i", "35-ii", "35-iii"):
-        cd = solutions.semi35_case(case, a1, a4, a3)
-        sys = reduced_system("L36", alpha=cd["alpha"], a1=a1, beta=beta,
-                             kappa1=cd["kappa1"], kappa2=cd["kappa2"])
-    elif case in ("50", "51"):
-        a4_l52 = solutions.semi50_case(case, a4, a3)["a4"]
-        sys = reduced_system("L52", beta=beta, case=case,
-                             a4=0.0 if case == "51" else a4_l52)
-    else:
-        raise ConstraintError(f"unknown semi-exact case {case!r}")
+    sc = solutions.semi_case(case, a1=a1, a4=a4, a3=a3, beta=beta,
+                             gamma=gamma)
+    sys = reduced_system(sc["system"], **sc["coeffs"])
     if anchor is None:
         anchor = min(max(0.0, lo), hi)
     elif not lo <= anchor <= hi:

@@ -296,8 +296,9 @@ def measure_front_speed(run_or_snapshots, component: str, level: float,
 
     Crossings are located by linear interpolation between adjacent grid
     points, one per snapshot (profiles must cross the level monotonically).
-    The default fit window is the last half of the run; estimates with
-    r^2 below `R2_RELIABLE` are flagged unreliable, not rejected.
+    The default fit window is the last half of the run, in time order
+    whatever the snapshots' order; estimates with r^2 below `R2_RELIABLE`
+    are flagged unreliable, not rejected.
     """
     snapshots: Sequence[FieldState] = (
         run_or_snapshots.snapshots
@@ -307,12 +308,12 @@ def measure_front_speed(run_or_snapshots, component: str, level: float,
         raise ConstraintError("component must be one of u, v, w")
     if not snapshots:
         raise ConstraintError("no snapshots to measure a front speed in")
-    times = np.asarray([s.t for s in snapshots])
     if fit_window is None:
-        mid = times[0] + 0.5 * (times[-1] - times[0])
-        fit_window = (mid, float(times[-1]))
+        t0, t1 = min(s.t for s in snapshots), max(s.t for s in snapshots)
+        fit_window = (t0 + 0.5 * (t1 - t0), float(t1))
     lo, hi = fit_window
-    used = [s for s in snapshots if lo - 1e-12 <= s.t <= hi + 1e-12]
+    used = sorted((s for s in snapshots if lo - 1e-12 <= s.t <= hi + 1e-12),
+                  key=lambda s: s.t)
     if len(used) < 2:
         raise ConstraintError("fit window contains fewer than 2 snapshots")
     ts = np.asarray([s.t for s in used])

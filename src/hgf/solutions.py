@@ -17,6 +17,9 @@ Semi-exact families take their numeric profile as an injected dependency
 (any vectorized callable); integration policy lives in `hgf.reduction`.
 `reconstruct` is the one copy of the ansatz algebra that maps profiles
 back to fields: the semi-exact families and `hgf.reduction` both use it.
+R38's closed solution lives in `SeparableCase.closed` (read by fam40,
+`reduction.closed_form_R38` and ``hgf reduce --case``), and `semi_case`
+maps a semi-exact case to its L36/L52 system and its family's parts.
 Parameter choices that are mathematically exact but biologically invalid
 (negative a2 or a5) construct fine and carry a warning instead of failing,
 so residual tests can exercise them.
@@ -42,18 +45,6 @@ FISHER_SPEED = 5.0 / SQRT6
 def _phi(arg):
     """The front shape 1 - tanh(arg); numerically stable for all arguments."""
     return 1.0 - np.tanh(arg)
-
-
-@dataclass(frozen=True)
-class TravelingFrame:
-    """Wave frame omega = x - alpha t; invariant under the co-moving shift
-    (t, x) -> (t + s, x + alpha s)."""
-
-    alpha: float
-
-    def omega(self, t, x):
-        return np.asarray(x, dtype=float) - self.alpha * np.asarray(t,
-                                                                    dtype=float)
 
 
 @dataclass(frozen=True)
@@ -240,14 +231,14 @@ def make_tf63(a1: float, delta: float, a3: float = 1.0,
         )
     p = Params(a1=a1, a2=vals["a2"], a3=a3, a4=vals["a4"], a5=vals["a5"],
                d1=1.0, d2=vals["d2"], d3=d3)
-    frame = TravelingFrame(vals["alpha"])
-    mu = vals["mu"]
+    alpha, mu = vals["alpha"], vals["mu"]
     amp = 0.25 * (1.0 - 2.0 * a1 * delta)
     shape = TanhAnsatzParams(sigma1=amp, sigma2=delta, sigma3=0.5,
                              k1=2.0, k2=1.0, k3=1.0, mu=mu)
 
     def evaluate(t, x):
-        T = np.tanh(mu * frame.omega(t, x))
+        om = np.asarray(x, dtype=float) - alpha * np.asarray(t, dtype=float)
+        T = np.tanh(mu * om)
         u = amp * (1.0 - T) ** 2
         v = delta - delta * T
         w = 0.5 + 0.5 * T
@@ -257,7 +248,7 @@ def make_tf63(a1: float, delta: float, a3: float = 1.0,
     return FamilyInstance(
         evaluate=evaluate,
         params=p,
-        speed=frame.alpha,
+        speed=alpha,
         endpoint_states=(left, (0.0, 0.0, 1.0)),
         warnings=tuple(warnings),
         key="tf63",
@@ -334,31 +325,42 @@ def fam40_restrictions(a1: float, a4: float) -> dict:
 
 @dataclass(frozen=True)
 class SeparableCase:
-    """Resolved wiring of one separable case, shared by the fam40 families
-    and the closed solutions of R38.
+    """Resolved wiring of one separable case: the fam40 families and the
+    closed solutions of R38 (`closed`) both read it.
 
-    Both carry the shared denominator D = 1 - delta1 + delta1 e^(r t) and
-    the u-amplitude delta2 e^(growth t) D^(-kappa).
+    Both carry the shared denominator D = 1 - delta1 + delta1 e^(r t),
+    the u-amplitude delta2 e^(growth t) D^(-kappa), V = cV g with
+    g = delta1 e^(r t) / D, and W = cW g in case i, cW / D otherwise.
     """
 
+    case: str
     a3: float
     a4: float
     r: float
     kappa: float
     growth: float
     delta1: float
+    delta2: float
+    cV: float
+    cW: float
 
-    def denominator(self, t):
-        """(e^(-r t) D, log D) at the times t.  D > 0 fails only for t < 0
-        with delta1 > 1; the error names the critical time."""
+    def closed(self, t, decay=0.0):
+        """R38's closed (U e^(-decay), V, W) at the times t, broadcast
+        against `decay` (fam40 passes beta a1 x).  D > 0 fails only for
+        t < 0 with delta1 > 1; the error names the critical time."""
+        t = np.asarray(t, dtype=float)
         m = (1.0 - self.delta1) * np.exp(-self.r * t) + self.delta1
-        if np.any(m <= 0):
+        if np.any(m <= 0):  # m = e^(-r t) D
             tcrit = math.log((self.delta1 - 1.0) / self.delta1) / self.r
             raise DomainError(
                 f"denominator 1 - delta1 + delta1*e^(r t) vanishes at "
                 f"t = {tcrit}; requested times must stay above it"
             )
-        return m, self.r * t + np.log(m)
+        logD = self.r * t + np.log(m)
+        U = self.delta2 * np.exp(self.growth * t - decay - self.kappa * logD)
+        g = self.delta1 / m
+        W = self.cW * g if self.case == "i" else self.cW * np.exp(-logD)
+        return (U, self.cV * g, W + np.zeros_like(U))
 
 
 def _require_finite(what: str, coeffs: dict) -> None:
@@ -378,95 +380,92 @@ def _forced_a4(label: str, a4: float | None, a4_fixed: float,
     return a4_fixed
 
 
+def _q1_case(label: str, case: str, a1: float, a3: float | None,
+             a4: float | None) -> tuple[float, float]:
+    """(a3, a4) of case i, ii or iii of the Q1 reductions (R38, fam40,
+    semi35): i fixes a3 = 1 and ii a3 = 0, both need a4; iii needs
+    a3 != 0 and forces a4 = 1 + a1 + a3.  A given a3 or a4 that the case
+    fixes must equal the fixed value; `label` names the case in errors."""
+    if case == "iii":
+        if a3 is None or a3 == 0.0:
+            raise ConstraintError(f"{label} needs a3 != 0")
+        return float(a3), _forced_a4(label, a4, 1.0 + a1 + a3,
+                                     "1 + a1 + a3")
+    a3_fixed = 1.0 if case == "i" else 0.0
+    if a3 is not None and a3 != a3_fixed:
+        raise ConstraintError(f"{label} fixes a3 = {a3_fixed:g}, got {a3}")
+    if a4 is None:
+        raise ConstraintError(f"{label} needs a4")
+    return a3_fixed, float(a4)
+
+
 def separable_case(case: str, a1: float, beta: float, delta1: float,
                    delta2: float, a4: float | None = None,
                    a3: float | None = None) -> SeparableCase:
     """Check and resolve the case wiring: (i) a3 = 1, (ii) a3 = 0 with
     a4 != 0, (iii) a4 = 1 + a1 + a3 with a3 != 0.  A given a3 or a4 that
-    the case fixes must equal the fixed value."""
+    the case fixes must equal the fixed value (`_q1_case`)."""
     _require_finite(f"case {case}", dict(a1=a1, beta=beta, delta1=delta1,
                                          delta2=delta2, a4=a4, a3=a3))
     if not (delta1 > 0 and delta2 > 0):
         raise ConstraintError("separable cases need delta1 > 0 and delta2 > 0")
     if a1 == 0.0:
         raise ConstraintError("separable cases need a1 != 0")
-    if case in ("i", "ii"):
-        a3_fixed = 1.0 if case == "i" else 0.0
-        if a3 is not None and a3 != a3_fixed:
-            raise ConstraintError(f"case {case} fixes a3 = {a3_fixed:g}, "
-                                  f"got {a3}")
-        if a4 is None:
-            raise ConstraintError(f"case {case} needs a4")
-        a3, a4 = a3_fixed, float(a4)
-        if case == "i":
-            r, kappa = 1.0, (1.0 + a1) / (1.0 + a1 * a4)
-        elif a4 == 0.0:
-            raise ConstraintError("case ii needs a4 != 0")
-        else:
-            r, kappa = a4, 1.0 / a4
-    elif case == "iii":
-        if a3 is None or a3 == 0.0:
-            raise ConstraintError("case iii needs a3 != 0")
-        a4 = _forced_a4("case iii", a4, 1.0 + a1 + a3, "1 + a1 + a3")
-        a3 = float(a3)
-        r, kappa = 1.0 + a1, 1.0 / (1.0 + a1)
-    else:
+    if case not in ("i", "ii", "iii"):
         raise ConstraintError(
             f"unknown separable case {case!r} (expected i, ii or iii)")
-    return SeparableCase(a3=a3, a4=a4, r=r, kappa=kappa,
-                         growth=1.0 + beta * beta * a1 * a1, delta1=delta1)
+    a3, a4 = _q1_case(f"case {case}", case, a1, a3, a4)
+    if case == "i":
+        r, kappa = 1.0, (1.0 + a1) / (1.0 + a1 * a4)
+        cV = (1.0 + a1) / (a1 * (1.0 + a1 * a4))
+        cW = (1.0 - a4) / (1.0 + a1 * a4)
+    elif case == "ii":
+        if a4 == 0.0:
+            raise ConstraintError("case ii needs a4 != 0")
+        r, kappa = a4, 1.0 / a4
+        cV, cW = 1.0 / a1, (1.0 - a4) * (delta1 - 1.0) / a1
+    else:
+        r, kappa = 1.0 + a1, 1.0 / (1.0 + a1)
+        cV, cW = 1.0 / a1, 1.0 - delta1
+    return SeparableCase(case=case, a3=a3, a4=a4, r=r, kappa=kappa,
+                         growth=1.0 + beta * beta * a1 * a1, delta1=delta1,
+                         delta2=delta2, cV=cV, cW=cW)
 
 
 def make_fam40(case: str, a1: float, a4: float | None, beta: float,
                delta1: float, delta2: float, a3: float | None = None,
                d3: float = 1.0) -> FamilyInstance:
-    """Separable family u = e^(-beta a1 x) * U(t), v = V(t) - u/a1, w = W(t).
+    """Separable family u = e^(-beta a1 x) * U(t), v = V(t) - u/a1, w = W(t),
+    with (U, V, W) the closed solution of R38 (`SeparableCase.closed`).
 
     Case wiring and checks: `separable_case`.  The w-diffusivity d3 is
     free because w depends on t only.  The evaluator fails with the
     critical time when the shared denominator is not positive.
     """
     sc = separable_case(case, a1, beta, delta1, delta2, a4=a4, a3=a3)
-    a4 = sc.a4
-    p = Params(a1=a1, a2=1.0, a3=sc.a3, a4=a4, a5=a1 * a4,
+    p = Params(a1=a1, a2=1.0, a3=sc.a3, a4=sc.a4, a5=a1 * sc.a4,
                d1=1.0, d2=1.0, d3=d3)
     ba1 = beta * a1
-    if case == "i":
-        cV = (1.0 + a1) / (a1 * (1.0 + a1 * a4))
-        cW = (1.0 - a4) / (1.0 + a1 * a4)
-    else:
-        cV = 1.0 / a1
-        cW = (1.0 - a4) * (delta1 - 1.0) / a1 if case == "ii" \
-            else 1.0 - delta1
 
     def evaluate(t, x):
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        m, logD = sc.denominator(t)
-        u = delta2 * np.exp(sc.growth * t - ba1 * x - sc.kappa * logD)
-        g = delta1 / m
-        v = cV * g - u / a1
-        w = cW * g if case == "i" else cW * np.exp(-logD)
-        return (u, v, w + np.zeros_like(u))
+        u, V, w = sc.closed(t, ba1 * np.asarray(x, dtype=float))
+        return (u, V - u / a1, w)
 
     t_limit = None
     if case == "i":
         u_amp = delta2 * delta1**-sc.kappa
 
         def t_limit(x):
-            x = np.asarray(x, dtype=float)
-            decay = np.exp(-ba1 * x)
+            decay = np.exp(-ba1 * np.asarray(x, dtype=float))
             u = u_amp * decay
-            v = cV - (u_amp / a1) * decay
-            w = cW + np.zeros_like(u)
-            return (u, v, w)
+            return (u, sc.cV - (u_amp / a1) * decay, sc.cW + np.zeros_like(u))
 
     return FamilyInstance(
         evaluate=evaluate,
         params=p,
         t_limit=t_limit,
         key=f"fam40-{case}",
-        meta={"case": case, "a1": a1, "a4": a4, "a3": sc.a3,
+        meta={"case": case, "a1": a1, "a4": sc.a4, "a3": sc.a3,
               "beta": beta, "delta1": delta1, "delta2": delta2,
               "growth_exponent": sc.growth, "kappa": sc.kappa},
     )
@@ -593,77 +592,54 @@ def ansatz_solution(ansatz: Ansatz, profiles, params: Params, key: str = "",
 # ---------------------------------------------------------------------------
 
 
+def _front2(om, q=1.0):
+    """phi(q omega / (2 sqrt 6))^2: the squared front shape that every
+    closed profile of the semi families is a function of."""
+    return _phi(q * np.asarray(om) / (2.0 * SQRT6)) ** 2
+
+
 def semi35_case(case: str, a1: float, a4: float | None,
                 a3: float | None = None) -> dict:
     """Closed data of the semi35 cases: speed, linear-equation coefficients
-    kappa1/kappa2 and the closed V, W profiles.  A given a3 or a4 that the
-    case fixes must equal the fixed value (a3 = 1 in 35-i, a3 = 0 in
-    35-ii, a4 = 1 + a1 + a3 in 35-iii)."""
+    kappa1/kappa2 and the closed V, W profiles, each a function of
+    phi^2 = `_front2`(omega, kappa2).  A given a3 or a4 that the case fixes
+    must equal the fixed value (a3 = 1 in 35-i, a3 = 0 in 35-ii,
+    a4 = 1 + a1 + a3 in 35-iii: `_q1_case`); 35-ii also needs a4 > 0 and
+    35-iii 1 + a1 > 0."""
     _require_finite(f"semi{case}", dict(a1=a1, a4=a4, a3=a3))
     if a1 == 0.0:
         raise ConstraintError("semi35 requires a1 != 0")
-    if case in ("35-i", "35-ii"):
-        a3_fixed = 1.0 if case == "35-i" else 0.0
-        if a3 is not None and a3 != a3_fixed:
-            raise ConstraintError(f"semi{case} fixes a3 = {a3_fixed:g}, "
-                                  f"got {a3}")
+    if case not in ("35-i", "35-ii", "35-iii"):
+        raise ConstraintError(f"unknown semi35 case {case!r}")
+    a3, a4 = _q1_case(f"semi{case}", case[3:], a1, a3, a4)
     if case == "35-i":
-        if a4 is None:
-            raise ConstraintError("semi35-i needs a4")
-        a3_eff, a4_eff = 1.0, float(a4)
-        kappa1 = (1.0 + a1) / (4.0 * (1.0 + a1 * a4_eff))
-        kappa2 = 1.0
-        cV = (1.0 + a1) / (4.0 * a1 * (1.0 + a1 * a4_eff))
-        cW = (1.0 - a4_eff) / (4.0 * (1.0 + a1 * a4_eff))
-
-        def V(om):
-            return cV * _phi(kappa2 * np.asarray(om) / (2.0 * SQRT6)) ** 2
-
-        def W(om):
-            return cW * _phi(kappa2 * np.asarray(om) / (2.0 * SQRT6)) ** 2
-
+        q = 1.0 + a1 * a4
+        kappa1, kappa2 = (1.0 + a1) / (4.0 * q), 1.0
+        cV, cW = (1.0 + a1) / (4.0 * a1 * q), (1.0 - a4) / (4.0 * q)
+        v_of, w_of = (lambda f: cV * f), (lambda f: cW * f)
     elif case == "35-ii":
-        if a4 is None or a4 <= 0:
+        if a4 <= 0:
             raise ConstraintError("semi35-ii needs a4 > 0")
-        a3_eff, a4_eff = 0.0, float(a4)
-        kappa1 = 0.25
-        kappa2 = math.sqrt(a4_eff)
-
-        def V(om):
-            return _phi(kappa2 * np.asarray(om) / (2.0 * SQRT6)) ** 2 / (4.0 * a1)
-
-        def W(om):
-            ph = _phi(kappa2 * np.asarray(om) / (2.0 * SQRT6))
-            return (1.0 - a4_eff) / (4.0 * a1) * (ph**2 - 4.0)
-
-    elif case == "35-iii":
-        if a3 is None or a3 == 0.0:
-            raise ConstraintError("semi35-iii needs a3 != 0")
+        kappa1, kappa2 = 0.25, math.sqrt(a4)
+        v_of, w_of = ((lambda f: f / (4.0 * a1)),
+                      (lambda f: (1.0 - a4) / (4.0 * a1) * (f - 4.0)))
+    else:
         if 1.0 + a1 <= 0:
             raise ConstraintError("semi35-iii needs 1 + a1 > 0")
-        a3_eff = float(a3)
-        a4_eff = _forced_a4("semi35-iii", a4, 1.0 + a1 + a3_eff,
-                            "1 + a1 + a3")
-        kappa1 = 0.25
-        kappa2 = math.sqrt(1.0 + a1)
-
-        def V(om):
-            return _phi(kappa2 * np.asarray(om) / (2.0 * SQRT6)) ** 2 / (4.0 * a1)
-
-        def W(om):
-            return 1.0 - 0.25 * _phi(kappa2 * np.asarray(om) / (2.0 * SQRT6)) ** 2
-
-    else:
-        raise ConstraintError(f"unknown semi35 case {case!r}")
-    alpha = FISHER_SPEED * kappa2
-    return {"a3": a3_eff, "a4": a4_eff, "alpha": alpha,
-            "kappa1": kappa1, "kappa2": kappa2, "V": V, "W": W}
+        kappa1, kappa2 = 0.25, math.sqrt(1.0 + a1)
+        v_of, w_of = (lambda f: f / (4.0 * a1)), (lambda f: 1.0 - 0.25 * f)
+    return {"a3": a3, "a4": a4, "alpha": FISHER_SPEED * kappa2,
+            "kappa1": kappa1, "kappa2": kappa2,
+            "V": lambda om: v_of(_front2(om, kappa2)),
+            "W": lambda om: w_of(_front2(om, kappa2))}
 
 
 def semi50_case(case: str, a4: float | None,
                 a3: float | None = None) -> dict:
-    """Coefficients and closed w-profile of the A44 cases: 50 fixes a3 = 1
-    and needs a4, 51 needs a3 and forces a4 = 1 + a3.  A given value the
+    """Coefficients and closed w-profile of the A44 cases, paired with the
+    logistic u (d = 1): 50 fixes a3 = 1, needs a4 and has
+    W = (1 - a4) phi^2 / 4; 51 needs a3, forces a4 = 1 + a3 and has
+    W = 1 - phi^2 / 4, with phi^2 = `_front2`(omega).  A given value the
     case fixes must equal the fixed value."""
     _require_finite(f"semi{case}", dict(a4=a4, a3=a3))
     if case == "50":
@@ -671,31 +647,49 @@ def semi50_case(case: str, a4: float | None,
             raise ConstraintError(f"semi50 fixes a3 = 1, got {a3}")
         if a4 is None:
             raise ConstraintError("semi50 needs a4")
-        return {"a3": 1.0, "a4": float(a4), "W": w_profile_50(float(a4))}
+        a4 = float(a4)
+        return {"a3": 1.0, "a4": a4,
+                "W": lambda om: 0.25 * (1.0 - a4) * _front2(om)}
     if case == "51":
         if a3 is None:
             raise ConstraintError("semi51 needs a3")
-        a4_eff = _forced_a4("semi51", a4, 1.0 + float(a3), "1 + a3")
-        return {"a3": float(a3), "a4": a4_eff, "W": w_profile_51()}
+        a3 = float(a3)
+        return {"a3": a3, "a4": _forced_a4("semi51", a4, 1.0 + a3, "1 + a3"),
+                "W": lambda om: 1.0 - 0.25 * _front2(om)}
     raise ConstraintError(f"unknown semi-exact case {case!r}")
 
 
-def w_profile_50(a4: float) -> Callable:
-    """Closed w-profile paired with the logistic u when d = a3 = 1."""
-
-    def W(om):
-        return 0.25 * (1.0 - a4) * _phi(np.asarray(om) / (2.0 * SQRT6)) ** 2
-
-    return W
-
-
-def w_profile_51() -> Callable:
-    """Closed w-profile paired with the logistic u when d = 1, a4 = 1 + a3."""
-
-    def W(om):
-        return 1.0 - 0.25 * _phi(np.asarray(om) / (2.0 * SQRT6)) ** 2
-
-    return W
+def semi_case(case: str, *, a1: float | None = None,
+              a4: float | None = None, a3: float | None = None,
+              beta: float = 0.0, gamma: float = 0.0) -> dict:
+    """One semi-exact case, resolved.  Its free profile ("free": U in the
+    cases 35-*, V in 50/51) solves the linear equation "system", an
+    `hgf.reduction` catalog id, with the coefficients "coeffs".  The
+    family composes it with the "closed" profiles through the ansatz
+    "aid" (coefficients "ansatz") and solves "params"."""
+    if case in ("35-i", "35-ii", "35-iii"):
+        cd = semi35_case(case, a1, a4, a3)
+        alpha, kappa1, kappa2 = cd["alpha"], cd["kappa1"], cd["kappa2"]
+        return {"system": "L36", "coeffs": dict(
+                    alpha=alpha, a1=a1, beta=beta, kappa1=kappa1,
+                    kappa2=kappa2),
+                "free": "U", "closed": {"V": cd["V"], "W": cd["W"]},
+                "aid": "A34", "ansatz": dict(alpha=alpha, beta=beta, a1=a1),
+                "params": Params(a1=a1, a2=1.0, a3=cd["a3"], a4=cd["a4"],
+                                 a5=a1 * cd["a4"], d1=1.0, d2=1.0, d3=1.0),
+                "meta": {"case": case, "a1": a1, "a4": cd["a4"],
+                         "a3": cd["a3"], "beta": beta, "alpha": alpha,
+                         "kappa1": kappa1, "kappa2": kappa2}}
+    cd = semi50_case(case, a4, a3)
+    return {"system": "L52", "coeffs": dict(
+                beta=beta, case=case, a4=0.0 if case == "51" else cd["a4"]),
+            "free": "V", "closed": {"U": _fisher_profile, "W": cd["W"]},
+            "aid": "A44",
+            "ansatz": dict(alpha=FISHER_SPEED, beta=beta, gamma=gamma),
+            "params": Params(a1=0.0, a2=1.0, a3=cd["a3"], a4=cd["a4"],
+                             a5=0.0, d1=1.0, d2=1.0, d3=1.0),
+            "meta": {"case": case, "a3": cd["a3"], "a4": cd["a4"],
+                     "beta": beta, "gamma": gamma, "alpha": FISHER_SPEED}}
 
 
 def _check_profile_window(profile, window):
@@ -714,7 +708,7 @@ def make_semi_exact(case: str, profile: Callable, *, a1: float | None = None,
                     beta: float = 0.0, gamma: float = 0.0,
                     window=None) -> FamilyInstance:
     """Assemble a semi-exact family from closed tanh parts and a numeric
-    profile, through ansatz A34 (cases 35-*) or A44 (cases 50/51).
+    profile (`semi_case`: ansatz A34 for cases 35-*, A44 for 50/51).
 
     For the 35-cases `profile` is the u-profile U(omega) of the linear
     equation L36; for cases 50/51 it is the v-profile V(omega) of L52.
@@ -725,41 +719,23 @@ def make_semi_exact(case: str, profile: Callable, *, a1: float | None = None,
     zeroed.
     """
     _check_profile_window(profile, window)
-    if case in ("35-i", "35-ii", "35-iii"):
-        cd = semi35_case(case, a1, a4, a3)
-        alpha = cd["alpha"]
-        ansatz = make_ansatz("A34", alpha=alpha, beta=beta, a1=a1)
-        profiles = {"U": profile, "V": cd["V"], "W": cd["W"]}
-        p = Params(a1=a1, a2=1.0, a3=cd["a3"], a4=cd["a4"],
-                   a5=a1 * cd["a4"], d1=1.0, d2=1.0, d3=1.0)
-        meta = {"case": case, "a1": a1, "a4": cd["a4"], "a3": cd["a3"],
-                "beta": beta, "alpha": alpha,
-                "kappa1": cd["kappa1"], "kappa2": cd["kappa2"]}
-    elif case in ("50", "51"):
-        cd = semi50_case(case, a4, a3)
-        a3_eff, a4_eff, W = cd["a3"], cd["a4"], cd["W"]
-        alpha = FISHER_SPEED
-        ansatz = make_ansatz("A44", alpha=alpha, beta=beta, gamma=gamma)
-        profiles = {"U": _fisher_profile, "V": profile, "W": W}
-        p = Params(a1=0.0, a2=1.0, a3=a3_eff, a4=a4_eff, a5=0.0,
-                   d1=1.0, d2=1.0, d3=1.0)
-
+    sc = semi_case(case, a1=a1, a4=a4, a3=a3, beta=beta, gamma=gamma)
+    ansatz = make_ansatz(sc["aid"], **sc["ansatz"])
+    closed = sc["closed"]
+    if sc["system"] == "L52":
         # a zero v-profile solves the linear equation only when the
         # forcing U (W - beta) vanishes identically
-        probe = np.linspace(-30.0, 30.0, 601)
-        if window is not None:
-            probe = np.linspace(min(window), max(window), 601)
+        lo, hi = (-30.0, 30.0) if window is None else (min(window),
+                                                       max(window))
+        probe = np.linspace(lo, hi, 601)
         pv = np.asarray(profile(probe), dtype=float)
         if np.max(np.abs(pv)) == 0.0:
-            forcing = _fisher_profile(probe) * (W(probe) - beta)
+            forcing = closed["U"](probe) * (closed["W"](probe) - beta)
             if np.max(np.abs(forcing)) > 1e-12:
                 raise ConstraintError(
                     "zero v-profile demanded but the linear equation's "
                     "forcing U*(W - beta) is nonzero"
                 )
-        meta = {"case": case, "a3": a3_eff, "a4": a4_eff, "beta": beta,
-                "gamma": gamma, "alpha": alpha}
-    else:
-        raise ConstraintError(f"unknown semi-exact case {case!r}")
-    return ansatz_solution(ansatz, profiles, p, key=f"semi{case}",
-                           speed=alpha, meta=meta)
+    return ansatz_solution(ansatz, {**closed, sc["free"]: profile},
+                           sc["params"], key=f"semi{case}",
+                           speed=ansatz.alpha, meta=sc["meta"])

@@ -615,6 +615,62 @@ def test_reduce_params_file_keys_are_checked(tmp_path, capsys):
     assert "reduce params file has unknown keys ['surprise']" in err
 
 
+def test_speed_default_window_follows_time_not_file_order(tmp_path, capsys):
+    # the default fit window came from the first and last snapshots in file
+    # order: with the last snapshot moved second it read [0.7, 1.4] with 4
+    # crossings, not [0.75, 1.5] with 5
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "family": {"key": "fisher"},
+        "grid": {"x_min": -15.0, "x_max": 20.0, "n": 351},
+        "time": {"t_end": 1.5, "snapshot_every": 100}}))
+    code, _, _ = run_cli(["simulate", "--config", str(cfg), "--out",
+                          str(tmp_path / "sorted"), "--quiet"], capsys)
+    assert code == 0
+    header, *rows = (tmp_path / "sorted" / "snapshots.csv").read_text() \
+        .splitlines()
+    blocks = {}
+    for row in rows:
+        blocks.setdefault(row.split(",")[0], []).append(row)
+    times = list(blocks)
+    (tmp_path / "shuffled").mkdir()
+    (tmp_path / "shuffled" / "snapshots.csv").write_text("\n".join(
+        [header, *(row for t in [times[0], times[-1], *times[1:-1]]
+                   for row in blocks[t])]) + "\n")
+    reports = []
+    for run in ("sorted", "shuffled"):
+        out = tmp_path / f"{run}.json"
+        code, _, _ = run_cli(["speed", "--run", str(tmp_path / run),
+                              "--component", "u", "--level", "0.5",
+                              "--out", str(out)], capsys)
+        assert code == 0
+        reports.append(json.loads(out.read_text()))
+    for rep in reports:
+        del rep["inputs"]["run"]
+    assert reports[0]["speed"]["fit_window"] == [0.75, 1.5]
+    assert reports[0]["speed"]["n_crossings"] == 5
+    for part in ("inputs", "results", "speed", "warnings"):
+        assert reports[1][part] == reports[0][part]
+
+
+@pytest.mark.parametrize("window", [["1.5", "0.5"], ["1", "1"]],
+                         ids=["reversed", "empty"])
+def test_fit_window_is_checked_by_flag_name(tmp_path, window, capsys):
+    # a reversed fit window was reported as "fit window contains fewer
+    # than 2 snapshots"
+    rows = [f"{t},{x!r},{0.5 * (1.0 - math.tanh(x - 2.0 * t))!r},0,0"
+            for t in (0.5, 1.0, 1.5) for x in np.linspace(-5, 8, 27).tolist()]
+    (tmp_path / "snapshots.csv").write_text("\n".join(["t,x,u,v,w", *rows]))
+    speed = ["speed", "--run", str(tmp_path), "--component", "u", "--level",
+             "0.5", "--fit-window"]
+    assert run_cli([*speed, "0.5", "1.5"], capsys)[0] == 0
+    code, out, err = run_cli([*speed, *window], capsys)
+    assert code == 1 and out == ""
+    lo, hi = map(float, window)
+    assert err == (f"error: --fit-window must run from low to high over a "
+                   f"finite width, got {lo} {hi}\n")
+
+
 def test_speed_rejects_short_snapshot_rows(tmp_path, capsys):
     (tmp_path / "snapshots.csv").write_text(
         "t,x,u,v,w\n0,0,1,1,1\n0,0.5,1,1\n0,1,1,1,1\n")

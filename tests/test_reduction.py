@@ -495,6 +495,13 @@ def test_semi_exact_family_checks_case_values_before_integrating(
         reduction.semi_exact_family("51", beta=0.3)
     with pytest.raises(ConstraintError, match="fixes a3"):
         reduction.semi_exact_family("35-i", a1=0.5, a4=0.5, a3=7.0)
+    with pytest.raises(ConstraintError,
+                       match="^unknown semi-exact case '52'$"):
+        reduction.semi_exact_family("52", a4=0.5, beta=0.3)
+    # the family's Params, a4 != 0 included, are checked before the
+    # profile is tabulated too, not after
+    with pytest.raises(ConstraintError, match="^Params requires a4 != 0$"):
+        reduction.semi_exact_family("50", a4=0.0, beta=0.3)
 
 
 def test_reduced_system_rejects_unknown_id_and_l52_case():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -171,14 +172,37 @@ def test_semi35_case_table():
     assert c3["a4"] == pytest.approx(1 + a1 + 0.7, rel=1e-15)
 
 
-@pytest.mark.parametrize("case,a4,a3", [("35-i", 0.5, 7.0),
-                                         ("35-ii", 0.81, 1.0),
-                                         ("35-iii", 9.0, 0.7)])
-def test_semi35_case_rejects_values_it_fixes(case, a4, a3):
-    # 35-i fixes a3 = 1, 35-ii a3 = 0 and 35-iii a4 = 1 + a1 + a3; a
-    # different value used to be dropped
-    with pytest.raises(ConstraintError, match="fixes a3|forces a4"):
-        solutions.semi35_case(case, 0.5, a4, a3)
+def _raises(message):
+    """pytest.raises for a ConstraintError that says exactly `message`."""
+    return pytest.raises(ConstraintError, match=f"^{re.escape(message)}$")
+
+
+@pytest.mark.parametrize("case,a1,a4,a3,message", [
+    pytest.param("35-i", 0.5, 0.5, 7.0, "semi35-i fixes a3 = 1, got 7.0",
+                 id="35-i-0.5-7.0"),
+    pytest.param("35-ii", 0.5, 0.81, 1.0, "semi35-ii fixes a3 = 0, got 1.0",
+                 id="35-ii-0.81-1.0"),
+    pytest.param("35-iii", 0.5, 9.0, 0.7,
+                 "semi35-iii forces a4 = 1 + a1 + a3 = 2.2, got 9.0",
+                 id="35-iii-9.0-0.7"),
+    pytest.param("35-i", 0.5, None, None, "semi35-i needs a4",
+                 id="35-i-no-a4"),
+    pytest.param("35-ii", 0.5, 0.0, 0.0, "semi35-ii needs a4 > 0",
+                 id="35-ii-a4-zero"),
+    pytest.param("35-iii", 0.5, None, None, "semi35-iii needs a3 != 0",
+                 id="35-iii-no-a3"),
+    pytest.param("35-iii", -1.5, None, 0.7, "semi35-iii needs 1 + a1 > 0",
+                 id="35-iii-a1-below-minus-1"),
+    pytest.param("35-i", 0.0, 0.5, None, "semi35 requires a1 != 0",
+                 id="a1-zero"),
+    pytest.param("35-iv", 0.5, 0.5, None, "unknown semi35 case '35-iv'",
+                 id="unknown-case")])
+def test_semi35_case_rejects_values_it_fixes(case, a1, a4, a3, message):
+    # 35-i fixes a3 = 1, 35-ii a3 = 0 and 35-iii a4 = 1 + a1 + a3 (a
+    # different value used to be dropped); every other wiring error names
+    # its case too
+    with _raises(message):
+        solutions.semi35_case(case, a1, a4, a3)
 
 
 def test_semi_cases_accept_the_values_they_fix():
@@ -193,10 +217,16 @@ def test_semi_cases_accept_the_values_they_fix():
 @pytest.mark.parametrize("case,a4,a3,match", [
     ("50", None, None, "needs a4"), ("50", 0.5, 0.7, "fixes a3"),
     ("51", 0.5, None, "needs a3"), ("51", 9.0, 0.7, "forces a4"),
-    ("52", 0.5, 0.7, "unknown")])
+    ("52", 0.5, 0.7, "unknown"),
+    pytest.param("35-iv", 0.5, None, "^unknown semi-exact case '35-iv'$",
+                 id="35-iv-unknown")])
 def test_semi50_case_checks(case, a4, a3, match):
-    with pytest.raises(ConstraintError, match=match):
-        solutions.semi50_case(case, a4, a3)
+    # semi_case sends every case but 35-i, 35-ii and 35-iii here, so its
+    # errors are semi50_case's
+    for build in (solutions.semi50_case,
+                  lambda c, a4, a3: solutions.semi_case(c, a4=a4, a3=a3)):
+        with pytest.raises(ConstraintError, match=match):
+            build(case, a4, a3)
 
 
 def test_semi51_w_component():
@@ -247,15 +277,6 @@ def test_speed_values(tf63_std):
         (5 - 4 * 0.1 * 0.35) / math.sqrt(6 - 12 * 0.1 * 0.35), rel=1e-15)
 
 
-def test_traveling_frame_comoving_invariance(rng):
-    frame = solutions.TravelingFrame(alpha=2.3)
-    t = rng.uniform(0, 5, 50)
-    x = rng.uniform(-10, 10, 50)
-    s = rng.uniform(-3, 3, 50)
-    np.testing.assert_allclose(frame.omega(t + s, x + 2.3 * s),
-                               frame.omega(t, x), atol=1e-13)
-
-
 def test_tf63_tanh_shape_endpoint_constraints(tf63_std, rng):
     shape = tf63_std.meta["tanh_shape"]
     d1, d2 = shape.endpoint_defects(0.1)
@@ -274,16 +295,34 @@ def test_tf63_tanh_shape_endpoint_constraints(tf63_std, rng):
 _SEPARABLE = dict(a1=0.5, beta=0.2, delta1=1.5, delta2=0.7)
 
 
-@pytest.mark.parametrize("case,name,value", [
+_SEPARABLE_NON_FINITE = [
     ("i", "a1", math.nan), ("i", "beta", math.nan), ("ii", "beta", math.inf),
     ("i", "delta1", math.inf), ("ii", "delta2", math.inf),
-    ("i", "a4", math.nan), ("iii", "a3", math.inf)])
-def test_separable_case_rejects_non_finite_coefficients(case, name, value):
+    ("i", "a4", math.nan), ("iii", "a3", math.inf)]
+_SEPARABLE_WIRING = [
+    ("i", "a4", None, "case i needs a4"),
+    ("ii", "a4", None, "case ii needs a4"),
+    ("ii", "a4", 0.0, "case ii needs a4 != 0"),
+    ("i", "a3", 0.4, "case i fixes a3 = 1, got 0.4"),
+    ("iii", "a3", 0.0, "case iii needs a3 != 0"),
+    ("iii", "a4", 9.0, "case iii forces a4 = 1 + a1 + a3 = 1.9, got 9.0"),
+    ("iv", "a4", 0.6, "unknown separable case 'iv' (expected i, ii or iii)")]
+
+
+@pytest.mark.parametrize("case,name,value,message", [
+    *((case, name, value, f"case {case} coefficient {name} must be finite, "
+                          f"got {value!r}")
+      for case, name, value in _SEPARABLE_NON_FINITE),
+    *_SEPARABLE_WIRING], ids=[
+    f"{case}-{name}-{value}" for case, name, value, *_ in
+    [*_SEPARABLE_NON_FINITE, *_SEPARABLE_WIRING]])
+def test_separable_case_rejects_non_finite_coefficients(case, name, value,
+                                                        message):
     # NaN or inf coefficients gave NaN or inf fields and no error; the
-    # delta checks let inf through
+    # delta checks let inf through.  The case wiring's own errors follow.
     kw = {**_SEPARABLE, "a4": 0.6 if case != "iii" else None,
           "a3": 0.4 if case == "iii" else None, name: value}
-    with pytest.raises(ConstraintError, match=f"{name} must be finite"):
+    with _raises(message):
         solutions.separable_case(case, **kw)
 
 

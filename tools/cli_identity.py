@@ -11,14 +11,15 @@ directory left in the temporary directory is compared too.  A command
 that has not returned after ``TIMEOUT_S`` counts as the outcome
 "timeout".  Prints one line per case and exits 1 on any difference.
 
-The cases cover every subcommand and every report and CSV writer, the
-flag-over-file and flag-over-config warnings (two overrides in one
-command included), a pinned-to-exact ``simulate``, snapshot files that
-the ``speed`` reader must take apart the same way (line ends, blank
-lines, rows of one time apart, empty cells, bad lines past its first
-block) and the user errors of each kind.  All paths are relative, so
-reports and messages do not depend on where the temporary directory
-lies.
+The cases cover every subcommand and every report and CSV writer, each
+case of the separable (fam40, R38 with ``--case``) and semi-exact
+families, the flag-over-file and flag-over-config warnings (two
+overrides in one command included), a pinned-to-exact ``simulate``,
+snapshot files that the ``speed`` reader must take apart the same way
+(line ends, blank lines, rows of one time apart, empty cells, bad lines
+past its first block) and the user errors of each kind.  All paths are
+relative, so reports and messages do not depend on where the temporary
+directory lies.
 """
 
 from __future__ import annotations
@@ -39,8 +40,14 @@ FAM40 = ["--a1", "0.1", "--a4", "0.5", "--beta", "2.1822", "--delta1", "2",
 SEMI50 = ["--a4", "0.5", "--beta", "0.3", "--gamma", "0.1", "--profile-lo",
           "-16", "--profile-hi", "16"]
 SEMI35 = ["--a1", "0.5", "--a4", "0.5", "--beta", "0.3"]
+EVAL = ["--xmin", "-3", "--xmax", "3", "--n", "13"]
 R38_I = ["--system", "R38", "--case", "i", "--a1", "0.5", "--a4", "0.7",
          "--beta", "0.3", "--delta1", "1.3", "--delta2", "0.4"]
+# a1 = 0.5: V = (1/a1) g and V = g / a1 agree to the bit
+R38_II = ["--system", "R38", "--case", "ii", "--a1", "0.5", "--a4", "0.7",
+          "--beta", "0.3", "--delta1", "1.3", "--delta2", "0.4"]
+R38_III = ["--system", "R38", "--case", "iii", "--a1", "0.5", "--a3", "0.6",
+           "--beta", "0.3", "--delta1", "0.8", "--delta2", "0.4"]
 R38 = ["--system", "R38", "--a1", "0.5", "--a3", "1", "--a4", "0.7",
        "--beta", "0.3"]
 STEP = ["--window", "-8", "8", "--h", "0.01"]
@@ -108,6 +115,22 @@ CASES = [
     ("eval-semi50", {}, [["eval", "--family", "semi50", *SEMI50, "--xmin",
                           "-3", "--xmax", "3", "--n", "13", "--out",
                           "semi.csv"]]),
+    # each case of the separable and semi-exact families
+    ("eval-fam40-ii", {}, [["eval", "--family", "fam40-ii", *FAM40,
+                            "--t", "0.7", *EVAL]]),
+    ("eval-fam40-iii", {}, [["eval", "--family", "fam40-iii", "--a1", "0.4",
+                             "--a3", "0.6", "--beta", "0.3", "--delta1",
+                             "0.8", "--delta2", "0.5", "--t", "0.7",
+                             *EVAL]]),
+    ("eval-semi35-i", {}, [["eval", "--family", "semi35-i", *SEMI35,
+                            "--t", "0.2", *EVAL]]),
+    ("eval-semi35-ii", {}, [["eval", "--family", "semi35-ii", "--a1", "0.5",
+                             "--a4", "0.81", "--beta", "0.3", *EVAL]]),
+    ("eval-semi35-iii", {}, [["eval", "--family", "semi35-iii", "--a1",
+                              "0.5", "--a3", "0.7", "--beta", "0.2",
+                              "--t", "0.3", *EVAL]]),
+    ("eval-semi51", {}, [["eval", "--family", "semi51", "--a3", "0.7",
+                          *SEMI50[2:], "--t", "0.4", *EVAL]]),
     ("eval-config-two-overrides",
      {"cfg.json": json.dumps({"family": {**TF63_FAMILY, "a1": 0.2,
                                          "d3": 2.0}})},
@@ -187,6 +210,11 @@ CASES = [
     ("reduce-r38-oracle", {},
      [["reduce", *R38_I, "--span", "0", "3", "--verify", "--traj-out",
        "traj.csv", "--out", "red.json"]]),
+    ("reduce-r38-oracle-cases-ii-iii", {},
+     [["reduce", *R38_II, "--span", "0", "3", "--verify", "--traj-out",
+       "traj-ii.csv"],
+      ["reduce", *R38_III, "--span", "0", "3", "--verify", "--out",
+       "red-iii.json"]]),
     ("reduce-params-two-overrides",
      {"params.json": json.dumps({"beta": 0.2, "a4": 0.4, "case": "50",
                                  "alpha": 2.0})},
