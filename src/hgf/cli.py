@@ -119,14 +119,10 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         return float(obj) if math.isfinite(obj) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return _jsonable(dataclasses.asdict(obj))
-    if callable(obj):
-        return repr(obj)
     return obj
 
 
@@ -178,12 +174,10 @@ def write_snapshots_csv(path, snapshots) -> int:
 _CSV_BLOCK = 2048
 
 
-def _parse_lines(path, lineno: int, lines) -> np.ndarray:
-    """Rows ``t, x, u, v, w`` of CSV `lines`, the first of which is line
-    `lineno` of the file, one line at a time: the ConstraintError of the
-    first bad line names it.  Blank lines are skipped and an empty cell
-    other than t reads as nan."""
-    rows = []
+def _raise_bad_line(path, lineno: int, lines) -> None:
+    """Raise the ConstraintError that names the first bad line of `lines`,
+    the first of which is line `lineno` of the file: not five cells, a
+    cell that is not a number, or a t that is empty or not finite."""
     for lineno, line in enumerate(lines, start=lineno):
         line = line.strip()
         if not line:
@@ -194,19 +188,19 @@ def _parse_lines(path, lineno: int, lines) -> np.ndarray:
                                   f"cells t,x,u,v,w, got {len(parts)}")
         try:
             t = float(parts[0])
-            rows.append([t, *(float(p) if p else math.nan
-                              for p in parts[1:])])
+            for p in filter(None, parts[1:]):
+                float(p)
         except ValueError as e:
             raise ConstraintError(f"{path} line {lineno}: {e}") from None
         if not math.isfinite(t):
             raise ConstraintError(f"{path} line {lineno}: snapshot time "
                                   f"t = {t} is not finite")
-    return np.array(rows).reshape(-1, 5)
 
 
 def _parse_block(path, lineno: int, lines) -> np.ndarray:
-    """`_parse_lines`, with all cells of the block read in one pass; the
-    line-by-line parse runs only to find a bad line."""
+    """Rows ``t, x, u, v, w`` of CSV `lines`, all cells read in one pass:
+    blank lines are skipped and an empty cell other than t reads as nan.
+    A block with a bad line goes to `_raise_bad_line`."""
     rows = [s.split(",") for s in map(str.strip, lines) if s]
     try:
         if set(map(len, rows)) <= {5}:
@@ -216,7 +210,7 @@ def _parse_block(path, lineno: int, lines) -> np.ndarray:
                 return block
     except ValueError:  # a cell that is not a number
         pass
-    return _parse_lines(path, lineno, lines)
+    _raise_bad_line(path, lineno, lines)
 
 
 def read_snapshots_csv(path) -> list[calculus.FieldState]:
@@ -299,18 +293,20 @@ def _lib(name: str, *args, **fixed):
 
 
 def _semi(case):
+    """Build through `reduction.semi_exact_family`; a profile flag left out
+    keeps its default there (one edge of the window, or half of y0)."""
     def build(fp):
-        lo, hi = fp.get("profile_lo", -25.0), fp.get("profile_hi", 25.0)
-        kw = {k: fp[k] for k in ("a1", "a3", "a4", "beta", "gamma") if k in fp}
+        kw = {k: fp[k] for k in ("a1", "a3", "a4", "beta", "gamma", "anchor")
+              if k in fp}
         if "profile_step" in fp:
             kw["step"] = fp["profile_step"]
-        if "y0" in fp or "dy0" in fp:  # the other keeps the builder's default
-            y0, dy0 = inspect.signature(
-                reduction.semi_exact_family).parameters["y0"].default
-            kw["y0"] = (fp.get("y0", y0), fp.get("dy0", dy0))
-        fam, _ = reduction.semi_exact_family(
-            case, window=(lo, hi), anchor=fp.get("anchor", lo), **kw)
-        return fam
+        defaults = inspect.signature(reduction.semi_exact_family).parameters
+        for key, flags in (("window", ("profile_lo", "profile_hi")),
+                           ("y0", ("y0", "dy0"))):
+            if any(f in fp for f in flags):
+                kw[key] = tuple(fp.get(f, d) for f, d in
+                                zip(flags, defaults[key].default))
+        return reduction.semi_exact_family(case, **kw)[0]
     return build
 
 
@@ -414,12 +410,10 @@ def load_config(path) -> dict:
     return _check_config(_json_object(path, "config"))
 
 
-def _load_params_file(path, allowed, what, run_config=False) -> dict:
-    """The JSON object of a --params file, keys checked against `allowed`;
-    with `run_config`, also a run-config, whose `params` block is read."""
+def _load_params_file(path, allowed, what) -> dict:
+    """The JSON object of a --params file, keys checked against `allowed`
+    (a run-config's `params` block is read by --config)."""
     data = _json_object(path, f"{what} file")
-    if run_config and "params" in data:
-        data = _check_config(data).get("params", {})
     bad = set(data) - set(allowed)
     if bad:
         raise ConstraintError(f"{what} file has unknown keys {sorted(bad)}")
@@ -662,8 +656,7 @@ def _cmd_speed(args, config) -> int:
 def _params_from_args(args, config) -> tuple[model.Params, list[str]]:
     vals = dict(config.get("params", {})) if config else {}
     if args.params_file:
-        vals.update(_load_params_file(args.params_file, PARAM_KEYS,
-                                      "params", run_config=True))
+        vals.update(_load_params_file(args.params_file, PARAM_KEYS, "params"))
     warns = _overlay(vals, args, PARAM_KEYS, "file")
     missing = [k for k in ("a1", "a2", "a3", "a4", "a5") if k not in vals]
     if missing:

@@ -185,7 +185,7 @@ class SystemSpec:
 
     @property
     def ivar(self) -> str:
-        return "omega" if self.ansatz in solutions.OMEGA_BASED else "t"
+        return "omega" if solutions.Ansatz(self.ansatz).omega_based else "t"
 
     @property
     def arguments(self) -> tuple[str, ...]:
@@ -656,25 +656,24 @@ _CHECK_H = 2e-3
 def semi_exact_family(case: str, *, a1: float | None = None,
                       a4: float | None = None, a3: float | None = None,
                       beta: float = 0.0, gamma: float = 0.0,
-                      window=(-22.0, 22.0), step: float = 5e-3,
+                      window=(-25.0, 25.0), step: float = 5e-3,
                       y0=(1.0, 0.0), anchor: float | None = None):
-    """Integrate the free profile of a semi-exact family and assemble it.
+    """Integrate the free profile of a semi-exact family (case wiring and
+    checks: `solutions.semi_case`) and assemble it.
 
-    Returns (family, trajectory).  The initial data `y0` is imposed at
-    `anchor` (default: 0 clamped into the window; anchoring at the left
-    edge keeps backward-growing modes out of the table entirely).  The
-    tabulated profile is validated against its linear ODE by a
-    finite-difference residual before use; a profile that fails the check
-    (wrong coefficients, wrong case) is rejected instead of producing a
-    silently wrong family.
+    Returns (family, trajectory).  The profile is tabulated over `window`
+    in the wave variable from the value and slope `y0` at `anchor`, by
+    default the left edge, which keeps backward-growing modes out of the
+    table.  A tabulated profile that fails a finite-difference residual
+    check against its linear ODE (wrong coefficients, wrong case) is
+    rejected instead of producing a silently wrong family.
     """
     lo, hi = float(window[0]), float(window[1])
     sc = solutions.semi_case(case, a1=a1, a4=a4, a3=a3, beta=beta,
                              gamma=gamma)
     sys = reduced_system(sc["system"], **sc["coeffs"])
-    if anchor is None:
-        anchor = min(max(0.0, lo), hi)
-    elif not lo <= anchor <= hi:
+    anchor = lo if anchor is None else anchor
+    if not lo <= anchor <= hi:
         raise ConstraintError("anchor must lie inside the profile window")
     traj = dense_profile(sys, np.asarray(y0, dtype=float), anchor, lo, hi,
                          step=step)

@@ -19,7 +19,8 @@ Semi-exact families take their numeric profile as an injected dependency
 back to fields: the semi-exact families and `hgf.reduction` both use it.
 R38's closed solution lives in `SeparableCase.closed` (read by fam40,
 `reduction.closed_form_R38` and ``hgf reduce --case``), and `semi_case`
-maps a semi-exact case to its L36/L52 system and its family's parts.
+is the one function that checks a semi-exact case and maps it to its
+L36/L52 system and its family's parts.
 Parameter choices that are mathematically exact but biologically invalid
 (negative a2 or a5) construct fine and carry a warning instead of failing,
 so residual tests can exercise them.
@@ -475,8 +476,17 @@ def make_fam40(case: str, a1: float, a4: float | None, beta: float,
 # ansatz reconstruction: profiles -> PDE fields
 # ---------------------------------------------------------------------------
 
-ANSATZ_IDS = ("A34", "A37", "A44", "plane", "T2a", "T2b", "T2c", "T2d")
-OMEGA_BASED = frozenset({"A34", "A44", "plane", "T2a", "T2b"})
+# each ansatz's coefficients; one that takes alpha has profiles of x - alpha t
+ANSATZ_COEFFS = {
+    "A34": ("alpha", "beta", "a1"),
+    "A37": ("beta", "a1"),
+    "A44": ("alpha", "beta", "gamma"),
+    "plane": ("alpha",),
+    "T2a": ("alpha", "beta", "gamma", "a1", "a4"),
+    "T2b": ("alpha", "gamma", "a1", "a4"),
+    "T2c": ("beta", "gamma", "a1", "a4"),
+    "T2d": ("gamma", "a1", "a4"),
+}
 
 
 @dataclass(frozen=True)
@@ -492,22 +502,13 @@ class Ansatz:
 
     @property
     def omega_based(self) -> bool:
-        return self.aid in OMEGA_BASED
+        return "alpha" in ANSATZ_COEFFS[self.aid]
 
 
 def make_ansatz(aid: str, **kw) -> Ansatz:
-    if aid not in ANSATZ_IDS:
+    if aid not in ANSATZ_COEFFS:
         raise ConstraintError(f"unknown ansatz id {aid!r}")
-    need = {
-        "A34": ("alpha", "beta", "a1"),
-        "A37": ("beta", "a1"),
-        "A44": ("alpha", "beta", "gamma"),
-        "plane": ("alpha",),
-        "T2a": ("alpha", "beta", "gamma", "a1", "a4"),
-        "T2b": ("alpha", "gamma", "a1", "a4"),
-        "T2c": ("beta", "gamma", "a1", "a4"),
-        "T2d": ("gamma", "a1", "a4"),
-    }[aid]
+    need = ANSATZ_COEFFS[aid]
     missing = [k for k in need if k not in kw]
     extra = [k for k in kw if k not in need]
     if missing or extra:
@@ -540,7 +541,7 @@ def reconstruct(ansatz: Ansatz, profiles, t, x):
     V = _profile(profiles, "V")
     W = _profile(profiles, "W")
     a = ansatz
-    if a.aid in OMEGA_BASED:
+    if a.omega_based:
         om = x - a.alpha * t
         if a.aid == "A34":
             up = np.exp(-a.beta * a.a1 * t) * U(om)
@@ -598,98 +599,80 @@ def _front2(om, q=1.0):
     return _phi(q * np.asarray(om) / (2.0 * SQRT6)) ** 2
 
 
-def semi35_case(case: str, a1: float, a4: float | None,
-                a3: float | None = None) -> dict:
-    """Closed data of the semi35 cases: speed, linear-equation coefficients
-    kappa1/kappa2 and the closed V, W profiles, each a function of
-    phi^2 = `_front2`(omega, kappa2).  A given a3 or a4 that the case fixes
-    must equal the fixed value (a3 = 1 in 35-i, a3 = 0 in 35-ii,
-    a4 = 1 + a1 + a3 in 35-iii: `_q1_case`); 35-ii also needs a4 > 0 and
-    35-iii 1 + a1 > 0."""
-    _require_finite(f"semi{case}", dict(a1=a1, a4=a4, a3=a3))
-    if a1 == 0.0:
-        raise ConstraintError("semi35 requires a1 != 0")
-    if case not in ("35-i", "35-ii", "35-iii"):
-        raise ConstraintError(f"unknown semi35 case {case!r}")
-    a3, a4 = _q1_case(f"semi{case}", case[3:], a1, a3, a4)
-    if case == "35-i":
-        q = 1.0 + a1 * a4
-        kappa1, kappa2 = (1.0 + a1) / (4.0 * q), 1.0
-        cV, cW = (1.0 + a1) / (4.0 * a1 * q), (1.0 - a4) / (4.0 * q)
-        v_of, w_of = (lambda f: cV * f), (lambda f: cW * f)
-    elif case == "35-ii":
-        if a4 <= 0:
-            raise ConstraintError("semi35-ii needs a4 > 0")
-        kappa1, kappa2 = 0.25, math.sqrt(a4)
-        v_of, w_of = ((lambda f: f / (4.0 * a1)),
-                      (lambda f: (1.0 - a4) / (4.0 * a1) * (f - 4.0)))
-    else:
-        if 1.0 + a1 <= 0:
-            raise ConstraintError("semi35-iii needs 1 + a1 > 0")
-        kappa1, kappa2 = 0.25, math.sqrt(1.0 + a1)
-        v_of, w_of = (lambda f: f / (4.0 * a1)), (lambda f: 1.0 - 0.25 * f)
-    return {"a3": a3, "a4": a4, "alpha": FISHER_SPEED * kappa2,
-            "kappa1": kappa1, "kappa2": kappa2,
-            "V": lambda om: v_of(_front2(om, kappa2)),
-            "W": lambda om: w_of(_front2(om, kappa2))}
-
-
-def semi50_case(case: str, a4: float | None,
-                a3: float | None = None) -> dict:
-    """Coefficients and closed w-profile of the A44 cases, paired with the
-    logistic u (d = 1): 50 fixes a3 = 1, needs a4 and has
+def semi_case(case: str, *, a1: float | None = None,
+              a4: float | None = None, a3: float | None = None,
+              beta: float = 0.0, gamma: float = 0.0) -> dict:
+    """One semi-exact case, resolved: its free profile ("free") solves the
+    linear equation "system" (an `hgf.reduction` id) with the coefficients
+    "coeffs", and the family composes it with the "closed" profiles
+    through the ansatz "aid" (coefficients "ansatz") and solves "params".
+    35-* (Q1): free U of L36, ansatz A34, a1 given and != 0, the a3/a4
+    rules of `_q1_case` (35-ii also needs a4 > 0, 35-iii 1 + a1 > 0),
+    closed V, W of phi^2 = `_front2`(omega, kappa2).  50/51 (a1 = 0): free
+    V of L52, ansatz A44, the logistic U and a closed W of
+    phi^2 = `_front2`(omega): 50 fixes a3 = 1, needs a4 and has
     W = (1 - a4) phi^2 / 4; 51 needs a3, forces a4 = 1 + a3 and has
-    W = 1 - phi^2 / 4, with phi^2 = `_front2`(omega).  A given value the
-    case fixes must equal the fixed value."""
+    W = 1 - phi^2 / 4."""
+    if case in ("35-i", "35-ii", "35-iii"):
+        _require_finite(f"semi{case}", dict(a1=a1, a4=a4, a3=a3))
+        if a1 is None:
+            raise ConstraintError(f"semi{case} needs a1")
+        if a1 == 0.0:
+            raise ConstraintError("semi35 requires a1 != 0")
+        a3, a4 = _q1_case(f"semi{case}", case[3:], a1, a3, a4)
+        if case == "35-i":
+            q = 1.0 + a1 * a4
+            kappa1, kappa2 = (1.0 + a1) / (4.0 * q), 1.0
+            cV, cW = (1.0 + a1) / (4.0 * a1 * q), (1.0 - a4) / (4.0 * q)
+            v_of, w_of = (lambda f: cV * f), (lambda f: cW * f)
+        elif case == "35-ii":
+            if a4 <= 0:
+                raise ConstraintError("semi35-ii needs a4 > 0")
+            kappa1, kappa2 = 0.25, math.sqrt(a4)
+            v_of, w_of = ((lambda f: f / (4.0 * a1)),
+                          (lambda f: (1.0 - a4) / (4.0 * a1) * (f - 4.0)))
+        else:
+            if 1.0 + a1 <= 0:
+                raise ConstraintError("semi35-iii needs 1 + a1 > 0")
+            kappa1, kappa2 = 0.25, math.sqrt(1.0 + a1)
+            v_of, w_of = (lambda f: f / (4.0 * a1)), (lambda f: 1.0 - 0.25 * f)
+        alpha = FISHER_SPEED * kappa2
+        return {"system": "L36", "free": "U",
+                "coeffs": dict(alpha=alpha, a1=a1, beta=beta,
+                               kappa1=kappa1, kappa2=kappa2),
+                "closed": {"V": lambda om: v_of(_front2(om, kappa2)),
+                           "W": lambda om: w_of(_front2(om, kappa2))},
+                "aid": "A34", "ansatz": dict(alpha=alpha, beta=beta, a1=a1),
+                "params": Params(a1=a1, a2=1.0, a3=a3, a4=a4, a5=a1 * a4,
+                                 d1=1.0, d2=1.0, d3=1.0),
+                "meta": {"case": case, "a1": a1, "a4": a4, "a3": a3,
+                         "beta": beta, "alpha": alpha, "kappa1": kappa1,
+                         "kappa2": kappa2}}
     _require_finite(f"semi{case}", dict(a4=a4, a3=a3))
     if case == "50":
         if a3 is not None and a3 != 1.0:
             raise ConstraintError(f"semi50 fixes a3 = 1, got {a3}")
         if a4 is None:
             raise ConstraintError("semi50 needs a4")
-        a4 = float(a4)
-        return {"a3": 1.0, "a4": a4,
-                "W": lambda om: 0.25 * (1.0 - a4) * _front2(om)}
-    if case == "51":
+        a3, a4 = 1.0, float(a4)
+        W = lambda om: 0.25 * (1.0 - a4) * _front2(om)
+    elif case == "51":
         if a3 is None:
             raise ConstraintError("semi51 needs a3")
         a3 = float(a3)
-        return {"a3": a3, "a4": _forced_a4("semi51", a4, 1.0 + a3, "1 + a3"),
-                "W": lambda om: 1.0 - 0.25 * _front2(om)}
-    raise ConstraintError(f"unknown semi-exact case {case!r}")
-
-
-def semi_case(case: str, *, a1: float | None = None,
-              a4: float | None = None, a3: float | None = None,
-              beta: float = 0.0, gamma: float = 0.0) -> dict:
-    """One semi-exact case, resolved.  Its free profile ("free": U in the
-    cases 35-*, V in 50/51) solves the linear equation "system", an
-    `hgf.reduction` catalog id, with the coefficients "coeffs".  The
-    family composes it with the "closed" profiles through the ansatz
-    "aid" (coefficients "ansatz") and solves "params"."""
-    if case in ("35-i", "35-ii", "35-iii"):
-        cd = semi35_case(case, a1, a4, a3)
-        alpha, kappa1, kappa2 = cd["alpha"], cd["kappa1"], cd["kappa2"]
-        return {"system": "L36", "coeffs": dict(
-                    alpha=alpha, a1=a1, beta=beta, kappa1=kappa1,
-                    kappa2=kappa2),
-                "free": "U", "closed": {"V": cd["V"], "W": cd["W"]},
-                "aid": "A34", "ansatz": dict(alpha=alpha, beta=beta, a1=a1),
-                "params": Params(a1=a1, a2=1.0, a3=cd["a3"], a4=cd["a4"],
-                                 a5=a1 * cd["a4"], d1=1.0, d2=1.0, d3=1.0),
-                "meta": {"case": case, "a1": a1, "a4": cd["a4"],
-                         "a3": cd["a3"], "beta": beta, "alpha": alpha,
-                         "kappa1": kappa1, "kappa2": kappa2}}
-    cd = semi50_case(case, a4, a3)
-    return {"system": "L52", "coeffs": dict(
-                beta=beta, case=case, a4=0.0 if case == "51" else cd["a4"]),
-            "free": "V", "closed": {"U": _fisher_profile, "W": cd["W"]},
-            "aid": "A44",
+        a4 = _forced_a4("semi51", a4, 1.0 + a3, "1 + a3")
+        W = lambda om: 1.0 - 0.25 * _front2(om)
+    else:
+        raise ConstraintError(f"unknown semi-exact case {case!r}")
+    return {"system": "L52", "free": "V",
+            "coeffs": dict(beta=beta, case=case,
+                           a4=0.0 if case == "51" else a4),
+            "closed": {"U": _fisher_profile, "W": W}, "aid": "A44",
             "ansatz": dict(alpha=FISHER_SPEED, beta=beta, gamma=gamma),
-            "params": Params(a1=0.0, a2=1.0, a3=cd["a3"], a4=cd["a4"],
-                             a5=0.0, d1=1.0, d2=1.0, d3=1.0),
-            "meta": {"case": case, "a3": cd["a3"], "a4": cd["a4"],
-                     "beta": beta, "gamma": gamma, "alpha": FISHER_SPEED}}
+            "params": Params(a1=0.0, a2=1.0, a3=a3, a4=a4, a5=0.0, d1=1.0,
+                             d2=1.0, d3=1.0),
+            "meta": {"case": case, "a3": a3, "a4": a4, "beta": beta,
+                     "gamma": gamma, "alpha": FISHER_SPEED}}
 
 
 def _check_profile_window(profile, window):

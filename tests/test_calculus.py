@@ -275,7 +275,7 @@ def test_w_profiles_satisfy_third_equation(case, a3, a4):
     # equation of R47 identically (d = 1)
     sys = reduction.reduced_system("R47", alpha=solutions.FISHER_SPEED,
                                    beta=0.0, a3=a3, a4=a4, d=1.0)
-    W = solutions.semi50_case(case, a4, a3)["W"]
+    W = solutions.semi_case(case, a4=a4, a3=a3)["closed"]["W"]
 
     def profiles(om):
         om = np.asarray(om)

@@ -689,6 +689,15 @@ def test_speed_rejects_non_numeric_snapshot_cells(tmp_path, capsys):
     assert err.startswith(f"error: {path} line 3:") and "'abc'" in err
 
 
+def test_speed_names_a_bad_line_by_its_file_line(tmp_path, capsys):
+    # blank lines before the bad one count toward its number
+    path = tmp_path / "snapshots.csv"
+    path.write_text("t,x,u,v,w\n0,0,1,1,1\n\n  \n0,0.5,1,1\n0,1,1,1,1\n")
+    assert run_cli(["speed", "--run", str(tmp_path), "--component", "u",
+                    "--level", "0.5"], capsys) == (
+        1, "", f"error: {path} line 5: expected 5 cells t,x,u,v,w, got 4\n")
+
+
 @pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
 def test_speed_rejects_non_finite_snapshot_times(tmp_path, capsys, t):
     # NaN times never compare equal, so each such row became a one-node
@@ -984,6 +993,96 @@ def test_config_mistakes_are_user_errors(tmp_path, capsys, block, value,
                             str(tmp_path / "run"), "--quiet"], capsys)
     assert code == 1
     assert err.startswith("error:") and named in err
+
+
+_EVAL_01 = ["--xmin", "0", "--xmax", "1", "--n", "3"]
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    (["eval", *_EVAL_01], None, "no family given (flag --family or config)"),
+    (["eval", "--family", "bogus", *_EVAL_01], None,
+     "unknown family key 'bogus'"),
+    (["eval", "--config", "cfg.json", *_EVAL_01], {"family": {"key": 5}},
+     "config family needs a 'key' string"),
+    (["eval", "--family", "fisher", *_EVAL_01[:4], "--n", "0"], None,
+     "--n must be >= 1"),
+    (["simulate", "--config", "cfg.json", "--out", "run"],
+     {"family": {"key": "fisher"}, "grid": _FISHER_RUN["grid"]},
+     "simulate config needs 'grid' and 'time' blocks"),
+    (["symmetry", "list", "--a1", "1", "--a3", "1"], None,
+     "symmetry list needs coefficients ['a2', 'a4', 'a5']"),
+    (["speed", "--run", "nowhere", "--component", "u", "--level", "0.5"],
+     None, "[Errno 2] No such file or directory: 'nowhere/snapshots.csv'"),
+], ids=["no-family", "unknown-family", "family-key-not-a-string", "eval-n-0",
+        "simulate-no-time", "symmetry-list-missing", "speed-no-run"])
+def test_user_errors_exit_1_with_their_message(tmp_path, capsys, monkeypatch,
+                                               argv, config, message):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text,message", [
+    ("t,x,u\n0,0,1\n", "unexpected CSV header 't,x,u'"),
+    ("t,x,u,v,w\n" + "".join(f"0.5,{x},1,1,1\n" for x in (0, 1, 2, 4, 5)),
+     "snapshot at t = 0.5 is not on a uniform grid"),
+], ids=["header", "non-uniform-grid"])
+def test_speed_rejects_malformed_snapshot_files(tmp_path, capsys, text,
+                                                message):
+    (tmp_path / "snapshots.csv").write_text(text)
+    argv = ["speed", "--run", str(tmp_path), "--component", "u", "--level",
+            "0.5"]
+    assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
+
+
+def test_simulate_names_the_first_config_param_the_family_overrides(
+        tmp_path, capsys, monkeypatch):
+    # the family's own coefficients win; a1 and d2 differ here, and the
+    # warning names only the first
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(
+        {**_FISHER_RUN, "params": {"a1": 0.3, "a2": 0.0, "a3": 0.0,
+                                   "a4": 1.0, "a5": 0.0, "d2": 2.0}}))
+    code, out, err = run_cli(["simulate", "--config", "cfg.json", "--out",
+                              "run"], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(Path("run/report.json").read_text())
+    assert report["warnings"] == [
+        "config params.a1 = 0.3 differs from the family-induced value 0.0; "
+        "the family wins"]
+    assert out == (f"wrote run/snapshots.csv "
+                   f"({report['results']['csv_rows']} rows) and "
+                   f"run/report.json\n")
+
+
+def test_reduce_verify_without_an_oracle_warns_that_it_skipped(capsys):
+    code, out, err = run_cli(["reduce", "--system", "T2d", "--a1", "0.5",
+                              "--a4", "0.8", "--y0", "0.5,0.5,0.5", "--span",
+                              "0", "1", "--verify"], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["warnings"] == ["--verify oracle comparison is available "
+                                  "for R38 with --case only; skipped"]
+    assert "oracle_max_deviation" not in report["results"]
+
+
+def test_symmetry_list_takes_whole_configs_through_config_only(
+        tmp_path, capsys, monkeypatch):
+    # --params reads a coefficients file; a whole run-config is --config's
+    monkeypatch.chdir(tmp_path)
+    coeffs = {"a1": 0.3, "a2": 0.7, "a3": 0.9, "a4": 1.1, "a5": 0.2}
+    (tmp_path / "run.json").write_text(json.dumps({**_FISHER_RUN,
+                                                   "params": coeffs}))
+    assert run_cli(["symmetry", "list", "--params", "run.json"], capsys) == (
+        1, "", "error: params file has unknown keys "
+               "['family', 'grid', 'params', 'time']\n")
+    flags = [a for k, v in coeffs.items() for a in (f"--{k}", str(v))]
+    expected = run_cli(["symmetry", "list", *flags], capsys)
+    assert expected[0] == 0 and expected[2] == ""
+    assert run_cli(["symmetry", "list", "--config", "run.json"],
+                   capsys) == expected
 
 
 def test_reduce_y0_must_be_numbers(capsys):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from hgf import model, solutions
+from hgf import model, reduction, solutions
 from hgf.errors import ConstraintError, DomainError
 from hgf.solutions import FISHER_SPEED
 
@@ -160,14 +160,14 @@ def test_fam40_case_ii_a4_one_kills_w():
 
 def test_semi35_case_table():
     a1, a4 = 0.5, 0.5
-    c1 = solutions.semi35_case("35-i", a1, a4)
+    c1 = solutions.semi_case("35-i", a1=a1, a4=a4)["meta"]
     assert c1["kappa1"] == pytest.approx((1 + a1) / (4 * (1 + a1 * a4)),
                                          rel=1e-15)
     assert c1["kappa2"] == 1.0
-    c2 = solutions.semi35_case("35-ii", a1, 0.81)
+    c2 = solutions.semi_case("35-ii", a1=a1, a4=0.81)["meta"]
     assert c2["kappa1"] == 0.25
     assert c2["kappa2"] == pytest.approx(0.9, rel=1e-15)
-    c3 = solutions.semi35_case("35-iii", a1, None, a3=0.7)
+    c3 = solutions.semi_case("35-iii", a1=a1, a3=0.7)["meta"]
     assert c3["kappa2"] == pytest.approx(math.sqrt(1.5), rel=1e-15)
     assert c3["a4"] == pytest.approx(1 + a1 + 0.7, rel=1e-15)
 
@@ -195,23 +195,45 @@ def _raises(message):
                  id="35-iii-a1-below-minus-1"),
     pytest.param("35-i", 0.0, 0.5, None, "semi35 requires a1 != 0",
                  id="a1-zero"),
-    pytest.param("35-iv", 0.5, 0.5, None, "unknown semi35 case '35-iv'",
+    pytest.param("35-i", None, 0.5, None, "semi35-i needs a1",
+                 id="35-i-no-a1"),
+    pytest.param("35-iv", 0.5, 0.5, None, "unknown semi-exact case '35-iv'",
                  id="unknown-case")])
 def test_semi35_case_rejects_values_it_fixes(case, a1, a4, a3, message):
     # 35-i fixes a3 = 1, 35-ii a3 = 0 and 35-iii a4 = 1 + a1 + a3 (a
     # different value used to be dropped); every other wiring error names
     # its case too
     with _raises(message):
-        solutions.semi35_case(case, a1, a4, a3)
+        solutions.semi_case(case, a1=a1, a4=a4, a3=a3)
+
+
+def _zero_profile(om):
+    return np.zeros_like(np.asarray(om, dtype=float))
+
+
+@pytest.mark.parametrize("build", [
+    lambda case: solutions.make_semi_exact(case, _zero_profile, a4=0.5),
+    lambda case: reduction.semi_exact_family(case, a4=0.5)],
+    ids=["make_semi_exact", "semi_exact_family"])
+@pytest.mark.parametrize("case", ["35-i", "35-ii"])
+def test_semi35_without_a1_names_it(build, case):
+    # a1 defaults to None in both builders (and in `semi_case`, see
+    # 35-i-no-a1 above): kappa1 used to fail as "unsupported operand
+    # type(s) for *: 'NoneType' and 'float'"
+    with _raises(f"semi{case} needs a1"):
+        build(case)
 
 
 def test_semi_cases_accept_the_values_they_fix():
-    assert solutions.semi35_case("35-i", 0.5, 0.5, 1.0)["a3"] == 1.0
-    assert solutions.semi35_case("35-ii", 0.5, 0.81, 0.0)["a3"] == 0.0
-    assert solutions.semi35_case("35-iii", 0.5, 2.2, 0.7)["a4"] == \
+    def meta(case, **kw):
+        return solutions.semi_case(case, **kw)["meta"]
+
+    assert meta("35-i", a1=0.5, a4=0.5, a3=1.0)["a3"] == 1.0
+    assert meta("35-ii", a1=0.5, a4=0.81, a3=0.0)["a3"] == 0.0
+    assert meta("35-iii", a1=0.5, a4=2.2, a3=0.7)["a4"] == \
         pytest.approx(2.2, rel=1e-15)
-    assert solutions.semi50_case("50", 0.5, 1.0)["a4"] == 0.5
-    assert solutions.semi50_case("51", 1.7, 0.7)["a4"] == 1.7
+    assert meta("50", a4=0.5, a3=1.0)["a4"] == 0.5
+    assert meta("51", a4=1.7, a3=0.7)["a4"] == 1.7
 
 
 @pytest.mark.parametrize("case,a4,a3,match", [
@@ -221,12 +243,9 @@ def test_semi_cases_accept_the_values_they_fix():
     pytest.param("35-iv", 0.5, None, "^unknown semi-exact case '35-iv'$",
                  id="35-iv-unknown")])
 def test_semi50_case_checks(case, a4, a3, match):
-    # semi_case sends every case but 35-i, 35-ii and 35-iii here, so its
-    # errors are semi50_case's
-    for build in (solutions.semi50_case,
-                  lambda c, a4, a3: solutions.semi_case(c, a4=a4, a3=a3)):
-        with pytest.raises(ConstraintError, match=match):
-            build(case, a4, a3)
+    # every case but 35-i, 35-ii and 35-iii is checked as 50 or 51
+    with pytest.raises(ConstraintError, match=match):
+        solutions.semi_case(case, a4=a4, a3=a3)
 
 
 def test_semi51_w_component():
@@ -337,9 +356,9 @@ def test_make_ansatz_rejects_non_finite_coefficients(aid, kw, name):
 
 
 @pytest.mark.parametrize("build,name", [
-    (lambda: solutions.semi35_case("35-i", 0.5, math.nan), "a4"),
-    (lambda: solutions.semi35_case("35-iii", math.inf, None, 0.7), "a1"),
-    (lambda: solutions.semi50_case("51", None, math.inf), "a3")],
+    (lambda: solutions.semi_case("35-i", a1=0.5, a4=math.nan), "a4"),
+    (lambda: solutions.semi_case("35-iii", a1=math.inf, a3=0.7), "a1"),
+    (lambda: solutions.semi_case("51", a3=math.inf), "a3")],
     ids=["semi35-i-a4", "semi35-iii-a1", "semi51-a3"])
 def test_semi_cases_name_non_finite_coefficients(build, name):
     # these were caught later, under the name of a derived coefficient

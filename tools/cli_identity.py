@@ -131,6 +131,15 @@ CASES = [
                               "--t", "0.3", *EVAL]]),
     ("eval-semi51", {}, [["eval", "--family", "semi51", "--a3", "0.7",
                           *SEMI50[2:], "--t", "0.4", *EVAL]]),
+    # one profile flag each: the others keep the builder's defaults (the
+    # window, y0 and dy0, and the anchor at the window's left edge)
+    ("eval-semi-profile-defaults", {},
+     [["eval", "--family", "semi35-i", *SEMI35, *flags, *EVAL]
+      for flags in (["--profile-lo", "-18"], ["--profile-hi", "12"],
+                    ["--y0", "0.5"], ["--dy0", "0.2"])]
+     + [["eval", "--family", "semi50", *SEMI50, "--anchor", "0", *EVAL],
+        ["eval", "--family", "semi51", "--a3", "0.7", *SEMI50[2:6],
+         "--anchor", "-4", "--t", "0.4", *EVAL]]),
     ("eval-config-two-overrides",
      {"cfg.json": json.dumps({"family": {**TF63_FAMILY, "a1": 0.2,
                                          "d3": 2.0}})},
@@ -339,7 +348,8 @@ CASES = [
      [["eval", "--family", "semi35-i", *SEMI35, *flags, "--xmin", "0",
        "--xmax", "1", "--n", "3"]
       for flags in (["--profile-hi", "inf"], ["--profile-lo=-inf"],
-                    ["--y0", "nan"], ["--dy0", "inf"])]),
+                    ["--y0", "nan"], ["--dy0", "inf"],
+                    ["--profile-lo", "5", "--profile-hi", "-5"])]),
     ("error-eval-span-overflow", {},
      [["eval", "--family", "fisher", "--xmin=-1.7e308", "--xmax",
        "1.7e308", "--n", "3"]]),
