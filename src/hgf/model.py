@@ -263,17 +263,16 @@ def unrescale_solution(orig: OriginalParams, sol: Solution) -> Solution:
 
 @dataclass(frozen=True)
 class SteadyState:
-    """A constant solution, or an affine family of them.
+    """A constant solution, or an affine family of them: the anchor state
+    `point` plus the span of 0, 1 or 2 `directions`."""
 
-    kind is "isolated-point", "line-family" or "plane-family"; `point` is
-    the anchor state and `directions` the 0, 1 or 2 direction vectors of
-    the family.  `label` is a human-readable parametrization.
-    """
-
-    kind: str
     point: tuple[float, float, float]
     directions: tuple[tuple[float, float, float], ...] = ()
-    label: str = ""
+
+    @property
+    def kind(self) -> str:
+        return ("isolated-point", "line-family",
+                "plane-family")[len(self.directions)]
 
     def sample(self, *s: float) -> tuple[float, float, float]:
         out = np.asarray(self.point, dtype=float)
@@ -294,108 +293,52 @@ class SteadyState:
         return self.distance(state) <= tol
 
 
-def _near(x: float, y: float, tol: float = 1e-14) -> bool:
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+def _solve2(r1, r2):
+    """Solution set of a v + b w = c for the rows (a, b, c) r1 and r2:
+    ((v, w) anchor, directions), or None when empty.  The rank is decided
+    exactly; a rank-1 system is consistent when its other two 2x2 minors
+    vanish to 1e-14 relative (roundoff only)."""
+    (a, b, c), (d, e, f) = r1, r2
+    det = a * e - b * d
+    if det != 0.0:
+        return ((c * e - b * f) / det, (a * f - c * d) / det), ()
+    rows = [r for r in (r1, r2) if r[:2] != (0.0, 0.0)]
+    if not rows:
+        plane = ((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
+        return plane if c == f == 0.0 else None
+    if any(abs(x - y) > 1e-14 * max(1.0, abs(x), abs(y))
+           for x, y in ((a * f, c * d), (b * f, c * e))):
+        return None
+    p, q, r = rows[0]
+    if q != 0.0:
+        return (0.0, r / q), ((1.0, -p / q),)
+    return (r / p, 0.0), ((0.0, 1.0),)
 
 
 def steady_states(p: Params) -> list[SteadyState]:
-    """All constant solutions of the kinetics, exact case analysis.
+    """All constant solutions of the kinetics, as points, lines and planes.
 
-    Continuum families arising from degenerate coefficient combinations are
-    returned symbolically as line (or plane) families rather than sampled;
-    every returned state satisfies kinetics = 0 identically.
+    Off u = 0, C1 = 0 gives u + a1 v = 1, where C2 = w: the coexistence
+    line (1 - a1 s, s, 0).  On u = 0, C2 = v L1 and C3 = w L2 with
+    L1 = a2 (1 - a1 v) + a1 w and L2 = a3 (1 - w) - a5 v, so the rest is
+    the union of the solution sets of the four linear systems
+    {v = 0 or L1 = 0} x {w = 0 or L2 = 0} in (v, w).  A set is reported
+    unless an earlier state contains it, a point only if its kinetics
+    vanish to STEADY_TOL.
     """
-    a1, a2, a3, a4, a5 = p.a_coefficients
-    out: list[SteadyState] = []
-
-    out.append(SteadyState("isolated-point", (0.0, 0.0, 0.0), label="(0, 0, 0)"))
-
-    # u = 0, v = 0 branch: a3 w (1 - w) = 0
-    if a3 != 0.0:
-        out.append(SteadyState("isolated-point", (0.0, 0.0, 1.0), label="(0, 0, 1)"))
-    else:
-        out.append(
-            SteadyState("line-family", (0.0, 0.0, 0.0), ((0.0, 0.0, 1.0),),
-                        label="(0, 0, s)")
-        )
-
-    # coexistence line u + a1 v = 1, w = 0 (always a steady family)
-    out.append(
-        SteadyState(
-            "line-family",
-            (1.0, 0.0, 0.0),
-            ((-a1, 1.0, 0.0),),
-            label=f"(1 - {a1}*s, s, 0)",
-        )
-    )
-
-    # u = 0, v free, w = 0: needs a2 (1 - a1 v) = 0
-    if a2 == 0.0:
-        out.append(
-            SteadyState("line-family", (0.0, 0.0, 0.0), ((0.0, 1.0, 0.0),),
-                        label="(0, s, 0)")
-        )
-    # (a2 != 0, a1 != 0 gives the point (0, 1/a1, 0), already on the
-    # coexistence line)
-
-    # u = 0, v != 0, w != 0: a2 (1 - a1 v) + a1 w = 0 and a3 (1 - w) = a5 v
-    if a1 == 0.0:
-        if a2 == 0.0:
-            if a3 != 0.0:
-                # line a5 v + a3 w = a3
-                out.append(
-                    SteadyState(
-                        "line-family",
-                        (0.0, 0.0, 1.0),
-                        ((0.0, 1.0, -a5 / a3),),
-                        label=f"(0, s, 1 - {a5 / a3}*s)",
-                    )
-                )
-            elif a5 == 0.0:
-                # kinetics vanish on the whole u = 0 plane
-                out.append(
-                    SteadyState(
-                        "plane-family",
-                        (0.0, 0.0, 0.0),
-                        ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
-                        label="(0, s, r)",
-                    )
-                )
-            # a3 = 0, a5 != 0 forces v = 0, covered above
-    else:
-        det = a1 * (a2 * a3 + a5)
-        if det != 0.0:
-            vstar = a3 * (a1 + a2) / det
-            wstar = a2 * (a1 * a3 - a5) / det
-            cand = (0.0, vstar, wstar)
-            if max(abs(c) for c in p.reaction(*cand)) <= STEADY_TOL and not any(
-                s.contains(cand, tol=1e-12) for s in out
-            ):
-                out.append(
-                    SteadyState("isolated-point", cand,
-                                label=f"(0, {vstar}, {wstar})")
-                )
-        else:
-            # rows of the 2x2 system are proportional (a5 = -a2 a3)
-            if a3 == 0.0 and a2 != 0.0:
-                # single constraint w = a2 v - a2 / a1 with a5 = 0
-                out.append(
-                    SteadyState(
-                        "line-family",
-                        (0.0, 0.0, -a2 / a1),
-                        ((0.0, 1.0, a2),),
-                        label=f"(0, s, {a2}*s - {a2 / a1})",
-                    )
-                )
-            elif _near(a1 + a2, 0.0):
-                # both equations collapse onto a1 v + w = 1
-                out.append(
-                    SteadyState(
-                        "line-family",
-                        (0.0, 0.0, 1.0),
-                        ((0.0, 1.0, -a1),),
-                        label=f"(0, s, 1 - {a1}*s)",
-                    )
-                )
-            # otherwise inconsistent: no states on this branch
+    a1, a2, a3, _, a5 = p.a_coefficients
+    out = [SteadyState((1.0, 0.0, 0.0), ((-a1, 1.0, 0.0),))]
+    for r1 in ((1.0, 0.0, 0.0), (-a1 * a2, a1, -a2)):
+        for r2 in ((0.0, 1.0, 0.0), (a5, a3, a3)):
+            sol = _solve2(r1, r2)
+            if sol is None:
+                continue
+            (v, w), dirs = sol
+            pts = [(0.0, v, w), *((0.0, v + dv, w + dw) for dv, dw in dirs)]
+            if any(all(s.contains(q, tol=1e-12) for q in pts) for s in out):
+                continue
+            if not dirs and max(map(abs, p.reaction(*pts[0]))) > STEADY_TOL:
+                continue
+            out.append(SteadyState((0.0, v, w),
+                                   tuple((0.0, dv, dw) for dv, dw in dirs)))
     return out

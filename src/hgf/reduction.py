@@ -293,6 +293,7 @@ def system_spec(sid: str) -> SystemSpec:
 def reduced_system(sid: str, **coeffs) -> ReducedSystem:
     """Build a catalog system; coefficient names are checked strictly."""
     spec = system_spec(sid)
+    a4_given = "a4" in coeffs  # before L52's default fills it in
     for name, value in spec.defaults.items():
         coeffs.setdefault(name, value)
     need = spec.arguments
@@ -316,6 +317,9 @@ def reduced_system(sid: str, **coeffs) -> ReducedSystem:
     if "case" in coeffs:
         if coeffs["case"] not in ("50", "51"):
             raise ConstraintError(f"{spec.sid} case must be '50' or '51'")
+        if coeffs["case"] == "51" and a4_given:
+            raise ConstraintError(f"{spec.sid} case 51 does not take a4 (it "
+                                  "reads a4 in case 50 only)")
         values["case"] = 1.0 if coeffs["case"] == "50" else 0.0
     kc = tuple(float(values[k]) for k in spec.coeffs)
     for k, v in zip(spec.coeffs, kc):
@@ -669,6 +673,9 @@ def semi_exact_family(case: str, *, a1: float | None = None,
     rejected instead of producing a silently wrong family.
     """
     lo, hi = float(window[0]), float(window[1])
+    if not lo < hi:
+        raise ConstraintError(f"profile window must have lo < hi, got "
+                              f"({lo}, {hi})")
     sc = solutions.semi_case(case, a1=a1, a4=a4, a3=a3, beta=beta,
                              gamma=gamma)
     sys = reduced_system(sc["system"], **sc["coeffs"])

@@ -608,13 +608,13 @@ def semi_case(case: str, *, a1: float | None = None,
     through the ansatz "aid" (coefficients "ansatz") and solves "params".
     35-* (Q1): free U of L36, ansatz A34, a1 given and != 0, the a3/a4
     rules of `_q1_case` (35-ii also needs a4 > 0, 35-iii 1 + a1 > 0),
-    closed V, W of phi^2 = `_front2`(omega, kappa2).  50/51 (a1 = 0): free
-    V of L52, ansatz A44, the logistic U and a closed W of
+    closed V, W of phi^2 = `_front2`(omega, kappa2).  50/51 fix a1 = 0:
+    free V of L52, ansatz A44, the logistic U and a closed W of
     phi^2 = `_front2`(omega): 50 fixes a3 = 1, needs a4 and has
     W = (1 - a4) phi^2 / 4; 51 needs a3, forces a4 = 1 + a3 and has
     W = 1 - phi^2 / 4."""
+    _require_finite(f"semi{case}", dict(a1=a1, a4=a4, a3=a3))
     if case in ("35-i", "35-ii", "35-iii"):
-        _require_finite(f"semi{case}", dict(a1=a1, a4=a4, a3=a3))
         if a1 is None:
             raise ConstraintError(f"semi{case} needs a1")
         if a1 == 0.0:
@@ -648,7 +648,10 @@ def semi_case(case: str, *, a1: float | None = None,
                 "meta": {"case": case, "a1": a1, "a4": a4, "a3": a3,
                          "beta": beta, "alpha": alpha, "kappa1": kappa1,
                          "kappa2": kappa2}}
-    _require_finite(f"semi{case}", dict(a4=a4, a3=a3))
+    if case not in ("50", "51"):
+        raise ConstraintError(f"unknown semi-exact case {case!r}")
+    if a1 is not None and a1 != 0.0:
+        raise ConstraintError(f"semi{case} fixes a1 = 0, got {a1}")
     if case == "50":
         if a3 is not None and a3 != 1.0:
             raise ConstraintError(f"semi50 fixes a3 = 1, got {a3}")
@@ -656,17 +659,15 @@ def semi_case(case: str, *, a1: float | None = None,
             raise ConstraintError("semi50 needs a4")
         a3, a4 = 1.0, float(a4)
         W = lambda om: 0.25 * (1.0 - a4) * _front2(om)
-    elif case == "51":
+        coeffs = dict(beta=beta, case=case, a4=a4)
+    else:
         if a3 is None:
             raise ConstraintError("semi51 needs a3")
         a3 = float(a3)
         a4 = _forced_a4("semi51", a4, 1.0 + a3, "1 + a3")
         W = lambda om: 1.0 - 0.25 * _front2(om)
-    else:
-        raise ConstraintError(f"unknown semi-exact case {case!r}")
-    return {"system": "L52", "free": "V",
-            "coeffs": dict(beta=beta, case=case,
-                           a4=0.0 if case == "51" else a4),
+        coeffs = dict(beta=beta, case=case)
+    return {"system": "L52", "free": "V", "coeffs": coeffs,
             "closed": {"U": _fisher_profile, "W": W}, "aid": "A44",
             "ansatz": dict(alpha=FISHER_SPEED, beta=beta, gamma=gamma),
             "params": Params(a1=0.0, a2=1.0, a3=a3, a4=a4, a5=0.0, d1=1.0,

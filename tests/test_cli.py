@@ -1145,6 +1145,15 @@ def test_semi_profile_inputs_must_be_finite(flags, named, capsys):
     assert err.startswith("error:") and named in err
 
 
+def test_semi_reversed_profile_window_is_named(capsys):
+    # a reversed window was blamed on the anchor: "anchor must lie inside
+    # the profile window"
+    code, out, err = run_cli([*_SEMI35, "--profile-lo", "5", "--profile-hi",
+                              "-5"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: profile window must have lo < hi, got (5.0, -5.0)\n"
+
+
 def test_eval_span_width_must_be_finite(capsys):
     # each end is finite but the width overflows: rows with x = nan, inf
     code, out, err = run_cli(["eval", "--family", "fisher", "--xmin=-1.7e308",
@@ -1247,7 +1256,10 @@ def test_symmetry_verify_rejects_heat_flags_it_does_not_read(argv, named,
     (["--system", "R38", "--case", "i", "--a1", "0.5", "--a4", "0.7",
       "--beta", "0.3", "--delta1", "1.3", "--delta2", "0.4", "--d", "2"],
      "system R38 --case i does not take --d"),
-], ids=["r38", "l36", "r38-case-i"])
+    # L52 reads a4 in case 50 only: this one echoed "a4": 123.0
+    (["--system", "L52", "--case", "51", "--a4", "123", "--beta", "0.3"],
+     "L52 case 51 does not take a4 (it reads a4 in case 50 only)"),
+], ids=["r38", "l36", "r38-case-i", "l52-case-51-a4"])
 def test_reduce_rejects_coefficient_flags_it_does_not_read(argv, named,
                                                            capsys):
     # each of these exited 0 and dropped the flags

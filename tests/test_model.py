@@ -98,6 +98,11 @@ def _scan_zeros(p, spacing=0.25, lo=-1.5, hi=1.5):
     return zeros, spacing
 
 
+# a5 = -a2*a3 + 1e-6: the u = 0 point (0, v, v - 1), v near 2e6, solves
+# its linear system, but its kinetics at v ~ 2e6 miss STEADY_TOL
+NEAR_SINGULAR = Params(1.0, 1.0, 1.0, 1.0, -0.999999)
+
+
 @pytest.mark.parametrize("p", [
     Params(1, 1, 1, 1, 1),
     Params(0.0, 1.0, 2.0 / 3.0, 5.0 / 3.0, 0.0, d2=0.5),   # tf65-like
@@ -106,10 +111,21 @@ def _scan_zeros(p, spacing=0.25, lo=-1.5, hi=1.5):
     Params(0.0, 0.0, 0.0, 1.0, 0.0),                        # case-12 pattern
     Params(0.0, 0.0, 0.0, 1.0, 1.0),
     Params(1.0, 1.0, 0.0, 1.0, 0.0),                        # a5 = -a2*a3 branch
-    Params(1.0, -1.0, 0.5, 1.0, -0.5),                      # a1 + a2 = 0 branch
+    Params(1.0, -1.0, 0.5, 1.0, -0.5),
+    # every zero pattern of (a1, a2, a3, a5) on the grid values
+    # (1, 0.5, 1, 0.5), whose u = 0 point (0, 1.5, 0.25) is a grid node
+    *(Params(a1, a2, a3, 1.0, a5)
+      for a1 in (0.0, 1.0) for a2 in (0.0, 0.5) for a3 in (0.0, 1.0)
+      for a5 in (0.0, 0.5)),
+    Params(1.0, -1.0, 0.5, 1.0, 0.5),     # a5 = -a2*a3, a1 + a2 = 0: line
+    Params(1.0, 1.0, 1.0, 1.0, -1.0),     # a5 = -a2*a3, a1 + a2 != 0: empty
+    Params(0.0, 0.0, 1.0, 1.0, 0.5),      # a1 = a2 = 0, a3 != 0: line
+    NEAR_SINGULAR,
 ])
 def test_steady_states_brute_force_oracle(p):
     states = model.steady_states(p)
+    if p is NEAR_SINGULAR:
+        assert min(s.distance((0.0, 2e6, 2e6 - 1.0)) for s in states) > 1.0
     # every reported representative is a kinetics zero
     for s in states:
         samples = [s.point]

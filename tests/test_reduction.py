@@ -515,6 +515,12 @@ def test_reduced_system_rejects_unknown_id_and_l52_case():
     with pytest.raises(ConstraintError,
                        match="^L52 case must be '50' or '51'$"):
         reduction.reduced_system("L52", beta=0.3, case="52")
+    # L52 reads a4 in case 50 only: with case 51 a given a4 was echoed
+    # back and never read
+    with pytest.raises(ConstraintError,
+                       match=r"^L52 case 51 does not take a4 \(it reads a4 "
+                             r"in case 50 only\)$"):
+        reduction.reduced_system("L52", beta=0.3, case="51", a4=0.7)
 
 
 @pytest.mark.parametrize("x0,step,match", [
@@ -533,6 +539,17 @@ def test_semi_exact_family_rejects_anchor_outside_window():
                        match="^anchor must lie inside the profile window$"):
         reduction.semi_exact_family("50", a4=0.5, beta=0.3,
                                     window=(-6.0, 6.0), anchor=7.0)
+
+
+@pytest.mark.parametrize("window,shown", [((6.0, -6.0), r"\(6\.0, -6\.0\)"),
+                                          ((2.0, 2.0), r"\(2\.0, 2\.0\)")],
+                         ids=["reversed", "empty"])
+def test_semi_exact_family_names_an_empty_window(window, shown):
+    # a reversed window used to be blamed on the anchor: "anchor must lie
+    # inside the profile window"
+    with pytest.raises(ConstraintError, match=f"^profile window must have "
+                                              f"lo < hi, got {shown}$"):
+        reduction.semi_exact_family("35-i", a1=0.5, a4=0.5, window=window)
 
 
 def test_semi_exact_family_profile_validation_rejects_garbage():

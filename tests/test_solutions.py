@@ -224,6 +224,18 @@ def test_semi35_without_a1_names_it(build, case):
         build(case)
 
 
+@pytest.mark.parametrize("case,kw", [("50", dict(a4=0.5)),
+                                     ("51", dict(a3=0.7))])
+def test_a1_zero_cases_reject_a_given_a1(case, kw):
+    # 50 and 51 come from the a1 = 0 reduction: a given a1 used to be
+    # dropped, and the family built with a1 = 0 without a word
+    with _raises(f"semi{case} fixes a1 = 0, got 5.0"):
+        solutions.semi_case(case, a1=5.0, **kw)
+    with _raises(f"semi{case} fixes a1 = 0, got 5.0"):
+        reduction.semi_exact_family(case, a1=5.0, window=(-6.0, 6.0), **kw)
+    assert solutions.semi_case(case, a1=0.0, **kw)["params"].a1 == 0.0
+
+
 def test_semi_cases_accept_the_values_they_fix():
     def meta(case, **kw):
         return solutions.semi_case(case, **kw)["meta"]

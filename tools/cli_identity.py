@@ -350,6 +350,25 @@ CASES = [
       for flags in (["--profile-hi", "inf"], ["--profile-lo=-inf"],
                     ["--y0", "nan"], ["--dy0", "inf"],
                     ["--profile-lo", "5", "--profile-hi", "-5"])]),
+    # a1 given to a case that forces a1 = 0, a reversed profile window,
+    # and an a4 that L52 reads only in case 50
+    ("error-semi50-a1", {},
+     [["eval", "--family", fam, "--a1", "5", *flags, *SEMI50[2:], "--xmin",
+       "0", "--xmax", "1", "--n", "3"]
+      for fam, flags in (("semi50", SEMI50[:2]),
+                         ("semi51", ["--a3", "0.7"]))]),
+    ("error-semi-reversed-window", {},
+     [["eval", "--family", "semi35-i", *SEMI35[:4], "--beta", "3",
+       "--profile-lo", "5", "--profile-hi", "-5", *EVAL],
+      ["residual", "--family", "semi50", *SEMI50[:6], "--profile-lo", "16",
+       "--profile-hi", "-16", *STEP]]),
+    ("error-reduce-l52-case51-a4",
+     {"params.json": json.dumps({"case": "51", "a4": 0.7, "beta": 0.3})},
+     [["reduce", "--system", "L52", "--case", "51", "--a4", a4, "--beta",
+       "0.3", "--span", "0", "1", "--traj-out", f"l52-{a4}.csv"]
+      for a4 in ("123", "0.7")]
+     + [["reduce", "--system", "L52", "--params", "params.json", "--span",
+         "0", "1"]]),
     ("error-eval-span-overflow", {},
      [["eval", "--family", "fisher", "--xmin=-1.7e308", "--xmax",
        "1.7e308", "--n", "3"]]),
