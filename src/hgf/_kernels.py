@@ -1,7 +1,7 @@
 """Hot numerical loops: the method-of-lines IMEX time loop (`mol_run`),
-written with numpy and LAPACK, and the fixed-step RK4 tabulation of
-y' = f(x, y, *c) (`ode_rk4_table`), written on Python floats.  The reduced
-systems it tabulates are written in `hgf.reduction`.
+written with numpy and LAPACK.  The reduced ODE systems are integrated by
+`hgf.reduction.integrate` alone; the fixed-step RK4 table `ode_rk4_table`
+is kept only for the benchmark harness, which wraps it by name.
 
 `mol_run` factors its constant implicit matrix once per run (LAPACK
 `dpttrf`); a step is then one `model.kinetics` call and one in-place
@@ -174,13 +174,12 @@ mol_run_numpy = mol_run
 
 def ode_rk4_table(f, c, y0, x0, step, nout, out):
     """Fixed-step classic RK4 tabulation of y' = f(x, y, *c):
-    out[i] = y(x0 + i*step).
+    out[i] = y(x0 + i*step), on a list state (f takes and returns lists,
+    as `SystemSpec.first_order` does), equal to the bit to the vector form.
 
-    The state is a list of Python floats, and f is called with a list
-    state and must return a list (`SystemSpec.first_order` does): numpy
-    ufuncs on 2- to 6-entry vectors cost more than the arithmetic.  Each
-    sum keeps the operation order of the vector form, so the table is the
-    same to the bit."""
+    Nothing in hgf calls it (`reduction.integrate` fills every table); it
+    stays, like `thread_cap`, because the benchmark harness wraps
+    `reduction.ode_rk4_table` by name and runs it in its parity check."""
     y = np.asarray(y0, dtype=float).tolist()
     rows = [y]
     half, sixth = 0.5 * step, step / 6.0

@@ -13,13 +13,13 @@ use (U, V, W); the scalar linear profile equations use (Y, Y').
     L36   linear equation for the free u-profile of the semi35 families
     L52   linear equation for the free v-profile of the semi50/51 families
 
-`integrate` is an embedded Runge-Kutta 4(5) pair with PI step control;
-`dense_profile` tabulates a profile on a uniform grid with fixed-step RK4
-(`_kernels.ode_rk4_table`).  Both step a list of Python floats: numpy
-calls on 2- to 6-entry states cost more than their arithmetic.  Both
-return a `ProfileTrajectory`, the nodes and states only; its one
-interpolant, the quintic B-spline through the nodes, is accurate enough
-to sit below second-order stencil floors.
+`integrate` is the one integrator: an embedded Runge-Kutta 4(5) pair
+with PI step control, stepping a list of Python floats (numpy calls on
+2- to 6-entry states cost more than their arithmetic).  `dense_profile`
+fills a uniform table from it.  Both return a `ProfileTrajectory`, the
+nodes and states only; its one interpolant, the quintic spline through
+the nodes, is evaluated in Horner form and sits below second-order
+stencil floors.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import calculus, solutions
-from ._kernels import ode_rk4_table
+from ._kernels import ode_rk4_table  # noqa: F401  (wrapped by perfbench)
 from .errors import ConstraintError, DomainError, NumericalError
 from .model import Params, kinetics
 
@@ -174,11 +174,6 @@ class SystemSpec:
         U and U' of a second-order system; eqs overwrites the rest."""
         return np.arange(self.dim) | (self.order - 1)
 
-    @cached_property
-    def _start_items(self) -> Callable:
-        """`_start_rows` of a list state."""
-        return operator.itemgetter(*self._start_rows.tolist())
-
     @property
     def dim(self) -> int:
         return self.order * len(self.profiles)
@@ -192,14 +187,23 @@ class SystemSpec:
         """Keyword names `reduced_system` takes for this system."""
         return ("alpha", "params") if self.takes_params else self.coeffs
 
+    def list_rhs(self, c) -> Callable:
+        """f(x, y) = `first_order` at a list state y with the coefficient
+        values c bound: the stepping loops' right-hand side."""
+        eqs = self.equations
+        start = operator.itemgetter(*self._start_rows.tolist())
+        def f(x, y):
+            out = list(start(y))
+            eqs(out, x, y, *c)
+            return out
+        return f
+
     def first_order(self, x, y, *c):
         """dy/dx at the first-order state y, coefficient values c: a list
-        of floats for a list state (the stepping loops'), else an
-        ndarray."""
+        for a list state (through `list_rhs`), else an ndarray."""
         if type(y) is list:
-            out = list(self._start_items(y))
-        else:
-            out = y[self._start_rows]
+            return self.list_rhs(c)(x, y)
+        out = y[self._start_rows]
         self.equations(out, x, y, *c)
         return out
 
@@ -317,9 +321,11 @@ def reduced_system(sid: str, **coeffs) -> ReducedSystem:
     if "case" in coeffs:
         if coeffs["case"] not in ("50", "51"):
             raise ConstraintError(f"{spec.sid} case must be '50' or '51'")
-        if coeffs["case"] == "51" and a4_given:
-            raise ConstraintError(f"{spec.sid} case 51 does not take a4 (it "
-                                  "reads a4 in case 50 only)")
+        if coeffs["case"] == "51":
+            if a4_given:
+                raise ConstraintError(f"{spec.sid} case 51 does not take a4 "
+                                      "(it reads a4 in case 50 only)")
+            del coeffs["a4"]  # the default, which case 51 never reads
         values["case"] = 1.0 if coeffs["case"] == "50" else 0.0
     kc = tuple(float(values[k]) for k in spec.coeffs)
     for k, v in zip(spec.coeffs, kc):
@@ -341,14 +347,15 @@ def reduced_system(sid: str, **coeffs) -> ReducedSystem:
 class ProfileTrajectory:
     """Sampled ODE solution with dense evaluation.
 
-    The interpolant is the B-spline through the nodes, quintic (cubic
-    below six nodes), built on first evaluation: its error sits below the
-    floors of the second-difference stencils the profiles feed.
+    The interpolant is the spline through the nodes, quintic (cubic below
+    six nodes): its error sits below the floors of the second-difference
+    stencils the profiles feed.  First evaluation builds it and keeps only
+    its power-basis form on the node intervals, evaluated in Horner form.
     """
 
     xs: np.ndarray
     ys: np.ndarray
-    _spline: object = field(default=None, repr=False)
+    _poly: object = field(default=None, repr=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.xs) <= 0):
@@ -370,13 +377,17 @@ class ProfileTrajectory:
             raise DomainError(
                 f"evaluation outside trajectory domain [{lo}, {hi}]"
             )
-        if self._spline is None:
+        if self._poly is None:
             # imported here, its one use, as `_kernels` imports LAPACK:
             # `import hgf` loads no scipy module
-            from scipy.interpolate import make_interp_spline
+            from scipy.interpolate import PPoly, make_interp_spline
             k = 5 if len(self.xs) > 5 else 3
-            self._spline = make_interp_spline(self.xs, self.ys, k=k, axis=0)
-        return self._spline(x)
+            spl = make_interp_spline(self.xs, self.ys, k=k, axis=0)
+            c = np.empty((k + 1, len(self.xs) - 1) + self.ys.shape[1:])
+            for m in range(k + 1):  # c[m] multiplies (x - xs[i])^(k-m)
+                c[m] = spl(self.xs[:-1], nu=k - m) / math.factorial(k - m)
+            self._poly = PPoly(c, self.xs)
+        return self._poly(x)
 
     def component(self, i: int) -> Callable:
         def fn(x):
@@ -421,11 +432,21 @@ _RK_E = tuple(b5 - b4 for b5, b4 in zip(_RK_B5, _RK_B4))
 _STEP_FLOOR = 1e-13
 # nodes one `integrate` or `dense_profile` call may store
 MAX_NODES = 4_000_000
+# tolerances of the `integrate` runs that fill a `dense_profile` table
+PROFILE_REL_TOL = 1e-10
+PROFILE_ABS_TOL = 1e-13
 
 
-def _fehlberg_step(f, c, x, y, k0, hs):
-    """(y5, err) of one Fehlberg step of size hs from the node (x, y) with
-    dy/dx = k0, or None when y5 is not finite.
+def _scaled_tableau(hs):
+    """The Fehlberg tableau (c1..c5, rows, b5, b5 - b4) times the step."""
+    return ([c * hs for c in _RK_C[1:]],
+            [[hs * a for a in row] for row in _RK_A[1:]],
+            [hs * b for b in _RK_B5], [hs * e for e in _RK_E])
+
+
+def _fehlberg_step(f, x, y, k0, tab):
+    """(y5, err) of one Fehlberg step from the node (x, y) with dy/dx = k0,
+    or None when y5 is not finite; `tab` is `_scaled_tableau` of the step.
 
     The state is a list of floats.  Every sum runs term by term, left to
     right, as the vector form y + (hs a) k does, so the result is numpy's
@@ -436,23 +457,22 @@ def _fehlberg_step(f, c, x, y, k0, hs):
     non-finite stage state gives a non-finite stage derivative, which
     reaches y5 even through b1 = 0 (0 * inf is nan), and no stage
     raises."""
-    ((a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
-     (a50, a51, a52, a53, a54)) = ([hs * a for a in row] for row in _RK_A[1:])
+    ((c1, c2, c3, c4, c5), ((a10,), (a20, a21), (a30, a31, a32),
+                            (a40, a41, a42, a43), (a50, a51, a52, a53, a54)),
+     (b0, b1, b2, b3, b4, b5), (e0, e1, e2, e3, e4, e5)) = tab
     yi = [p + a10 * q0 for p, q0 in zip(y, k0)]
-    k1 = f(x + _RK_C[1] * hs, yi, *c)
+    k1 = f(x + c1, yi)
     yi = [p + a20 * q0 + a21 * q1 for p, q0, q1 in zip(y, k0, k1)]
-    k2 = f(x + _RK_C[2] * hs, yi, *c)
+    k2 = f(x + c2, yi)
     yi = [p + a30 * q0 + a31 * q1 + a32 * q2
           for p, q0, q1, q2 in zip(y, k0, k1, k2)]
-    k3 = f(x + _RK_C[3] * hs, yi, *c)
+    k3 = f(x + c3, yi)
     yi = [p + a40 * q0 + a41 * q1 + a42 * q2 + a43 * q3
           for p, q0, q1, q2, q3 in zip(y, k0, k1, k2, k3)]
-    k4 = f(x + _RK_C[4] * hs, yi, *c)
+    k4 = f(x + c4, yi)
     yi = [p + a50 * q0 + a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4
           for p, q0, q1, q2, q3, q4 in zip(y, k0, k1, k2, k3, k4)]
-    k5 = f(x + _RK_C[5] * hs, yi, *c)
-    b0, b1, b2, b3, b4, b5 = (hs * b for b in _RK_B5)
-    e0, e1, e2, e3, e4, e5 = (hs * e for e in _RK_E)
+    k5 = f(x + c5, yi)
     ks = list(zip(y, k0, k1, k2, k3, k4, k5))
     y5 = [p + b0 * q0 + b1 * q1 + b2 * q2 + b3 * q3 + b4 * q4 + b5 * q5
           for p, q0, q1, q2, q3, q4, q5 in ks]
@@ -495,7 +515,7 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
         )
     if not np.isfinite(y).all():
         raise ConstraintError("initial state must be finite")
-    f, c, n = sys.spec.first_order, sys.kcoeffs, sys.dim
+    f, n = sys.spec.list_rhs(sys.kcoeffs), sys.dim
     direction = 1.0 if x1 > x0 else -1.0
     total = abs(x1 - x0)
     hmax = total if max_step is None else min(max_step, total)
@@ -504,8 +524,8 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
     y = y.tolist()
     xs = [x]
     yss = [y]
-    k0 = f(x, y, *c)
-    err_prev = 1.0
+    k0 = f(x, y)
+    err_prev, hs_tab = 1.0, None
     while (x1 - x) * direction > 1e-14 * max(1.0, abs(x1)):
         h = min(h, abs(x1 - x))
         if h < _STEP_FLOOR * max(1.0, abs(x)):
@@ -514,7 +534,9 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
                 f"(reached from {x0} toward {x1})"
             )
         hs = h * direction
-        step = _fehlberg_step(f, c, x, y, k0, hs)
+        if hs != hs_tab:  # it stays while max_step binds
+            hs_tab, tab = hs, _scaled_tableau(hs)
+        step = _fehlberg_step(f, x, y, k0, tab)
         if step is None:
             h *= 0.25
             continue
@@ -530,7 +552,7 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
             y = y5
             xs.append(x)
             yss.append(y)
-            k0 = f(x, y, *c)
+            k0 = f(x, y)
             if len(xs) > MAX_NODES:
                 raise NumericalError("node budget exceeded")
             e = max(err_norm, 1e-16)
@@ -539,21 +561,19 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
             h = min(h * min(max(fac, 0.2), 5.0), hmax)
         else:
             h *= max(0.1, 0.9 * err_norm ** (-0.2))
-    xs = np.asarray(xs)
-    ys = np.asarray(yss)
     if direction < 0:
-        xs = xs[::-1].copy()
-        ys = ys[::-1].copy()
-    return ProfileTrajectory(xs=xs, ys=ys)
+        xs.reverse()
+        yss.reverse()
+    return ProfileTrajectory(xs=np.asarray(xs), ys=np.asarray(yss))
 
 
 def dense_profile(sys: ReducedSystem, y0, x0: float, x_left: float,
                   x_right: float, step: float = 5e-3) -> ProfileTrajectory:
-    """Uniform fixed-step RK4 tabulation around x0.
+    """Uniform table of spacing `step` from the anchor x0 to x_left and
+    x_right, read off the interpolant of `integrate` runs to each end.
 
-    Sweeps backward to x_left and forward to x_right from the anchor x0.
-    The trajectory's quintic interpolant keeps its second derivatives
-    below second-order stencil floors for grid spacings down to ~1e-3.
+    The table's quintic interpolant keeps its second derivatives below
+    second-order stencil floors for grid spacings down to ~1e-3.
     """
     if not (math.isfinite(x_left) and math.isfinite(x_right)):
         raise ConstraintError(f"profile window ends must be finite, got "
@@ -576,18 +596,22 @@ def dense_profile(sys: ReducedSystem, y0, x0: float, x_left: float,
         raise ConstraintError(
             f"profile window ({x_left}, {x_right}) at step {step} needs "
             f"{n_r + n_l + 1:.4g} nodes, above the limit of {MAX_NODES:,}")
-    n_r, n_l = int(n_r), int(n_l)
-    f = sys.spec.first_order
-    out_r = np.empty((n_r + 1, sys.dim))
-    ode_rk4_table(f, sys.kcoeffs, y, float(x0), step, n_r + 1, out_r)
-    out_l = np.empty((n_l + 1, sys.dim))
-    ode_rk4_table(f, sys.kcoeffs, y, float(x0), -step, n_l + 1, out_l)
-    xs = x0 + step * np.arange(-n_l, n_r + 1)
-    ys = np.concatenate((out_l[:0:-1], out_r), axis=0)
-    if not np.isfinite(ys).all():
-        raise NumericalError("dense profile tabulation produced non-finite "
-                             "values (blow-up); shrink the window")
-    return ProfileTrajectory(xs=xs, ys=ys)
+    xs = x0 + step * np.arange(-int(n_l), int(n_r) + 1)
+    try:  # toward x_left (returned in increasing order), then x_right
+        parts = [integrate(sys, y, (x0, end), PROFILE_REL_TOL,
+                           PROFILE_ABS_TOL) for end in (xs[0], xs[-1])
+                 if end != x0]
+    except NumericalError as e:
+        raise NumericalError(f"profile window ({x_left}, {x_right}) cannot "
+                             f"be tabulated: {e}") from None
+    if not parts:
+        return ProfileTrajectory(xs=xs, ys=y[None, :])
+    joined = parts.pop()
+    if parts:  # both parts hold the anchor: keep it once
+        joined = ProfileTrajectory(
+            xs=np.concatenate((parts[0].xs[:-1], joined.xs)),
+            ys=np.concatenate((parts[0].ys[:-1], joined.ys)))
+    return ProfileTrajectory(xs=xs, ys=joined.evaluate(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -653,7 +677,8 @@ def verify_reduction(sys: ReducedSystem, ansatz: solutions.Ansatz,
 # checked builder for the semi-exact families
 # ---------------------------------------------------------------------------
 
-# spacing of the finite-difference residual that checks a tabulated profile
+# spacing of the finite-difference residual that checks a tabulated
+# profile, 4 spacings inside its window; its 5 nodes need 12 spacings
 _CHECK_H = 2e-3
 
 
@@ -676,6 +701,10 @@ def semi_exact_family(case: str, *, a1: float | None = None,
     if not lo < hi:
         raise ConstraintError(f"profile window must have lo < hi, got "
                               f"({lo}, {hi})")
+    if hi - lo < 12 * _CHECK_H:
+        raise ConstraintError(f"profile window ({lo}, {hi}) is narrower than "
+                              f"{12 * _CHECK_H:g}, the width its residual "
+                              "check needs")
     sc = solutions.semi_case(case, a1=a1, a4=a4, a3=a3, beta=beta,
                              gamma=gamma)
     sys = reduced_system(sc["system"], **sc["coeffs"])

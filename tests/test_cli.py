@@ -498,6 +498,19 @@ def test_reduce_l52_honours_alpha(tmp_path, capsys):
     assert trajs[0] != trajs[1]
 
 
+@pytest.mark.parametrize("case,echoed", [
+    ("50", ["a4", "alpha", "beta", "case"]),
+    ("51", ["alpha", "beta", "case"]),
+])
+def test_reduce_l52_echoes_the_coefficients_its_case_reads(case, echoed,
+                                                            capsys):
+    # case 51 never reads a4, but its report echoed the default "a4": 0.0
+    code, out, _ = run_cli(["reduce", "--system", "L52", "--case", case,
+                            "--beta", "0.3", "--span", "-1", "1"], capsys)
+    assert code == 0
+    assert sorted(json.loads(out)["inputs"]["coeffs"]) == echoed
+
+
 @pytest.mark.parametrize("argv", [
     ["--system", "R38", "--case", "iv", "--a1", "0.5", "--a3", "1",
      "--a4", "0.7", "--beta", "0.3"],
@@ -1152,6 +1165,16 @@ def test_semi_reversed_profile_window_is_named(capsys):
                               "-5"], capsys)
     assert code == 1 and out == ""
     assert err == "error: profile window must have lo < hi, got (5.0, -5.0)\n"
+
+
+def test_semi_narrow_profile_window_is_named(capsys):
+    # a window narrower than the profile's residual check was blamed on
+    # the check's grid: "SpaceGrid n must be an integer >= 5 ... got 3"
+    code, out, err = run_cli([*_SEMI35, "--profile-lo=-0.01", "--profile-hi",
+                              "0.01"], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: profile window (-0.01, 0.01) is narrower than "
+                   "0.024, the width its residual check needs\n")
 
 
 def test_eval_span_width_must_be_finite(capsys):

@@ -215,7 +215,7 @@ def test_dense_profile_rejects_non_finite_initial_state(y0):
 
 
 def test_dense_profile_checks_node_budget_before_allocating(monkeypatch):
-    def no_table(*args):
+    def no_table(*args, **kw):
         raise AssertionError("tabulated past the node budget")
 
     sys_ = _l36()
@@ -224,13 +224,48 @@ def test_dense_profile_checks_node_budget_before_allocating(monkeypatch):
     assert len(reduction.dense_profile(sys_, (1.0, 0.0), 0.0, -1.0,
                                        1.0).xs) == 401
     monkeypatch.setattr(reduction, "MAX_NODES", 400)
-    monkeypatch.setattr(reduction, "ode_rk4_table", no_table)
+    monkeypatch.setattr(reduction, "integrate", no_table)
     with pytest.raises(ConstraintError, match="401 nodes"):
         reduction.dense_profile(sys_, (1.0, 0.0), 0.0, -1.0, 1.0)
     # a node count that overflows to inf is over any budget
     with pytest.raises(ConstraintError, match="nodes"):
         reduction.dense_profile(sys_, (1.0, 0.0), 0.0, -1.0, 1.0,
                                 step=5e-324)
+
+
+def test_dense_profile_fills_its_table_from_integrate(monkeypatch):
+    from hgf import _kernels
+    calls = []
+    integrate = reduction.integrate
+
+    def counted(sys_, y0, span, *args, **kw):
+        calls.append(span)
+        return integrate(sys_, y0, span, *args, **kw)
+
+    def no_table(*args):
+        raise AssertionError("dense_profile called ode_rk4_table")
+
+    monkeypatch.setattr(reduction, "integrate", counted)
+    monkeypatch.setattr(reduction, "ode_rk4_table", no_table)
+    monkeypatch.setattr(_kernels, "ode_rk4_table", no_table)
+    traj = reduction.dense_profile(_l36(), (1.0, 0.0), 0.2, -1.0, 1.0)
+    assert len(traj.xs) == 401
+    # one run from the anchor to each table end; none where the anchor is
+    # the end
+    assert [tuple(map(float, c)) for c in calls] == [(0.2, -1.0), (0.2, 1.0)]
+    calls.clear()
+    reduction.dense_profile(_l36(), (1.0, 0.0), -1.0, -1.0, 1.0)
+    assert [tuple(map(float, c)) for c in calls] == [(-1.0, 1.0)]
+
+
+def test_dense_profile_blowup_names_the_window():
+    # the R38 blow-up of test_integrate_blowup_reports_reach_point, as a
+    # table: the message used to say only "non-finite values (blow-up)"
+    sys_ = _r38(a1=1.0, a4=1.0, a3=1.0, beta=0.0)
+    with pytest.raises(NumericalError,
+                       match=r"^profile window \(0\.0, 10\.0\) cannot be "
+                             r"tabulated: step-size underflow at t = "):
+        reduction.dense_profile(sys_, (0.0, -50.0, 0.0), 0.0, 0.0, 10.0)
 
 
 def test_integrate_blowup_reports_reach_point():
@@ -482,6 +517,40 @@ def test_trajectory_domain_and_estimate():
     assert fn.domain == traj.domain
 
 
+def _horner_cases():
+    xs = np.array([0.0, 0.3, 0.7, 1.2, 2.0])  # five nodes: the cubic
+    yield "cubic", reduction.ProfileTrajectory(
+        xs=xs, ys=np.stack([np.sin(xs), np.exp(xs)], axis=1))
+    params = Params(0.5, 1.0, 1.0, 0.7, 0.35, 1.0, 2.0, 3.0)
+    r58 = reduction.reduced_system("R58", alpha=1.2, params=params)
+    yield "R58", reduction.integrate(r58, np.linspace(0.9, 0.2, 6),
+                                     (0.0, 2.0))
+
+
+@pytest.mark.parametrize("name,traj", list(_horner_cases()),
+                         ids=["cubic", "R58"])
+def test_trajectory_horner_form_is_the_b_spline(name, traj):
+    # the power-basis form on the node intervals is the not-a-knot
+    # B-spline through the nodes, to a few ulps of each column's scale
+    from scipy.interpolate import BSpline, make_interp_spline
+    xs, ys = traj.xs, traj.ys
+    assert ys.shape[1] == (2 if name == "cubic" else 6)
+    spline = make_interp_spline(xs, ys, k=3 if len(xs) <= 5 else 5, axis=0)
+    lo, hi = traj.domain
+    tol = 1e-12 * max(1.0, abs(lo), abs(hi))  # evaluate's domain tolerance
+    scale = np.max(np.abs(ys), axis=0)
+    for x in (xs, 0.5 * (xs[:-1] + xs[1:]),
+              np.array([lo - 0.5 * tol, lo, hi, hi + 0.5 * tol])):
+        assert np.max(np.abs(traj.evaluate(x) - spline(x)) / scale) <= 1e-14
+    # at the left end of each interval Horner's rule returns c[k] itself
+    assert np.array_equal(traj.evaluate(xs[:-1]), spline(xs[:-1]))
+    assert not any(isinstance(v, BSpline) for v in vars(traj).values())
+    for x in (lo - 2.0 * tol, hi + 2.0 * tol):
+        with pytest.raises(DomainError, match=r"^evaluation outside "
+                                              r"trajectory domain \["):
+            traj.evaluate(x)
+
+
 def test_semi_exact_family_checks_case_values_before_integrating(
         monkeypatch):
     # semi50 without a4 used to fail in float(None) inside reduced_system
@@ -550,6 +619,27 @@ def test_semi_exact_family_names_an_empty_window(window, shown):
     with pytest.raises(ConstraintError, match=f"^profile window must have "
                                               f"lo < hi, got {shown}$"):
         reduction.semi_exact_family("35-i", a1=0.5, a4=0.5, window=window)
+
+
+def test_semi_exact_family_names_a_window_too_narrow_to_check(monkeypatch):
+    # the residual check's grid lies 4 spacings of 2e-3 inside the window
+    # and needs 5 nodes; a narrower window raised "SpaceGrid n must be an
+    # integer >= 5 ... got 3" after tabulating
+    def no_profile(*args, **kw):
+        raise AssertionError("profile tabulated for a window too narrow")
+
+    real = reduction.dense_profile
+    monkeypatch.setattr(reduction, "dense_profile", no_profile)
+    with pytest.raises(ConstraintError,
+                       match=r"^profile window \(-0\.01, 0\.01\) is narrower "
+                             r"than 0\.024, the width its residual check "
+                             r"needs$"):
+        reduction.semi_exact_family("35-i", a1=0.5, a4=0.5,
+                                    window=(-0.01, 0.01))
+    monkeypatch.setattr(reduction, "dense_profile", real)
+    fam, traj = reduction.semi_exact_family("35-i", a1=0.5, a4=0.5,
+                                            window=(-0.012, 0.012))
+    assert fam.meta["profile_residual"]["linf"] > 0.0
 
 
 def test_semi_exact_family_profile_validation_rejects_garbage():
@@ -681,14 +771,26 @@ def test_integrate_blowup_matches_numpy_loop():
 
 
 @pytest.mark.parametrize("sid", sorted(reduction.SYSTEMS))
-def test_dense_profile_matches_numpy_loop_bitwise(sid, monkeypatch):
-    # the window reaches both ways from the anchor: a forward and a
-    # backward table
+def test_dense_profile_matches_numpy_loop_bitwise(sid):
+    # the window reaches both ways from the anchor: a backward and a
+    # forward run, joined at the anchor
     sys, y0 = _sample_system(sid)
     got = reduction.dense_profile(sys, y0, 0.2, -1.0, 1.0, step=5e-3)
-    monkeypatch.setattr(reduction, "ode_rk4_table", _reference_rk4_table)
-    want = reduction.dense_profile(sys, y0, 0.2, -1.0, 1.0, step=5e-3)
-    _assert_bitwise((got.xs, got.ys), (want.xs, want.ys))
+    xs = 0.2 + 5e-3 * np.arange(-240, 161)
+    tol = (reduction.PROFILE_REL_TOL, reduction.PROFILE_ABS_TOL)
+    (xl, yl), (xr, yr) = (_reference_integrate(sys, y0, (0.2, end), *tol)
+                          for end in (xs[0], xs[-1]))
+    joined = reduction.ProfileTrajectory(xs=np.concatenate((xl[:-1], xr)),
+                                         ys=np.concatenate((yl[:-1], yr)))
+    _assert_bitwise((got.xs, got.ys), (xs, joined.evaluate(xs)))
+    # the classic RK4 table it replaces agrees to its own error at this
+    # step, O(step^4): 1.6e-10 of the column scale at most
+    out_l, out_r = np.empty((241, sys.dim)), np.empty((161, sys.dim))
+    _reference_rk4_table(sys.code, sys.kcoeffs, y0, 0.2, -5e-3, 241, out_l)
+    _reference_rk4_table(sys.code, sys.kcoeffs, y0, 0.2, 5e-3, 161, out_r)
+    want = np.concatenate((out_l[:0:-1], out_r))
+    scale = 1.0 + np.max(np.abs(want))
+    np.testing.assert_allclose(got.ys, want, rtol=0, atol=1e-9 * scale)
 
 
 def test_rk4_table_takes_an_ndarray_state():
@@ -707,15 +809,16 @@ def test_fehlberg_step_returns_none_when_a_stage_overflows():
     # but the next stage's derivative overflows to -inf; no later stage
     # raises, and the one check of y5 catches the overflow
     sys_ = reduction.reduced_system("T2d", a1=1.0, a4=0.5)
-    f, c = sys_.spec.first_order, sys_.kcoeffs
+    f = sys_.spec.list_rhs(sys_.kcoeffs)
+    tab = reduction._scaled_tableau(0.1)
     y = [1.0, -1e150, 0.0]
-    k0 = f(0.0, y, *c)
+    k0 = f(0.0, y)
     stage = [p + 0.25 * 0.1 * q for p, q in zip(y, k0)]
     assert all(map(math.isfinite, k0))
-    assert not all(map(math.isfinite, f(0.025, stage, *c)))
-    assert reduction._fehlberg_step(f, c, 0.0, y, k0, 0.1) is None
+    assert not all(map(math.isfinite, f(0.025, stage)))
+    assert reduction._fehlberg_step(f, 0.0, y, k0, tab) is None
     y = [1.0, 0.5, 0.5]
-    y5, err = reduction._fehlberg_step(f, c, 0.0, y, f(0.0, y, *c), 0.1)
+    y5, err = reduction._fehlberg_step(f, 0.0, y, f(0.0, y), tab)
     assert all(map(math.isfinite, y5 + err))
 
 
