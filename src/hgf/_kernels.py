@@ -90,6 +90,7 @@ def _cn_factor(r, n, bc_mode):
     else:
         diag[first] = diag[last] = 0.5 + r
     d, e, info = dpttrf(diag, off)
+    # kept: info is LAPACK's only report of a matrix not positive definite
     if info != 0:
         raise NumericalError(f"implicit diffusion matrix not factored "
                              f"(dpttrf info {info})")
@@ -132,10 +133,11 @@ def mol_run(F, dco, aco, h, dt, nsteps, bc_mode, bc_table, snap_steps,
             B[:, -1] = 0.5 * B[:, -1] + r * (F[:, -2] - F[:, -1])
         flat = B.reshape(-1)  # a view: B is C-contiguous
         x, info = dpttrs(d, e, flat, overwrite_b=1)
+        # kept: info < 0 is LAPACK's only report of a bad argument
         if info != 0:
             raise NumericalError(f"implicit diffusion solve failed "
                                  f"(dpttrs info {info})")
-        if x is not flat:  # f2py solved into a copy
+        if x is not flat:  # kept: f2py may still solve into a copy
             flat[...] = x
 
     j = 0

@@ -17,9 +17,9 @@ use (U, V, W); the scalar linear profile equations use (Y, Y').
 with PI step control, stepping a list of Python floats (numpy calls on
 2- to 6-entry states cost more than their arithmetic).  `dense_profile`
 fills a uniform table from it.  Both return a `ProfileTrajectory`, the
-nodes and states only; its one interpolant, the quintic spline through
-the nodes, is evaluated in Horner form and sits below second-order
-stencil floors.
+nodes and states only, of at least `MIN_NODES` nodes; its one
+interpolant, the quintic spline through the nodes, is evaluated in
+Horner form and sits below second-order stencil floors.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -180,7 +180,8 @@ class SystemSpec:
 
     @property
     def ivar(self) -> str:
-        return "omega" if solutions.Ansatz(self.ansatz).omega_based else "t"
+        omega_based = "alpha" in solutions.ANSATZ_COEFFS[self.ansatz]
+        return "omega" if omega_based else "t"
 
     @property
     def arguments(self) -> tuple[str, ...]:
@@ -343,6 +344,10 @@ def reduced_system(sid: str, **coeffs) -> ReducedSystem:
 # ---------------------------------------------------------------------------
 
 
+# fewest nodes a trajectory holds: the cubic not-a-knot spline needs four
+MIN_NODES = 4
+
+
 @dataclass
 class ProfileTrajectory:
     """Sampled ODE solution with dense evaluation.
@@ -358,6 +363,9 @@ class ProfileTrajectory:
     _poly: object = field(default=None, repr=False)
 
     def __post_init__(self):
+        if len(self.xs) < MIN_NODES:
+            raise ConstraintError(f"a trajectory needs at least {MIN_NODES} "
+                                  f"nodes, got {len(self.xs)}")
         if np.any(np.diff(self.xs) <= 0):
             raise ConstraintError("trajectory sample grid must be increasing")
 
@@ -394,15 +402,6 @@ class ProfileTrajectory:
             scalar = np.isscalar(x)
             out = self.evaluate(x)[:, i]
             return float(out[0]) if scalar else out
-
-        fn.domain = self.domain
-        return fn
-
-    def profile_matrix(self, indices: Sequence[int]) -> Callable:
-        """Callable x -> (m, n) matrix of the selected state components."""
-
-        def fn(x):
-            return self.evaluate(x)[:, list(indices)].T
 
         fn.domain = self.domain
         return fn
@@ -514,7 +513,8 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
             f"initial state must have dimension {sys.dim}"
         )
     if not np.isfinite(y).all():
-        raise ConstraintError("initial state must be finite")
+        raise ConstraintError(f"initial state must be finite, got "
+                              f"{y.tolist()}")
     f, n = sys.spec.list_rhs(sys.kcoeffs), sys.dim
     direction = 1.0 if x1 > x0 else -1.0
     total = abs(x1 - x0)
@@ -573,7 +573,9 @@ def dense_profile(sys: ReducedSystem, y0, x0: float, x_left: float,
     x_right, read off the interpolant of `integrate` runs to each end.
 
     The table's quintic interpolant keeps its second derivatives below
-    second-order stencil floors for grid spacings down to ~1e-3.
+    second-order stencil floors for grid spacings down to ~1e-3.  A window
+    and step that give fewer than `MIN_NODES` or more than `MAX_NODES`
+    nodes are refused before anything is integrated.
     """
     if not (math.isfinite(x_left) and math.isfinite(x_right)):
         raise ConstraintError(f"profile window ends must be finite, got "
@@ -584,28 +586,22 @@ def dense_profile(sys: ReducedSystem, y0, x0: float, x_left: float,
         raise ConstraintError("step must be positive")
     if not math.isfinite(step):
         raise ConstraintError(f"step must be finite, got {step}")
-    y = np.asarray(y0, dtype=float)
-    if y.shape != (sys.dim,):
-        raise ConstraintError(f"initial state must have dimension {sys.dim}")
-    if not np.isfinite(y).all():
-        raise ConstraintError(f"initial state must be finite, got "
-                              f"{y.tolist()}")
     # steps to each end, counted in floats so that no count overflows
     n_r, n_l = (np.ceil(d / step - 1e-12) for d in (x_right - x0, x0 - x_left))
-    if not n_r + n_l + 1 <= MAX_NODES:
-        raise ConstraintError(
-            f"profile window ({x_left}, {x_right}) at step {step} needs "
-            f"{n_r + n_l + 1:.4g} nodes, above the limit of {MAX_NODES:,}")
+    nodes = n_r + n_l + 1
+    if not MIN_NODES <= nodes <= MAX_NODES:
+        bound = (f"above the limit of {MAX_NODES:,}" if nodes > MAX_NODES
+                 else f"below the minimum of {MIN_NODES}")
+        raise ConstraintError(f"profile window ({x_left}, {x_right}) at step "
+                              f"{step} needs {nodes:.4g} nodes, {bound}")
     xs = x0 + step * np.arange(-int(n_l), int(n_r) + 1)
     try:  # toward x_left (returned in increasing order), then x_right
-        parts = [integrate(sys, y, (x0, end), PROFILE_REL_TOL,
+        parts = [integrate(sys, y0, (x0, end), PROFILE_REL_TOL,
                            PROFILE_ABS_TOL) for end in (xs[0], xs[-1])
                  if end != x0]
     except NumericalError as e:
         raise NumericalError(f"profile window ({x_left}, {x_right}) cannot "
                              f"be tabulated: {e}") from None
-    if not parts:
-        return ProfileTrajectory(xs=xs, ys=y[None, :])
     joined = parts.pop()
     if parts:  # both parts hold the anchor: keep it once
         joined = ProfileTrajectory(
@@ -711,11 +707,10 @@ def semi_exact_family(case: str, *, a1: float | None = None,
     anchor = lo if anchor is None else anchor
     if not lo <= anchor <= hi:
         raise ConstraintError("anchor must lie inside the profile window")
-    traj = dense_profile(sys, np.asarray(y0, dtype=float), anchor, lo, hi,
-                         step=step)
-    prof = traj.profile_matrix((0,))
+    traj = dense_profile(sys, y0, anchor, lo, hi, step=step)
     inner = (lo + 4 * _CHECK_H, hi - 4 * _CHECK_H)
-    linf = float(calculus.ode_residual(sys, prof, inner, _CHECK_H).linf[0])
+    linf = float(calculus.ode_residual(sys, traj.component(0), inner,
+                                       _CHECK_H).linf[0])
     scale = 1.0 + float(np.max(np.abs(traj.ys[:, 0])))
     if linf > 1e-5 * scale:
         raise NumericalError(

@@ -517,7 +517,7 @@ def make_ansatz(aid: str, **kw) -> Ansatz:
             f"unexpected {extra}"
         )
     _require_finite(aid, kw)
-    if aid in ("A34", "A37", "T2a", "T2b", "T2c", "T2d") and kw.get("a1") == 0:
+    if "a1" in need and kw["a1"] == 0:
         raise ConstraintError(f"{aid} requires a1 != 0")
     if aid == "T2a" and 1.0 + kw["beta"] * kw["a1"] == 0.0:
         raise ConstraintError("T2a requires 1 + beta*a1 != 0 (use T2b)")

@@ -396,3 +396,33 @@ def test_residual_peak_allocation_is_a_few_rows(tf63_std):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * grid.n * 8
+
+
+def test_field_state_checks_each_length():
+    grid = SpaceGrid(0.0, 1.0, 11)
+    full, short = np.zeros(11), np.zeros(10)
+    with pytest.raises(ConstraintError,
+                       match="^FieldState.v must have length n = 11$"):
+        calculus.FieldState(grid, 0.0, full, short, full)
+
+
+def test_ode_residual_rejects_a_non_finite_profile():
+    sys = reduction.reduced_system("R38", beta=0.3, a1=0.5, a3=1.0, a4=0.7)
+
+    def profiles(x):
+        vals = np.ones((3, x.size))
+        vals[1, 3] = math.inf
+        return vals
+
+    with pytest.raises(NumericalError,
+                       match="^non-finite profile sample in ode_residual$"):
+        calculus.ode_residual(sys, profiles, (0.0, 1.0), 0.1)
+
+
+def test_max_linf_skips_undefined_components():
+    rep = calculus.ResidualReport(linf=(0.5, None, 2.0), l2=(0.1, None, 0.2),
+                                  h=0.1, dt=0.01)
+    assert rep.max_linf() == 2.0
+    undefined = calculus.ResidualReport(linf=(None,) * 3, l2=(None,) * 3,
+                                        h=0.1, dt=0.01)
+    assert math.isnan(undefined.max_linf())

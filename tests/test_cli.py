@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import hgf
-from hgf import calculus, cli, reduction, solutions, symmetry
+from hgf import calculus, cli, reduction, simulator, solutions, symmetry
 from hgf.calculus import SpaceGrid
 from hgf.errors import ConstraintError
 
@@ -161,6 +161,40 @@ def test_simulate_grid_over_node_budget(monkeypatch, tmp_path, capsys):
     assert code == 1
     assert "n = 1,001" in err and "limit of 1,000" in err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("bc,kind", [
+    (None, "neumann-zero"),
+    ({"kind": "neumann-zero"}, "neumann-zero"),
+    ({"kind": "pinned-to-exact"}, "pinned-to-exact"),
+], ids=["no-bc-block", "neumann-zero", "pinned-to-exact"])
+def test_simulate_bc_from_config(monkeypatch, tmp_path, capsys, bc, kind):
+    # fam40 has no endpoint states, so a config without a bc block gets
+    # zero flux rather than Dirichlet values at the endpoints
+    runs = []
+    run = simulator.run
+
+    def recorded(cfg):
+        runs.append(cfg)
+        return run(cfg)
+
+    monkeypatch.setattr(simulator, "run", recorded)
+    config = {"family": {"key": "fam40-i", "a1": 0.1, "a4": 0.5,
+                         "beta": 2.1822, "delta1": 2, "delta2": 0.5},
+              "grid": {"x_min": 0.0, "x_max": 5.0, "n": 51},
+              "time": {"t_end": 0.1, "snapshot_every": 10}}
+    if bc is not None:
+        config["bc"] = bc
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code, _, err = run_cli(["simulate", "--config", str(cfg_path), "--out",
+                            str(tmp_path / "run"), "--quiet"], capsys)
+    assert (code, err) == (0, "")
+    (cfg,) = runs
+    assert cfg.bc.kind == kind
+    assert (cfg.bc.left, cfg.bc.right) == (None, None)
+    # a bc block hands the kind the family, which only pinned-to-exact reads
+    assert cfg.bc.family is (None if bc is None else cfg.initial)
 
 
 def test_exit_2_on_numerical_failure(tmp_path, capsys):
@@ -947,6 +981,19 @@ def test_semi_family_rejects_non_finite_profile_step(capsys):
                            capsys)
     assert code == 1
     assert err.startswith("error:") and "step must be finite" in err
+
+
+def test_semi_family_profile_step_leaving_three_nodes_exits_1(capsys):
+    # a 3-node table exited 3 with scipy's "The number of derivatives at
+    # boundaries does not match" from its first evaluation
+    code, out, err = run_cli(["eval", "--family", "semi35-i", "--a1", "0.5",
+                              "--a4", "0.5", "--beta", "0.3",
+                              "--profile-lo", "-0.015", "--profile-hi",
+                              "0.015", "--profile-step", "0.02", "--xmin",
+                              "0", "--xmax", "0.01", "--n", "3"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: profile window (-0.015, 0.015) at step 0.02 "
+                   "needs 3 nodes, below the minimum of 4\n")
 
 
 @pytest.mark.parametrize("exc", [KeyError, TypeError, ValueError,

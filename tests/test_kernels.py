@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from hgf import _kernels as K
 from hgf import calculus, model, reduction, simulator, solutions, symmetry
+from hgf.errors import NumericalError
 from hgf.model import Params, Solution
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -37,6 +39,42 @@ def test_mol_blowup_status():
     status = K.mol_run(F0.copy(), dco, aco, h, 1e-2, 50, 1, bc, snap_steps,
                        out)
     assert status >= 1
+
+
+@pytest.mark.parametrize("routine,message", [
+    ("dpttrf", "implicit diffusion matrix not factored (dpttrf info 2)"),
+    ("dpttrs", "implicit diffusion solve failed (dpttrs info -3)"),
+])
+def test_lapack_info_raises_numerical_error(monkeypatch, routine, message):
+    # the kernel imports both routines at call time, so patching the
+    # lapack module reaches it
+    from scipy.linalg import lapack
+    real = getattr(lapack, routine)
+    info = {"dpttrf": 2, "dpttrs": -3}[routine]
+
+    def failing(*args, **kw):
+        *out, _ = real(*args, **kw)
+        return (*out, info)
+
+    monkeypatch.setattr(lapack, routine, failing)
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+        _kernel_snaps(K.mol_run, 1e-3, 1, "dirichlet", (1.0,), [1])
+
+
+def test_dpttrs_solving_into_a_copy_changes_nothing(monkeypatch):
+    from scipy.linalg import lapack
+    want = _kernel_snaps(K.mol_run, 1e-3, 70, "dirichlet", (1.0,), [35, 70])
+    real, copies = lapack.dpttrs, []
+
+    def into_a_copy(d, e, b, overwrite_b=0):
+        x, info = real(d, e, b.copy(), overwrite_b=1)
+        copies.append(x is not b)
+        return x, info
+
+    monkeypatch.setattr(lapack, "dpttrs", into_a_copy)
+    got = _kernel_snaps(K.mol_run, 1e-3, 70, "dirichlet", (1.0,), [35, 70])
+    assert len(copies) == 71 and all(copies)  # two solves at the first step
+    assert got.tobytes() == want.tobytes()
 
 
 def _kinetics_expr(a, u, v, w, lead):

@@ -42,6 +42,17 @@ def test_zero_K_rejected():
                        K=0, L=1, e1=1, e2=0)
 
 
+@pytest.mark.parametrize("name", ["e2", "r_c", "r_h"])
+def test_original_params_rejects_negative_rates(name):
+    kw = dict(d_f=1, d_c=1, d_h=1, r_f=1, r_c=0, r_h=0, K=1, L=1, e1=1,
+              e2=0)
+    kw[name] = -0.5
+    with pytest.raises(ConstraintError,
+                       match=f"^OriginalParams requires {name} >= 0 "
+                             f"\\(got {name} = -0\\.5\\)$"):
+        OriginalParams(**kw)
+
+
 def test_params_validation():
     with pytest.raises(ConstraintError, match="a4"):
         Params(a1=1, a2=1, a3=1, a4=0, a5=1)

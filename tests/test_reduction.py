@@ -268,6 +268,71 @@ def test_dense_profile_blowup_names_the_window():
         reduction.dense_profile(sys_, (0.0, -50.0, 0.0), 0.0, 0.0, 10.0)
 
 
+@pytest.mark.parametrize("x0,window,step,shown", [
+    (0.0, (0.0, 0.0), 5e-3, r"\(0\.0, 0\.0\) at step 0\.005 needs 1 nodes"),
+    (-0.015, (-0.015, 0.015), 0.02,
+     r"\(-0\.015, 0\.015\) at step 0\.02 needs 3 nodes"),
+], ids=["point", "three-nodes"])
+def test_dense_profile_refuses_fewer_than_min_nodes(monkeypatch, x0, window,
+                                                    step, shown):
+    # a one-node table came back unevaluable, and a three-node one raised
+    # scipy's "number of derivatives at boundaries does not match" at its
+    # first evaluation
+    def no_table(*args, **kw):
+        raise AssertionError("tabulated below the node minimum")
+
+    monkeypatch.setattr(reduction, "integrate", no_table)
+    with pytest.raises(ConstraintError,
+                       match=f"^profile window {shown}, below the minimum "
+                             f"of 4$"):
+        reduction.dense_profile(_l36(), (1.0, 0.0), x0, *window, step=step)
+
+
+def test_trajectory_holds_at_least_min_nodes():
+    assert reduction.MIN_NODES == 4
+    xs = np.array([0.0, 0.5, 1.0, 2.0])
+    with pytest.raises(ConstraintError,
+                       match="^a trajectory needs at least 4 nodes, got 3$"):
+        reduction.ProfileTrajectory(xs=xs[:3], ys=xs[:3, None] ** 3)
+    # four nodes take the cubic not-a-knot spline, which is exact on a cubic
+    traj = reduction.ProfileTrajectory(xs=xs, ys=xs[:, None] ** 3)
+    np.testing.assert_allclose(traj.evaluate([0.25, 1.5])[:, 0],
+                               [0.25 ** 3, 1.5 ** 3], rtol=1e-13)
+    with pytest.raises(ConstraintError,
+                       match="^trajectory sample grid must be increasing$"):
+        reduction.ProfileTrajectory(xs=xs[::-1], ys=xs[:, None])
+
+
+def test_integrate_too_short_a_span_is_refused():
+    # a span inside the end tolerance took no step: a one-node trajectory
+    # that `hgf reduce --verify` then failed to evaluate with a scipy error
+    with pytest.raises(ConstraintError,
+                       match="^a trajectory needs at least 4 nodes, got 1$"):
+        reduction.integrate(_r38(), (0.4, 0.3, 0.2), (0.0, 1e-15))
+
+
+def test_integrate_names_a_bad_initial_state():
+    with pytest.raises(ConstraintError,
+                       match="^initial state must have dimension 3$"):
+        reduction.integrate(_r38(), (0.4, 0.3), (0.0, 1.0))
+    with pytest.raises(ConstraintError,
+                       match=r"^initial state must be finite, got "
+                             r"\[0\.4, nan, inf\]$"):
+        reduction.integrate(_r38(), (0.4, math.nan, math.inf), (0.0, 1.0))
+
+
+def test_integrate_node_budget(monkeypatch):
+    def run():
+        return reduction.integrate(_r38(), (0.4, 0.3, 0.2), (0.0, 1.0))
+
+    nodes = len(run().xs)
+    monkeypatch.setattr(reduction, "MAX_NODES", nodes)
+    assert len(run().xs) == nodes
+    monkeypatch.setattr(reduction, "MAX_NODES", nodes - 1)
+    with pytest.raises(NumericalError, match="^node budget exceeded$"):
+        run()
+
+
 def test_integrate_blowup_reports_reach_point():
     # logistic-type quadratic growth from far outside the basin
     sys = _r38(a1=1.0, a4=1.0, a3=1.0, beta=0.0)
@@ -463,7 +528,10 @@ def test_tabulated_profiles_solve_their_equations(sid):
         sid, **{k: _SAMPLE_COEFFS[k] for k in spec.arguments})
     traj = reduction.dense_profile(sys, np.linspace(0.9, 0.2, sys.dim), 0.0,
                                    -1.0, 1.0, step=5e-3)
-    prof = traj.profile_matrix(sys.profile_indices)
+
+    def prof(x):  # the (m, n) profile values ode_residual takes
+        return traj.evaluate(x)[:, list(sys.profile_indices)].T
+
     rep = calculus.ode_refinement(sys, prof, (-0.9, 0.9), [8e-3, 4e-3, 2e-3])
     assert len(rep.order_estimate) == len(spec.profiles)
     assert all(1.8 <= o <= 2.2 for o in rep.order_estimate), rep.order_estimate

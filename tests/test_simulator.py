@@ -259,3 +259,41 @@ def test_dirichlet_requires_triples():
         simulator.BoundaryCondition("dirichlet", left=(0, 0, 0))
     with pytest.raises(ConstraintError, match="unknown bc"):
         simulator.BoundaryCondition("weird")
+
+
+def test_pinned_to_exact_needs_a_family():
+    with pytest.raises(ConstraintError,
+                       match="^pinned-to-exact bc needs a family$"):
+        simulator.BoundaryCondition("pinned-to-exact")
+
+
+def test_dirichlet_at_endpoints_needs_endpoint_states(fam40_std):
+    assert fam40_std.endpoint_states is None
+    with pytest.raises(ConstraintError,
+                       match="^family has no endpoint states$"):
+        simulator.dirichlet_at_endpoints(fam40_std)
+
+
+def test_initial_data_with_a_nan_rejected():
+    u = np.full(201, 0.5)
+    u[100] = math.nan
+    cfg = simulator.SimConfig(params=Params(1, 1, 1, 1, 1),
+                              grid=SpaceGrid(-10.0, 10.0, 201), t_end=0.01,
+                              initial=(u, None, None))
+    with pytest.raises(ConstraintError, match="^initial data must be finite$"):
+        simulator.run(cfg)
+
+
+def test_speed_of_a_standing_front_is_zero_and_reliable():
+    # every snapshot holds the same front: the crossings do not move, so
+    # the fit's residual and total sums of squares are both zero
+    grid = SpaceGrid(-5.0, 5.0, 101)
+    u = 0.5 * (1.0 - np.tanh(grid.x()))
+    zero = np.zeros(grid.n)
+    snaps = [calculus.FieldState(grid, t, u, zero, zero)
+             for t in (0.0, 0.5, 1.0, 1.5)]
+    est = simulator.measure_front_speed(snaps, component="u", level=0.5)
+    assert est.speed == 0.0
+    assert est.r_squared == 1.0
+    assert est.reliable is True
+    np.testing.assert_array_equal(est.crossing_positions, 0.0)

@@ -6,6 +6,7 @@ import pytest
 
 from hgf import model, reduction, solutions
 from hgf.errors import ConstraintError, DomainError
+from hgf.model import Params
 from hgf.solutions import FISHER_SPEED
 
 
@@ -49,6 +50,37 @@ def test_tf63_negative_a2_warns_not_errors():
     inst = solutions.make_tf63(0.0, 0.1)
     assert inst.params.a2 < 0
     assert any("a2" in w for w in inst.warnings)
+
+
+def test_tf63_d2_check_catches_a_nan_coefficient():
+    # d2 > 0 for every finite a1, delta > 0 with a1 delta < 1/2 (its
+    # numerator is at most -3 delta there), so only a NaN reaches the check
+    with pytest.raises(ConstraintError,
+                       match="^tf63: derived d2 = nan is not positive$"):
+        solutions.make_tf63(math.nan, 0.35)
+
+
+def test_tf63_negative_a5_warns_not_errors():
+    inst = solutions.make_tf63(0.1, 0.35, a3=1.0, d3=20.0)
+    # a5 = (5 - d3 + 6 a3 - 4 a1 delta + 2 a1 delta d3) / (12 delta)
+    assert inst.params.a5 == pytest.approx(-7.74 / 4.2, rel=1e-14)
+    assert inst.warnings[0] == (f"derived a5 = {inst.params.a5} < 0: "
+                                "solution exact, biology invalid")
+
+
+def test_embed_fisher_needs_unit_d1():
+    p = Params(1.0, 1.0, 1.0, 1.0, 1.0, d1=2.0)
+    with pytest.raises(ConstraintError,
+                       match="^embed_fisher requires d1 = 1$"):
+        solutions.embed_fisher(p)
+
+
+@pytest.mark.parametrize("a1,a4", [(0.0, 0.5), (-0.1, 0.5), (0.1, 1.0)])
+def test_fam40_restrictions_need_positive_a1_and_a4_below_one(a1, a4):
+    with pytest.raises(ConstraintError,
+                       match="^positivity restrictions need a1 > 0 and "
+                             "a4 < 1$"):
+        solutions.fam40_restrictions(a1, a4)
 
 
 def test_tf63_monotonicity(tf63_std):
@@ -365,6 +397,31 @@ def test_make_ansatz_rejects_non_finite_coefficients(aid, kw, name):
     with pytest.raises(ConstraintError, match=f"{aid} coefficient {name} "
                                               f"must be finite"):
         solutions.make_ansatz(aid, **kw)
+
+
+@pytest.mark.parametrize("aid,kw,message", [
+    ("A99", {}, "unknown ansatz id 'A99'"),
+    ("A37", dict(beta=0.3, alpha=1.0),
+     "A37 expects coefficients ('beta', 'a1'); missing ['a1'], "
+     "unexpected ['alpha']"),
+    ("T2a", dict(alpha=1.0, beta=2.0, gamma=0.1, a1=-0.5, a4=0.7),
+     "T2a requires 1 + beta*a1 != 0 (use T2b)"),
+    ("T2c", dict(beta=0.0, gamma=0.1, a1=0.5, a4=0.7),
+     "T2c requires beta != 0 (use T2d)"),
+], ids=["unknown", "coefficients", "T2a-degenerate", "T2c-degenerate"])
+def test_make_ansatz_errors(aid, kw, message):
+    with pytest.raises(ConstraintError, match=f"^{re.escape(message)}$"):
+        solutions.make_ansatz(aid, **kw)
+
+
+@pytest.mark.parametrize("aid", sorted(
+    aid for aid, coeffs in solutions.ANSATZ_COEFFS.items() if "a1" in coeffs))
+def test_make_ansatz_a1_zero_rejected_where_a1_is_a_coefficient(aid):
+    kw = dict.fromkeys(solutions.ANSATZ_COEFFS[aid], 0.5)
+    kw["a1"] = 0.0
+    with pytest.raises(ConstraintError, match=f"^{aid} requires a1 != 0$"):
+        solutions.make_ansatz(aid, **kw)
+
 
 
 @pytest.mark.parametrize("build,name", [

@@ -51,6 +51,19 @@ def test_reduce_without_verify_loads_no_scipy(tmp_path):
     assert json.loads(report.read_text())["results"]["nodes"] > 5
 
 
+def test_allocator_left_alone_without_libc(monkeypatch, capsys):
+    opened = []
+
+    def no_libc(name, *args, **kw):
+        opened.append(name)
+        raise OSError(f"{name}: cannot open shared object file")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    assert hgf._fix_malloc_thresholds() is None
+    assert opened == ["libc.so.6"]
+    assert capsys.readouterr() == ("", "")
+
+
 def _have_mallopt() -> bool:
     try:
         ctypes.CDLL("libc.so.6").mallopt

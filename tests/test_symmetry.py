@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,3 +233,15 @@ def test_px_flow_is_the_shifted_solution(tf63_std, rng):
     t, x = rng.uniform(0.0, 2.0, 50), rng.uniform(-10.0, 10.0, 50)
     for a, b in zip(moved(t, x), tf63_std(t, x - eps)):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("kw,message", [
+    (dict(kind="Pz"), "unknown operator kind 'Pz'"),
+    (dict(kind="ExpA4WdV"), "ExpA4WdV needs coefficient a4"),
+    (dict(kind="Q1", a1=0.0), "Q1 needs a1 != 0"),
+    (dict(kind="Case9Op", a1=0.0, a4=0.8), "Case9Op needs a1 != 0"),
+], ids=["unknown-kind", "missing-coefficient", "Q1-a1-zero",
+        "Case9Op-a1-zero"])
+def test_symmetry_op_construction_errors(kw, message):
+    with pytest.raises(ConstraintError, match=f"^{re.escape(message)}$"):
+        symmetry.SymmetryOp(**kw)

@@ -14,20 +14,74 @@ of the module's bytecode.  So a function docstring, ``try:`` or
 ``global`` counts as nothing.  A statement ran if the tracer saw a line
 event on one of those lines.
 
-Only this process is traced: the CLI runs that tests start with
-``subprocess`` (``python -m hgf.cli ...``) are not followed, so code that
-only those runs reach counts as missed.  The tracer slows the suite down
-about threefold.
+Python processes that the tests start with ``subprocess`` (``python -m
+hgf.cli ...``, ``python -c ...``) are traced too: while pytest runs,
+every ``subprocess.Popen`` puts a temporary directory holding a tracing
+``sitecustomize.py`` first on the child's ``PYTHONPATH`` and names a hits
+file in ``HGF_LINECOV_HITS``.  The child tracer prints nothing and imports
+only ``atexit``, ``os`` and ``sys``; at exit it appends the lines it saw to
+the hits file, and they are merged into the report.  A child started with
+``-E`` or ``-I`` ignores ``PYTHONPATH`` and is not followed.  The tracer
+slows the suite down about threefold.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
+import tempfile
 import threading
+from contextlib import contextmanager
 from pathlib import Path
 
 PKG = Path(__file__).resolve().parents[1] / "src" / "hgf"
+HITS_ENV = "HGF_LINECOV_HITS"
+
+# the sitecustomize of a traced child; {pkg} is the package directory
+_CHILD_TRACER = """\
+import atexit
+import os
+import sys
+
+_HITS = os.environ.get({env!r})
+_files = {{}}  # file name: lines run, or None outside the package
+
+
+def _on_call(frame, event, arg):
+    name = frame.f_code.co_filename
+    try:
+        seen = _files[name]
+    except KeyError:
+        inside = os.path.dirname(os.path.realpath(name)) == {pkg!r}
+        seen = _files[name] = set() if inside else None
+    if seen is None:
+        return None
+    add = seen.add
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            add(frame.f_lineno)
+        return on_line
+
+    return on_line
+
+
+def _write():
+    sys.settrace(None)
+    out = "".join(f"{{os.path.realpath(name)}}\\t"
+                  f"{{' '.join(map(str, sorted(seen)))}}\\n"
+                  for name, seen in _files.items() if seen)
+    if out:
+        with open(_HITS, "a") as f:
+            f.write(out)
+
+
+if _HITS:
+    atexit.register(_write)
+    sys.settrace(_on_call)
+"""
 
 
 def _code_lines(code) -> set[int]:
@@ -60,8 +114,34 @@ def statements(path: Path) -> dict[int, range]:
     return out
 
 
+@contextmanager
+def follow_subprocesses():
+    """Trace the Python processes started inside the block; yields the
+    hits file they append {file}\\t{lines} rows to."""
+    real_init = subprocess.Popen.__init__
+    with tempfile.TemporaryDirectory(prefix="linecov-") as site:
+        Path(site, "sitecustomize.py").write_text(
+            _CHILD_TRACER.format(env=HITS_ENV, pkg=str(PKG)))
+        hits_file = Path(site, "hits.txt")
+        hits_file.touch()
+
+        def init(self, args, *rest, env=None, **kw):
+            env = dict(os.environ if env is None else env)
+            path = env.get("PYTHONPATH")
+            env["PYTHONPATH"] = site + (os.pathsep + path if path else "")
+            env[HITS_ENV] = str(hits_file)
+            real_init(self, args, *rest, env=env, **kw)
+
+        subprocess.Popen.__init__ = init
+        try:
+            yield hits_file
+        finally:
+            subprocess.Popen.__init__ = real_init
+
+
 def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set]]:
-    """Run pytest under the tracer: (exit code, {file: lines run})."""
+    """Run pytest under the tracer, following its Python subprocesses:
+    (exit code, {file: lines run})."""
     hits = {str(p): set() for p in sorted(PKG.glob("*.py"))}
 
     def on_call(frame, event, arg):
@@ -80,13 +160,18 @@ def trace_suite(pytest_args: list[str]) -> tuple[int, dict[str, set]]:
     sys.path.insert(0, str(PKG.parent))
     import pytest
 
-    threading.settrace(on_call)
-    sys.settrace(on_call)
-    try:
-        code = pytest.main(pytest_args)
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    with follow_subprocesses() as child_hits:
+        threading.settrace(on_call)
+        sys.settrace(on_call)
+        try:
+            code = pytest.main(pytest_args)
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+        for row in child_hits.read_text().splitlines():
+            name, _, lines = row.partition("\t")
+            if name in hits:
+                hits[name].update(map(int, lines.split()))
     return int(code), hits
 
 
