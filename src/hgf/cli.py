@@ -258,9 +258,9 @@ class Family:
     `build` takes the given family values by name; a value left out takes
     the library builder's own default.  The listed `params` minus the
     `optional` ones are required and checked before building, so a missing
-    one is named.  `window` is the default residual window; for families
-    with a numeric `profile` it lies in the wave variable and moves with
-    the front.
+    one is named.  `window` is the default residual window; a family with
+    a numeric `profile` has its meta's "profile_window" instead, less a
+    tenth of its width at each end and moved with the front.
     """
 
     key: str
@@ -280,8 +280,11 @@ class Family:
         return {**entry, "profile": self.profile} if self.profile else entry
 
     def default_window(self, fam, t: float) -> tuple[float, float]:
-        shift = (fam.speed or 0.0) * t if self.profile else 0.0
-        return (self.window[0] + shift, self.window[1] + shift)
+        if not self.profile:
+            return self.window
+        lo, hi = fam.meta["profile_window"]
+        pad, shift = (hi - lo) / 10, fam.speed * t
+        return (lo + pad + shift, hi - pad + shift)
 
 
 def _lib(name: str, *args, **fixed):
@@ -313,7 +316,6 @@ def _semi(case):
 # make_fam40 takes a4 positionally; None leaves it to the case (iii)
 _FAM40 = ("a1", "a4", "beta", "delta1", "delta2")
 _FAM40_III = ("a1", "a3", "beta", "delta1", "delta2")
-_SEMI_WINDOW = (-20.0, 20.0)
 FAMILIES = {f.key: f for f in (
     Family("fisher", (), "none; defines u only, speed 5/sqrt(6)",
            _lib("fisher_tf")),
@@ -328,21 +330,19 @@ FAMILIES = {f.key: f for f in (
            _lib("make_fam40", "iii", a4=None), window=(0.0, 10.0)),
     Family("semi35-i", ("a1", "a4", "beta"),
            "a1 != 0; numeric u-profile; a3 = 1, d = 1",
-           _semi("35-i"), profile="L36", window=_SEMI_WINDOW),
+           _semi("35-i"), profile="L36"),
     Family("semi35-ii", ("a1", "a4", "beta"),
            "a1 != 0, a4 > 0; numeric u-profile; a3 = 0, d = 1",
-           _semi("35-ii"), profile="L36", window=_SEMI_WINDOW),
+           _semi("35-ii"), profile="L36"),
     Family("semi35-iii", ("a1", "a3", "beta"),
            "a1 != 0, a3 != 0, a4 = 1+a1+a3; numeric u-profile",
-           _semi("35-iii"), profile="L36", window=_SEMI_WINDOW),
+           _semi("35-iii"), profile="L36"),
     Family("semi50", ("a4", "beta", "gamma"),
            "numeric v-profile; a1 = 0, a2 = 1, a3 = 1, d = 1",
-           _semi("50"), optional=("beta", "gamma"), profile="L52",
-           window=_SEMI_WINDOW),
+           _semi("50"), optional=("beta", "gamma"), profile="L52"),
     Family("semi51", ("a3", "beta", "gamma"),
            "numeric v-profile; a1 = 0, a2 = 1, a4 = 1+a3, d = 1",
-           _semi("51"), optional=("beta", "gamma"), profile="L52",
-           window=_SEMI_WINDOW),
+           _semi("51"), optional=("beta", "gamma"), profile="L52"),
     Family("tf63", ("a1", "delta", "a3", "d3"),
            "delta > 0, a1*delta < 1/2, derived d2 > 0; "
            "connects (1-2*a1*delta, 2*delta, 0) to (0, 0, 1)",
@@ -432,17 +432,19 @@ def _flag(name: str) -> str:
     return f"--{name.replace('_', '-')}"
 
 
-def _overlay(vals: dict, args, names, source: str) -> list[str]:
-    """Put each flag in `names` that was given over `vals`, in place, and
-    return a warning for each value of the `source` that a flag changed."""
+def _overlay(vals: dict, args, names, source, by: str = "flag") -> list[str]:
+    """Put each value in `names` that `args` (the flags, or the `by` file)
+    gives over `vals`, in place, and return a warning for each value it
+    changed; `source` says where `vals` came from, for all keys or by key."""
     warnings = []
     for name in names:
         v = getattr(args, name, None)
         if v is None:
             continue
         if name in vals and vals[name] != v:
-            warnings.append(f"flag {_flag(name)} = {v} overrides {source} "
-                            f"value {vals[name]}")
+            what = f"flag {_flag(name)}" if by == "flag" else f"{by} {name}"
+            src = source if isinstance(source, str) else source[name]
+            warnings.append(f"{what} = {v} overrides {src} value {vals[name]}")
         vals[name] = v
     return warnings
 
@@ -654,10 +656,16 @@ def _cmd_speed(args, config) -> int:
 
 
 def _params_from_args(args, config) -> tuple[model.Params, list[str]]:
+    """The config's params block, the --params file over it and the flags
+    over both, each override with a warning that names what it replaced."""
     vals = dict(config.get("params", {})) if config else {}
+    source, warns = dict.fromkeys(vals, "config"), []
     if args.params_file:
-        vals.update(_load_params_file(args.params_file, PARAM_KEYS, "params"))
-    warns = _overlay(vals, args, PARAM_KEYS, "file")
+        data = _load_params_file(args.params_file, PARAM_KEYS, "params")
+        file = argparse.Namespace(**data)
+        warns = _overlay(vals, file, data, source, "file")
+        source |= dict.fromkeys(data, "file")
+    warns += _overlay(vals, args, PARAM_KEYS, source)
     missing = [k for k in ("a1", "a2", "a3", "a4", "a5") if k not in vals]
     if missing:
         raise ConstraintError(f"symmetry list needs coefficients {missing}")

@@ -501,12 +501,19 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
     if not (math.isfinite(x0) and math.isfinite(x1)):
         raise ConstraintError(f"integration span ends must be finite, "
                               f"got ({x0}, {x1})")
-    if x0 == x1:
-        raise ConstraintError("integration span is empty")
     if max_step is not None and not (math.isfinite(max_step)
                                      and max_step > 0.0):
         raise ConstraintError(f"max_step must be a finite positive number, "
                               f"got {max_step}")
+    total = abs(x1 - x0)
+    hmax = total if max_step is None else min(max_step, total)
+    h = min(hmax, total / 100.0, 0.1)
+    floor = _STEP_FLOOR * max(1.0, abs(x0))
+    if h < floor:  # the first step would underflow: an input error
+        what = (f"max_step {max_step}" if h == max_step else
+                f"integration span ({x0}, {x1})")
+        raise ConstraintError(f"{what} is too short: its first step {h:g} "
+                              f"is below the step floor {floor:g}")
     y = np.asarray(y0, dtype=float)
     if y.shape != (sys.dim,):
         raise ConstraintError(
@@ -517,16 +524,13 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
                               f"{y.tolist()}")
     f, n = sys.spec.list_rhs(sys.kcoeffs), sys.dim
     direction = 1.0 if x1 > x0 else -1.0
-    total = abs(x1 - x0)
-    hmax = total if max_step is None else min(max_step, total)
-    h = min(hmax, total / 100.0, 0.1)
     x = x0
     y = y.tolist()
     xs = [x]
     yss = [y]
     k0 = f(x, y)
     err_prev, hs_tab = 1.0, None
-    while (x1 - x) * direction > 1e-14 * max(1.0, abs(x1)):
+    while x != x1:  # the end snap below lands on x1 exactly
         h = min(h, abs(x1 - x))
         if h < _STEP_FLOOR * max(1.0, abs(x)):
             raise NumericalError(
@@ -691,7 +695,8 @@ def semi_exact_family(case: str, *, a1: float | None = None,
     default the left edge, which keeps backward-growing modes out of the
     table.  A tabulated profile that fails a finite-difference residual
     check against its linear ODE (wrong coefficients, wrong case) is
-    rejected instead of producing a silently wrong family.
+    rejected instead of producing a silently wrong family.  The family's
+    meta records the table's domain, its one window, as "profile_window".
     """
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
@@ -718,7 +723,7 @@ def semi_exact_family(case: str, *, a1: float | None = None,
             f"{linf:.3e} against scale {scale:.3e}"
         )
     fam = solutions.make_semi_exact(case, traj.component(0), a1=a1, a4=a4,
-                                    a3=a3, beta=beta, gamma=gamma,
-                                    window=window)
+                                    a3=a3, beta=beta, gamma=gamma)
     check = {"linf": linf, "scale": scale}
-    return replace(fam, meta={**fam.meta, "profile_residual": check}), traj
+    return replace(fam, meta={**fam.meta, "profile_window": traj.domain,
+                              "profile_residual": check}), traj

@@ -676,21 +676,9 @@ def semi_case(case: str, *, a1: float | None = None,
                      "gamma": gamma, "alpha": FISHER_SPEED}}
 
 
-def _check_profile_window(profile, window):
-    dom = getattr(profile, "domain", None)
-    if window is not None and dom is not None:
-        lo, hi = min(window), max(window)
-        if lo < dom[0] or hi > dom[1]:
-            raise DomainError(
-                f"profile domain {dom} does not cover the requested "
-                f"window ({lo}, {hi})"
-            )
-
-
 def make_semi_exact(case: str, profile: Callable, *, a1: float | None = None,
                     a4: float | None = None, a3: float | None = None,
-                    beta: float = 0.0, gamma: float = 0.0,
-                    window=None) -> FamilyInstance:
+                    beta: float = 0.0, gamma: float = 0.0) -> FamilyInstance:
     """Assemble a semi-exact family from closed tanh parts and a numeric
     profile (`semi_case`: ansatz A34 for cases 35-*, A44 for 50/51).
 
@@ -698,20 +686,17 @@ def make_semi_exact(case: str, profile: Callable, *, a1: float | None = None,
     equation L36; for cases 50/51 it is the v-profile V(omega) of L52.
     The profile is injected, not solved here: integrate it with
     `hgf.reduction` (see `reduction.semi_exact_family` for the checked
-    one-call builder).  A profile that is identically zero while the
-    linear equation's forcing is not gets rejected rather than silently
-    zeroed.
+    one-call builder).  Its `domain`, if it has one, is the one window of
+    the family: an L52 profile that is identically zero there ((-30, 30)
+    for a plain callable) while the forcing is not gets rejected.
     """
-    _check_profile_window(profile, window)
     sc = semi_case(case, a1=a1, a4=a4, a3=a3, beta=beta, gamma=gamma)
     ansatz = make_ansatz(sc["aid"], **sc["ansatz"])
     closed = sc["closed"]
     if sc["system"] == "L52":
         # a zero v-profile solves the linear equation only when the
         # forcing U (W - beta) vanishes identically
-        lo, hi = (-30.0, 30.0) if window is None else (min(window),
-                                                       max(window))
-        probe = np.linspace(lo, hi, 601)
+        probe = np.linspace(*getattr(profile, "domain", (-30.0, 30.0)), 601)
         pv = np.asarray(profile(probe), dtype=float)
         if np.max(np.abs(pv)) == 0.0:
             forcing = closed["U"](probe) * (closed["W"](probe) - beta)

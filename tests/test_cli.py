@@ -387,8 +387,18 @@ def test_byte_identical_reports(tmp_path, capsys, monkeypatch, writer):
     (["symmetry", "list", "--config", "cfg.json", "--a5", "0.4"],
      {"cfg.json": {"params": {"a1": 0.3, "a2": 0.7, "a3": 0.9, "a4": 1.1,
                               "a5": 0.2}}},
-     ["flag --a5 = 0.4 overrides file value 0.2"],
+     ["flag --a5 = 0.4 overrides config value 0.2"],
      "params", {"a1": 0.3, "a5": 0.4}),
+    (["symmetry", "list", "--config", "cfg.json", "--params", "p.json",
+      "--a1", "0.9", "--a2", "0.6"],
+     {"cfg.json": {"params": {"a1": 0.5, "a2": 0.7, "a3": 0.9, "a4": 1.1,
+                              "a5": 0.2}},
+      "p.json": {"a1": 0.7, "a3": 0.8}},
+     ["file a1 = 0.7 overrides config value 0.5",
+      "file a3 = 0.8 overrides config value 0.9",
+      "flag --a1 = 0.9 overrides file value 0.7",
+      "flag --a2 = 0.6 overrides config value 0.7"],
+     "params", {"a1": 0.9, "a2": 0.6, "a3": 0.8, "a5": 0.2}),
     (["reduce", "--system", "L52", "--params", "p.json", "--a4", "0.5",
       "--beta", "0.3", "--y0", "1,0", "--span", "-1", "1"],
      {"p.json": {"beta": 0.2, "a4": 0.4, "case": "50", "alpha": 2.0}},
@@ -396,7 +406,7 @@ def test_byte_identical_reports(tmp_path, capsys, monkeypatch, writer):
       "flag --a4 = 0.5 overrides file value 0.4"],
      "coeffs", {"beta": 0.3, "a4": 0.5, "alpha": 2.0, "case": "50"}),
 ], ids=["config-family", "symmetry-list-params", "symmetry-list-config",
-        "reduce-params"])
+        "symmetry-list-config-file-flags", "reduce-params"])
 def test_flag_overrides_file_with_warning(tmp_path, capsys, monkeypatch,
                                           argv, files, warnings, where,
                                           values):
@@ -1222,6 +1232,51 @@ def test_semi_narrow_profile_window_is_named(capsys):
     assert code == 1 and out == ""
     assert err == ("error: profile window (-0.01, 0.01) is narrower than "
                    "0.024, the width its residual check needs\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["residual", "--family", "semi35-i", "--a1", "0.5", "--a4", "0.5",
+     "--beta", "0.3", "--h", "0.01"],
+    ["symmetry", "verify", "--family", "semi50", "--a4", "0.5", "--beta",
+     "0.3", "--op", "UdV", "--eps", "0.3", "--h", "0.01", "--t", "0"],
+], ids=["residual", "symmetry-verify"])
+def test_semi_default_window_lies_in_the_profile_window(argv, capsys):
+    # the default window was (-20, 20) whatever window the profile was
+    # tabulated on: "evaluation outside trajectory domain [-10.0, 10.0]"
+    code, out, err = run_cli([*argv, "--profile-lo", "-10", "--profile-hi",
+                              "10"], capsys)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["inputs"]["window"] == [-8.0, 8.0]
+    if argv[0] == "residual":
+        assert report["inputs"]["family_params"]["profile_window"] == [
+            -10.0, 10.0]
+
+
+def test_semi_default_window_moves_with_the_front(capsys):
+    fam = cli.build_family("semi50", {"a4": 0.5, "beta": 0.3,
+                                      "profile_lo": -10.0,
+                                      "profile_hi": 10.0})
+    assert fam.meta["profile_window"] == (-10.0, 10.0)
+    shift = fam.speed * 0.5
+    assert cli.FAMILIES["semi50"].default_window(fam, 0.5) == (
+        -8.0 + shift, 8.0 + shift)
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--span", "0", "1e-12"], "integration span (0.0, 1e-12) is too short"),
+    (["--span", "0", "1e-15"], "integration span (0.0, 1e-15) is too short"),
+    (["--span", "0", "1", "--max-step", "1e-20"],
+     "max_step 1e-20 is too short"),
+], ids=["first-step-underflows", "inside-end-tolerance", "max-step"])
+def test_reduce_names_a_too_short_span(flags, named, capsys):
+    # 1e-12 exited 2 as "step-size underflow at t = 0.0", 1e-15 with "a
+    # trajectory needs at least 4 nodes, got 1"
+    code, out, err = run_cli(["reduce", "--system", "R38", "--a1", "0.5",
+                              "--a3", "1", "--a4", "0.7", "--beta", "0.3",
+                              *flags], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {named}: its first step ")
 
 
 def test_eval_span_width_must_be_finite(capsys):

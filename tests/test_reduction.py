@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,7 +154,7 @@ def test_integrate_tolerance_validation():
     ((0.0, 1.0), -0.5, "max_step"),
     ((0.0, 1.0), 0.0, "max_step"),
     ((0.0, 1.0), math.inf, "max_step"),
-    ((1.0, 1.0), None, "^integration span is empty$"),
+    ((1.0, 1.0), None, r"^integration span \(1\.0, 1\.0\) is too short"),
 ], ids=["nan-end", "inf-end", "inf-start", "negative-step", "zero-step",
         "inf-step", "empty-span"])
 def test_integrate_rejects_non_finite_span_and_bad_max_step(span, max_step,
@@ -304,11 +305,32 @@ def test_trajectory_holds_at_least_min_nodes():
 
 
 def test_integrate_too_short_a_span_is_refused():
-    # a span inside the end tolerance took no step: a one-node trajectory
-    # that `hgf reduce --verify` then failed to evaluate with a scipy error
+    # a span inside the end tolerance took no step, which the trajectory
+    # refused without naming the span: "a trajectory needs at least 4
+    # nodes, got 1"
     with pytest.raises(ConstraintError,
-                       match="^a trajectory needs at least 4 nodes, got 1$"):
+                       match=r"^integration span \(0\.0, 1e-15\) is too "
+                             r"short: its first step 1e-17 is below the "
+                             r"step floor 1e-13$"):
         reduction.integrate(_r38(), (0.4, 0.3, 0.2), (0.0, 1e-15))
+
+
+@pytest.mark.parametrize("span,max_step,message", [
+    ((0.0, 1e-12), None, "integration span (0.0, 1e-12) is too short: its "
+     "first step 1e-14 is below the step floor 1e-13"),
+    ((1000.0, 1000.0 + 2.0 ** -30), None, "integration span (1000.0, "
+     "1000.0000000009313) is too short: its first step 9.31323e-12 is "
+     "below the step floor 1e-10"),
+    ((0.0, 1.0), 1e-20, "max_step 1e-20 is too short: its first step "
+     "1e-20 is below the step floor 1e-13"),
+], ids=["first-step-underflows", "far-from-zero", "max-step"])
+def test_integrate_refuses_a_first_step_below_the_floor(span, max_step,
+                                                        message):
+    # these took their first step and were reported as a numerical
+    # failure: "step-size underflow at t = 0.0"
+    with pytest.raises(ConstraintError, match=f"^{re.escape(message)}$"):
+        reduction.integrate(_r38(), (0.4, 0.3, 0.2), span,
+                            max_step=max_step)
 
 
 def test_integrate_names_a_bad_initial_state():

@@ -316,13 +316,30 @@ def test_semi50_zero_profile_rejected_when_forced():
     np.testing.assert_array_equal(v, 0.0)
 
 
-def test_semi_profile_window_check():
-    def prof(om):
-        return np.zeros_like(np.asarray(om, dtype=float))
+def test_semi_exact_builds_on_a_trajectory_profile_without_a_window():
+    # the L52 zero-profile probe sampled (-30, 30) unless a window was
+    # given: a profile tabulated on (-25, 25) raised DomainError
+    fam, traj = reduction.semi_exact_family("50", a4=0.5, beta=0.3)
+    inst = solutions.make_semi_exact("50", traj.component(0), a4=0.5,
+                                     beta=0.3)
+    x = np.linspace(-5.0, 5.0, 11)
+    for got, want in zip(inst.evaluate(0.3, x), fam.evaluate(0.3, x)):
+        np.testing.assert_array_equal(got, want)
+    with pytest.raises(TypeError, match="window"):
+        solutions.make_semi_exact("50", traj.component(0), a4=0.5,
+                                  window=(-5.0, 5.0))
 
-    prof.domain = (-5.0, 5.0)
-    with pytest.raises(DomainError, match="does not cover"):
-        solutions.make_semi_exact("51", prof, a3=0.7, window=(-10, 10))
+
+def test_semi_zero_profile_is_probed_on_its_own_domain():
+    def zero(om):
+        om = np.asarray(om, dtype=float)
+        if om.min() < -5.0 or om.max() > 5.0:
+            raise DomainError("evaluation outside (-5, 5)")
+        return np.zeros_like(om)
+
+    zero.domain = (-5.0, 5.0)
+    with pytest.raises(ConstraintError, match="forcing"):
+        solutions.make_semi_exact("50", zero, a4=0.5, beta=0.3)
 
 
 def test_endpoints_are_model_steady_states(tf63_std):

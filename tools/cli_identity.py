@@ -13,13 +13,13 @@ that has not returned after ``TIMEOUT_S`` counts as the outcome
 
 The cases cover every subcommand and every report and CSV writer, each
 case of the separable (fam40, R38 with ``--case``) and semi-exact
-families, the flag-over-file and flag-over-config warnings (two
-overrides in one command included), a pinned-to-exact ``simulate``,
-snapshot files that the ``speed`` reader must take apart the same way
-(line ends, blank lines, rows of one time apart, empty cells, bad lines
-past its first block) and the user errors of each kind.  All paths are
-relative, so reports and messages do not depend on where the temporary
-directory lies.
+families, the flag-over-file, flag-over-config and file-over-config
+warnings (two overrides in one command included), a pinned-to-exact
+``simulate``, snapshot files that the ``speed`` reader must take apart
+the same way (line ends, blank lines, rows of one time apart, empty
+cells, bad lines past its first block) and the user errors of each kind.
+All paths are relative, so reports and messages do not depend on where
+the temporary directory lies.
 """
 
 from __future__ import annotations
@@ -153,6 +153,14 @@ CASES = [
     ("residual-semi50-default-window", {},
      [["residual", "--family", "semi50", *SEMI50[:6], "--t", "0.4", "--h",
        "0.02", "--dt", "0.01"]]),
+    # the default window of a profile tabulated on (-10, 10): (-8, 8),
+    # moved with the front
+    ("residual-semi-narrowed-profile-window", {},
+     [["residual", "--family", "semi35-i", *SEMI35, "--profile-lo", "-10",
+       "--profile-hi", "10", "--h", "0.01"],
+      ["symmetry", "verify", "--family", "semi50", *SEMI50[:4],
+       "--profile-lo", "-10", "--profile-hi", "10", "--op", "UdV", "--eps",
+       "0.3", "--h", "0.01"]]),
     ("residual-config-override",
      {"cfg.json": json.dumps({"family": {"key": "tf63", "a1": 0.2,
                                          "delta": 0.35}})},
@@ -193,6 +201,12 @@ CASES = [
     ("symmetry-list-config",
      {"cfg.json": json.dumps({"params": COEFFS})},
      [["symmetry", "list", "--config", "cfg.json", "--a5", "0.4"]]),
+    # each override names the source of the value it replaced
+    ("symmetry-list-config-params-flag",
+     {"cfg.json": json.dumps({"params": COEFFS}),
+      "params.json": json.dumps({"a1": 0.5, "a3": 0.8})},
+     [["symmetry", "list", "--config", "cfg.json", "--params",
+       "params.json", "--a1", "0.9", "--a2", "0.6"]]),
     ("symmetry-verify", {},
      [["symmetry", "verify", "--family", "fam40-i", *FAM40, "--op", "Q1",
        "--eps", "0.3", "--h", "0.01"]]),
@@ -333,6 +347,11 @@ CASES = [
        "0", "1"],
       ["reduce", "--system", "T2d", "--a4", "0.8", "--params", "params.json",
        "--span", "0", "1"]]),
+    # a span or max_step whose first step falls below the step floor
+    ("error-reduce-too-short-span", {},
+     [["reduce", *R38, "--span", "0", "1e-12"],
+      ["reduce", *R38, "--span", "0", "1e-15"],
+      ["reduce", *R38, "--span", "0", "1", "--max-step", "1e-20"]]),
     ("error-nan-max-step", {},
      [["reduce", *R38, "--span", "0", "1", "--max-step", "nan"]]),
     ("error-non-finite-family-coefficients", {},
