@@ -432,28 +432,39 @@ def _flag(name: str) -> str:
     return f"--{name.replace('_', '-')}"
 
 
-def _overlay(vals: dict, args, names, source, by: str = "flag") -> list[str]:
-    """Put each value in `names` that `args` (the flags, or the `by` file)
-    gives over `vals`, in place, and return a warning for each value it
-    changed; `source` says where `vals` came from, for all keys or by key."""
-    warnings = []
-    for name in names:
-        v = getattr(args, name, None)
-        if v is None:
-            continue
-        if name in vals and vals[name] != v:
-            what = f"flag {_flag(name)}" if by == "flag" else f"{by} {name}"
-            src = source if isinstance(source, str) else source[name]
-            warnings.append(f"{what} = {v} overrides {src} value {vals[name]}")
-        vals[name] = v
-    return warnings
+def _refuse(label: str, unread) -> None:
+    """Refuse the values `label` does not read, if there are any: flags,
+    named as given, or the keys of a JSON object."""
+    if unread:
+        names = (", ".join(unread) if unread[0].startswith("--")
+                 else f"keys {sorted(unread)}")
+        raise ConstraintError(f"{label} does not take {names}")
+
+
+def _gather(args, names, reads, label, *layers) -> tuple[dict, list[str]]:
+    """The values of one command and their warnings: each layer
+    ``(source, where, values)`` in order, then the flags among `names`
+    that `args` gives.  A value that replaces an earlier one is warned of,
+    naming the `source` it replaced; a key or flag outside `reads` is
+    refused, not dropped, a layer's keys as those of `where`."""
+    given = {n: getattr(args, n) for n in names
+             if getattr(args, n, None) is not None}
+    vals, source, warnings = {}, {}, []
+    for src, where, values in (*layers, ("flag", "", given)):
+        show = _flag if src == "flag" else str
+        _refuse(f"{where} {label}".lstrip(),
+                [show(k) for k in values if k not in reads])
+        for name, v in values.items():
+            if name in vals and vals[name] != v:
+                warnings.append(f"{src} {show(name)} = {v} overrides "
+                                f"{source[name]} value {vals[name]}")
+            vals[name], source[name] = v, src
+    return vals, warnings
 
 
 def _family_from_args(args, config) -> tuple[str, model.Solution,
                                               list[str]]:
-    """Family key, the built family and warnings; flags win over config
-    with a warning.  A value the family does not take is rejected, not
-    dropped."""
+    """Family key, the built family and warnings: config, then flags."""
     params = dict(config.get("family", {})) if config else {}
     key = getattr(args, "family", None) or params.get("key")
     params.pop("key", None)
@@ -461,17 +472,8 @@ def _family_from_args(args, config) -> tuple[str, model.Solution,
         raise ConstraintError("no family given (flag --family or config)")
     family = _family(key)
     takes = family.params + (_PROFILE_FLAGS if family.profile else ())
-    ignored = sorted(set(params) - set(takes))
-    if ignored:
-        raise ConstraintError(
-            f"config family {key} does not take keys {ignored}")
-    flags = _FAMILY_FLAGS + _PROFILE_FLAGS
-    ignored = [_flag(n) for n in flags
-               if n not in takes and getattr(args, n, None) is not None]
-    if ignored:
-        raise ConstraintError(
-            f"family {key} does not take {', '.join(ignored)}")
-    warnings = _overlay(params, args, flags, "config")
+    params, warnings = _gather(args, _FAMILY_FLAGS + _PROFILE_FLAGS, takes,
+                               f"family {key}", ("config", "config", params))
     return key, build_family(key, params), warnings
 
 
@@ -491,6 +493,8 @@ def build_family(key: str, fp: dict):
 
 
 def _cmd_catalog(args, config) -> int:
+    if args.out and not args.json:
+        _refuse("catalog without --json", ["--out"])
     if args.json:
         return _emit("catalog", args.out, {}, {
             "families": {k: f.listing() for k, f in FAMILIES.items()},
@@ -549,15 +553,28 @@ def _window(args, key, fam) -> tuple[float, float]:
     return _interval("--window", args.window)
 
 
+# the values of --h and --h-seq when they are left out
+H, H_SEQ = 2e-3, (4e-3, 2e-3, 1e-3)
+
+
+def _steps(args, command, reads) -> dict:
+    """The step flags `command` reads: ``reads[0]`` without --refine,
+    ``reads[1]`` with it."""
+    label = command + (" --refine" if args.refine else " without --refine")
+    steps, _ = _gather(args, ("h", "dt", "h_seq"), reads[args.refine], label)
+    return {"h": H, "h_seq": H_SEQ, **steps}
+
+
 def _cmd_residual(args, config) -> int:
+    steps = _steps(args, "residual", (("h", "dt"), ("h_seq",)))
     key, fam, warns = _family_from_args(args, config)
     t, window = args.t, _window(args, key, fam)
     if args.refine:
         rep = calculus.refinement_study(fam.params, fam, (t, *window),
-                                        args.h_seq)
+                                        steps["h_seq"])
     else:
-        h = args.h
-        dt = h if args.dt is None else args.dt
+        h = steps["h"]
+        dt = steps.get("dt", h)
         grid = calculus.SpaceGrid.from_spacing(window[0], window[1], h)
         rep = calculus.pde_residual(fam.params, fam, grid, t, dt)
     return _emit("residual", args.out,
@@ -574,17 +591,18 @@ def _bc_from_config(cfg_bc, fam) -> simulator.BoundaryCondition:
             return simulator.dirichlet_at_endpoints(fam)
         return simulator.BoundaryCondition("neumann-zero")
     kind = cfg_bc.get("kind")
-    if kind == "dirichlet":
-        for side in ("left", "right"):
-            val = cfg_bc.get(side)
-            if not (isinstance(val, list) and len(val) == 3
-                    and all(map(_is_number, val))):
-                raise ConstraintError(
-                    f"config bc {side} must be a list of 3 numbers")
-        return simulator.BoundaryCondition(
-            "dirichlet", left=tuple(cfg_bc["left"]),
-            right=tuple(cfg_bc["right"]))
-    return simulator.BoundaryCondition(kind, family=fam)
+    if kind != "dirichlet":
+        bc = simulator.BoundaryCondition(kind, family=fam)
+        _refuse(f"config bc kind {kind}", [k for k in cfg_bc if k != "kind"])
+        return bc
+    for side in ("left", "right"):
+        val = cfg_bc.get(side)
+        if not (isinstance(val, list) and len(val) == 3
+                and all(map(_is_number, val))):
+            raise ConstraintError(
+                f"config bc {side} must be a list of 3 numbers")
+    return simulator.BoundaryCondition(
+        "dirichlet", left=tuple(cfg_bc["left"]), right=tuple(cfg_bc["right"]))
 
 
 def _cmd_simulate(args, config) -> int:
@@ -658,14 +676,12 @@ def _cmd_speed(args, config) -> int:
 def _params_from_args(args, config) -> tuple[model.Params, list[str]]:
     """The config's params block, the --params file over it and the flags
     over both, each override with a warning that names what it replaced."""
-    vals = dict(config.get("params", {})) if config else {}
-    source, warns = dict.fromkeys(vals, "config"), []
-    if args.params_file:
-        data = _load_params_file(args.params_file, PARAM_KEYS, "params")
-        file = argparse.Namespace(**data)
-        warns = _overlay(vals, file, data, source, "file")
-        source |= dict.fromkeys(data, "file")
-    warns += _overlay(vals, args, PARAM_KEYS, source)
+    file = (_load_params_file(args.params_file, PARAM_KEYS, "params")
+            if args.params_file else {})
+    vals, warns = _gather(
+        args, PARAM_KEYS, PARAM_KEYS, "symmetry list",
+        ("config", "config", (config or {}).get("params", {})),
+        ("file", "params file:", file))
     missing = [k for k in ("a1", "a2", "a3", "a4", "a5") if k not in vals]
     if missing:
         raise ConstraintError(f"symmetry list needs coefficients {missing}")
@@ -687,9 +703,10 @@ def _cmd_symmetry(args, config) -> int:
                      {"operators": ops_flat, "cases": cases}, warns)
 
     # verify
+    steps = _steps(args, "symmetry verify", (("h",), ("h", "h_seq")))
     key, fam, warns = _family_from_args(args, config)
     op = _op_from_args(args, fam.params)
-    t, window, h = args.t, _window(args, key, fam), args.h
+    t, window, h = args.t, _window(args, key, fam), steps["h"]
     before, after = symmetry.verify_flow_maps_solutions(
         op, args.eps, fam, (t, *window), h)
     results = {"op": op.kind, "eps": args.eps,
@@ -698,10 +715,11 @@ def _cmd_symmetry(args, config) -> int:
     if args.refine:
         flowed = symmetry.flow(op, args.eps, fam)
         rep = calculus.refinement_study(fam.params, flowed, (t, *window),
-                                        args.h_seq)
+                                        steps["h_seq"])
         results["after_refined"] = residual_block(rep)
     return _emit("symmetry-verify", args.out,
-                 {"family": key, "t": t, "window": window, "h": h}, results,
+                 {"family": key, "family_params": fam.meta, "t": t,
+                  "window": window, "h": h}, results,
                  (*warns, *fam.warnings))
 
 
@@ -718,27 +736,23 @@ _HEAT_DEFAULTS = {"heat_a": 0.7, "heat_b": 0.4, "heat_mu": 1.0}
 
 
 def _op_from_args(args, params: model.Params) -> symmetry.SymmetryOp:
-    """The operator of `symmetry verify`; a heat flag that it does not read
-    is rejected, not dropped."""
-    given = [n for n in ("heat_kind", *_HEAT_DEFAULTS)
-             if getattr(args, n) is not None]
-    if args.op != "Xinf":
+    """The operator of `symmetry verify`.  Xinf reads --heat-kind and the
+    heat flags of its kind, each left out taking its default; no other
+    operator reads a heat flag."""
+    if args.op == "Xinf":
+        hk = args.heat_kind or "decaying-mode"
+        if hk not in _HEAT_KINDS:
+            raise ConstraintError(f"unknown heat profile kind {hk!r}")
+        make, flags = _HEAT_KINDS[hk]
+        label, reads = f"heat kind {hk}", ("heat_kind", *flags)
+    else:  # an unknown or inadmissible operator is named first
         op = symmetry.op_for(args.op, params)
-        if given:
-            raise ConstraintError(f"operator {args.op} does not take "
-                                  f"{', '.join(map(_flag, given))}")
+        label, reads = f"operator {args.op}", ()
+    heat, _ = _gather(args, ("heat_kind", *_HEAT_DEFAULTS), reads, label)
+    if args.op != "Xinf":
         return op
-    hk = args.heat_kind or "decaying-mode"
-    if hk not in _HEAT_KINDS:
-        raise ConstraintError(f"unknown heat profile kind {hk!r}")
-    make, reads = _HEAT_KINDS[hk]
-    unread = [_flag(n) for n in given if n not in ("heat_kind", *reads)]
-    if unread:
-        raise ConstraintError(f"heat kind {hk} does not take "
-                              f"{', '.join(unread)}")
-    values = (_HEAT_DEFAULTS[n] if getattr(args, n) is None
-              else getattr(args, n) for n in reads)
-    return symmetry.op_for("Xinf", params, make(*values))
+    return symmetry.op_for("Xinf", params, make(
+        *(heat.get(n, _HEAT_DEFAULTS[n]) for n in flags)))
 
 
 def _build_system(args, spec) -> reduction.ReducedSystem:
@@ -776,32 +790,22 @@ _SEPARABLE_COEFFS = ("case", "a1", "beta", "delta1", "delta2", "a3", "a4")
 
 
 def _cmd_reduce(args, config) -> int:
-    warns: list[str] = []
-    flags = [n for n in _REDUCE_COEFFS if getattr(args, n) is not None]
-    keys: list[str] = []
-    if args.params_file:
-        vals = _load_params_file(args.params_file, _REDUCE_COEFFS,
-                                 "reduce params")
-        keys = sorted(vals)
-        warns = _overlay(vals, args, list(vals), "file")
-        vars(args).update(vals)
+    file = (_load_params_file(args.params_file, _REDUCE_COEFFS,
+                              "reduce params") if args.params_file else {})
     spec = reduction.system_spec(args.system)
-    separable = spec.sid == "R38" and args.case is not None
-    if args.case is not None and not separable and "case" not in spec.coeffs:
+    case = file.get("case") if args.case is None else args.case
+    separable = spec.sid == "R38" and case is not None
+    if case is not None and not separable and "case" not in spec.coeffs:
         raise ConstraintError(
             f"system {spec.sid} has no cases; --case applies to R38 "
             f"(i, ii, iii) and L52 (50, 51)")
-    # a coefficient the system does not read is rejected, not dropped
     reads = _SEPARABLE_COEFFS if separable else spec.coeffs
-    label = f"{spec.sid} --case {args.case}" if separable else spec.sid
-    ignored = [_flag(n) for n in flags if n not in reads]
-    if ignored:
-        raise ConstraintError(f"system {label} does not take "
-                              f"{', '.join(ignored)}")
-    ignored = [k for k in keys if k not in reads]
-    if ignored:
-        raise ConstraintError(f"reduce params file: system {label} does "
-                              f"not take keys {ignored}")
+    label = f"system {spec.sid}" + (f" --case {case}" if separable else "")
+    vals, warns = _gather(args, _REDUCE_COEFFS, reads, label,
+                          ("file", "reduce params file:", file))
+    vars(args).update(vals)
+    if args.verify and not separable:  # only R38's cases have an oracle
+        _refuse(label, ["--verify"])
     if separable:
         for name in ("a1", "beta", "delta1", "delta2"):
             _req(args, name)
@@ -833,14 +837,10 @@ def _cmd_reduce(args, config) -> int:
     results = {"system": sys_.sid, "nodes": len(traj.xs), "span": span}
 
     if args.verify:
-        if separable:
-            ts = np.linspace(span[0], span[1], 301)
-            exact = np.stack(sc.closed(ts), axis=1)
-            dev = float(np.max(np.abs(traj.evaluate(ts) - exact)))
-            results["oracle_max_deviation"] = dev
-        else:
-            warns.append("--verify oracle comparison is available for "
-                         "R38 with --case only; skipped")
+        ts = np.linspace(span[0], span[1], 301)
+        exact = np.stack(sc.closed(ts), axis=1)
+        dev = float(np.max(np.abs(traj.evaluate(ts) - exact)))
+        results["oracle_max_deviation"] = dev
     return _emit("reduce", args.out,
                  {"system": sys_.sid, "coeffs": sys_.coeffs, "y0": y0,
                   "span": span, "rel_tol": args.rel_tol,
@@ -888,10 +888,9 @@ def _positive(text: str) -> float:
 
 def _add_step_flags(p: argparse.ArgumentParser) -> None:
     """Grid spacing of one residual, and the spacings of a --refine study."""
-    p.add_argument("--h", type=_positive, default=2e-3)
+    p.add_argument("--h", type=_positive, default=None)
     p.add_argument("--refine", action="store_true")
-    p.add_argument("--h-seq", type=_positive, nargs="+",
-                   default=(4e-3, 2e-3, 1e-3))
+    p.add_argument("--h-seq", type=_positive, nargs="+", default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

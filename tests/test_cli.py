@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hgf
 from hgf import calculus, cli, reduction, simulator, solutions, symmetry
@@ -629,6 +630,36 @@ def test_missing_required_family_param_is_named(key, name, capsys):
     assert err.startswith("error:") and f"'{name}'" in err
 
 
+# cheap values: short profile windows and a coarse residual grid
+_PROFILE_SAMPLE = {"profile_lo": (-6.0, -4.0), "profile_hi": (4.0, 6.0),
+                   "profile_step": (0.05, 0.1), "anchor": (-4.0, 0.0),
+                   "y0": (0.3, 0.5), "dy0": (0.0, 0.1)}
+_COMMANDS = {"eval": ["--xmin", "-1", "--xmax", "1", "--n", "5"],
+             "residual": ["--window", "-2", "2", "--h", "0.05"]}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_family_flags_exit_0_only_when_the_family_takes_them(data, capsys):
+    key = data.draw(st.sampled_from(sorted(cli.FAMILIES)))
+    family = cli.FAMILIES[key]
+    takes = family.params + (cli._PROFILE_FLAGS if family.profile else ())
+    names = data.draw(st.lists(st.sampled_from(
+        cli._FAMILY_FLAGS + cli._PROFILE_FLAGS), unique=True, max_size=4))
+    if data.draw(st.booleans()):  # often enough to build the family
+        names = list(dict.fromkeys([*family.required, *names]))
+    values = {n: data.draw(st.sampled_from(_PROFILE_SAMPLE.get(
+        n, (-0.5, 0.1, 0.35, 0.7, 1.3, 3.0)))) for n in names}
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    code, _, err = run_cli(
+        [command, "--family", key, *_COMMANDS[command],
+         *(a for n, v in values.items() for a in (cli._flag(n), str(v)))],
+        capsys)
+    assert code in (0, 1, 2) and "Traceback" not in err, err
+    assert code != 0 or set(names) <= set(takes)
+
+
 def test_simulate_without_config_names_the_flag(tmp_path, capsys):
     # used to escape as "error: TypeError: expected str, bytes or ..."
     code, _, err = run_cli(["simulate", "--family", "fisher", "--out",
@@ -1047,11 +1078,14 @@ _FISHER_RUN = {"family": {"key": "fisher"},
     ("bc", {"kind": "dirichlet", "left": 1, "right": [0, 0, 0]}, "bc left"),
     ("bc", {"kind": "dirichlet", "left": [1, 2], "right": [0, 0, 0]},
      "bc left"),
+    # exited 0 with left and right dropped
+    ("bc", {"kind": "neumann-zero", "left": [5, 5, 5], "right": "junk"},
+     "config bc kind neumann-zero does not take keys ['left', 'right']"),
     ("params", {"a1": 1.0}, "config params needs"),
     ("params", {"a1": "x", "a2": 1, "a3": 1, "a4": 1, "a5": 1},
      "a number for a1"),
 ], ids=["grid-n", "time-t_end", "bc-no-right", "bc-scalar", "bc-short",
-        "params-partial", "params-string"])
+        "bc-neumann-left-right", "params-partial", "params-string"])
 def test_config_mistakes_are_user_errors(tmp_path, capsys, block, value,
                                          named):
     # these reached the handler as KeyError, TypeError or ValueError,
@@ -1127,15 +1161,14 @@ def test_simulate_names_the_first_config_param_the_family_overrides(
                    f"run/report.json\n")
 
 
-def test_reduce_verify_without_an_oracle_warns_that_it_skipped(capsys):
+def test_reduce_verify_without_an_oracle_is_refused(capsys):
+    # this exited 0 with a warning and no oracle comparison, so its exit
+    # code read as a pass for a check that never ran
     code, out, err = run_cli(["reduce", "--system", "T2d", "--a1", "0.5",
                               "--a4", "0.8", "--y0", "0.5,0.5,0.5", "--span",
                               "0", "1", "--verify"], capsys)
-    assert (code, err) == (0, "")
-    report = json.loads(out)
-    assert report["warnings"] == ["--verify oracle comparison is available "
-                                  "for R38 with --case only; skipped"]
-    assert "oracle_max_deviation" not in report["results"]
+    assert (code, out) == (1, "")
+    assert err == "error: system T2d does not take --verify\n"
 
 
 def test_symmetry_list_takes_whole_configs_through_config_only(
@@ -1248,9 +1281,11 @@ def test_semi_default_window_lies_in_the_profile_window(argv, capsys):
     assert code == 0, err
     report = json.loads(out)
     assert report["inputs"]["window"] == [-8.0, 8.0]
-    if argv[0] == "residual":
-        assert report["inputs"]["family_params"]["profile_window"] == [
-            -10.0, 10.0]
+    # a verify report named no family_params, so not its profile's window
+    family_params = report["inputs"]["family_params"]
+    assert family_params["profile_window"] == [-10.0, 10.0]
+    check = family_params["profile_residual"]
+    assert 0.0 < check["linf"] <= 1e-5 * check["scale"]
 
 
 def test_semi_default_window_moves_with_the_front(capsys):
@@ -1369,6 +1404,30 @@ def test_symmetry_verify_rejects_heat_flags_it_does_not_read(argv, named,
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["residual", "--family", "fisher", "--refine", "--dt", "0.5", "--h",
+      "0.1"], "residual --refine does not take --h, --dt"),
+    (["residual", "--family", "fisher", "--h-seq", "0.1", "0.05"],
+     "residual without --refine does not take --h-seq"),
+    (["symmetry", "verify", "--family", "fisher", "--op", "Px", "--eps",
+      "0.1", "--h", "0.05", "--h-seq", "0.1", "0.05"],
+     "symmetry verify without --refine does not take --h-seq"),
+    (["catalog", "--out", "cat.json"], "catalog without --json does not take "
+     "--out"),
+], ids=["residual-refine-h-dt", "residual-h-seq", "verify-h-seq",
+        "catalog-out"])
+def test_commands_refuse_step_and_output_flags_they_do_not_read(
+        argv, named, tmp_path, capsys, monkeypatch):
+    # each of these exited 0 and dropped the flags: the residual at
+    # h = dt = 0.001, one residual at h = 0.002, no after_refined, and the
+    # catalog table on stdout with no file written
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {named}\n"
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv,named", [

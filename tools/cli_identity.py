@@ -347,6 +347,23 @@ CASES = [
        "0", "1"],
       ["reduce", "--system", "T2d", "--a4", "0.8", "--params", "params.json",
        "--span", "0", "1"]]),
+    # step flags, config keys and flags that the command does not read
+    ("error-unread-residual-refine-steps", {},
+     [["residual", "--family", "fisher", "--refine", "--dt", "0.5", "--h",
+       "0.1"]]),
+    ("error-unread-residual-h-seq", {},
+     [["residual", "--family", "fisher", "--h-seq", "0.1", "0.05"]]),
+    ("error-unread-verify-h-seq", {},
+     [["symmetry", "verify", "--family", "fisher", "--op", "Px", "--eps",
+       "0.1", "--h", "0.05", "--h-seq", "0.1", "0.05"]]),
+    ("error-unread-bc-keys",
+     {"cfg.json": _config(FISHER, bc={"kind": "neumann-zero",
+                                      "left": [5, 5, 5], "right": "junk"})},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"]]),
+    ("error-unread-catalog-out", {},
+     [["catalog", "--out", "cat.json"]]),
+    ("error-unread-reduce-verify", {},
+     [["reduce", *R38, "--span", "0", "1", "--verify"]]),
     # a span or max_step whose first step falls below the step floor
     ("error-reduce-too-short-span", {},
      [["reduce", *R38, "--span", "0", "1e-12"],
