@@ -11,9 +11,9 @@ runs: the argument parser is built on first use, and the report
 validator, with its check of `REPORT_SCHEMA` against the metaschema, on
 the first report.
 
-Exit codes: 0 success, 1 constraint/validation error (the message names
-the violated constraint), 2 numerical failure (blow-up, missing level
-crossing, step underflow), 3 internal error (an exception no input check
+Exit codes: 0 success, 1 user error (a named constraint, a file that
+cannot be read or written), 2 numerical failure (blow-up, missing level
+crossing, step underflow), 3 internal error (any exception no input check
 caught: a bug in hgf, reported with its traceback).
 """
 
@@ -67,8 +67,6 @@ REPORT_SCHEMA = {
     },
 }
 
-PARAM_KEYS = ("a1", "a2", "a3", "a4", "a5", "d1", "d2", "d3")
-
 
 def residual_block(report: calculus.ResidualReport) -> dict:
     block = {"linf": report.linf, "l2": report.l2, "h": report.h,
@@ -94,16 +92,17 @@ def _report_validator():
 
 def validate_report(report: dict) -> None:
     """Validate against REPORT_SCHEMA (jsonschema when available), raising
-    the error `jsonschema.validate` would raise."""
+    the error `jsonschema.validate` would raise, else a ValueError: a
+    report that fails its schema is a bug in hgf, not bad input."""
     try:
         import jsonschema
     except ImportError:  # fall back to the structural essentials
         missing = {"command", "inputs", "results", "warnings"} - set(report)
         if missing:
-            raise ConstraintError(f"report missing keys {sorted(missing)}")
+            raise ValueError(f"report missing keys {sorted(missing)}")
         unknown = set(report) - set(REPORT_SCHEMA["properties"])
         if unknown:
-            raise ConstraintError(f"report has unknown keys {sorted(unknown)}")
+            raise ValueError(f"report has unknown keys {sorted(unknown)}")
         return
     error = jsonschema.exceptions.best_match(
         _report_validator().iter_errors(report))
@@ -362,7 +361,7 @@ _PROFILE_FLAGS = ("profile_lo", "profile_hi", "profile_step", "anchor",
 
 # the blocks of a run-config and the keys each block may hold
 CONFIG_BLOCKS = {
-    "params": PARAM_KEYS,
+    "params": model.PARAM_NAMES,
     "family": ("key", *_FAMILY_FLAGS, *_PROFILE_FLAGS),
     "grid": ("x_min", "x_max", "n"),
     "time": ("t0", "t_end", "snapshot_every"),
@@ -612,7 +611,7 @@ def _cmd_simulate(args, config) -> int:
     if "grid" not in config or "time" not in config:
         raise ConstraintError("simulate config needs 'grid' and 'time' blocks")
     for block, keys in (("grid", CONFIG_BLOCKS["grid"]), ("time", ("t_end",)),
-                        ("params", PARAM_KEYS[:5])):
+                        ("params", model.PARAM_NAMES[:5])):
         missing = [k for k in keys
                    if block in config and k not in config[block]]
         if missing:
@@ -623,7 +622,7 @@ def _cmd_simulate(args, config) -> int:
     tm = config["time"]
     if "params" in config:
         given = model.Params(**config["params"])
-        for k in PARAM_KEYS:
+        for k in model.PARAM_NAMES:
             if not math.isclose(getattr(given, k), getattr(fam.params, k),
                                 rel_tol=1e-12, abs_tol=0.0):
                 warns = [*warns,
@@ -676,10 +675,10 @@ def _cmd_speed(args, config) -> int:
 def _params_from_args(args, config) -> tuple[model.Params, list[str]]:
     """The config's params block, the --params file over it and the flags
     over both, each override with a warning that names what it replaced."""
-    file = (_load_params_file(args.params_file, PARAM_KEYS, "params")
+    file = (_load_params_file(args.params_file, model.PARAM_NAMES, "params")
             if args.params_file else {})
     vals, warns = _gather(
-        args, PARAM_KEYS, PARAM_KEYS, "symmetry list",
+        args, model.PARAM_NAMES, model.PARAM_NAMES, "symmetry list",
         ("config", "config", (config or {}).get("params", {})),
         ("file", "params file:", file))
     missing = [k for k in ("a1", "a2", "a3", "a4", "a5") if k not in vals]
@@ -723,15 +722,8 @@ def _cmd_symmetry(args, config) -> int:
                  (*warns, *fam.warnings))
 
 
-# Xinf's heat profile kinds: the constructor and the flags it reads, in
-# its argument order; and each flag's default
-_HEAT_KINDS = {
-    "constant": (symmetry.heat_constant, ("heat_a",)),
-    "affine": (symmetry.heat_affine, ("heat_a", "heat_b")),
-    "exponential": (symmetry.heat_exponential, ("heat_a", "heat_mu")),
-    "decaying-mode": (symmetry.heat_decaying,
-                      ("heat_a", "heat_b", "heat_mu")),
-}
+# each heat flag's default: --heat-X sets the coefficient X of a heat kind
+# (`symmetry.HeatProfile.COEFFS`)
 _HEAT_DEFAULTS = {"heat_a": 0.7, "heat_b": 0.4, "heat_mu": 1.0}
 
 
@@ -741,18 +733,17 @@ def _op_from_args(args, params: model.Params) -> symmetry.SymmetryOp:
     operator reads a heat flag."""
     if args.op == "Xinf":
         hk = args.heat_kind or "decaying-mode"
-        if hk not in _HEAT_KINDS:
-            raise ConstraintError(f"unknown heat profile kind {hk!r}")
-        make, flags = _HEAT_KINDS[hk]
-        label, reads = f"heat kind {hk}", ("heat_kind", *flags)
+        names = symmetry.HeatProfile.coefficients(hk)
+        label = f"heat kind {hk}"
+        reads = ("heat_kind", *(f"heat_{n}" for n in names))
     else:  # an unknown or inadmissible operator is named first
         op = symmetry.op_for(args.op, params)
         label, reads = f"operator {args.op}", ()
     heat, _ = _gather(args, ("heat_kind", *_HEAT_DEFAULTS), reads, label)
     if args.op != "Xinf":
         return op
-    return symmetry.op_for("Xinf", params, make(
-        *(heat.get(n, _HEAT_DEFAULTS[n]) for n in flags)))
+    return symmetry.op_for("Xinf", params, symmetry.HeatProfile(hk, **{
+        n: heat.get(f"heat_{n}", _HEAT_DEFAULTS[f"heat_{n}"]) for n in names}))
 
 
 def _build_system(args, spec) -> reduction.ReducedSystem:
@@ -942,7 +933,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler="_cmd_symmetry")
     ssub = p.add_subparsers(dest="symmetry_cmd", required=True)
     pl = ssub.add_parser("list")
-    for k in PARAM_KEYS:
+    for k in model.PARAM_NAMES:
         pl.add_argument(f"--{k}", type=float, default=None)
     pl.add_argument("--params", dest="params_file", default=None,
                     help="JSON file with the eight coefficients")
@@ -1003,15 +994,15 @@ def dispatch(argv) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:  # a missing input, an --out that cannot be made
         print(f"error: {e}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as e:  # a ValueError, but the user's file
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    except (ArithmeticError, LookupError, TypeError, ValueError) as e:
+    except Exception as e:
         # bad input is raised as a ConstraintError that names it, so
-        # these are bugs in hgf
+        # anything else is a bug in hgf
         print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)
         return 3

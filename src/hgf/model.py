@@ -56,6 +56,35 @@ def kinetics(a, u, v, w, lead):
     return l1, l2, l3
 
 
+def check_coefficients(label: str, given: dict, names: tuple | None = None,
+                       divisors: tuple[str, ...] = (),
+                       exempt: tuple[str, ...] = ()) -> None:
+    """The one coefficient rule of every catalog record, one message per
+    rule: the names given are exactly `names` (when given), each value is
+    a finite real, and no coefficient named in `divisors` is zero.
+    `given` maps names to values, None meaning not given; values named in
+    `exempt` (a record, a case label) are left to their own rules.
+    `label` names the record in the ConstraintError raised."""
+    given = {k: v for k, v in given.items() if v is not None}
+    if names is not None and given.keys() != set(names):
+        missing = [k for k in names if k not in given]
+        extra = [k for k in given if k not in names]
+        raise ConstraintError(
+            f"{label} expects coefficients {tuple(names)}; "
+            f"missing {missing}, unexpected {extra}")
+    for name, v in given.items():
+        if name in exempt:
+            continue
+        # the float test first: the numbers.Real check costs more
+        if not ((type(v) is float or isinstance(v, numbers.Real))
+                and math.isfinite(v)):
+            raise ConstraintError(
+                f"{label} coefficient {name} must be finite, got {v!r}")
+        if v == 0 and name in divisors:
+            raise ConstraintError(
+                f"{label} divides by {name}, which must not be zero")
+
+
 @dataclass(frozen=True)
 class OriginalParams:
     """Dimensional coefficients of the population model.
@@ -104,6 +133,9 @@ class OriginalParams:
         return (r1, r2, r3)
 
 
+PARAM_NAMES = ("a1", "a2", "a3", "a4", "a5", "d1", "d2", "d3")
+
+
 @dataclass(frozen=True)
 class Params:
     """Nondimensional coefficients a1..a5 and diffusivities d1..d3."""
@@ -118,15 +150,7 @@ class Params:
     d3: float = 1.0
 
     def __post_init__(self):
-        for name in ("a1", "a2", "a3", "a4", "a5", "d1", "d2", "d3"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ConstraintError(
-                    f"Params requires a number for {name} "
-                    f"(got {getattr(self, name)!r})")
-            if not math.isfinite(getattr(self, name)):
-                raise ConstraintError(
-                    f"Params requires finite {name} (got {getattr(self, name)!r})"
-                )
+        check_coefficients("Params", vars(self), PARAM_NAMES)
         if self.a4 == 0:
             raise ConstraintError("Params requires a4 != 0")
         for name in ("d1", "d2", "d3"):

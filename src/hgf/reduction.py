@@ -36,7 +36,7 @@ import numpy as np
 from . import calculus, solutions
 from ._kernels import ode_rk4_table  # noqa: F401  (wrapped by perfbench)
 from .errors import ConstraintError, DomainError, NumericalError
-from .model import Params, kinetics
+from .model import Params, check_coefficients, kinetics
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,8 @@ class SystemSpec:
     fixes the independent variable.  `row_scale` maps an equation row to
     the coefficient multiplying its highest derivative (absent: 1);
     residual rows are reported in that scale.  The equations divide by
-    the coefficients named in `divisors`, which must not be zero.
+    the coefficients named in `divisors` (R58's come from Params, whose
+    diffusivities are positive).
     """
 
     sid: str
@@ -296,19 +297,14 @@ def system_spec(sid: str) -> SystemSpec:
 
 
 def reduced_system(sid: str, **coeffs) -> ReducedSystem:
-    """Build a catalog system; coefficient names are checked strictly."""
+    """Build a catalog system; its coefficients follow `check_coefficients`
+    (R58's Params record and L52's case follow their own rules)."""
     spec = system_spec(sid)
     a4_given = "a4" in coeffs  # before L52's default fills it in
     for name, value in spec.defaults.items():
         coeffs.setdefault(name, value)
-    need = spec.arguments
-    missing = [k for k in need if k not in coeffs]
-    extra = [k for k in coeffs if k not in need]
-    if missing or extra:
-        raise ConstraintError(
-            f"{spec.sid} expects coefficients {need}; missing {missing}, "
-            f"unexpected {extra}"
-        )
+    check_coefficients(sid, coeffs, spec.arguments, spec.divisors,
+                       exempt=("params", "case"))
     values = dict(coeffs)
     if spec.takes_params:
         p: Params = coeffs["params"]
@@ -329,13 +325,6 @@ def reduced_system(sid: str, **coeffs) -> ReducedSystem:
             del coeffs["a4"]  # the default, which case 51 never reads
         values["case"] = 1.0 if coeffs["case"] == "50" else 0.0
     kc = tuple(float(values[k]) for k in spec.coeffs)
-    for k, v in zip(spec.coeffs, kc):
-        if not math.isfinite(v):
-            raise ConstraintError(f"{spec.sid} coefficient {k} must be "
-                                  f"finite, got {v!r}")
-        if v == 0.0 and k in spec.divisors:
-            raise ConstraintError(f"{spec.sid} divides by {k}, which must "
-                                  "not be zero")
     return ReducedSystem(spec=spec, coeffs=dict(coeffs), kcoeffs=kc)
 
 

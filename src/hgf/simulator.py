@@ -211,9 +211,9 @@ def run(config: SimConfig) -> SimRun:
                      bc_table, snap_steps_arr, snaps)
 
     def state(idx: int, step: int) -> FieldState:
-        return FieldState(grid=grid, t=config.t0 + step * dt,
-                          u=snaps[idx, 0].copy(), v=snaps[idx, 1].copy(),
-                          w=snaps[idx, 2].copy())
+        # rows of `snaps`, not copies: each snapshot is stored once
+        u, v, w = snaps[idx]
+        return FieldState(grid=grid, t=config.t0 + step * dt, u=u, v=v, w=w)
 
     if status >= 0:
         done = [s for s in snap_steps if s < status]

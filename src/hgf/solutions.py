@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConstraintError, DomainError
-from .model import Params, Solution
+from .model import Params, Solution, check_coefficients
 
 FamilyInstance = Solution
 
@@ -364,14 +364,6 @@ class SeparableCase:
         return (U, self.cV * g, W + np.zeros_like(U))
 
 
-def _require_finite(what: str, coeffs: dict) -> None:
-    """Reject a non-finite coefficient by name; None means not given."""
-    for name, v in coeffs.items():
-        if v is not None and not math.isfinite(v):
-            raise ConstraintError(f"{what} coefficient {name} must be "
-                                  f"finite, got {v!r}")
-
-
 def _forced_a4(label: str, a4: float | None, a4_fixed: float,
                rule: str) -> float:
     """The a4 a case forces; a given a4 must match it to roundoff."""
@@ -405,13 +397,13 @@ def separable_case(case: str, a1: float, beta: float, delta1: float,
                    a3: float | None = None) -> SeparableCase:
     """Check and resolve the case wiring: (i) a3 = 1, (ii) a3 = 0 with
     a4 != 0, (iii) a4 = 1 + a1 + a3 with a3 != 0.  A given a3 or a4 that
-    the case fixes must equal the fixed value (`_q1_case`)."""
-    _require_finite(f"case {case}", dict(a1=a1, beta=beta, delta1=delta1,
-                                         delta2=delta2, a4=a4, a3=a3))
+    the case fixes must equal the fixed value (`_q1_case`).  Every case
+    divides by a1, case ii by a4 too."""
+    check_coefficients(f"case {case}", dict(a1=a1, beta=beta, delta1=delta1,
+                                            delta2=delta2, a4=a4, a3=a3),
+                       divisors=("a1", "a4") if case == "ii" else ("a1",))
     if not (delta1 > 0 and delta2 > 0):
         raise ConstraintError("separable cases need delta1 > 0 and delta2 > 0")
-    if a1 == 0.0:
-        raise ConstraintError("separable cases need a1 != 0")
     if case not in ("i", "ii", "iii"):
         raise ConstraintError(
             f"unknown separable case {case!r} (expected i, ii or iii)")
@@ -421,8 +413,6 @@ def separable_case(case: str, a1: float, beta: float, delta1: float,
         cV = (1.0 + a1) / (a1 * (1.0 + a1 * a4))
         cW = (1.0 - a4) / (1.0 + a1 * a4)
     elif case == "ii":
-        if a4 == 0.0:
-            raise ConstraintError("case ii needs a4 != 0")
         r, kappa = a4, 1.0 / a4
         cV, cW = 1.0 / a1, (1.0 - a4) * (delta1 - 1.0) / a1
     else:
@@ -506,19 +496,11 @@ class Ansatz:
 
 
 def make_ansatz(aid: str, **kw) -> Ansatz:
+    """Ansatz `aid` with the coefficients `ANSATZ_COEFFS` names; every
+    ansatz that reads a1 divides by it."""
     if aid not in ANSATZ_COEFFS:
         raise ConstraintError(f"unknown ansatz id {aid!r}")
-    need = ANSATZ_COEFFS[aid]
-    missing = [k for k in need if k not in kw]
-    extra = [k for k in kw if k not in need]
-    if missing or extra:
-        raise ConstraintError(
-            f"{aid} expects coefficients {need}; missing {missing}, "
-            f"unexpected {extra}"
-        )
-    _require_finite(aid, kw)
-    if "a1" in need and kw["a1"] == 0:
-        raise ConstraintError(f"{aid} requires a1 != 0")
+    check_coefficients(aid, kw, ANSATZ_COEFFS[aid], divisors=("a1",))
     if aid == "T2a" and 1.0 + kw["beta"] * kw["a1"] == 0.0:
         raise ConstraintError("T2a requires 1 + beta*a1 != 0 (use T2b)")
     if aid == "T2c" and kw["beta"] == 0.0:
@@ -613,12 +595,12 @@ def semi_case(case: str, *, a1: float | None = None,
     phi^2 = `_front2`(omega): 50 fixes a3 = 1, needs a4 and has
     W = (1 - a4) phi^2 / 4; 51 needs a3, forces a4 = 1 + a3 and has
     W = 1 - phi^2 / 4."""
-    _require_finite(f"semi{case}", dict(a1=a1, a4=a4, a3=a3))
-    if case in ("35-i", "35-ii", "35-iii"):
+    q1 = case in ("35-i", "35-ii", "35-iii")
+    check_coefficients(f"semi{case}", dict(a1=a1, a4=a4, a3=a3),
+                       divisors=("a1",) if q1 else ())
+    if q1:
         if a1 is None:
             raise ConstraintError(f"semi{case} needs a1")
-        if a1 == 0.0:
-            raise ConstraintError("semi35 requires a1 != 0")
         a3, a4 = _q1_case(f"semi{case}", case[3:], a1, a3, a4)
         if case == "35-i":
             q = 1.0 + a1 * a4

@@ -34,17 +34,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
 from . import calculus
 from .errors import ConstraintError
-from .model import Params, Solution
+from .model import Params, Solution, check_coefficients
 
-# coefficients each operator kind's flow reads from the coefficient set
+# coefficients each operator kind's flow reads from the coefficient set,
+# and those it divides by
 OP_COEFFS = {"Q1": ("a1",), "ExpA4WdV": ("a4",), "WdV_minus_a4WdW": ("a4",),
              "Case9Op": ("a1", "a4"), "Case10Op": ("a2",), "Xinf": ("d2",)}
+OP_DIVISORS = {"Q1": ("a1",), "WdV_minus_a4WdW": ("a4",), "Case9Op": ("a1",)}
 
 _REL_TOL = 1e-12
 
@@ -60,48 +62,60 @@ def _eq(x: float, y: float) -> bool:
 
 @dataclass(frozen=True)
 class HeatProfile:
-    """Closed-form solution of P_t = d2 P_xx (four kinds, all exact)."""
+    """Closed-form solution of P_t = d2 P_xx, exact for each kind:
+    constant a, affine a + b x, exponential a e^(mu x + d2 mu^2 t) and
+    decaying-mode e^(-d2 mu^2 t) (a cos(mu x) + b sin(mu x))."""
+
+    # each kind's coefficients, in the order its factory takes them
+    COEFFS: ClassVar[dict] = {"constant": ("a",), "affine": ("a", "b"),
+                              "exponential": ("a", "mu"),
+                              "decaying-mode": ("a", "b", "mu")}
 
     kind: str
-    c0: float = 0.0
-    c1: float = 0.0
-    amp: float = 1.0
-    b: float = 0.0
-    mu: float = 1.0
+    a: float | None = None
+    b: float | None = None
+    mu: float | None = None
+
+    @classmethod
+    def coefficients(cls, kind: str) -> tuple[str, ...]:
+        """The coefficients heat kind `kind` reads."""
+        if kind not in cls.COEFFS:
+            raise ConstraintError(f"unknown heat profile kind {kind!r}")
+        return cls.COEFFS[kind]
 
     def __post_init__(self):
-        if self.kind not in ("constant", "affine", "exponential",
-                             "decaying-mode"):
-            raise ConstraintError(f"unknown heat profile kind {self.kind!r}")
+        check_coefficients(f"heat kind {self.kind}",
+                           dict(a=self.a, b=self.b, mu=self.mu),
+                           self.coefficients(self.kind))
 
     def __call__(self, t, x, d2: float):
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         if self.kind == "constant":
-            return self.c0 + np.zeros(np.broadcast(t, x).shape)
+            return self.a + np.zeros(np.broadcast(t, x).shape)
         if self.kind == "affine":
-            return self.c0 + self.c1 * x + 0.0 * t
+            return self.a + self.b * x + 0.0 * t
         if self.kind == "exponential":
-            return self.amp * np.exp(self.mu * x + d2 * self.mu**2 * t)
+            return self.a * np.exp(self.mu * x + d2 * self.mu**2 * t)
         return np.exp(-d2 * self.mu**2 * t) * (
-            self.amp * np.cos(self.mu * x) + self.b * np.sin(self.mu * x)
+            self.a * np.cos(self.mu * x) + self.b * np.sin(self.mu * x)
         )
 
 
 def heat_constant(c0: float = 1.0) -> HeatProfile:
-    return HeatProfile(kind="constant", c0=c0)
+    return HeatProfile("constant", c0)
 
 
 def heat_affine(c0: float, c1: float) -> HeatProfile:
-    return HeatProfile(kind="affine", c0=c0, c1=c1)
+    return HeatProfile("affine", c0, c1)
 
 
 def heat_exponential(amp: float, mu: float) -> HeatProfile:
-    return HeatProfile(kind="exponential", amp=amp, mu=mu)
+    return HeatProfile("exponential", amp, mu=mu)
 
 
 def heat_decaying(amp: float, b: float, mu: float) -> HeatProfile:
-    return HeatProfile(kind="decaying-mode", amp=amp, b=b, mu=mu)
+    return HeatProfile("decaying-mode", amp, b, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +137,12 @@ class SymmetryOp:
     def __post_init__(self):
         if self.kind not in OP_KINDS:
             raise ConstraintError(f"unknown operator kind {self.kind!r}")
-        for name in OP_COEFFS.get(self.kind, ()):
-            if getattr(self, name) is None:
-                raise ConstraintError(f"{self.kind} needs coefficient {name}")
+        check_coefficients(self.kind, dict(a1=self.a1, a2=self.a2,
+                                           a4=self.a4, d2=self.d2),
+                           OP_COEFFS.get(self.kind, ()),
+                           OP_DIVISORS.get(self.kind, ()))
         if self.kind == "Xinf" and self.profile is None:
             object.__setattr__(self, "profile", heat_constant(1.0))
-        if self.kind in ("Q1", "Case9Op") and self.a1 == 0:
-            raise ConstraintError(f"{self.kind} needs a1 != 0")
 
     # -- pointwise action ---------------------------------------------------
 

@@ -428,16 +428,19 @@ def test_flag_overrides_file_with_warning(tmp_path, capsys, monkeypatch,
 
 def test_validate_report_without_jsonschema(monkeypatch):
     # the structural fallback is the only check on an install without
-    # the test extra
+    # the test extra; a bad report is a bug in hgf, so its error is a
+    # plain ValueError, not the ConstraintError of bad input
     monkeypatch.setitem(sys.modules, "jsonschema", None)
     good = {"command": "x", "inputs": {}, "results": {}, "warnings": [],
             "residual": {"linf": [1.0], "l2": [None]}}
     cli.validate_report(good)
     missing = {k: v for k, v in good.items() if k != "warnings"}
-    with pytest.raises(ConstraintError, match=r"missing keys \['warnings'\]"):
+    with pytest.raises(ValueError, match=r"missing keys \['warnings'\]") as e:
         cli.validate_report(missing)
-    with pytest.raises(ConstraintError, match=r"unknown keys \['extra'\]"):
+    assert e.type is ValueError
+    with pytest.raises(ValueError, match=r"unknown keys \['extra'\]") as e:
         cli.validate_report({**good, "extra": 1})
+    assert e.type is ValueError
 
 
 def test_report_schema_passes_its_metaschema():
@@ -1054,6 +1057,49 @@ def test_program_bug_exits_3_with_traceback(monkeypatch, capsys, exc):
     assert "in broken" in err
 
 
+@pytest.mark.parametrize("validator", ["jsonschema", "fallback"])
+def test_report_failing_its_schema_exits_3_with_traceback(monkeypatch, capsys,
+                                                         validator):
+    # a report is hgf's own output: failing its schema is a bug, not bad
+    # input.  jsonschema's ValidationError escaped dispatch, and the
+    # fallback's error exited 1
+    if validator == "fallback":
+        monkeypatch.setitem(sys.modules, "jsonschema", None)
+
+    def broken(args, config):
+        return cli._emit("catalog", None, {}, {}, bogus={})
+
+    monkeypatch.setattr(cli, "_cmd_catalog", broken)
+    code, out, err = run_cli(["catalog"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: ")
+    assert "Traceback (most recent call last)" in err
+    assert "in broken" in err
+
+
+def test_out_that_is_a_directory_exits_1(tmp_path, monkeypatch, capsys):
+    # an IsADirectoryError escaped dispatch with a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    code, out, err = run_cli(["residual", "--family", "fisher", "--window",
+                              "-2", "2", "--h", "0.1", "--out", "adir"],
+                             capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: [Errno 21] Is a directory: 'adir'\n"
+
+
+def test_simulate_out_that_is_a_file_exits_1(tmp_path, monkeypatch, capsys):
+    # a FileExistsError escaped dispatch with a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps(_FISHER_RUN))
+    (tmp_path / "afile").write_text("kept\n")
+    code, out, err = run_cli(["simulate", "--config", "cfg.json", "--out",
+                              "afile", "--quiet"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: [Errno 17] File exists: 'afile'\n"
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
 def test_malformed_json_config_exits_1(tmp_path, capsys):
     # json.JSONDecodeError is a ValueError, but the file is the user's
     cfg_path = tmp_path / "cfg.json"
@@ -1083,7 +1129,7 @@ _FISHER_RUN = {"family": {"key": "fisher"},
      "config bc kind neumann-zero does not take keys ['left', 'right']"),
     ("params", {"a1": 1.0}, "config params needs"),
     ("params", {"a1": "x", "a2": 1, "a3": 1, "a4": 1, "a5": 1},
-     "a number for a1"),
+     "Params coefficient a1 must be finite, got 'x'"),
 ], ids=["grid-n", "time-t_end", "bc-no-right", "bc-scalar", "bc-short",
         "bc-neumann-left-right", "params-partial", "params-string"])
 def test_config_mistakes_are_user_errors(tmp_path, capsys, block, value,

@@ -1,7 +1,11 @@
+import functools
+import math
+import re
+
 import numpy as np
 import pytest
 
-from hgf import calculus, model, solutions
+from hgf import calculus, model, reduction, solutions, symmetry
 from hgf.errors import ConstraintError
 from hgf.model import OriginalParams, Params
 
@@ -66,8 +70,87 @@ def test_params_validation():
 def test_params_rejects_non_finite(name, bad):
     kw = dict(a1=1.0, a2=1.0, a3=1.0, a4=1.0, a5=1.0)
     kw[name] = bad
-    with pytest.raises(ConstraintError, match=f"finite {name}"):
+    message = f"Params coefficient {name} must be finite, got {bad!r}"
+    with pytest.raises(ConstraintError, match=f"^{re.escape(message)}$"):
         Params(**kw)
+
+
+# a valid value of every coefficient name the records below read
+_SAMPLE = dict(alpha=1.2, beta=0.3, gamma=0.1, a1=0.5, a2=2.0, a3=1.0,
+               a4=0.7, a5=0.35, d=1.0, d1=1.0, d2=1.5, d3=2.0, kappa1=0.3,
+               kappa2=1.0, a=0.7, b=0.4, mu=1.0)
+
+
+def _coefficient_records():
+    """(label, build, base, reads, divisors, unread) of every record that
+    `check_coefficients` guards, generated from the record tables: build
+    (**base) makes the record, `reads` is the name tuple its messages
+    list, and `unread` is a coefficient it does not read (None: its
+    constructor takes no other keyword)."""
+    for sid, spec in reduction.SYSTEMS.items():
+        base = {n: _SAMPLE.get(n) for n in spec.arguments}
+        if spec.takes_params:
+            base["params"] = Params(0.5, 2.0, 1.0, 0.7, 0.35, d2=1.5)
+        if "case" in base:
+            base["case"] = "50"
+        yield pytest.param(
+            sid, functools.partial(reduction.reduced_system, sid), base,
+            spec.arguments, spec.divisors, "a5", id=f"system-{sid}")
+    for aid, names in solutions.ANSATZ_COEFFS.items():
+        # every ansatz that reads a1 divides by it
+        yield pytest.param(
+            aid, functools.partial(solutions.make_ansatz, aid),
+            {n: _SAMPLE[n] for n in names}, names, ("a1",), "a5",
+            id=f"ansatz-{aid}")
+    fields = ("a1", "a2", "a4", "d2")
+    for kind in symmetry.OP_KINDS:
+        names = symmetry.OP_COEFFS.get(kind, ())
+        yield pytest.param(
+            kind, functools.partial(symmetry.SymmetryOp, kind),
+            {n: _SAMPLE[n] for n in names}, names,
+            symmetry.OP_DIVISORS.get(kind, ()),
+            next(n for n in fields if n not in names), id=f"op-{kind}")
+    for kind, names in symmetry.HeatProfile.COEFFS.items():
+        yield pytest.param(
+            f"heat kind {kind}", functools.partial(symmetry.HeatProfile, kind),
+            {n: _SAMPLE[n] for n in names}, names, (),
+            next((n for n in ("a", "b", "mu") if n not in names), None),
+            id=f"heat-{kind}")
+    yield pytest.param("Params", Params,
+                       {n: _SAMPLE[n] for n in model.PARAM_NAMES},
+                       model.PARAM_NAMES, (), None, id="Params")
+
+
+@pytest.mark.parametrize("label,build,base,reads,divisors,unread",
+                         list(_coefficient_records()))
+def test_every_record_follows_the_coefficient_rule(label, build, base, reads,
+                                                   divisors, unread):
+    # one rule, one message each: a coefficient is a finite real, a
+    # divisor is not zero, and the names are exactly those the record
+    # reads (None means not given)
+    def refused(message, **kw):
+        with pytest.raises(ConstraintError,
+                           match=f"^{re.escape(message)}$"):
+            build(**{**base, **kw})
+
+    build(**base)
+    for name, value in base.items():
+        if not isinstance(value, float):
+            continue  # R58's Params record, L52's case label
+        for bad in (math.nan, math.inf, -math.inf, str(value)):
+            refused(f"{label} coefficient {name} must be finite, got "
+                    f"{bad!r}", **{name: bad})
+        if name in divisors:
+            refused(f"{label} divides by {name}, which must not be zero",
+                    **{name: 0.0})
+        refused(f"{label} expects coefficients {reads}; missing "
+                f"[{name!r}], unexpected []", **{name: None})
+    if unread is None:
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            build(**base, zeta=1.0)
+    else:
+        refused(f"{label} expects coefficients {reads}; missing [], "
+                f"unexpected [{unread!r}]", **{unread: 0.5})
 
 
 def test_with_unit_d1():

@@ -54,6 +54,14 @@ def test_reduced_system_coefficient_checking():
             "R58", alpha=1.0, params=Params(1, 1, 1, 1, 1, d1=2.0))
 
 
+def test_reduced_system_refuses_a_string_coefficient():
+    # the string used to be kept in `coeffs`, and make_ansatz raised a raw
+    # TypeError on it
+    with pytest.raises(ConstraintError, match=r"^R38 coefficient beta must "
+                                              r"be finite, got '0\.3'$"):
+        reduction.reduced_system("R38", beta="0.3", a1=0.5, a3=1.0, a4=0.7)
+
+
 @pytest.mark.parametrize("sid,name", [("R35", "d"), ("R47", "d"),
                                       ("T2b", "a1")])
 def test_zero_divisor_rejected_by_name(sid, name):

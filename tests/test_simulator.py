@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +30,26 @@ def test_default_step_rule():
     assert run.steps == 876
     assert run.dt == pytest.approx(0.5 / 876, rel=1e-12)
     assert run.dt * 4.3793 / (2.0 * grid.h ** 2) <= 0.5
+
+
+def test_run_stores_each_snapshot_once():
+    # the snapshots' FieldState rows are views of the array the kernel
+    # fills; per-row copies held every value twice until run returned
+    fam = solutions.fisher_tf()
+    grid = SpaceGrid(-20.0, 20.0, 501)
+    cfg = simulator.SimConfig(params=fam.params, grid=grid, t_end=0.5,
+                              initial=fam, snapshot_every=1)
+    simulator.run(cfg)  # first-call costs (kernel compilation) not counted
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run = simulator.run(cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    snapshot_bytes = len(run.snapshots) * 3 * grid.n * 8
+    assert len(run.snapshots) == 314
+    assert peak <= 1.25 * snapshot_bytes
 
 
 def test_one_cell_spike_stays_nonnegative():

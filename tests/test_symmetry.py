@@ -179,6 +179,18 @@ def test_heat_profile_kind_is_checked_at_construction():
         symmetry.HeatProfile("periodic")
 
 
+@pytest.mark.parametrize("kw,message", [
+    (dict(kind="exponential", a=math.nan, mu=1.0),
+     "heat kind exponential coefficient a must be finite, got nan"),
+    (dict(kind="affine", a=1.0, b=0.0, mu=5.0),
+     "heat kind affine expects coefficients ('a', 'b'); missing [], "
+     "unexpected ['mu']"),
+], ids=["nan", "unread"])
+def test_heat_profile_coefficients_follow_the_rule(kw, message):
+    with pytest.raises(ConstraintError, match=f"^{re.escape(message)}$"):
+        symmetry.HeatProfile(**kw)
+
+
 def test_inadmissible_pairing_rejected():
     tf65 = solutions.make_tf65(1.0)  # a1 = 0 coefficient set
     op = symmetry.SymmetryOp("Q1", a1=0.5)
@@ -237,11 +249,20 @@ def test_px_flow_is_the_shifted_solution(tf63_std, rng):
 
 @pytest.mark.parametrize("kw,message", [
     (dict(kind="Pz"), "unknown operator kind 'Pz'"),
-    (dict(kind="ExpA4WdV"), "ExpA4WdV needs coefficient a4"),
-    (dict(kind="Q1", a1=0.0), "Q1 needs a1 != 0"),
-    (dict(kind="Case9Op", a1=0.0, a4=0.8), "Case9Op needs a1 != 0"),
+    (dict(kind="ExpA4WdV"),
+     "ExpA4WdV expects coefficients ('a4',); missing ['a4'], unexpected []"),
+    (dict(kind="Q1", a1=0.0), "Q1 divides by a1, which must not be zero"),
+    (dict(kind="Case9Op", a1=0.0, a4=0.8),
+     "Case9Op divides by a1, which must not be zero"),
+    # accepted before: a NaN Q1 flow, a 0/0 flow, a coefficient unread
+    (dict(kind="Q1", a1=math.nan), "Q1 coefficient a1 must be finite, got nan"),
+    (dict(kind="WdV_minus_a4WdW", a4=0.0),
+     "WdV_minus_a4WdW divides by a4, which must not be zero"),
+    (dict(kind="UdV", a1=0.5),
+     "UdV expects coefficients (); missing [], unexpected ['a1']"),
 ], ids=["unknown-kind", "missing-coefficient", "Q1-a1-zero",
-        "Case9Op-a1-zero"])
+        "Case9Op-a1-zero", "Q1-a1-nan", "WdV_minus_a4WdW-a4-zero",
+        "UdV-a1-unread"])
 def test_symmetry_op_construction_errors(kw, message):
     with pytest.raises(ConstraintError, match=f"^{re.escape(message)}$"):
         symmetry.SymmetryOp(**kw)

@@ -308,6 +308,20 @@ CASES = [
       for run in ("bad-cell", "short-row")]),
     ("error-missing-file", {},
      [["speed", "--run", "nowhere", "--component", "u", "--level", "0.5"]]),
+    # an --out that cannot be written: a directory where a report goes, a
+    # file where a run directory goes
+    # a coefficient that is not a number, refused by the coefficient rule
+    ("error-config-params-string",
+     {"cfg.json": _config(FISHER, params={"a1": "x", "a2": 1, "a3": 1,
+                                          "a4": 1, "a5": 1})},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"]]),
+    ("error-out-is-directory", {"adir/kept.txt": "kept\n"},
+     [["residual", "--family", "fisher", "--window", "-2", "2", "--h", "0.1",
+       "--out", "adir"]]),
+    ("error-out-is-file",
+     {"cfg.json": _config(FISHER, grid=(-10.0, 10.0, 51), t_end=0.1),
+      "afile": "kept\n"},
+     [["simulate", "--config", "cfg.json", "--out", "afile", "--quiet"]]),
     ("error-failed-run-leaves-no-directory",
      {"huge.json": _config(FISHER, t_end=1e300),
       "blow-up.json": _config(FISHER, grid=(-10.0, 10.0, 51), t_end=0.5,
