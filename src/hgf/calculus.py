@@ -26,6 +26,7 @@ import numpy as np
 
 from ._kernels import thread_cap  # noqa: F401  (read by perfbench)
 from .errors import ConstraintError, NumericalError
+from .model import finite_real
 
 _COMPONENT_INDEX = {"u": 0, "v": 1, "w": 2}
 
@@ -45,7 +46,8 @@ class SpaceGrid:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, numbers.Integral) or self.n < 5:
+        if (type(self.n) is bool or not isinstance(self.n, numbers.Integral)
+                or self.n < 5):
             raise ConstraintError(
                 f"SpaceGrid n must be an integer >= 5 (central stencils), "
                 f"got {self.n!r}")
@@ -53,17 +55,14 @@ class SpaceGrid:
             raise ConstraintError(f"SpaceGrid n = {self.n:,} is above the "
                                   f"limit of {MAX_NODES:,} nodes")
         for name in ("x_min", "x_max"):
-            if not isinstance(getattr(self, name), numbers.Real):
+            if not finite_real(getattr(self, name)):
                 raise ConstraintError(
-                    f"SpaceGrid {name} must be a number, got "
+                    f"SpaceGrid {name} must be a finite number, got "
                     f"{getattr(self, name)!r}")
-        if not all(map(math.isfinite,
-                       (self.x_min, self.x_max, self.x_max - self.x_min))):
+        if not 0.0 < self.x_max - self.x_min < math.inf:
             raise ConstraintError(
-                f"SpaceGrid requires finite x_min, x_max and x_max - x_min "
-                f"(got {self.x_min!r}, {self.x_max!r})")
-        if not self.x_max > self.x_min:
-            raise ConstraintError("SpaceGrid requires x_max > x_min")
+                f"SpaceGrid requires x_max > x_min by a finite width, got "
+                f"{self.x_min!r}, {self.x_max!r}")
 
     @property
     def h(self) -> float:

@@ -1,9 +1,11 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ConstraintError -> 1 (bad inputs or a
-violated admissibility condition), NumericalError -> 2 (a computation that
-started but could not finish: blow-up, step-size underflow, missing level
-crossing).
+violated admissibility condition), OSError -> 1 (a file that cannot be
+read or written), NumericalError -> 2 (a computation that started but
+could not finish: blow-up, step-size underflow, missing level crossing),
+and any other exception -> 3 (an internal error: a bug in hgf, reported
+with its traceback).
 """
 
 

@@ -56,12 +56,22 @@ def kinetics(a, u, v, w, lead):
     return l1, l2, l3
 
 
+def finite_real(v) -> bool:
+    """Is `v` a finite real number?  A bool is not one, though Python
+    counts it an int, and neither is a string or None."""
+    # the float test first: the numbers.Real check costs more
+    return ((type(v) is float
+             or (isinstance(v, numbers.Real) and type(v) is not bool))
+            and math.isfinite(v))
+
+
 def check_coefficients(label: str, given: dict, names: tuple | None = None,
                        divisors: tuple[str, ...] = (),
                        exempt: tuple[str, ...] = ()) -> None:
     """The one coefficient rule of every catalog record, one message per
     rule: the names given are exactly `names` (when given), each value is
-    a finite real, and no coefficient named in `divisors` is zero.
+    a finite real (`finite_real`), and no coefficient named in `divisors`
+    is zero.
     `given` maps names to values, None meaning not given; values named in
     `exempt` (a record, a case label) are left to their own rules.
     `label` names the record in the ConstraintError raised."""
@@ -75,9 +85,7 @@ def check_coefficients(label: str, given: dict, names: tuple | None = None,
     for name, v in given.items():
         if name in exempt:
             continue
-        # the float test first: the numbers.Real check costs more
-        if not ((type(v) is float or isinstance(v, numbers.Real))
-                and math.isfinite(v)):
+        if not finite_real(v):
             raise ConstraintError(
                 f"{label} coefficient {name} must be finite, got {v!r}")
         if v == 0 and name in divisors:
@@ -107,18 +115,13 @@ class OriginalParams:
     e2: float
 
     def __post_init__(self):
-        for name in ("d_f", "d_c", "d_h", "K", "L", "e1", "r_f"):
-            if not getattr(self, name) > 0:
-                raise ConstraintError(
-                    f"OriginalParams requires {name} > 0 "
-                    f"(got {name} = {getattr(self, name)!r})"
-                )
-        for name in ("e2", "r_c", "r_h"):
-            if getattr(self, name) < 0:
-                raise ConstraintError(
-                    f"OriginalParams requires {name} >= 0 "
-                    f"(got {name} = {getattr(self, name)!r})"
-                )
+        check_coefficients("OriginalParams", vars(self), tuple(vars(self)))
+        for name, v in vars(self).items():
+            # e2, r_c and r_h may vanish, every other coefficient is positive
+            sign = ">=" if name in ("e2", "r_c", "r_h") else ">"
+            if v < 0 or (v == 0 and sign == ">"):
+                raise ConstraintError(f"OriginalParams requires {name} {sign} "
+                                      f"0 (got {name} = {v!r})")
 
     @property
     def diffusivities(self) -> tuple[float, float, float]:

@@ -673,7 +673,7 @@ _CHECK_H = 2e-3
 
 def semi_exact_family(case: str, *, a1: float | None = None,
                       a4: float | None = None, a3: float | None = None,
-                      beta: float = 0.0, gamma: float = 0.0,
+                      beta: float = 0.0, gamma: float | None = None,
                       window=(-25.0, 25.0), step: float = 5e-3,
                       y0=(1.0, 0.0), anchor: float | None = None):
     """Integrate the free profile of a semi-exact family (case wiring and
@@ -686,7 +686,12 @@ def semi_exact_family(case: str, *, a1: float | None = None,
     check against its linear ODE (wrong coefficients, wrong case) is
     rejected instead of producing a silently wrong family.  The family's
     meta records the table's domain, its one window, as "profile_window".
+    The window, step, y0 and anchor follow the coefficient rule under the
+    names of the CLI's profile flags.
     """
+    check_coefficients(f"semi{case}", dict(
+        profile_lo=window[0], profile_hi=window[1], profile_step=step,
+        anchor=anchor, **dict(zip(("y0", "dy0"), y0))))
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ConstraintError(f"profile window must have lo < hi, got "

@@ -27,14 +27,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
 from ._kernels import FINITE_CHECK_EVERY, mol_run
 from .calculus import FieldState, SpaceGrid
 from .errors import ConstraintError, NumericalError
-from .model import Params, Solution
+from .model import Params, Solution, finite_real
 
 # a front-speed fit with r^2 below this is flagged unreliable
 R2_RELIABLE = 0.999
@@ -50,7 +50,12 @@ MAX_STORED = 50_000_000
 @dataclass(frozen=True)
 class BoundaryCondition:
     """Boundary handling: "dirichlet" (left/right triples), "neumann-zero",
-    or "pinned-to-exact" (family evaluator supplies the boundary values)."""
+    or "pinned-to-exact" (family evaluator supplies the boundary values).
+    Each kind takes only the fields `READS` names for it."""
+
+    READS: ClassVar[dict] = {"dirichlet": ("left", "right"),
+                             "neumann-zero": (),
+                             "pinned-to-exact": ("family",)}
 
     kind: str
     left: tuple[float, float, float] | None = None
@@ -58,23 +63,30 @@ class BoundaryCondition:
     family: Solution | None = None
 
     def __post_init__(self):
-        if self.kind == "dirichlet":
-            if self.left is None or self.right is None:
-                raise ConstraintError("dirichlet bc needs left and right triples")
-        elif self.kind == "pinned-to-exact":
-            if self.family is None:
-                raise ConstraintError("pinned-to-exact bc needs a family")
-        elif self.kind != "neumann-zero":
+        if self.kind not in self.READS:
             raise ConstraintError(f"unknown bc kind {self.kind!r}")
+        reads = self.READS[self.kind]
+        unread = [f for f in ("left", "right", "family")
+                  if f not in reads and getattr(self, f) is not None]
+        if unread:
+            raise ConstraintError(
+                f"{self.kind} bc does not take {', '.join(unread)}")
+        if self.kind == "pinned-to-exact" and self.family is None:
+            raise ConstraintError("pinned-to-exact bc needs a family")
+        for side in reads if self.kind == "dirichlet" else ():
+            v = getattr(self, side)
+            if not (isinstance(v, (tuple, list, np.ndarray)) and len(v) == 3
+                    and all(map(finite_real, v))):
+                raise ConstraintError(
+                    f"dirichlet bc {side} must be 3 finite numbers, got {v!r}")
+            object.__setattr__(self, side, tuple(v))
 
 
 def dirichlet_at_endpoints(family) -> BoundaryCondition:
     """Dirichlet values pinned to a front family's asymptotic states."""
     if family.endpoint_states is None:
         raise ConstraintError("family has no endpoint states")
-    left, right = family.endpoint_states
-    return BoundaryCondition(kind="dirichlet", left=tuple(left),
-                             right=tuple(right))
+    return BoundaryCondition("dirichlet", *family.endpoint_states)
 
 
 @dataclass(frozen=True)
@@ -90,17 +102,16 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("t0", "t_end"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ConstraintError(
-                    f"{name} must be a number, got {getattr(self, name)!r}")
-        if not all(map(math.isfinite,
-                       (self.t0, self.t_end, self.t_end - self.t0))):
-            raise ConstraintError(
-                f"t0, t_end and t_end - t0 must be finite "
-                f"(got {self.t0!r}, {self.t_end!r})")
+            if not finite_real(getattr(self, name)):
+                raise ConstraintError(f"{name} must be a finite number, got "
+                                      f"{getattr(self, name)!r}")
+        if not math.isfinite(self.t_end - self.t0):
+            raise ConstraintError(f"t_end - t0 must be finite "
+                                  f"(got {self.t0!r}, {self.t_end!r})")
         if not self.t_end > self.t0:
             raise ConstraintError("t_end must exceed t0")
         if not (isinstance(self.snapshot_every, numbers.Integral)
+                and type(self.snapshot_every) is not bool
                 and self.snapshot_every >= 1):
             raise ConstraintError(
                 f"snapshot_every must be an integer >= 1, got "
@@ -109,7 +120,6 @@ class SimConfig:
 
 @dataclass
 class SimRun:
-    config: SimConfig
     dt: float
     steps: int
     snapshots: list[FieldState]
@@ -219,7 +229,7 @@ def run(config: SimConfig) -> SimRun:
         done = [s for s in snap_steps if s < status]
         good = [state(0, 0)]
         good.extend(state(j + 1, s) for j, s in enumerate(done))
-        partial = SimRun(config=config, dt=dt, steps=status, snapshots=good,
+        partial = SimRun(dt=dt, steps=status, snapshots=good,
                          rhs_evaluations=status + 1, aborted_at=status)
         # the last step at which the kernel found the state finite
         clean = max((status - 1) // FINITE_CHECK_EVERY * FINITE_CHECK_EVERY,
@@ -234,7 +244,7 @@ def run(config: SimConfig) -> SimRun:
 
     snapshots = [state(0, 0)]
     snapshots.extend(state(j + 1, s) for j, s in enumerate(snap_steps))
-    return SimRun(config=config, dt=dt, steps=nsteps, snapshots=snapshots,
+    return SimRun(dt=dt, steps=nsteps, snapshots=snapshots,
                   rhs_evaluations=nsteps + 1)
 
 

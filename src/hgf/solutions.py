@@ -1,10 +1,9 @@
 """Catalog of closed-form and semi-closed-form exact solutions.
 
-Every builder returns a `FamilyInstance` (alias of `hgf.model.Solution`):
-an immutable record bundling the evaluator, the coefficient set of the
-system the family solves, its validity constraints, wave speed and
-asymptotic endpoints.  The families (`hgf.cli.FAMILIES` lists them under
-these keys):
+Every builder returns a `hgf.model.Solution`: an immutable record
+bundling the evaluator, the coefficient set of the system the family
+solves, its validity constraints, wave speed and asymptotic endpoints.
+The families (`hgf.cli.FAMILIES` lists them under these keys):
 
     fisher      scalar traveling front of the logistic equation (u only)
     fam40-*     three-parameter separable families, cases i / ii / iii
@@ -36,8 +35,6 @@ import numpy as np
 
 from .errors import ConstraintError, DomainError
 from .model import Params, Solution, check_coefficients
-
-FamilyInstance = Solution
 
 SQRT6 = math.sqrt(6.0)
 FISHER_SPEED = 5.0 / SQRT6
@@ -87,7 +84,7 @@ def _fisher_u(t, x):
                            - FISHER_SPEED * np.asarray(t, dtype=float))
 
 
-def fisher_tf() -> FamilyInstance:
+def fisher_tf() -> Solution:
     """Front u = (1/4)(1 - tanh(omega/(2 sqrt 6)))^2 at speed 5/sqrt(6).
 
     Defines the u component only; v and w are left undefined (treated as
@@ -97,7 +94,7 @@ def fisher_tf() -> FamilyInstance:
     def evaluate(t, x):
         return (_fisher_u(t, x), None, None)
 
-    return FamilyInstance(
+    return Solution(
         evaluate=evaluate,
         params=_FISHER_PARAMS,
         components=("u",),
@@ -108,7 +105,7 @@ def fisher_tf() -> FamilyInstance:
     )
 
 
-def embed_fisher(params: Params | None = None) -> FamilyInstance:
+def embed_fisher(params: Params | None = None) -> Solution:
     """The logistic front embedded as (u, 0, 0) in the full system.
 
     Valid for any coefficient set with d1 = 1: both remaining equations are
@@ -123,7 +120,7 @@ def embed_fisher(params: Params | None = None) -> FamilyInstance:
         z = np.zeros_like(u)
         return (u, z, z.copy())
 
-    return FamilyInstance(
+    return Solution(
         evaluate=evaluate,
         params=p,
         speed=FISHER_SPEED,
@@ -151,6 +148,8 @@ def tf63_parameter_values(a1: float, delta: float, a3: float, d3: float) -> dict
 
     with d = delta.
     """
+    check_coefficients("tf63", dict(a1=a1, delta=delta, a3=a3, d3=d3),
+                       ("a1", "delta", "a3", "d3"))
     if not delta > 0:
         raise ConstraintError("tf63 requires delta > 0 (v would be negative)")
     ad = a1 * delta
@@ -199,7 +198,7 @@ def _tf63_advisory_bounds(a1: float, delta: float, a3: float, d3: float) -> dict
 
 
 def make_tf63(a1: float, delta: float, a3: float = 1.0,
-              d3: float = 3.0) -> FamilyInstance:
+              d3: float = 3.0) -> Solution:
     """One-parameter front family connecting (1-2*a1*delta, 2*delta, 0)
     to (0, 0, 1).
 
@@ -213,15 +212,8 @@ def make_tf63(a1: float, delta: float, a3: float = 1.0,
         raise ConstraintError(
             f"tf63: derived d2 = {vals['d2']} is not positive"
         )
-    warnings = []
-    if vals["a2"] < 0:
-        warnings.append(
-            f"derived a2 = {vals['a2']} < 0: solution exact, biology invalid"
-        )
-    if vals["a5"] < 0:
-        warnings.append(
-            f"derived a5 = {vals['a5']} < 0: solution exact, biology invalid"
-        )
+    warnings = [f"derived {k} = {vals[k]} < 0: solution exact, biology "
+                f"invalid" for k in ("a2", "a5") if vals[k] < 0]
     advisory = _tf63_advisory_bounds(a1, delta, a3, d3)
     direct_ok = vals["a2"] >= 0 and vals["a5"] >= 0
     printed_ok = bool(advisory["a3_ok_printed"] and advisory["d3_ok_printed"])
@@ -246,7 +238,7 @@ def make_tf63(a1: float, delta: float, a3: float = 1.0,
         return (u, v, w)
 
     left = (1.0 - 2.0 * a1 * delta, 2.0 * delta, 0.0)
-    return FamilyInstance(
+    return Solution(
         evaluate=evaluate,
         params=p,
         speed=alpha,
@@ -263,7 +255,7 @@ def make_tf63(a1: float, delta: float, a3: float = 1.0,
 # ---------------------------------------------------------------------------
 
 
-def make_tf65(d: float) -> FamilyInstance:
+def make_tf65(d: float) -> Solution:
     """Front family of the a1 = 0 system
 
         u_t = u_xx + u(1-u)
@@ -274,6 +266,7 @@ def make_tf65(d: float) -> FamilyInstance:
     the origin.  Admissible for 0 < d <= 5/3; d = 5/3 collapses v and w to
     zero and leaves the scalar logistic front.
     """
+    check_coefficients("tf65", dict(d=d), ("d",))
     if not (0.0 < d <= 5.0 / 3.0):
         raise ConstraintError("tf65 requires 0 < d <= 5/3")
     amp = (3.0 * d - 5.0) / (3.0 * (d - 5.0))
@@ -291,7 +284,7 @@ def make_tf65(d: float) -> FamilyInstance:
         w = 1.5 * amp * (1.0 - T**2)
         return (u, v, w)
 
-    return FamilyInstance(
+    return Solution(
         evaluate=evaluate,
         params=p,
         speed=alpha,
@@ -425,7 +418,7 @@ def separable_case(case: str, a1: float, beta: float, delta1: float,
 
 def make_fam40(case: str, a1: float, a4: float | None, beta: float,
                delta1: float, delta2: float, a3: float | None = None,
-               d3: float = 1.0) -> FamilyInstance:
+               d3: float = 1.0) -> Solution:
     """Separable family u = e^(-beta a1 x) * U(t), v = V(t) - u/a1, w = W(t),
     with (U, V, W) the closed solution of R38 (`SeparableCase.closed`).
 
@@ -451,7 +444,7 @@ def make_fam40(case: str, a1: float, a4: float | None, beta: float,
             u = u_amp * decay
             return (u, sc.cV - (u_amp / a1) * decay, sc.cW + np.zeros_like(u))
 
-    return FamilyInstance(
+    return Solution(
         evaluate=evaluate,
         params=p,
         t_limit=t_limit,
@@ -583,7 +576,7 @@ def _front2(om, q=1.0):
 
 def semi_case(case: str, *, a1: float | None = None,
               a4: float | None = None, a3: float | None = None,
-              beta: float = 0.0, gamma: float = 0.0) -> dict:
+              beta: float = 0.0, gamma: float | None = None) -> dict:
     """One semi-exact case, resolved: its free profile ("free") solves the
     linear equation "system" (an `hgf.reduction` id) with the coefficients
     "coeffs", and the family composes it with the "closed" profiles
@@ -594,9 +587,13 @@ def semi_case(case: str, *, a1: float | None = None,
     free V of L52, ansatz A44, the logistic U and a closed W of
     phi^2 = `_front2`(omega): 50 fixes a3 = 1, needs a4 and has
     W = (1 - a4) phi^2 / 4; 51 needs a3, forces a4 = 1 + a3 and has
-    W = 1 - phi^2 / 4."""
+    W = 1 - phi^2 / 4.  Only 50/51 read gamma, 0 if not given."""
     q1 = case in ("35-i", "35-ii", "35-iii")
-    check_coefficients(f"semi{case}", dict(a1=a1, a4=a4, a3=a3),
+    if q1 and gamma is not None:
+        raise ConstraintError(f"semi{case} does not take gamma "
+                              f"(only semi50 and semi51 read it)")
+    check_coefficients(f"semi{case}", dict(a1=a1, a4=a4, a3=a3, beta=beta,
+                                           gamma=gamma),
                        divisors=("a1",) if q1 else ())
     if q1:
         if a1 is None:
@@ -634,6 +631,7 @@ def semi_case(case: str, *, a1: float | None = None,
         raise ConstraintError(f"unknown semi-exact case {case!r}")
     if a1 is not None and a1 != 0.0:
         raise ConstraintError(f"semi{case} fixes a1 = 0, got {a1}")
+    gamma = 0.0 if gamma is None else gamma
     if case == "50":
         if a3 is not None and a3 != 1.0:
             raise ConstraintError(f"semi50 fixes a3 = 1, got {a3}")
@@ -660,7 +658,7 @@ def semi_case(case: str, *, a1: float | None = None,
 
 def make_semi_exact(case: str, profile: Callable, *, a1: float | None = None,
                     a4: float | None = None, a3: float | None = None,
-                    beta: float = 0.0, gamma: float = 0.0) -> FamilyInstance:
+                    beta: float = 0.0, gamma: float | None = None) -> Solution:
     """Assemble a semi-exact family from closed tanh parts and a numeric
     profile (`semi_case`: ansatz A34 for cases 35-*, A44 for 50/51).
 

@@ -125,7 +125,8 @@ def heat_decaying(amp: float, b: float, mu: float) -> HeatProfile:
 
 @dataclass(frozen=True)
 class SymmetryOp:
-    """One catalog operator with the coefficients its flow needs."""
+    """One catalog operator with the coefficients its flow needs; Xinf
+    alone takes a heat `profile`, a constant 1 if not given."""
 
     kind: str
     a1: float | None = None
@@ -143,6 +144,9 @@ class SymmetryOp:
                            OP_DIVISORS.get(self.kind, ()))
         if self.kind == "Xinf" and self.profile is None:
             object.__setattr__(self, "profile", heat_constant(1.0))
+        elif self.kind != "Xinf" and self.profile is not None:
+            raise ConstraintError(f"{self.kind} does not take a heat profile "
+                                  f"(only Xinf reads one)")
 
     # -- pointwise action ---------------------------------------------------
 

@@ -3,11 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import (HealthCheck, example, given, settings,
+                        strategies as st)
 
 import hgf
 from hgf import calculus, cli, reduction, simulator, solutions, symmetry
@@ -194,8 +196,9 @@ def test_simulate_bc_from_config(monkeypatch, tmp_path, capsys, bc, kind):
     (cfg,) = runs
     assert cfg.bc.kind == kind
     assert (cfg.bc.left, cfg.bc.right) == (None, None)
-    # a bc block hands the kind the family, which only pinned-to-exact reads
-    assert cfg.bc.family is (None if bc is None else cfg.initial)
+    # only pinned-to-exact takes the family
+    assert cfg.bc.family is (cfg.initial if kind == "pinned-to-exact"
+                             else None)
 
 
 def test_exit_2_on_numerical_failure(tmp_path, capsys):
@@ -287,7 +290,14 @@ def test_failed_simulate_leaves_no_output_directory(tmp_path, capsys, bc,
                                              ("grid", "x_min", "-10"),
                                              ("grid", "x_max", "10"),
                                              ("time", "t0", "0"),
-                                             ("time", "t_end", "0.1")])
+                                             ("time", "t_end", "0.1"),
+                                             # each bool exited 0, as 1
+                                             ("grid", "x_min", True),
+                                             ("grid", "n", True),
+                                             ("time", "t0", False),
+                                             ("time", "t_end", True),
+                                             ("time", "snapshot_every",
+                                              True)])
 def test_simulate_rejects_malformed_numbers(tmp_path, capsys, block, key,
                                             value):
     # a truncated grid size or a TypeError escaping as "error: TypeError"
@@ -663,6 +673,49 @@ def test_family_flags_exit_0_only_when_the_family_takes_them(data, capsys):
     assert code != 0 or set(names) <= set(takes)
 
 
+# valid values of each run-config key the fuzz test below draws, and
+# values that are not a finite number
+_RUN_VALUES = {
+    ("family", "a1"): (0.1, 0.2), ("family", "delta"): (0.35, 0.3),
+    ("grid", "x_min"): (-10.0, -12), ("grid", "x_max"): (10.0, 12),
+    ("grid", "n"): (11, 21), ("time", "t0"): (0.0, -0.02),
+    ("time", "t_end"): (0.05, 0.02), ("time", "snapshot_every"): (1, 5),
+    **{("params", k): (0.5, 1) for k in ("a1", "a2", "a3", "a4", "a5")},
+    **{("bc", f"{side}{i}"): (0.0, 1) for side in ("left", "right")
+       for i in range(3)}}
+_NOT_NUMBERS = (math.nan, math.inf, -math.inf, True, False, "0.5", [0.5],
+                None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(picks=st.tuples(*map(st.sampled_from, _RUN_VALUES.values())),
+       spoiled=st.dictionaries(st.sampled_from(sorted(_RUN_VALUES)),
+                               st.sampled_from(_NOT_NUMBERS), max_size=2))
+@example(picks=tuple(v[0] for v in _RUN_VALUES.values()),
+         spoiled={("time", "t_end"): True})
+def test_simulate_exits_0_only_on_finite_config_values(picks, spoiled,
+                                                       capsys):
+    # a bool, a string, a list, a null or a non-finite number in any
+    # block is a user error (exit 1): `time.t_end: true` exited 0, a NaN
+    # bc value 2
+    values = {**dict(zip(_RUN_VALUES, picks)), **spoiled}
+    config = {"family": {"key": "tf63"}, "bc": {"kind": "dirichlet"}}
+    for (block, key), v in values.items():
+        config.setdefault(block, {})[key] = v
+    bc = config["bc"]
+    for side in ("left", "right"):
+        bc[side] = [bc.pop(f"{side}{i}") for i in range(3)]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        code, _, err = run_cli(["simulate", "--config", str(cfg_path),
+                                "--out", str(Path(tmp) / "run"), "--quiet"],
+                               capsys)
+    assert code in (0, 1, 2) and "Traceback" not in err, err
+    assert code == (1 if spoiled else 0), (spoiled, err)
+
+
 def test_simulate_without_config_names_the_flag(tmp_path, capsys):
     # used to escape as "error: TypeError: expected str, bytes or ..."
     code, _, err = run_cli(["simulate", "--family", "fisher", "--out",
@@ -908,12 +961,17 @@ def test_block_reader_matches_per_line_reader(tmp_path, name):
 @pytest.mark.parametrize("value", ["x", True, [0.5], None],
                          ids=["string", "bool", "list", "null"])
 def test_params_file_values_must_be_numbers(tmp_path, capsys, argv, value):
+    # a null is refused by the file reader, any other value by the record
+    # that reads it
     path = tmp_path / "params.json"
     path.write_text(json.dumps({"a1": value}))
-    code, _, err = run_cli([*argv, "--params", str(path)], capsys)
-    assert code == 1
-    assert err.startswith("error:") and "a1 = " in err
-    assert "is not a number" in err
+    code, out, err = run_cli([*argv, "--params", str(path)], capsys)
+    reduce = argv[0] == "reduce"
+    message = (f"{'reduce params' if reduce else 'params'} file: a1 is null"
+               if value is None else
+               f"{'T2d' if reduce else 'Params'} coefficient a1 must be "
+               f"finite, got {value!r}")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("source", ["flag", "params-file"])
@@ -1130,8 +1188,14 @@ _FISHER_RUN = {"family": {"key": "fisher"},
     ("params", {"a1": 1.0}, "config params needs"),
     ("params", {"a1": "x", "a2": 1, "a3": 1, "a4": 1, "a5": 1},
      "Params coefficient a1 must be finite, got 'x'"),
+    # a blow-up (exit 2) after 64 steps
+    ("bc", {"kind": "dirichlet", "left": [math.nan, 0, 0], "right": [0, 0, 1]},
+     "dirichlet bc left must be 3 finite numbers, got [nan, 0, 0]"),
+    ("family", {"key": "tf63", "a1": 0.1, "delta": math.nan},
+     "tf63 coefficient delta must be finite, got nan"),
 ], ids=["grid-n", "time-t_end", "bc-no-right", "bc-scalar", "bc-short",
-        "bc-neumann-left-right", "params-partial", "params-string"])
+        "bc-neumann-left-right", "params-partial", "params-string",
+        "bc-nan", "family-nan"])
 def test_config_mistakes_are_user_errors(tmp_path, capsys, block, value,
                                          named):
     # these reached the handler as KeyError, TypeError or ValueError,
@@ -1177,13 +1241,22 @@ def test_user_errors_exit_1_with_their_message(tmp_path, capsys, monkeypatch,
 @pytest.mark.parametrize("text,message", [
     ("t,x,u\n0,0,1\n", "unexpected CSV header 't,x,u'"),
     ("t,x,u,v,w\n" + "".join(f"0.5,{x},1,1,1\n" for x in (0, 1, 2, 4, 5)),
-     "snapshot at t = 0.5 is not on a uniform grid"),
-], ids=["header", "non-uniform-grid"])
+     "{path} snapshot at t = 0.5: x is not on a uniform grid"),
+    # these two were reported in SpaceGrid's words alone, naming neither
+    # the file nor the time
+    ("t,x,u,v,w\n" + "".join(f"0.5,{x},1,1,1\n" for x in (0, 1, 2)),
+     "{path} snapshot at t = 0.5: SpaceGrid n must be an integer >= 5 "
+     "(central stencils), got 3"),
+    ("t,x,u,v,w\n" + "".join(f"0.5,{x},1,1,1\n" for x in (4, 3, 2, 1, 0)),
+     "{path} snapshot at t = 0.5: SpaceGrid requires x_max > x_min by a "
+     "finite width, got 4.0, 0.0"),
+], ids=["header", "non-uniform-grid", "short-snapshot", "decreasing-x"])
 def test_speed_rejects_malformed_snapshot_files(tmp_path, capsys, text,
                                                 message):
     (tmp_path / "snapshots.csv").write_text(text)
     argv = ["speed", "--run", str(tmp_path), "--component", "u", "--level",
             "0.5"]
+    message = message.format(path=tmp_path / "snapshots.csv")
     assert run_cli(argv, capsys) == (1, "", f"error: {message}\n")
 
 
@@ -1281,17 +1354,16 @@ _SEMI35 = ["eval", "--family", "semi35-i", "--a1", "0.5", "--a4", "0.5",
 
 
 @pytest.mark.parametrize("flags,named", [
-    (["--profile-hi", "inf"], "window ends must be finite"),
-    (["--profile-lo=-inf"], "window ends must be finite"),
-    (["--y0", "nan"], "initial state must be finite"),
-    (["--dy0", "inf"], "initial state must be finite"),
+    (["--profile-hi", "inf"], "profile_hi must be finite, got inf"),
+    (["--profile-lo=-inf"], "profile_lo must be finite, got -inf"),
+    (["--y0", "nan"], "y0 must be finite, got nan"),
+    (["--dy0", "inf"], "dy0 must be finite, got inf"),
 ], ids=["profile-hi-inf", "profile-lo-inf", "y0-nan", "dy0-inf"])
 def test_semi_profile_inputs_must_be_finite(flags, named, capsys):
     # an infinite window end escaped as an OverflowError traceback; a
     # non-finite initial state exited 2 as a blow-up
-    code, _, err = run_cli([*_SEMI35, *flags], capsys)
-    assert code == 1
-    assert err.startswith("error:") and named in err
+    assert run_cli([*_SEMI35, *flags], capsys) == (
+        1, "", f"error: semi35-i coefficient {named}\n")
 
 
 def test_semi_reversed_profile_window_is_named(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import re
@@ -81,12 +82,28 @@ _SAMPLE = dict(alpha=1.2, beta=0.3, gamma=0.1, a1=0.5, a2=2.0, a3=1.0,
                kappa2=1.0, a=0.7, b=0.4, mu=1.0)
 
 
+# a valid value of every coefficient of each semi-exact case
+_SEMI_CASES = {"35-i": dict(a1=0.5, a4=0.5, beta=0.3),
+               "35-ii": dict(a1=0.5, a4=0.81, beta=0.3),
+               "35-iii": dict(a1=0.5, a3=0.7, beta=0.3),
+               "50": dict(a4=0.5, beta=0.3, gamma=0.1),
+               "51": dict(a3=0.7, beta=0.3, gamma=0.1)}
+
+
+def _semi_profile(profile_lo, profile_hi, profile_step, anchor, y0, dy0):
+    """`semi_exact_family`'s profile inputs under their flag names."""
+    return reduction.semi_exact_family(
+        "35-i", **_SEMI_CASES["35-i"], window=(profile_lo, profile_hi),
+        step=profile_step, y0=(y0, dy0), anchor=anchor)
+
+
 def _coefficient_records():
     """(label, build, base, reads, divisors, unread) of every record that
     `check_coefficients` guards, generated from the record tables: build
     (**base) makes the record, `reads` is the name tuple its messages
-    list, and `unread` is a coefficient it does not read (None: its
-    constructor takes no other keyword)."""
+    list (None: it takes any subset of its keywords), and `unread` is a
+    coefficient it does not read (None: its constructor takes no other
+    keyword)."""
     for sid, spec in reduction.SYSTEMS.items():
         base = {n: _SAMPLE.get(n) for n in spec.arguments}
         if spec.takes_params:
@@ -119,6 +136,26 @@ def _coefficient_records():
     yield pytest.param("Params", Params,
                        {n: _SAMPLE[n] for n in model.PARAM_NAMES},
                        model.PARAM_NAMES, (), None, id="Params")
+    names = tuple(f.name for f in dataclasses.fields(OriginalParams))
+    yield pytest.param("OriginalParams", OriginalParams,
+                       dict.fromkeys(names, 1.5), names, (), None,
+                       id="OriginalParams")
+    tf63 = dict(a1=0.1, delta=0.35, a3=1.0, d3=3.0)
+    for build in (solutions.tf63_parameter_values, solutions.make_tf63):
+        yield pytest.param("tf63", build, tf63, tuple(tf63), (), None,
+                           id=build.__name__)
+    yield pytest.param("tf65", solutions.make_tf65, dict(d=1.0), ("d",), (),
+                       None, id="make_tf65")
+    for case, base in _SEMI_CASES.items():
+        yield pytest.param(
+            f"semi{case}", functools.partial(solutions.semi_case, case),
+            base, None, ("a1",) if "a1" in base else (), None,
+            id=f"semi_case-{case}")
+    yield pytest.param(
+        "semi35-i", _semi_profile,
+        dict(profile_lo=-3.0, profile_hi=3.0, profile_step=0.05,
+             anchor=-3.0, y0=1.0, dy0=0.0), None, (), None,
+        id="semi_exact_family-profile")
 
 
 @pytest.mark.parametrize("label,build,base,reads,divisors,unread",
@@ -137,14 +174,16 @@ def test_every_record_follows_the_coefficient_rule(label, build, base, reads,
     for name, value in base.items():
         if not isinstance(value, float):
             continue  # R58's Params record, L52's case label
-        for bad in (math.nan, math.inf, -math.inf, str(value)):
+        # a bool is not a number, though Python counts it an int
+        for bad in (math.nan, math.inf, -math.inf, str(value), True):
             refused(f"{label} coefficient {name} must be finite, got "
                     f"{bad!r}", **{name: bad})
         if name in divisors:
             refused(f"{label} divides by {name}, which must not be zero",
                     **{name: 0.0})
-        refused(f"{label} expects coefficients {reads}; missing "
-                f"[{name!r}], unexpected []", **{name: None})
+        if reads is not None:
+            refused(f"{label} expects coefficients {reads}; missing "
+                    f"[{name!r}], unexpected []", **{name: None})
     if unread is None:
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             build(**base, zeta=1.0)

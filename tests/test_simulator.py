@@ -282,6 +282,36 @@ def test_dirichlet_requires_triples():
         simulator.BoundaryCondition("weird")
 
 
+_BC_FIELDS = {"left": (1.0, 0.0, 0.0), "right": (0.0, 0.0, 1.0),
+              "family": solutions.fisher_tf()}
+
+
+@pytest.mark.parametrize("kind,name", [
+    (kind, name) for kind, reads in simulator.BoundaryCondition.READS.items()
+    for name in _BC_FIELDS if name not in reads])
+def test_boundary_condition_refuses_fields_its_kind_does_not_read(kind,
+                                                                  name):
+    # each was accepted and dropped
+    reads = simulator.BoundaryCondition.READS[kind]
+    kw = {n: v for n, v in _BC_FIELDS.items() if n in reads or n == name}
+    with pytest.raises(ConstraintError,
+                       match=f"^{kind} bc does not take {name}$"):
+        simulator.BoundaryCondition(kind, **kw)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("value", [(1.0, 0.0), (math.nan, 0.0, 0.0),
+                                   [0.0, math.inf, 0.0], (True, 0.0, 0.0),
+                                   None, "abc"])
+def test_dirichlet_side_must_be_three_finite_numbers(side, value):
+    # a side of length 2 was a raw numpy ValueError in the run, a NaN
+    # side a blow-up after 64 steps
+    kw = {"left": (1.0, 0.0, 0.0), "right": (0.0, 0.0, 1.0), side: value}
+    message = f"dirichlet bc {side} must be 3 finite numbers, got {value!r}"
+    with pytest.raises(ConstraintError, match=f"^{re.escape(message)}$"):
+        simulator.BoundaryCondition("dirichlet", **kw)
+
+
 def test_pinned_to_exact_needs_a_family():
     with pytest.raises(ConstraintError,
                        match="^pinned-to-exact bc needs a family$"):

@@ -54,10 +54,11 @@ def test_tf63_negative_a2_warns_not_errors():
 
 def test_tf63_d2_check_catches_a_nan_coefficient():
     # d2 > 0 for every finite a1, delta > 0 with a1 delta < 1/2 (its
-    # numerator is at most -3 delta there), so only a NaN reaches the check
+    # numerator is at most -3 delta there), so only an overflow to
+    # -inf / -inf reaches the check: a NaN coefficient is refused first
     with pytest.raises(ConstraintError,
                        match="^tf63: derived d2 = nan is not positive$"):
-        solutions.make_tf63(math.nan, 0.35)
+        solutions.make_tf63(0.0, 1e308)
 
 
 def test_tf63_negative_a5_warns_not_errors():
@@ -455,3 +456,17 @@ def test_semi_cases_name_non_finite_coefficients(build, name):
     # (L36's kappa1) or not at all (semi51's a4 = 1 + a3 = inf)
     with pytest.raises(ConstraintError, match=f"{name} must be finite"):
         build()
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.0, math.nan])
+@pytest.mark.parametrize("build", [
+    solutions.semi_case,
+    lambda case, **kw: solutions.make_semi_exact(case, np.cos, **kw),
+    reduction.semi_exact_family],
+    ids=["semi_case", "make_semi_exact", "semi_exact_family"])
+def test_semi35_cases_take_no_gamma(build, gamma):
+    # gamma was accepted and dropped, NaN included: only 50/51 read it
+    with pytest.raises(ConstraintError, match="^semi35-i does not take gamma "
+                                              r"\(only semi50 and semi51 "
+                                              r"read it\)$"):
+        build("35-i", a1=0.5, a4=0.5, gamma=gamma)

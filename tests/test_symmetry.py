@@ -266,3 +266,14 @@ def test_px_flow_is_the_shifted_solution(tf63_std, rng):
 def test_symmetry_op_construction_errors(kw, message):
     with pytest.raises(ConstraintError, match=f"^{re.escape(message)}$"):
         symmetry.SymmetryOp(**kw)
+
+
+@pytest.mark.parametrize("kind", [k for k in symmetry.OP_KINDS
+                                  if k != "Xinf"])
+def test_only_xinf_takes_a_heat_profile(kind):
+    # each of these built and dropped the profile
+    kw = dict.fromkeys(symmetry.OP_COEFFS.get(kind, ()), 0.5)
+    with pytest.raises(ConstraintError, match=f"^{kind} does not take a heat "
+                                              f"profile \\(only Xinf reads "
+                                              f"one\\)$"):
+        symmetry.SymmetryOp(kind, profile=symmetry.heat_constant(2.0), **kw)

@@ -149,9 +149,10 @@ def test_point_map_is_the_catalog_flow(kind, rng):
              for f in FLOWS[kind]]
     flow = sp.lambdify((eps, t, x, *_UVW, *_COEFFS), [t, x, *exprs], "numpy")
     values = {**_GENERIC, **_MODE}
+    heat = symmetry.heat_decaying(*_MODE.values())  # Xinf alone takes it
     op = symmetry.op_for(kind, Params(**{s.name: v for s, v in
                                          _GENERIC.items()}),
-                         symmetry.heat_decaying(*_MODE.values()))
+                         heat if kind == "Xinf" else None)
     point = (rng.uniform(-1.5, 1.5, 1000), rng.uniform(-5.0, 5.0, 1000),
              *rng.uniform(-1.5, 1.5, (3, 1000)))
     for e in (-0.7, 0.3, 1.1):

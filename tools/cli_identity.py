@@ -306,6 +306,10 @@ CASES = [
           [*FRONT[:1000], "", *FRONT[1000:]], 4001, "0.75,0.1,0.5,0.5"))},
      [["speed", "--run", run, "--component", "u", "--level", "0.5"]
       for run in ("bad-cell", "short-row")]),
+    # a snapshot of 3 rows: its error names the file and the time
+    ("error-speed-reader-short-snapshot",
+     {SNAPSHOTS: _snapshots(_front_rows(times=(0.0,), n=3))},
+     [[*SPEED, "u", "--level", "0.5"]]),
     ("error-missing-file", {},
      [["speed", "--run", "nowhere", "--component", "u", "--level", "0.5"]]),
     # an --out that cannot be written: a directory where a report goes, a
@@ -314,6 +318,26 @@ CASES = [
     ("error-config-params-string",
      {"cfg.json": _config(FISHER, params={"a1": "x", "a2": 1, "a3": 1,
                                           "a4": 1, "a5": 1})},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"]]),
+    # config values that are not finite numbers, each refused by the
+    # record that reads it
+    ("error-config-t-end-bool",
+     {"cfg.json": _config(FISHER, grid=(-10.0, 10.0, 51), t_end=True)},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"]]),
+    ("error-config-x-min-bool",
+     {"cfg.json": _config(FISHER, grid=(True, 10.0, 51), t_end=0.1)},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"]]),
+    ("error-config-snapshot-every-bool",
+     {"cfg.json": _config(FISHER, grid=(-10.0, 10.0, 51), t_end=0.1,
+                          every=True)},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"]]),
+    ("error-config-bc-nan",
+     {"cfg.json": _config(FISHER, grid=(-10.0, 10.0, 51), t_end=0.5,
+                          bc={"kind": "dirichlet", "left": [math.nan, 0, 0],
+                              "right": [0, 0, 1]})},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"]]),
+    ("error-config-family-nan",
+     {"cfg.json": _config({**TF63_FAMILY, "delta": math.nan})},
      [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"]]),
     ("error-out-is-directory", {"adir/kept.txt": "kept\n"},
      [["residual", "--family", "fisher", "--window", "-2", "2", "--h", "0.1",
