@@ -218,7 +218,8 @@ def read_snapshots_csv(path) -> list[calculus.FieldState]:
     with open(path) as fh:
         header = fh.readline().strip()
         if header != "t,x,u,v,w":
-            raise ConstraintError(f"unexpected CSV header {header!r}")
+            raise ConstraintError(f"{path} line 1: unexpected CSV header "
+                                  f"{header!r}")
         lineno = 2
         while lines := list(itertools.islice(fh, _CSV_BLOCK)):
             blocks.append(_parse_block(path, lineno, lines))

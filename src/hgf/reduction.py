@@ -19,16 +19,15 @@ with PI step control, stepping a list of Python floats (numpy calls on
 fills a uniform table from it.  Both return a `ProfileTrajectory`, the
 nodes and states only, of at least `MIN_NODES` nodes; its one
 interpolant, the quintic spline through the nodes, is evaluated in
-Horner form and sits below second-order stencil floors.
+power-basis form and sits below second-order stencil floors.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-import operator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
@@ -42,15 +41,15 @@ from .model import Params, check_coefficients, kinetics
 # ---------------------------------------------------------------------------
 # reduced systems
 #
-# Each system is written once, as one equations function
-# eqs(out, x, y, *coeffs) that stores dy/dx into out: y is the state in
-# first-order form and the parameters after it name the coefficients in
-# order.  A second-order system writes only its odd rows (U'', V'', W''
-# or the single profile's second derivative); `SystemSpec.first_order`
-# copies the rows U', V', W' from the state.  The state is a list of
-# floats in the stepping loops, one node as an ndarray in
-# `ReducedSystem.rhs`, or of shape (dim, n) with x of shape (n,) to
-# evaluate n nodes at once; the arithmetic is the same in all three.
+# Each system is written once, as one equations function eqs(*coeffs, x, y)
+# that returns dy/dx as a list: the parameters before x name the
+# coefficients in order, and y is the state in first-order form.  A
+# second-order system returns its U', V', W' rows (or the single profile's
+# slope) from the state itself.  The state is a list of floats in the
+# stepping loops, one node as an ndarray in `ReducedSystem.rhs`, or of
+# shape (dim, n) with x of shape (n,) to evaluate n nodes at once; the
+# arithmetic is the same in all three.  `SystemSpec.first_order` copies the
+# list into a new ndarray for the last two, as its U' rows are the state's.
 # ---------------------------------------------------------------------------
 
 
@@ -63,90 +62,88 @@ def _tanh(x):
     return np.array([math.tanh(v) for v in x])
 
 
-def _R35(out, x, y, alpha, a1, beta, a3, a4, d):
-    U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
-    out[1] = -alpha * Up - U * (1.0 + a1 * beta - a1 * V)
-    out[3] = -alpha * Vp - V * (1.0 - a1 * V + a1 * W)
-    out[5] = (-alpha * Wp - a3 * W * (1.0 - W) + a1 * a4 * V * W) / d
+def _R35(alpha, a1, beta, a3, a4, d, x, y):
+    U, Up, V, Vp, W, Wp = y
+    return [Up, -alpha * Up - U * (1.0 + a1 * beta - a1 * V),
+            Vp, -alpha * Vp - V * (1.0 - a1 * V + a1 * W),
+            Wp, (-alpha * Wp - a3 * W * (1.0 - W) + a1 * a4 * V * W) / d]
 
 
-def _R38(out, x, y, beta, a1, a3, a4):
-    U, V, W = y[0], y[1], y[2]
-    out[0] = -U * (a1 * V - 1.0 - beta * beta * a1 * a1)
-    out[1] = -V * (a1 * V - a1 * W - 1.0)
-    out[2] = -W * (a3 * W + a1 * a4 * V - a3)
+def _R38(beta, a1, a3, a4, x, y):
+    U, V, W = y
+    return [-U * (a1 * V - 1.0 - beta * beta * a1 * a1),
+            -V * (a1 * V - a1 * W - 1.0),
+            -W * (a3 * W + a1 * a4 * V - a3)]
 
 
-def _R47(out, x, y, alpha, beta, a3, a4, d):
-    U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
-    out[1] = -alpha * Up - U * (1.0 - U)
-    out[3] = -alpha * Vp - V * (1.0 - U) - U * (W - beta)
-    out[5] = (-alpha * Wp - a3 * W * (1.0 - W) + a4 * U * W) / d
+def _R47(alpha, beta, a3, a4, d, x, y):
+    U, Up, V, Vp, W, Wp = y
+    return [Up, -alpha * Up - U * (1.0 - U),
+            Vp, -alpha * Vp - V * (1.0 - U) - U * (W - beta),
+            Wp, (-alpha * Wp - a3 * W * (1.0 - W) + a4 * U * W) / d]
 
 
-def _R58(out, x, y, alpha, a1, a2, a3, a4, a5, d2, d3):
+def _R58(alpha, a1, a2, a3, a4, a5, d2, d3, x, y):
     """d P'' + alpha P' + C(U, V, W) = 0 with d1 = 1."""
-    U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
+    U, Up, V, Vp, W, Wp = y
     cu, cv, cw = kinetics((a1, a2, a3, a4, a5), U, V, W,
                           (alpha * Up, alpha * Vp, alpha * Wp))
-    out[1] = -cu
-    out[3] = -cv / d2
-    out[5] = -cw / d3
+    return [Up, -cu, Vp, -cv / d2, Wp, -cw / d3]
 
 
-def _T2a(out, x, y, alpha, beta, a1, a4):
-    U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
-    out[1] = -alpha * Up - U * (1.0 + a1 * beta - a1 * V)
-    out[3] = -alpha * Vp - V * (1.0 - a1 * V + a1 * W)
-    out[5] = -alpha * Wp + a1 * a4 * V * W
+def _T2a(alpha, beta, a1, a4, x, y):
+    U, Up, V, Vp, W, Wp = y
+    return [Up, -alpha * Up - U * (1.0 + a1 * beta - a1 * V),
+            Vp, -alpha * Vp - V * (1.0 - a1 * V + a1 * W),
+            Wp, -alpha * Wp + a1 * a4 * V * W]
 
 
-def _T2b(out, x, y, alpha, gamma, a1, a4):
-    U, Up, V, Vp, W, Wp = y[0], y[1], y[2], y[3], y[4], y[5]
+def _T2b(alpha, gamma, a1, a4, x, y):
+    U, Up, V, Vp, W, Wp = y
     s = (a4 - 1.0) * V + W + (1.0 - a4) / a1
-    out[1] = -alpha * Up + a1 * U * V + gamma * s
-    out[3] = -alpha * Vp - V * (1.0 - a1 * V + a1 * W)
-    out[5] = -alpha * Wp + a1 * a4 * V * W
+    return [Up, -alpha * Up + a1 * U * V + gamma * s,
+            Vp, -alpha * Vp - V * (1.0 - a1 * V + a1 * W),
+            Wp, -alpha * Wp + a1 * a4 * V * W]
 
 
-def _T2c(out, x, y, beta, a1, a4):
-    U, V, W = y[0], y[1], y[2]
-    out[0] = -U * (a1 * V - 1.0 - a1 * a1 * beta * beta)
-    out[1] = -V * (a1 * V - a1 * W - 1.0)
-    out[2] = -a1 * a4 * V * W
+def _T2c(beta, a1, a4, x, y):
+    U, V, W = y
+    return [-U * (a1 * V - 1.0 - a1 * a1 * beta * beta),
+            -V * (a1 * V - a1 * W - 1.0),
+            -a1 * a4 * V * W]
 
 
-def _T2d(out, x, y, a1, a4):
-    U, V, W = y[0], y[1], y[2]
-    out[0] = -U * (a1 * V - 1.0)
-    out[1] = -V * (a1 * V - a1 * W - 1.0)
-    out[2] = -a1 * a4 * V * W
+def _T2d(a1, a4, x, y):
+    U, V, W = y
+    return [-U * (a1 * V - 1.0),
+            -V * (a1 * V - a1 * W - 1.0),
+            -a1 * a4 * V * W]
 
 
-def _L36(out, x, y, alpha, a1, beta, kappa1, kappa2):
-    U, Up = y[0], y[1]
+def _L36(alpha, a1, beta, kappa1, kappa2, x, y):
+    U, Up = y
     phi = 1.0 - _tanh(kappa2 * x / (2.0 * solutions.SQRT6))
-    out[1] = -alpha * Up - U * (1.0 + a1 * beta - kappa1 * phi * phi)
+    return [Up, -alpha * Up - U * (1.0 + a1 * beta - kappa1 * phi * phi)]
 
 
-def _L52(out, x, y, alpha, beta, a4, case):  # case 50: 1.0, 51: 0.0
-    V, Vp = y[0], y[1]
+def _L52(alpha, beta, a4, case, x, y):  # case 50: 1.0, 51: 0.0
+    V, Vp = y
     phi = 1.0 - _tanh(x / (2.0 * solutions.SQRT6))
     U = 0.25 * phi * phi
     if case > 0.5:
         W = 0.25 * (1.0 - a4) * phi * phi
     else:
         W = 1.0 - 0.25 * phi * phi
-    out[1] = -alpha * Vp - V * (1.0 - U) - U * (W - beta)
+    return [Vp, -alpha * Vp - V * (1.0 - U) - U * (W - beta)]
 
 
 @dataclass(frozen=True)
 class SystemSpec:
     """Catalog facts of one reduced system; everything else is derived.
 
-    `equations` is the system (see above); its parameters after the state
-    name the coefficients (`coeffs`).  A `takes_params` system is built
-    from (alpha, params) and reads the other coefficients from the Params
+    `equations` is the system (see above); its parameters before x name
+    the coefficients (`coeffs`).  A `takes_params` system is built from
+    (alpha, params) and reads the other coefficients from the Params
     record.  `ansatz` reconstructs a PDE solution from the profiles and
     fixes the independent variable.  `row_scale` maps an equation row to
     the coefficient multiplying its highest derivative (absent: 1);
@@ -167,13 +164,7 @@ class SystemSpec:
 
     @cached_property
     def coeffs(self) -> tuple[str, ...]:
-        return tuple(inspect.signature(self.equations).parameters)[3:]
-
-    @cached_property
-    def _start_rows(self) -> np.ndarray:
-        """`first_order` starts dy/dx as y[_start_rows]: U' in the rows of
-        U and U' of a second-order system; eqs overwrites the rest."""
-        return np.arange(self.dim) | (self.order - 1)
+        return tuple(inspect.signature(self.equations).parameters)[:-2]
 
     @property
     def dim(self) -> int:
@@ -189,25 +180,11 @@ class SystemSpec:
         """Keyword names `reduced_system` takes for this system."""
         return ("alpha", "params") if self.takes_params else self.coeffs
 
-    def list_rhs(self, c) -> Callable:
-        """f(x, y) = `first_order` at a list state y with the coefficient
-        values c bound: the stepping loops' right-hand side."""
-        eqs = self.equations
-        start = operator.itemgetter(*self._start_rows.tolist())
-        def f(x, y):
-            out = list(start(y))
-            eqs(out, x, y, *c)
-            return out
-        return f
-
     def first_order(self, x, y, *c):
         """dy/dx at the first-order state y, coefficient values c: a list
-        for a list state (through `list_rhs`), else an ndarray."""
-        if type(y) is list:
-            return self.list_rhs(c)(x, y)
-        out = y[self._start_rows]
-        self.equations(out, x, y, *c)
-        return out
+        for a list state, else a new ndarray."""
+        dy = self.equations(*c, x, y)
+        return dy if type(y) is list else np.array(dy)
 
 
 _UVW = ("U", "V", "W")
@@ -344,7 +321,9 @@ class ProfileTrajectory:
     The interpolant is the spline through the nodes, quintic (cubic below
     six nodes): its error sits below the floors of the second-difference
     stencils the profiles feed.  First evaluation builds it and keeps only
-    its power-basis form on the node intervals, evaluated in Horner form.
+    its power-basis form on the node intervals: scipy's `PPoly` sums
+    c[m] s^(k-m) from the constant term up, each power of s built by
+    repeated multiplication.
     """
 
     xs: np.ndarray
@@ -480,7 +459,8 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
     Propagates the fifth-order solution; the local error estimate comes
     from the embedded fourth-order weights.  Step-size underflow (stiff or
     blowing-up problems) raises with the reach point.  The state is a list
-    of floats (`_fehlberg_step`); the derivative at the last accepted node
+    of floats (`_fehlberg_step`), stepped by the system's equations with
+    its coefficients bound; the derivative at the last accepted node
     is the first stage of the next step (first same as last), so a step
     costs six right-hand-side calls.
     """
@@ -511,7 +491,7 @@ def integrate(sys: ReducedSystem, y0, span, rel_tol: float = 1e-9,
     if not np.isfinite(y).all():
         raise ConstraintError(f"initial state must be finite, got "
                               f"{y.tolist()}")
-    f, n = sys.spec.list_rhs(sys.kcoeffs), sys.dim
+    f, n = partial(sys.spec.equations, *sys.kcoeffs), sys.dim
     direction = 1.0 if x1 > x0 else -1.0
     x = x0
     y = y.tolist()

@@ -146,7 +146,8 @@ def tf63_parameter_values(a1: float, delta: float, a3: float, d3: float) -> dict
         a4    = d3 / 3
         a5    = (5 - d3 + 6 a3 - 4 a1 d + 2 a1 d3 d) / (12 d)
 
-    with d = delta.
+    with d = delta.  A derived value that overflows (finite inputs whose
+    products leave the floats) is refused, naming it.
     """
     check_coefficients("tf63", dict(a1=a1, delta=delta, a3=a3, d3=d3),
                        ("a1", "delta", "a3", "d3"))
@@ -167,8 +168,12 @@ def tf63_parameter_values(a1: float, delta: float, a3: float, d3: float) -> dict
     a2 = (3.0 - 10.0 * delta + 6.0 * ad + 8.0 * ad * delta) / (6.0 * den)
     a4 = d3 / 3.0
     a5 = (5.0 - d3 + 6.0 * a3 - 4.0 * ad + 2.0 * ad * d3) / (12.0 * delta)
-    return {"alpha": alpha, "d2": d2, "a2": a2, "a4": a4, "a5": a5,
+    vals = {"alpha": alpha, "d2": d2, "a2": a2, "a4": a4, "a5": a5,
             "mu": math.sqrt(1.0 - 2.0 * ad) / (2.0 * SQRT6)}
+    for name, v in vals.items():
+        if not math.isfinite(v):
+            raise ConstraintError(f"tf63: derived {name} = {v} is not finite")
+    return vals
 
 
 def _tf63_advisory_bounds(a1: float, delta: float, a3: float, d3: float) -> dict:
@@ -203,15 +208,12 @@ def make_tf63(a1: float, delta: float, a3: float = 1.0,
     to (0, 0, 1).
 
     The first diffusivity is normalized to 1; d2, a2, a4, a5 and the speed
-    are forced by (a1, delta, a3, d3).  d2 <= 0 is a hard error; negative
-    a2 or a5 only warns (exactness is unaffected, the biological reading
-    is not).
+    are forced by (a1, delta, a3, d3).  d2 is positive wherever it is
+    finite (its numerator is below -3 delta and its denominator negative);
+    negative a2 or a5 only warns (exactness is unaffected, the biological
+    reading is not).
     """
     vals = tf63_parameter_values(a1, delta, a3, d3)
-    if not vals["d2"] > 0:
-        raise ConstraintError(
-            f"tf63: derived d2 = {vals['d2']} is not positive"
-        )
     warnings = [f"derived {k} = {vals[k]} < 0: solution exact, biology "
                 f"invalid" for k in ("a2", "a5") if vals[k] < 0]
     advisory = _tf63_advisory_bounds(a1, delta, a3, d3)

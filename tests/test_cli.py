@@ -716,6 +716,59 @@ def test_simulate_exits_0_only_on_finite_config_values(picks, spoiled,
     assert code == (1 if spoiled else 0), (spoiled, err)
 
 
+# what the `hgf reduce` fuzz test below draws for a coefficient flag.
+# Finite values are bounded away from zero (zero itself aside): a tiny
+# divisor makes a system stiff, and the explicit stepper then takes about
+# 1/|d| steps (R35 at d = 1e-7 stores 544k nodes over a span of 0.1)
+_REDUCE_FINITE = st.floats(-3.0, 3.0).filter(lambda v: v == 0.0
+                                             or abs(v) >= 0.25).map(repr)
+_REDUCE_SPOILED = st.sampled_from(("nan", "inf", "-inf", "1e400", "x", "",
+                                   "0.5,1"))
+_REDUCE_CASES = {True: st.sampled_from(("50", "51", "i", "ii", "iii")),
+                 False: st.sampled_from(("nan", "x", ""))}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_reduce_exits_0_1_or_2_on_any_flags(data, capsys):
+    # any system; its coefficient flags, one of them perhaps dropped,
+    # others added and some spoiled (not a finite number); a --y0 of the
+    # right or a wrong length; a span of at most 0.1.  The outcome is a
+    # result, a user error or a numerical failure, never a bug (exit 3, a
+    # traceback)
+    def some(pool, most=2):  # none in about 7 draws of 10
+        k = min(max(data.draw(st.integers(0, 9)) - 6, 0), most, len(pool))
+        return data.draw(st.lists(st.sampled_from(pool), unique=True,
+                                  min_size=k, max_size=k))
+
+    sid = data.draw(st.sampled_from(sorted(reduction.SYSTEMS)))
+    spec = reduction.SYSTEMS[sid]
+    dropped = some(spec.coeffs, 1)
+    names = list(dict.fromkeys([*(n for n in spec.coeffs
+                                  if n not in dropped),
+                                *some(cli._REDUCE_COEFFS)]))
+    spoiled = some(names)
+    values = {n: data.draw(_REDUCE_CASES[n not in spoiled] if n == "case"
+                           else _REDUCE_SPOILED if n in spoiled
+                           else _REDUCE_FINITE) for n in names}
+    dim = data.draw(st.sampled_from((spec.dim, spec.dim, spec.dim,
+                                     spec.dim - 1, spec.dim + 1)))
+    y0 = data.draw(st.lists(st.floats(-1.5, 1.5), min_size=dim,
+                            max_size=dim))
+    x0 = data.draw(st.floats(-1.0, 1.0))
+    x1 = x0 + data.draw(st.sampled_from((-1.0, 1.0))) * data.draw(
+        st.floats(1e-3, 0.1))
+    # "--flag=value" and fixed-point span ends: argparse reads "-1e-05" or
+    # "-inf" after a flag as another flag
+    code, _, err = run_cli(
+        ["reduce", "--system", sid, f"--y0={','.join(map(repr, y0))}",
+         "--span", f"{x0:.17f}", f"{x1:.17f}",
+         *(f"--{n}={v}" for n, v in values.items())], capsys)
+    assert code in (0, 1, 2) and "Traceback" not in err, err
+    assert code != 0 or (not spoiled and dim == spec.dim), (values, dim)
+
+
 def test_simulate_without_config_names_the_flag(tmp_path, capsys):
     # used to escape as "error: TypeError: expected str, bytes or ..."
     code, _, err = run_cli(["simulate", "--family", "fisher", "--out",
@@ -1239,7 +1292,7 @@ def test_user_errors_exit_1_with_their_message(tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("text,message", [
-    ("t,x,u\n0,0,1\n", "unexpected CSV header 't,x,u'"),
+    ("t,x,u\n0,0,1\n", "{path} line 1: unexpected CSV header 't,x,u'"),
     ("t,x,u,v,w\n" + "".join(f"0.5,{x},1,1,1\n" for x in (0, 1, 2, 4, 5)),
      "{path} snapshot at t = 0.5: x is not on a uniform grid"),
     # these two were reported in SpaceGrid's words alone, naming neither

@@ -340,7 +340,8 @@ def test_ode_rhs_paths_agree(rng):
     # each system's first-order right-hand side: single nodes (as an
     # ndarray or as the stepping loops' list of floats) and a whole (dim, n)
     # grid agree bit for bit, and a second-order system's even rows are the
-    # state's odd ones
+    # state's odd ones.  Each call owns what it returns: the equations hand
+    # back rows of the state itself, which must not alias it
     for spec in reduction.SYSTEMS.values():
         c = tuple(rng.uniform(0.5, 2.0, len(spec.coeffs)))
         ys = rng.uniform(-1, 1, (spec.dim, 7))
@@ -352,9 +353,17 @@ def test_ode_rhs_paths_agree(rng):
         for i in range(xs.size):
             node = spec.first_order(xs[i], ys[:, i].copy(), *c)
             np.testing.assert_array_equal(node, grid[:, i])
-            listed = spec.first_order(float(xs[i]), ys[:, i].tolist(), *c)
+            state = ys[:, i].tolist()
+            listed = spec.first_order(float(xs[i]), state, *c)
             assert type(listed) is list
             assert np.array(listed).tobytes() == node.tobytes()
+            again = spec.first_order(float(xs[i]), state, *c)
+            assert again == listed and again is not listed
+            listed[:] = [np.nan] * spec.dim
+            assert state == ys[:, i].tolist()
+        kept = ys.copy()
+        grid[...] = np.nan
+        assert ys.tobytes() == kept.tobytes(), spec.sid
 
 
 def test_benchmark_harness_finds_what_it_wraps(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import re
@@ -640,7 +641,7 @@ def test_trajectory_horner_form_is_the_b_spline(name, traj):
     for x in (xs, 0.5 * (xs[:-1] + xs[1:]),
               np.array([lo - 0.5 * tol, lo, hi, hi + 0.5 * tol])):
         assert np.max(np.abs(traj.evaluate(x) - spline(x)) / scale) <= 1e-14
-    # at the left end of each interval Horner's rule returns c[k] itself
+    # at the left end of each interval (s = 0) the power sum returns c[k]
     assert np.array_equal(traj.evaluate(xs[:-1]), spline(xs[:-1]))
     assert not any(isinstance(v, BSpline) for v in vars(traj).values())
     for x in (lo - 2.0 * tol, hi + 2.0 * tol):
@@ -907,7 +908,7 @@ def test_fehlberg_step_returns_none_when_a_stage_overflows():
     # but the next stage's derivative overflows to -inf; no later stage
     # raises, and the one check of y5 catches the overflow
     sys_ = reduction.reduced_system("T2d", a1=1.0, a4=0.5)
-    f = sys_.spec.list_rhs(sys_.kcoeffs)
+    f = functools.partial(sys_.spec.equations, *sys_.kcoeffs)
     tab = reduction._scaled_tableau(0.1)
     y = [1.0, -1e150, 0.0]
     k0 = f(0.0, y)

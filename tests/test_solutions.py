@@ -55,10 +55,26 @@ def test_tf63_negative_a2_warns_not_errors():
 def test_tf63_d2_check_catches_a_nan_coefficient():
     # d2 > 0 for every finite a1, delta > 0 with a1 delta < 1/2 (its
     # numerator is at most -3 delta there), so only an overflow to
-    # -inf / -inf reaches the check: a NaN coefficient is refused first
+    # -inf / -inf can spoil it: the derived-value check refuses it
     with pytest.raises(ConstraintError,
-                       match="^tf63: derived d2 = nan is not positive$"):
+                       match="^tf63: derived d2 = nan is not finite$"):
         solutions.make_tf63(0.0, 1e308)
+
+
+@pytest.mark.parametrize("args,name,value", [
+    ((0.0, 1e308, 1.0, 3.0), "d2", "nan"),
+    ((0.0, 5e-324, 1.0, 3.0), "d2", "inf"),
+    ((0.1, 0.35, 1e308, 3.0), "a5", "inf"),
+    ((-1e308, 1e308, 1.0, 3.0), "alpha", "nan"),
+], ids=["d2-nan", "d2-inf", "a5-inf", "alpha-nan"])
+def test_tf63_parameter_values_refuses_an_overflowed_coefficient(
+        args, name, value):
+    # finite inputs whose products overflow: these returned the non-finite
+    # value without an error
+    with pytest.raises(ConstraintError,
+                       match=f"^tf63: derived {name} = {value} is not "
+                             "finite$"):
+        solutions.tf63_parameter_values(*args)
 
 
 def test_tf63_negative_a5_warns_not_errors():

@@ -11,9 +11,9 @@ directory left in the temporary directory is compared too.  A command
 that has not returned after ``TIMEOUT_S`` counts as the outcome
 "timeout".  Prints one line per case and exits 1 on any difference.
 
-The cases cover every subcommand and every report and CSV writer, each
-case of the separable (fam40, R38 with ``--case``) and semi-exact
-families, the flag-over-file, flag-over-config and file-over-config
+The cases cover every subcommand and every report and CSV writer, a run
+of every reduced system, each case of the separable (fam40, R38 with
+``--case``) and semi-exact families, the flag-over-file, flag-over-config and file-over-config
 warnings (two overrides in one command included), a pinned-to-exact
 ``simulate``, snapshot files that the ``speed`` reader must take apart
 the same way (line ends, blank lines, rows of one time apart, empty
@@ -253,6 +253,33 @@ CASES = [
        "--a1", "0.5", "--a3", "1", "--a4", "0.7", "--d", "1", "--y0",
        "0.1,0,0.1,0,0.9,0", "--span", "0", "0.5", "--traj-out",
        "r35.csv"]]),
+    # one successful run of every other reduced system
+    ("reduce-r47", {},
+     [["reduce", "--system", "R47", "--alpha", "2", "--beta", "0.3", "--a3",
+       "1", "--a4", "0.7", "--d", "1.5", "--y0", "0.2,0,0.1,0,0.9,0",
+       "--span", "0", "2", "--traj-out", "r47.csv"]]),
+    ("reduce-r58", {},
+     [["reduce", "--system", "R58", "--alpha", "2.057402057403086", "--a1",
+       "0.1", "--a2", "0.031204290589956125", "--a3", "1", "--a4", "1",
+       "--a5", "1.9214285714285713", "--d2", "4.379327157484154", "--d3",
+       "3", "--y0", "0.5,-0.2,0.35,-0.05,0.5,0.1", "--span", "0", "1",
+       "--traj-out", "r58.csv"]]),
+    ("reduce-t2a", {},
+     [["reduce", "--system", "T2a", "--alpha", "2", "--beta", "0.3",
+       "--a1", "0.5", "--a4", "0.7", "--y0", "0.2,0,0.1,0,0.9,0", "--span",
+       "0", "1", "--traj-out", "t2a.csv"]]),
+    ("reduce-t2b", {},
+     [["reduce", "--system", "T2b", "--alpha", "2", "--gamma", "0.1",
+       "--a1", "0.5", "--a4", "0.7", "--y0", "0.2,0,0.1,0,0.9,0", "--span",
+       "0", "1", "--traj-out", "t2b.csv"]]),
+    ("reduce-t2c", {},
+     [["reduce", "--system", "T2c", "--beta", "0.3", "--a1", "0.5", "--a4",
+       "0.7", "--y0", "0.5,0.5,0.5", "--span", "0", "1", "--traj-out",
+       "t2c.csv"]]),
+    ("reduce-t2d", {},
+     [["reduce", "--system", "T2d", "--a1", "0.5", "--a4", "0.8", "--y0",
+       "0.5,0.5,0.5", "--span", "0", "1", "--max-step", "0.05",
+       "--traj-out", "t2d.csv"]]),
     # user errors
     ("error-constraint", {},
      [["residual", "--family", "tf63", "--a1", "2.0", "--delta", "1.0"]]),
