@@ -874,8 +874,18 @@ def _add_step_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--h-seq", type=_positive, nargs="+", default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a negative number with an exponent (-1e-3, -2.5E+2, -.5e1) as a
+    value, not a flag; `add_subparsers` makes subparsers of this class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = argparse._re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hgf",
         description="verification lab for the three-component "
                     "hunter-gatherer/farmer reaction-diffusion system")

@@ -16,6 +16,8 @@ Semi-exact families take their numeric profile as an injected dependency
 (any vectorized callable); integration policy lives in `hgf.reduction`.
 `reconstruct` is the one copy of the ansatz algebra that maps profiles
 back to fields: the semi-exact families and `hgf.reduction` both use it.
+Evaluators leave broadcasting to the shape of t and x to
+`Solution.__call__`, so a -0.0 keeps its sign.
 R38's closed solution lives in `SeparableCase.closed` (read by fam40,
 `reduction.closed_form_R38` and ``hgf reduce --case``), and `semi_case`
 is the one function that checks a semi-exact case and maps it to its
@@ -40,32 +42,10 @@ SQRT6 = math.sqrt(6.0)
 FISHER_SPEED = 5.0 / SQRT6
 
 
-def _phi(arg):
-    """The front shape 1 - tanh(arg); numerically stable for all arguments."""
-    return 1.0 - np.tanh(arg)
-
-
-@dataclass(frozen=True)
-class TanhAnsatzParams:
-    """Front template U = s1 (1-tanh(mu w))^k1, V = s2 (1-tanh(mu w))^k2,
-    W = 1 - s3 (1-tanh(mu w))^k3.
-
-    Connecting (U0, V0, 0) to (0, 0, 1) forces the endpoint constraints
-    1 - 2^k1 s1 - a1 2^k2 s2 = 0 and 1 - 2^k3 s3 = 0.
-    """
-
-    sigma1: float
-    sigma2: float
-    sigma3: float
-    k1: float
-    k2: float
-    k3: float
-    mu: float
-
-    def endpoint_defects(self, a1: float) -> tuple[float, float]:
-        d1 = 1.0 - 2.0**self.k1 * self.sigma1 - a1 * 2.0**self.k2 * self.sigma2
-        d2 = 1.0 - 2.0**self.k3 * self.sigma3
-        return (d1, d2)
+def _front2(om, q=1.0):
+    """(1 - tanh(q omega / (2 sqrt 6)))^2: the squared front shape of the
+    logistic front and of every closed profile of the semi families."""
+    return (1.0 - np.tanh(q * np.asarray(om) / (2.0 * SQRT6))) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +55,9 @@ class TanhAnsatzParams:
 _FISHER_PARAMS = Params(a1=0.0, a2=0.0, a3=0.0, a4=1.0, a5=0.0)
 
 
-def _fisher_profile(om):
-    return 0.25 * _phi(np.asarray(om) / (2.0 * SQRT6)) ** 2
-
-
 def _fisher_u(t, x):
-    return _fisher_profile(np.asarray(x, dtype=float)
-                           - FISHER_SPEED * np.asarray(t, dtype=float))
+    return 0.25 * _front2(np.asarray(x, dtype=float)
+                          - FISHER_SPEED * np.asarray(t, dtype=float))
 
 
 def fisher_tf() -> Solution:
@@ -116,9 +92,7 @@ def embed_fisher(params: Params | None = None) -> Solution:
         raise ConstraintError("embed_fisher requires d1 = 1")
 
     def evaluate(t, x):
-        u = _fisher_u(t, x)
-        z = np.zeros_like(u)
-        return (u, z, z.copy())
+        return (_fisher_u(t, x), 0.0, 0.0)
 
     return Solution(
         evaluate=evaluate,
@@ -228,8 +202,11 @@ def make_tf63(a1: float, delta: float, a3: float = 1.0,
                d1=1.0, d2=vals["d2"], d3=d3)
     alpha, mu = vals["alpha"], vals["mu"]
     amp = 0.25 * (1.0 - 2.0 * a1 * delta)
-    shape = TanhAnsatzParams(sigma1=amp, sigma2=delta, sigma3=0.5,
-                             k1=2.0, k2=1.0, k3=1.0, mu=mu)
+    # the template U = s1 phi^k1, V = s2 phi^k2, W = 1 - s3 phi^k3 with
+    # phi = 1 - tanh(mu omega); its endpoints (U0, V0, 0) and (0, 0, 1)
+    # force 1 - 2^k1 s1 - a1 2^k2 s2 = 0 and 1 - 2^k3 s3 = 0
+    shape = dict(sigma1=amp, sigma2=delta, sigma3=0.5, k1=2.0, k2=1.0,
+                 k3=1.0, mu=mu)
 
     def evaluate(t, x):
         om = np.asarray(x, dtype=float) - alpha * np.asarray(t, dtype=float)
@@ -503,54 +480,39 @@ def make_ansatz(aid: str, **kw) -> Ansatz:
     return Ansatz(aid=aid, **kw)
 
 
-def _profile(profiles, name):
-    fn = profiles.get(name)
-    if fn is None:
-        return lambda s: np.zeros_like(np.asarray(s, dtype=float))
-    return fn
-
-
 def reconstruct(ansatz: Ansatz, profiles, t, x):
-    """Compose profiles through the ansatz at (t, x); exact algebra only."""
+    """Compose profiles through the ansatz at (t, x); exact algebra only.
+
+    The profiles read omega = x - alpha t for an ansatz that takes alpha,
+    t otherwise; a missing profile reads 0.0.  The entries need not have
+    the broadcast shape of t and x: `Solution.__call__` broadcasts them.
+    """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
-    U = _profile(profiles, "U")
-    V = _profile(profiles, "V")
-    W = _profile(profiles, "W")
     a = ansatz
-    if a.omega_based:
-        om = x - a.alpha * t
-        if a.aid == "A34":
-            up = np.exp(-a.beta * a.a1 * t) * U(om)
-            return (up, V(om) - up / a.a1, W(om) + np.zeros_like(up))
-        if a.aid == "A44":
-            u = U(om)
-            shift = a.beta * t + a.gamma * np.exp(t)
-            v = V(om) + shift * u - a.gamma * np.exp(t)
-            return (u + np.zeros_like(v), v, W(om) + np.zeros_like(v))
-        if a.aid == "plane":
-            u = U(om)
-            z = np.zeros_like(u)
-            return (u, V(om) + z, W(om) + z)
-        s = (a.a4 - 1.0) * V(om) + W(om) + (1.0 - a.a4) / a.a1
-        if a.aid == "T2a":
-            u = np.exp(-a.beta * a.a1 * t) * U(om) \
-                + a.gamma * np.exp(t) / (1.0 + a.beta * a.a1) * s
-        else:
-            u = np.exp(t) * (U(om) + a.gamma * s * t)
-        return (u, V(om) - u / a.a1, W(om) + np.zeros_like(u))
-    if a.aid == "A37":
-        e = np.exp(-a.beta * a.a1 * x)
-        u = U(t) * e
-        return (u, V(t) - u / a.a1, W(t) + np.zeros_like(u))
-    # T2c / T2d: profiles over t, explicit x dependence
-    s = (a.a4 - 1.0) * V(t) + W(t) + (1.0 - a.a4) / a.a1
-    if a.aid == "T2c":
-        u = np.exp(-a.beta * a.a1 * x) * U(t) \
-            + a.gamma * np.exp(t) / (a.beta * a.a1) * s
+    arg = x - a.alpha * t if a.omega_based else t
+    U, V, W = (0.0 if f is None else f(arg) for f in map(profiles.get, "UVW"))
+    if a.aid == "plane":
+        return (U, V, W)
+    if a.aid == "A44":
+        shift = a.beta * t + a.gamma * np.exp(t)
+        return (U, V + shift * U - a.gamma * np.exp(t), W)
+    # the Q1-type ansaetze: each builds u, and all share v = V - u/a1, w = W
+    if a.aid in ("A34", "A37"):
+        u = np.exp(-a.beta * a.a1 * (t if a.aid == "A34" else x)) * U
     else:
-        u = U(t) + a.gamma * np.exp(t) * s * x
-    return (u, V(t) - u / a.a1, W(t) + np.zeros_like(u))
+        s = (a.a4 - 1.0) * V + W + (1.0 - a.a4) / a.a1
+        if a.aid == "T2a":
+            u = np.exp(-a.beta * a.a1 * t) * U \
+                + a.gamma * np.exp(t) / (1.0 + a.beta * a.a1) * s
+        elif a.aid == "T2b":
+            u = np.exp(t) * (U + a.gamma * s * t)
+        elif a.aid == "T2c":
+            u = np.exp(-a.beta * a.a1 * x) * U \
+                + a.gamma * np.exp(t) / (a.beta * a.a1) * s
+        else:
+            u = U + a.gamma * np.exp(t) * s * x
+    return (u, V - u / a.a1, W)
 
 
 def ansatz_solution(ansatz: Ansatz, profiles, params: Params, key: str = "",
@@ -568,12 +530,6 @@ def ansatz_solution(ansatz: Ansatz, profiles, params: Params, key: str = "",
 # ---------------------------------------------------------------------------
 # semi-exact families: closed tanh parts plus one injected numeric profile
 # ---------------------------------------------------------------------------
-
-
-def _front2(om, q=1.0):
-    """phi(q omega / (2 sqrt 6))^2: the squared front shape that every
-    closed profile of the semi families is a function of."""
-    return _phi(q * np.asarray(om) / (2.0 * SQRT6)) ** 2
 
 
 def semi_case(case: str, *, a1: float | None = None,
@@ -650,7 +606,8 @@ def semi_case(case: str, *, a1: float | None = None,
         W = lambda om: 1.0 - 0.25 * _front2(om)
         coeffs = dict(beta=beta, case=case)
     return {"system": "L52", "free": "V", "coeffs": coeffs,
-            "closed": {"U": _fisher_profile, "W": W}, "aid": "A44",
+            "closed": {"U": lambda om: 0.25 * _front2(om), "W": W},
+            "aid": "A44",
             "ansatz": dict(alpha=FISHER_SPEED, beta=beta, gamma=gamma),
             "params": Params(a1=0.0, a2=1.0, a3=a3, a4=a4, a5=0.0, d1=1.0,
                              d2=1.0, d3=1.0),

@@ -28,3 +28,9 @@ def order_ok(o, lo=1.8, hi=2.2) -> bool:
     if o is None:
         return True
     return o == float("inf") or lo <= o <= hi
+
+
+def same_bits(a, b) -> bool:
+    """Equal to the bit: values (NaN equal to NaN) and signs, -0.0 too."""
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))

@@ -9,6 +9,7 @@ from hgf import calculus, model, reduction, solutions, symmetry
 from hgf.calculus import SpaceGrid
 from hgf.errors import ConstraintError, NumericalError
 from hgf.model import Params, Solution
+from conftest import same_bits
 from test_acceptance import _criterion1_instances, _criterion6_cases
 
 
@@ -343,11 +344,6 @@ def _pin_cases():
     return cases
 
 
-def _same_bits(a, b):
-    return (np.array_equal(a, b, equal_nan=True)
-            and np.array_equal(np.signbit(a), np.signbit(b)))
-
-
 @pytest.mark.parametrize("h", [4e-3, 1e-3])
 def test_residual_matches_stacked_form_bitwise(h):
     for name, p, sol, (t, x_min, x_max), comps in _pin_cases():
@@ -362,7 +358,7 @@ def test_residual_matches_stacked_form_bitwise(h):
             p, *states, dt, components=comps, return_fields=True)
         for r in (rep, rep_f):
             assert r.linf == linf and r.l2 == l2, name
-        assert _same_bits(got, fields), name
+        assert same_bits(got, fields), name
 
 
 def test_residual_leaves_states_alone_and_fields_unshared(tf63_std):

@@ -728,6 +728,16 @@ _REDUCE_CASES = {True: st.sampled_from(("50", "51", "i", "ii", "iii")),
                  False: st.sampled_from(("nan", "x", ""))}
 
 
+def _some(data, pool, most=2):
+    """A draw of up to `most` distinct entries of `pool`: none in about 7
+    draws of 10."""
+    if not pool:
+        return []
+    k = min(max(data.draw(st.integers(0, 9)) - 6, 0), most, len(pool))
+    return data.draw(st.lists(st.sampled_from(pool), unique=True,
+                              min_size=k, max_size=k))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
@@ -737,18 +747,13 @@ def test_reduce_exits_0_1_or_2_on_any_flags(data, capsys):
     # right or a wrong length; a span of at most 0.1.  The outcome is a
     # result, a user error or a numerical failure, never a bug (exit 3, a
     # traceback)
-    def some(pool, most=2):  # none in about 7 draws of 10
-        k = min(max(data.draw(st.integers(0, 9)) - 6, 0), most, len(pool))
-        return data.draw(st.lists(st.sampled_from(pool), unique=True,
-                                  min_size=k, max_size=k))
-
     sid = data.draw(st.sampled_from(sorted(reduction.SYSTEMS)))
     spec = reduction.SYSTEMS[sid]
-    dropped = some(spec.coeffs, 1)
+    dropped = _some(data, spec.coeffs, 1)
     names = list(dict.fromkeys([*(n for n in spec.coeffs
                                   if n not in dropped),
-                                *some(cli._REDUCE_COEFFS)]))
-    spoiled = some(names)
+                                *_some(data, cli._REDUCE_COEFFS)]))
+    spoiled = _some(data, names)
     values = {n: data.draw(_REDUCE_CASES[n not in spoiled] if n == "case"
                            else _REDUCE_SPOILED if n in spoiled
                            else _REDUCE_FINITE) for n in names}
@@ -759,14 +764,122 @@ def test_reduce_exits_0_1_or_2_on_any_flags(data, capsys):
     x0 = data.draw(st.floats(-1.0, 1.0))
     x1 = x0 + data.draw(st.sampled_from((-1.0, 1.0))) * data.draw(
         st.floats(1e-3, 0.1))
-    # "--flag=value" and fixed-point span ends: argparse reads "-1e-05" or
-    # "-inf" after a flag as another flag
+    # "--flag=value" and fixed-point span ends: argparse reads "-inf" after
+    # a flag as another flag
     code, _, err = run_cli(
         ["reduce", "--system", sid, f"--y0={','.join(map(repr, y0))}",
          "--span", f"{x0:.17f}", f"{x1:.17f}",
          *(f"--{n}={v}" for n, v in values.items())], capsys)
     assert code in (0, 1, 2) and "Traceback" not in err, err
     assert code != 0 or (not spoiled and dim == spec.dim), (values, dim)
+
+
+# what the fuzz tests below draw for a number flag: a bounded finite
+# value, or one that is not a finite number
+_FUZZ_FINITE = st.floats(-3.0, 3.0)
+_FUZZ_SPOILED = st.sampled_from(("nan", "inf", "-inf", "1e400", "x", ""))
+
+
+def _fuzz_value(data, spoiled, finite=_FUZZ_FINITE):
+    """A value drawn from `finite` or, if `spoiled`, not a finite number."""
+    return data.draw(_FUZZ_SPOILED if spoiled else finite.map(repr))
+
+
+def _fuzz_flags(data, names, spoiled):
+    """`--name=value` for each of `names`, spoiled for those in `spoiled`
+    ("=" so that "-inf" is read as a value)."""
+    return [f"--{n.replace('_', '-')}={_fuzz_value(data, n in spoiled)}"
+            for n in names]
+
+
+_COEFFS = ("a1", "a2", "a3", "a4", "a5")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_symmetry_exits_0_1_or_2_on_any_flags(data, capsys):
+    # `list` with the coefficient flags, or `verify` of fisher or tf63
+    # under any operator (or an unknown one) with eps, t, a heat kind and
+    # the heat flags; a flag may be broken (dropped, or for --heat-kind an
+    # unknown word), added or spoiled.  The outcome is a result, a user
+    # error or a numerical failure, never exit 3
+    if data.draw(st.booleans()):
+        argv = ["symmetry", "list"]
+        broken = _some(data, _COEFFS, 1)
+        names = [*(n for n in _COEFFS if n not in broken),
+                 *_some(data, ("d1", "d2", "d3"))]
+    else:
+        key = data.draw(st.sampled_from(("fisher", "tf63")))
+        op = data.draw(st.sampled_from((*symmetry.OP_KINDS, "Bogus")))
+        argv = ["symmetry", "verify", "--family", key, "--op", op,
+                "--window", "-2", "2", "--h", "0.1",
+                *(["--a1", "0.1", "--delta", "0.35"] if key == "tf63"
+                  else [])]
+        broken = _some(data, ("eps",), 1)
+        names = [*(n for n in ("eps", "t") if n not in broken),
+                 *_some(data, ("heat_a", "heat_b", "heat_mu"))]
+        for kind in _some(data, (*symmetry.HeatProfile.COEFFS, "bogus"), 1):
+            argv += ["--heat-kind", kind]
+            broken += ["heat_kind"] if kind == "bogus" else []
+    spoiled = _some(data, names)
+    code, _, err = run_cli([*argv, *_fuzz_flags(data, names, spoiled)],
+                           capsys)
+    assert code in (0, 1, 2) and "Traceback" not in err, err
+    assert code != 0 or not (spoiled or broken), (argv, names, spoiled)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_speed_exits_0_1_or_2_on_any_flags(data, tmp_path, capsys):
+    # four snapshots of a front moving at speed 2; --component and --level
+    # perhaps dropped or spoiled, perhaps a --fit-window (its ends given
+    # as two words, so a "-inf" end reads as a flag) and an --out
+    rows = []
+    for t in (0.0, 0.5, 1.0, 1.5):
+        for x in np.linspace(-6.0, 8.0, 29).tolist():
+            u = 0.5 * (1.0 - math.tanh(x - 2.0 * t))
+            rows.append(f"{t},{x!r},{u!r},{1.0 - u!r},{u * u!r}")
+    (tmp_path / "snapshots.csv").write_text("\n".join(["t,x,u,v,w", *rows]))
+    dropped = _some(data, ("component", "level"), 1)
+    names = ["component", "level",
+             *(["fit_lo", "fit_hi"] if data.draw(st.booleans()) else [])]
+    spoiled = _some(data, names)
+    component = "x" if "component" in spoiled else data.draw(
+        st.sampled_from("uvw"))
+    level = _fuzz_value(data, "level" in spoiled, st.floats(0.0, 1.0))
+    window = [_fuzz_value(data, n in spoiled, st.floats(-0.25, 1.75))
+              for n in names[2:]]
+    argv = ["speed", "--run", str(tmp_path),
+            *([] if "component" in dropped else ["--component", component]),
+            *([] if "level" in dropped else [f"--level={level}"]),
+            *(["--fit-window", *window] if window else []),
+            *(["--out", str(tmp_path / "speed.json")]
+              if data.draw(st.booleans()) else [])]
+    code, _, err = run_cli(argv, capsys)
+    assert code in (0, 1, 2) and "Traceback" not in err, err
+    assert code != 0 or not (spoiled or dropped), argv
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(json_=st.booleans(), out=st.sampled_from((None, "file", "dir")),
+       data=st.data())
+def test_catalog_exits_0_1_or_2_on_any_flags(json_, out, data, tmp_path,
+                                             capsys):
+    # --json, an --out that can or cannot be written (a directory), and
+    # perhaps flags of other commands with any value: exit 0 exactly when
+    # there is no such flag and an --out comes with --json and is a file
+    extra = _some(data, ("a1", "t", "eps", "n"))
+    argv = ["catalog", *(["--json"] if json_ else []),
+            *([] if out is None else ["--out", str(tmp_path / out)]),
+            *_fuzz_flags(data, extra, _some(data, extra))]
+    (tmp_path / "dir").mkdir(exist_ok=True)
+    code, _, err = run_cli(argv, capsys)
+    assert code in (0, 1, 2) and "Traceback" not in err, err
+    assert (code == 0) == (not extra and out in (None, "file" if json_
+                                                 else None)), (argv, err)
 
 
 def test_simulate_without_config_names_the_flag(tmp_path, capsys):
@@ -1113,6 +1226,30 @@ def test_float_flags_must_be_finite(argv, flag, what, capsys):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert f"argument {flag}: must be {what}" in err
+
+
+@pytest.mark.parametrize("argv,dest,value", [
+    ([*_R38, "--span", "-1e-3", "1"], "span", [-1e-3, 1.0]),
+    (["eval", "--family", "fisher", "--xmin", "-1e-3", "--xmax", "1", "--n",
+      "3"], "xmin", -1e-3),
+    (["residual", "--family", "fisher", "--window", "-2.5E+0", "-.5e-1",
+      "--h", "0.1"], "window", [-2.5, -0.05]),
+], ids=["reduce-span", "eval-xmin", "residual-window"])
+def test_negative_numbers_with_an_exponent_are_values(argv, dest, value,
+                                                      capsys):
+    # argparse read "-1e-3" after a flag as another flag and exited 1
+    # with "expected 2 arguments" or "expected one argument"
+    assert getattr(cli.build_parser().parse_args(argv), dest) == value
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("bad", ["-inf", "-nan"])
+def test_negative_non_finite_flag_values_stay_flags(bad, capsys):
+    code, _, err = run_cli(["eval", "--family", "fisher", "--xmin", bad,
+                            "--xmax", "1", "--n", "3"], capsys)
+    assert code == 1
+    assert "argument --xmin: expected one argument" in err
 
 
 def test_reduce_nan_max_step_is_rejected_not_hung():

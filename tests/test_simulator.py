@@ -348,3 +348,50 @@ def test_speed_of_a_standing_front_is_zero_and_reliable():
     assert est.r_squared == 1.0
     assert est.reliable is True
     np.testing.assert_array_equal(est.crossing_positions, 0.0)
+
+
+def _d_eff(a1, a2, d1, d2, s):
+    """The diffusivity of a small disturbance of the coexistence line
+    u + a1 v = 1, w = 0, written from the README kinetics: on w = 0 the
+    Jacobian at (1 - a1 s, s) is -(u, a2 v)^T (1, a1), with the right null
+    vector r = (-a1, 1) along the line and the left one
+    l = (a2 s, -(1 - a1 s)), so D_eff = l diag(d1, d2) r / l r."""
+    return ((a1 * a2 * s * d1 + (1.0 - a1 * s) * d2)
+            / (a1 * a2 * s + 1.0 - a1 * s))
+
+
+@pytest.mark.parametrize("a1,a2,d2,s0,amp", [
+    (0.1, 0.031204, 4.379327, 0.7, 2e-3),
+    # off the catalog; the residual is D_eff(s)'s nonlinearity, O(amp)
+    (0.5, 2.0, 3.0, 0.6, 2e-5),
+], ids=["tf63", "off-catalog"])
+def test_a_bump_on_the_coexistence_line_spreads_with_d_eff(a1, a2, d2, s0,
+                                                          amp):
+    # zero-flux run from (1 - a1 s, s, 0), s = s0 + amp exp(-x^2 / 8): the
+    # line's coordinate sigma = l (du, dv) / l r keeps its centre, its
+    # variance grows as 2 D_eff t, and w stays exactly 0 (each term of
+    # w's kinetics has a factor w)
+    p = Params(a1=a1, a2=a2, a3=1.0, a4=1.0, a5=0.5, d1=1.0, d2=d2, d3=1.0)
+    grid = SpaceGrid(-80.0, 80.0, 1601)
+    x = grid.x()
+    s = s0 + amp * np.exp(-x * x / 8.0)
+    run = simulator.run(simulator.SimConfig(
+        params=p, grid=grid, t_end=20.0, initial=(1.0 - a1 * s, s, None),
+        snapshot_every=167))
+    lvec, rvec = (a2 * s0, -(1.0 - a1 * s0)), (-a1, 1.0)
+    lr = lvec[0] * rvec[0] + lvec[1] * rvec[1]
+    ts, variances = [], []
+    for snap in run.snapshots:
+        assert np.all(snap.w == 0.0)
+        sigma = (lvec[0] * (snap.u - (1.0 - a1 * s0))
+                 + lvec[1] * (snap.v - s0)) / lr
+        mass = np.sum(sigma)
+        centre = np.sum(x * sigma) / mass
+        assert abs(centre) <= 1e-8
+        if 5.0 <= snap.t <= 20.0:
+            ts.append(snap.t)
+            variances.append(np.sum(x * x * sigma) / mass - centre ** 2)
+    assert len(ts) >= 40
+    got = 0.5 * np.polyfit(ts, variances, 1)[0]
+    want = _d_eff(a1, a2, 1.0, d2, s0)
+    assert abs(got - want) <= 1e-5 * want, (got, want)

@@ -9,6 +9,8 @@ from hgf.errors import ConstraintError, DomainError
 from hgf.model import Params
 from hgf.solutions import FISHER_SPEED
 
+from conftest import same_bits
+
 
 def test_fisher_values_and_limits():
     f = solutions.fisher_tf()
@@ -374,9 +376,17 @@ def test_speed_values(tf63_std):
         (5 - 4 * 0.1 * 0.35) / math.sqrt(6 - 12 * 0.1 * 0.35), rel=1e-15)
 
 
+def _endpoint_defects(shape, a1):
+    """The endpoint constraints of the tanh template: connecting
+    (U0, V0, 0) to (0, 0, 1) forces both to zero."""
+    return (1.0 - 2.0 ** shape["k1"] * shape["sigma1"]
+            - a1 * 2.0 ** shape["k2"] * shape["sigma2"],
+            1.0 - 2.0 ** shape["k3"] * shape["sigma3"])
+
+
 def test_tf63_tanh_shape_endpoint_constraints(tf63_std, rng):
     shape = tf63_std.meta["tanh_shape"]
-    d1, d2 = shape.endpoint_defects(0.1)
+    d1, d2 = _endpoint_defects(shape, 0.1)
     assert abs(d1) <= 1e-15 and abs(d2) <= 1e-15
     # and for random admissible instances
     for _ in range(20):
@@ -385,7 +395,7 @@ def test_tf63_tanh_shape_endpoint_constraints(tf63_std, rng):
         if a1 * delta >= 0.5:
             continue
         inst = solutions.make_tf63(a1, delta)
-        d1, d2 = inst.meta["tanh_shape"].endpoint_defects(a1)
+        d1, d2 = _endpoint_defects(inst.meta["tanh_shape"], a1)
         assert abs(d1) <= 1e-14 and abs(d2) <= 1e-14
 
 
@@ -460,6 +470,89 @@ def test_make_ansatz_a1_zero_rejected_where_a1_is_a_coefficient(aid):
     with _raises(f"{aid} divides by a1, which must not be zero"):
         solutions.make_ansatz(aid, **kw)
 
+
+
+def _reconstruct_zero_filled(ansatz, profiles, t, x):
+    """`solutions.reconstruct` as it was before the broadcast moved to
+    `Solution.__call__`: every branch zero-fills its components to the
+    broadcast shape, and a missing profile reads zeros.  Kept as the
+    reference the reconstruction is pinned against bit for bit."""
+    t = np.asarray(t, dtype=float)
+    x = np.asarray(x, dtype=float)
+
+    def profile(name):
+        fn = profiles.get(name)
+        if fn is None:
+            return lambda s: np.zeros_like(np.asarray(s, dtype=float))
+        return fn
+
+    U, V, W = profile("U"), profile("V"), profile("W")
+    a = ansatz
+    if a.omega_based:
+        om = x - a.alpha * t
+        if a.aid == "A34":
+            up = np.exp(-a.beta * a.a1 * t) * U(om)
+            return (up, V(om) - up / a.a1, W(om) + np.zeros_like(up))
+        if a.aid == "A44":
+            u = U(om)
+            shift = a.beta * t + a.gamma * np.exp(t)
+            v = V(om) + shift * u - a.gamma * np.exp(t)
+            return (u + np.zeros_like(v), v, W(om) + np.zeros_like(v))
+        if a.aid == "plane":
+            u = U(om)
+            z = np.zeros_like(u)
+            return (u, V(om) + z, W(om) + z)
+        s = (a.a4 - 1.0) * V(om) + W(om) + (1.0 - a.a4) / a.a1
+        if a.aid == "T2a":
+            u = np.exp(-a.beta * a.a1 * t) * U(om) \
+                + a.gamma * np.exp(t) / (1.0 + a.beta * a.a1) * s
+        else:
+            u = np.exp(t) * (U(om) + a.gamma * s * t)
+        return (u, V(om) - u / a.a1, W(om) + np.zeros_like(u))
+    if a.aid == "A37":
+        e = np.exp(-a.beta * a.a1 * x)
+        u = U(t) * e
+        return (u, V(t) - u / a.a1, W(t) + np.zeros_like(u))
+    s = (a.a4 - 1.0) * V(t) + W(t) + (1.0 - a.a4) / a.a1
+    if a.aid == "T2c":
+        u = np.exp(-a.beta * a.a1 * x) * U(t) \
+            + a.gamma * np.exp(t) / (a.beta * a.a1) * s
+    else:
+        u = U(t) + a.gamma * np.exp(t) * s * x
+    return (u, V(t) - u / a.a1, W(t) + np.zeros_like(u))
+
+
+_ANSATZ_SAMPLE = dict(alpha=1.3, beta=0.4, gamma=0.2, a1=0.6, a4=0.7)
+
+
+@pytest.mark.parametrize("missing", ["", "U", "V", "W"])
+@pytest.mark.parametrize("aid", sorted(solutions.ANSATZ_COEFFS))
+def test_every_ansatz_matches_the_zero_filled_reconstruction(aid, missing,
+                                                             rng):
+    # random t of shape (3, 1) against x of shape (5,); sin, cos and tanh
+    # are not exactly zero there, so no component meets a -0.0 (the one
+    # place where the two differ by design)
+    ansatz = solutions.make_ansatz(aid, **{
+        k: _ANSATZ_SAMPLE[k] for k in solutions.ANSATZ_COEFFS[aid]})
+    profiles = {n: f for n, f in zip("UVW", (np.sin, np.cos, np.tanh))
+                if n != missing}
+    t = rng.uniform(0.0, 2.0, (3, 1))
+    x = rng.uniform(-5.0, 5.0, 5)
+    got = solutions.ansatz_solution(ansatz, profiles, None)(t, x)
+    want = _reconstruct_zero_filled(ansatz, profiles, t, x)
+    for name, g, w in zip("uvw", got, want):
+        assert g.shape == (3, 5), name
+        assert same_bits(g, w), name
+
+
+def test_a_negative_zero_component_keeps_its_sign():
+    # a4 = 2 makes w = cW phi^2 with cW < 0; at omega = 95 tanh rounds to
+    # 1, so w = -0.0, which adding zeros turned into +0.0
+    sol, _ = reduction.semi_exact_family("35-i", a1=0.5, a4=2.0, beta=0.3,
+                                         window=(-25.0, 100.0))
+    w = sol(0.0, np.array([95.0, 0.0]))[2]
+    assert w[0] == 0.0 and np.signbit(w[0])
+    assert w[1] < 0.0
 
 
 @pytest.mark.parametrize("build,name", [

@@ -161,6 +161,20 @@ CASES = [
       ["symmetry", "verify", "--family", "semi50", *SEMI50[:4],
        "--profile-lo", "-10", "--profile-hi", "10", "--op", "UdV", "--eps",
        "0.3", "--h", "0.01"]]),
+    # semi-exact families through the ansatz reconstruction, a flow
+    # included
+    ("residual-semi35-ii", {},
+     [["residual", "--family", "semi35-ii", *SEMI35, "--t", "0.4", "--h",
+       "0.01"]]),
+    ("residual-semi35-iii", {},
+     [["residual", "--family", "semi35-iii", "--a1", "0.5", "--a3", "0.6",
+       "--beta", "0.3", "--t", "0.4", "--h", "0.01"]]),
+    ("residual-semi51", {},
+     [["residual", "--family", "semi51", "--a3", "0.7", "--gamma", "0.1",
+       "--beta", "0.3", "--t", "0.4", "--h", "0.01"]]),
+    ("symmetry-verify-semi35-i-q1", {},
+     [["symmetry", "verify", "--family", "semi35-i", *SEMI35, "--op", "Q1",
+       "--eps", "0.3", "--h", "0.01"]]),
     ("residual-config-override",
      {"cfg.json": json.dumps({"family": {"key": "tf63", "a1": 0.2,
                                          "delta": 0.35}})},
