@@ -875,13 +875,14 @@ def _add_step_flags(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads a negative number with an exponent (-1e-3, -2.5E+2, -.5e1) as a
-    value, not a flag; `add_subparsers` makes subparsers of this class."""
+    """Reads a negative number (-1e-3, -2.5E+2, -.5e1), or a comma list led
+    by one (-0.5,1e-3), as a value, not a flag; subparsers share the rule."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = argparse._re.compile(
-            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?"
+            r"(,-?(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?)*$")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -120,11 +120,18 @@ class SimConfig:
 
 @dataclass
 class SimRun:
+    """A run to the end, or to the step where a non-finite state was found
+    (`aborted_at`); its snapshots are rows of one array, at t0 + s dt."""
+
     dt: float
     steps: int
     snapshots: list[FieldState]
-    rhs_evaluations: int
     aborted_at: int | None = None
+
+    @property
+    def rhs_evaluations(self) -> int:
+        """The kinetics run once per step, twice in the CN-Heun first."""
+        return self.steps + 1
 
 
 def _initial_fields(config: SimConfig) -> np.ndarray:
@@ -155,17 +162,12 @@ def _bc_mode_table(config: SimConfig, dt: float, nsteps: int):
     if bc.kind == "neumann-zero":
         return 1, np.zeros((1, 1, 3, 2))
     if bc.kind == "dirichlet":
-        table = np.empty((1, 1, 3, 2))
-        table[0, 0, :, 0] = bc.left
-        table[0, 0, :, 1] = bc.right
-        return 0, table
+        return 0, np.array((bc.left, bc.right), dtype=float).T[None, None]
     # pinned-to-exact: boundary values at the end time of every step
     times = config.t0 + np.arange(1, nsteps + 1, dtype=float) * dt
-    table = np.empty((nsteps, 1, 3, 2))
-    for side, xb in enumerate((config.grid.x_min, config.grid.x_max)):
-        for c, arr in enumerate(bc.family(times, xb)):
-            table[:, 0, c, side] = arr
-    return 0, table
+    return 0, np.stack([np.stack(bc.family(times, xb), axis=-1)
+                        for xb in (config.grid.x_min, config.grid.x_max)],
+                       axis=-1)[:, None]
 
 
 def _check_storage(config: SimConfig, steps: float) -> None:
@@ -207,45 +209,31 @@ def run(config: SimConfig) -> SimRun:
     F = _initial_fields(config)
     bc_mode, bc_table = _bc_mode_table(config, dt, nsteps)
 
-    snap_steps = list(range(config.snapshot_every, nsteps + 1,
-                            config.snapshot_every))
-    if not snap_steps or snap_steps[-1] != nsteps:
-        snap_steps.append(nsteps)
-    snap_steps_arr = np.asarray(snap_steps, dtype=np.int64)
+    every = config.snapshot_every
+    snap_steps = [*range(every, nsteps, every), nsteps]
     snaps = np.empty((len(snap_steps) + 1, 3, grid.n))
-    snaps[0] = F
-
-    dco = np.asarray(config.params.diffusivities)
-    aco = np.asarray(config.params.a_coefficients)
-    status = mol_run(F.copy(), dco, aco, grid.h, dt, nsteps, bc_mode,
-                     bc_table, snap_steps_arr, snaps)
-
-    def state(idx: int, step: int) -> FieldState:
-        # rows of `snaps`, not copies: each snapshot is stored once
-        u, v, w = snaps[idx]
-        return FieldState(grid=grid, t=config.t0 + step * dt, u=u, v=v, w=w)
-
-    if status >= 0:
-        done = [s for s in snap_steps if s < status]
-        good = [state(0, 0)]
-        good.extend(state(j + 1, s) for j, s in enumerate(done))
-        partial = SimRun(dt=dt, steps=status, snapshots=good,
-                         rhs_evaluations=status + 1, aborted_at=status)
-        # the last step at which the kernel found the state finite
-        clean = max((status - 1) // FINITE_CHECK_EVERY * FINITE_CHECK_EVERY,
-                    done[-1] if done else 0)
-        err = NumericalError(
-            f"non-finite state detected at step {status} "
-            f"(t = {config.t0 + status * dt}), finite at step {clean} "
-            f"(t = {config.t0 + clean * dt}); last good snapshot attached"
-        )
-        err.partial = partial
-        raise err
-
-    snapshots = [state(0, 0)]
-    snapshots.extend(state(j + 1, s) for j, s in enumerate(snap_steps))
-    return SimRun(dt=dt, steps=nsteps, snapshots=snapshots,
-                  rhs_evaluations=nsteps + 1)
+    snaps[0] = F  # the kernel then uses F as a state buffer
+    status = mol_run(F, np.asarray(config.params.diffusivities),
+                     np.asarray(config.params.a_coefficients), grid.h, dt,
+                     nsteps, bc_mode, bc_table, np.array(snap_steps), snaps)
+    ok = status < 0
+    # the stored steps: all of them, or those before the blow-up step
+    done = [0, *(s for s in snap_steps if ok or s < status)]
+    result = SimRun(dt=dt, steps=nsteps if ok else status, snapshots=[
+        FieldState(grid=grid, t=config.t0 + s * dt, u=u, v=v, w=w)
+        for s, (u, v, w) in zip(done, snaps)],
+        aborted_at=None if ok else status)
+    if ok:
+        return result
+    # the last step at which the kernel found the state finite
+    clean = max((status - 1) // FINITE_CHECK_EVERY * FINITE_CHECK_EVERY,
+                done[-1])
+    err = NumericalError(
+        f"non-finite state detected at step {status} "
+        f"(t = {config.t0 + status * dt}), finite at step {clean} "
+        f"(t = {config.t0 + clean * dt}); last good snapshot attached")
+    err.partial = result
+    raise err
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +251,17 @@ class SpeedEstimate:
     r_squared: float
     crossing_times: np.ndarray
     crossing_positions: np.ndarray
-    reliable: bool
+
+    @property
+    def reliable(self) -> bool:
+        return self.r_squared >= R2_RELIABLE
 
     def as_dict(self) -> dict:
-        return {
-            "component": self.component,
-            "level": self.level,
-            "speed": self.speed,
-            "intercept": self.intercept,
-            "fit_window": list(self.fit_window),
-            "r_squared": self.r_squared,
-            "n_crossings": int(len(self.crossing_times)),
-            "reliable": self.reliable,
-        }
+        """The fields, the crossing arrays reported as their count."""
+        d = {k: v for k, v in vars(self).items() if "crossing" not in k}
+        return {**d, "fit_window": list(self.fit_window),
+                "n_crossings": len(self.crossing_times),
+                "reliable": self.reliable}
 
 
 def _level_crossing(x: np.ndarray, f: np.ndarray, level: float,
@@ -348,5 +334,4 @@ def measure_front_speed(run_or_snapshots, component: str, level: float,
         r_squared=float(r2),
         crossing_times=ts,
         crossing_positions=xs,
-        reliable=bool(r2 >= R2_RELIABLE),
     )

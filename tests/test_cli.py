@@ -1228,17 +1228,26 @@ def test_float_flags_must_be_finite(argv, flag, what, capsys):
     assert f"argument {flag}: must be {what}" in err
 
 
+_T2D = ["reduce", "--system", "T2d", "--a1", "0.5", "--a4", "0.8"]
+
+
 @pytest.mark.parametrize("argv,dest,value", [
     ([*_R38, "--span", "-1e-3", "1"], "span", [-1e-3, 1.0]),
     (["eval", "--family", "fisher", "--xmin", "-1e-3", "--xmax", "1", "--n",
       "3"], "xmin", -1e-3),
     (["residual", "--family", "fisher", "--window", "-2.5E+0", "-.5e-1",
       "--h", "0.1"], "window", [-2.5, -0.05]),
-], ids=["reduce-span", "eval-xmin", "residual-window"])
+    ([*_T2D, "--y0", "-0.5,0.5,0.5", "--span", "0", "1"], "y0",
+     "-0.5,0.5,0.5"),
+    ([*_T2D, "--y0", "-1e-1,-.5E+0,2", "--span", "0", "1"], "y0",
+     "-1e-1,-.5E+0,2"),
+], ids=["reduce-span", "eval-xmin", "residual-window", "reduce-y0-list",
+        "reduce-y0-list-exponents"])
 def test_negative_numbers_with_an_exponent_are_values(argv, dest, value,
                                                       capsys):
-    # argparse read "-1e-3" after a flag as another flag and exited 1
-    # with "expected 2 arguments" or "expected one argument"
+    # argparse read "-1e-3", or a --y0 list led by "-0.5", after a flag as
+    # another flag and exited 1 with "expected 2 arguments" or "expected
+    # one argument"; "--y0=-0.5,0.5,0.5" worked
     assert getattr(cli.build_parser().parse_args(argv), dest) == value
     code, _, err = run_cli(argv, capsys)
     assert code == 0, err
@@ -1250,6 +1259,13 @@ def test_negative_non_finite_flag_values_stay_flags(bad, capsys):
                             "--xmax", "1", "--n", "3"], capsys)
     assert code == 1
     assert "argument --xmin: expected one argument" in err
+
+
+@pytest.mark.parametrize("bad", ["-inf", "-nan", "-0.5,x,0.5"])
+def test_a_negative_y0_non_number_stays_a_flag(bad, capsys):
+    code, _, err = run_cli([*_T2D, "--y0", bad, "--span", "0", "1"], capsys)
+    assert code == 1
+    assert "argument --y0: expected one argument" in err
 
 
 def test_reduce_nan_max_step_is_rejected_not_hung():

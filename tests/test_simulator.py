@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hgf import calculus, cli, simulator, solutions
 from hgf.calculus import SpaceGrid
@@ -175,6 +177,28 @@ def test_tf63_transport_self_convergence(tf63_std):
     assert e_coarse / e_fine == pytest.approx(4.0, rel=0.15)
 
 
+def test_pinned_to_exact_values_land_on_the_boundary_nodes(tf63_std):
+    # the table holds the family at the end time of every step, by side
+    # and component; t0 != 0 so that a table started at t = 0 fails too
+    grid = SpaceGrid(-5.0, 5.0, 101)
+    cfg = simulator.SimConfig(
+        params=tf63_std.params, grid=grid, t0=0.5, t_end=1.0,
+        initial=tf63_std, snapshot_every=7,
+        bc=simulator.BoundaryCondition("pinned-to-exact", family=tf63_std))
+    run = simulator.run(cfg)
+    assert len(run.snapshots) > 3
+    for s in run.snapshots[1:]:
+        left, right = (np.array(tf63_std(s.t, xb))
+                       for xb in (grid.x_min, grid.x_max))
+        # a swapped side or component is off by more than 1e-2
+        assert np.min(np.abs(left - right)) > 1e-2
+        assert np.min(np.abs(np.diff(np.sort(left)))) > 1e-2
+        assert np.min(np.abs(np.diff(np.sort(right)))) > 1e-2
+        F = s.stack()
+        np.testing.assert_allclose(F[:, 0], left, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(F[:, -1], right, rtol=0, atol=1e-14)
+
+
 def test_speed_from_analytic_snapshots(tf63_std):
     grid = SpaceGrid(-30, 50, 1601)
     snaps = [calculus.sample(tf63_std, grid, t) for t in np.linspace(0, 8, 17)]
@@ -252,9 +276,26 @@ def test_blowup_aborts_with_partial_run():
     with pytest.raises(NumericalError, match="step") as err:
         simulator.run(cfg)
     partial = err.value.partial
-    assert partial.aborted_at is not None
+    status = partial.aborted_at
+    assert status is not None
     assert len(partial.snapshots) >= 1
     assert np.isfinite(partial.snapshots[-1].stack()).all()
+    # every step before the blow-up, at t0 + s dt, as rows of one array
+    _assert_stored_steps(partial, cfg.t0, range(status))
+    assert partial.rhs_evaluations == partial.steps + 1 == status + 1
+    # a run that finishes keeps every step and its final state
+    done = simulator.run(replace(cfg, initial=(None, None, None)))
+    assert done.aborted_at is None
+    _assert_stored_steps(done, cfg.t0, range(done.steps + 1))
+    assert done.rhs_evaluations == done.steps + 1
+
+
+def _assert_stored_steps(run, t0, steps):
+    assert [s.t for s in run.snapshots] == [t0 + s * run.dt for s in steps]
+    rows = [f for s in run.snapshots for f in (s.u, s.v, s.w)]
+    base = rows[0].base
+    assert base is not None and all(f.base is base for f in rows)
+    assert len({f.__array_interface__["data"][0] for f in rows}) == len(rows)
 
 
 def test_blowup_found_between_snapshots():
@@ -395,3 +436,48 @@ def test_a_bump_on_the_coexistence_line_spreads_with_d_eff(a1, a2, d2, s0,
     got = 0.5 * np.polyfit(ts, variances, 1)[0]
     want = _d_eff(a1, a2, 1.0, d2, s0)
     assert abs(got - want) <= 1e-5 * want, (got, want)
+
+
+def _initial_row(draw, n):
+    """Smooth or spiky data in [0, 2] on n nodes, or identically zero."""
+    kind = draw(st.sampled_from(("zero", "smooth", "spiky")))
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "smooth":
+        mean, amp = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        k = draw(st.integers(0, 4))
+        return mean * (1.0 + amp * np.cos(k * np.pi
+                                          * np.linspace(0.0, 1.0, n)))
+    # spikes of 2 and 1e-3 among mostly zero nodes
+    spike = st.sampled_from((0.0, 0.0, 0.0, 2.0, 1e-3))
+    return np.array(draw(st.lists(spike, min_size=n, max_size=n)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_runs_stay_nonnegative_and_keep_invariant_zeros(data):
+    # the kinetics keep u >= 0, v >= 0, w >= 0 and each of u = 0 and w = 0
+    # (every term of their rates has a factor u or w); dt keeps the
+    # Crank-Nicolson ratio at most 1/2, where diffusion keeps signs too
+    a = [data.draw(st.floats(0.1 if i == 3 else 0.0, 3.0)) for i in range(5)]
+    d = [data.draw(st.floats(0.1, 3.0)) for _ in range(3)]
+    if data.draw(st.booleans()):
+        bc = simulator.BoundaryCondition("neumann-zero")
+    else:
+        side = st.tuples(*[st.floats(0.0, 2.0)] * 3)
+        bc = simulator.BoundaryCondition("dirichlet", data.draw(side),
+                                         data.draw(side))
+    n = data.draw(st.integers(11, 41))
+    F = np.array([_initial_row(data.draw, n) for _ in range(3)])
+    run = simulator.run(simulator.SimConfig(
+        params=Params(*a, d1=d[0], d2=d[1], d3=d[2]),
+        grid=SpaceGrid(-2.0, 2.0, n), t_end=data.draw(st.floats(0.01, 1.0)),
+        initial=tuple(F), bc=bc,
+        snapshot_every=data.draw(st.integers(1, 50))))
+    zero = [c for c in (0, 2) if bc.kind == "neumann-zero" and
+            not F[c].any()]
+    for s in run.snapshots:
+        G = s.stack()
+        assert G.min() >= 0.0, (s.t, G.min())
+        for c in zero:
+            assert np.all(G[c] == 0.0), (s.t, c)

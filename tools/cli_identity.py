@@ -13,11 +13,13 @@ that has not returned after ``TIMEOUT_S`` counts as the outcome
 
 The cases cover every subcommand and every report and CSV writer, a run
 of every reduced system, each case of the separable (fam40, R38 with
-``--case``) and semi-exact families, the flag-over-file, flag-over-config and file-over-config
-warnings (two overrides in one command included), a pinned-to-exact
-``simulate``, snapshot files that the ``speed`` reader must take apart
-the same way (line ends, blank lines, rows of one time apart, empty
-cells, bad lines past its first block) and the user errors of each kind.
+``--case``) and semi-exact families, the flag-over-file, flag-over-config
+and file-over-config warnings (two overrides in one command included), a
+pinned-to-exact ``simulate`` (one from t0 = 0.5), a ``simulate`` that
+stores only its final state, a ``speed`` fit flagged unreliable, snapshot
+files that the ``speed`` reader must take apart the same way (line ends,
+blank lines, rows of one time apart, empty cells, bad lines past its first
+block) and the user errors of each kind.
 All paths are relative, so reports and messages do not depend on where
 the temporary directory lies.
 """
@@ -60,14 +62,16 @@ def _config(family, grid=(-15.0, 20.0, 351), t_end=1.5, every=100, **extra):
     return json.dumps({**cfg, **extra})
 
 
-def _front_rows(times=(0.0, 0.25, 0.5, 0.75, 1.0), n=1001, vw=True):
-    """``t,x,u,v,w`` rows of a tanh front moving at speed 2 over
-    [-10, 10]; without `vw` the v and w cells are empty."""
+def _front_rows(times=(0.0, 0.25, 0.5, 0.75, 1.0), n=1001, vw=True,
+                at=lambda t: 2.0 * t):
+    """``t,x,u,v,w`` rows of a tanh front centred at x = `at`(t) (speed 2
+    by default) over [-10, 10]; without `vw` the v and w cells are
+    empty."""
     rows = []
     for t in times:
         for i in range(n):
             x = -10.0 + 20.0 * i / (n - 1)
-            u = 0.5 * (1.0 - math.tanh(x - 2.0 * t))
+            u = 0.5 * (1.0 - math.tanh(x - at(t)))
             vw_cells = f"{1.0 - u!r},{u * u!r}" if vw else ","
             rows.append(f"{t!r},{x!r},{u!r},{vw_cells}")
     return rows
@@ -191,6 +195,21 @@ CASES = [
      {"cfg.json": _config(TF63_FAMILY, bc={"kind": "pinned-to-exact"})},
      [["simulate", "--config", "cfg.json", "--out", "run"],
       ["speed", "--run", "run", "--component", "w", "--level", "0.5"]]),
+    # the boundary table starts at t0 + dt, not at dt
+    ("simulate-pinned-to-exact-t0",
+     {"cfg.json": _config(TF63_FAMILY, bc={"kind": "pinned-to-exact"},
+                          time={"t0": 0.5, "t_end": 1.5,
+                                "snapshot_every": 100})},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"],
+      ["speed", "--run", "run", "--component", "w", "--level", "0.5"]]),
+    # more steps per snapshot than the run takes: only the final state
+    # follows the initial one
+    ("simulate-one-final-snapshot",
+     {"cfg.json": _config(FISHER, grid=(-10.0, 10.0, 101), t_end=0.2,
+                          every=10**6)},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"],
+      ["speed", "--run", "run", "--component", "u", "--level", "0.5",
+       "--fit-window", "0", "0.2"]]),
     ("simulate-dirichlet-params-differ",
      {"cfg.json": _config(FISHER, grid=(-10.0, 10.0, 101), t_end=0.2,
                           every=10,
@@ -335,6 +354,11 @@ CASES = [
                              *FRONT[4004:], *FRONT[3503:4004]])},
      [[*SPEED, "u", "--level", "0.5"],
       ["speed", "--run", "run", "--component", "v", "--level", "0.5"]]),
+    # a crossing at 2 t^2 fits a line badly: the report warns and reads
+    # "reliable": false
+    ("speed-unreliable-fit",
+     {SNAPSHOTS: _snapshots(_front_rows(at=lambda t: 2.0 * t * t))},
+     [[*SPEED, "u", "--level", "0.5", "--out", "speed.json"]]),
     ("speed-reader-empty-cells",
      {SNAPSHOTS: _snapshots(_front_rows(vw=False))},
      [[*SPEED, "u", "--level", "0.5"], [*SPEED, "w", "--level", "0.25"]]),
