@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NumericalError
-from .model import kinetics
+from .model import inert_components, kinetics
 
 __all__ = [
     "thread_cap",
@@ -49,6 +49,12 @@ def thread_cap() -> int:
 # S = 1).
 # snap_steps lists the 1-based step indices after which a snapshot is stored
 # into snaps[1:]; snaps[0] must already hold the initial state.
+# A component whose row and boundary values are all +0.0 and that the
+# kinetics keep at zero (`model.inert_components`) is not stepped: its
+# snapshot rows are zeros, the kinetics take +0.0 for it and compute no
+# rate for it, and the other rows, a contiguous block of the stacked
+# system, are solved alone.  That system has no entry coupling two
+# components, so every bit is as if all three rows were stepped.
 # The state is checked for non-finite values at every snapshot step and
 # every FINITE_CHECK_EVERY steps.  Returns -1 on success, else the 1-based
 # step index where a non-finite value was detected.  F is used as one of
@@ -71,8 +77,8 @@ FINITE_CHECK_EVERY = 64
 
 
 def _cn_factor(r, n, bc_mode):
-    """LDL^T factors of I - r L, the three components stacked as one
-    symmetric positive definite tridiagonal system of 3n unknowns.
+    """LDL^T factors of I - r L, the components of `r` stacked as one
+    symmetric positive definite tridiagonal system of r.size * n unknowns.
 
     Dirichlet rows are identity rows; their neighbours take the boundary
     values on the right-hand side.  Zero-flux rows are halved, the
@@ -101,18 +107,33 @@ def mol_run(F, dco, aco, h, dt, nsteps, bc_mode, bc_table, snap_steps,
             snaps):
     from scipy.linalg.lapack import dpttrs
     F = np.ascontiguousarray(F, dtype=float)  # flat views for dpttrs
+    bc_table = np.asarray(bc_table, dtype=float)
     n = F.shape[1]
-    r = (0.5 * dt / (h * h)) * np.asarray(dco, dtype=float)
+    # +0.0 is the one float64 with no bit set
+    inert = inert_components([
+        c for c in range(3) if not F[c].view(np.uint64).any() and (
+            bc_mode == 1 or not bc_table[..., c, :].view(np.uint64).any())])
+    snaps[1:, list(inert)] = 0.0
+    active = [c for c in range(3) if c not in inert]
+    if not active:
+        return -1
+    lo, hi = active[0], active[-1] + 1
+    F, bc_table = F[lo:hi], bc_table[..., lo:hi, :]
+    r = (0.5 * dt / (h * h)) * np.asarray(dco, dtype=float)[lo:hi]
     d, e = _cn_factor(r, n, bc_mode)
     # the kinetics now and one step back, the right-hand side that is
     # solved in place into the next state, and the stencil buffer
     N, N_old, B = (np.empty(F.shape) for _ in range(3))
     lap = np.empty((F.shape[0], n - 2))
     tabbed = bc_table.shape[0] > 1
+    # the kinetics' fields and leading terms: +0.0 and None (no rate) for
+    # an inert component
+    fields, leads = [0.0] * 3, [None] * 3
 
     def kinetics_of(F, out):
         out.fill(0.0)
-        kinetics(aco, F[0], F[1], F[2], out)
+        fields[lo:hi], leads[lo:hi] = F, out
+        kinetics(aco, *fields, leads)
 
     def implicit_solve(F, B, tb):
         """B (holding the kinetics part) += (I + r L) F, then
@@ -165,7 +186,7 @@ def mol_run(F, dco, aco, h, dt, nsteps, bc_mode, bc_table, snap_steps,
                 if not np.isfinite(F).all():
                     return step
             if snap:
-                snaps[j + 1] = F
+                snaps[j + 1, lo:hi] = F
                 j += 1
     return -1
 

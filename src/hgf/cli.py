@@ -145,25 +145,43 @@ def _emit(command: str, out: str | None, inputs: dict, results: dict,
 # ---------------------------------------------------------------------------
 
 
+def format_cells(values) -> np.ndarray:
+    """The cells `write_columns` prints for a column of numbers, as a str
+    column: for a column written more than once."""
+    return np.array([*map("%.17g".__mod__,
+                          np.asarray(values, dtype=float).tolist())])
+
+
+def _is_cells(col) -> bool:
+    return isinstance(col, np.ndarray) and col.dtype.kind == "U"
+
+
 def write_columns(fh, cols) -> int:
     """One CSV row per index of `cols`, broadcast to a common length, and
-    the number of rows.  Every value prints with 17 significant digits,
-    which round-trip float64; a None column prints as empty cells.  Each
-    row is one %-format of a row template, and the rows are written as
-    one string."""
-    given = np.broadcast_arrays(*(np.asarray(c, dtype=float)
-                                  for c in cols if c is not None))
-    row = ",".join("" if c is None else "%.17g" for c in cols) + "\n"
-    fh.write("".join(map(row.__mod__, zip(*(a.tolist() for a in given)))))
-    return len(given[0])
+    the number of rows.  Every number prints with 17 significant digits,
+    which round-trip float64; a None column prints as empty cells, and a
+    str column (`format_cells`) as it is.  Each row is one %-format of a
+    row template, into which a scalar column is formatted once, and the
+    rows are written as one string."""
+    cols = [c if c is None or _is_cells(c) else np.asarray(c, dtype=float)
+            for c in cols]
+    row = ",".join("" if c is None else "%s" if _is_cells(c)
+                   else "%.17g" % c[()] if c.ndim == 0 else "%.17g"
+                   for c in cols) + "\n"
+    given = [c for c in cols if c is not None]
+    arrays = np.broadcast_arrays(*given)
+    fh.write("".join(map(row.__mod__, zip(*(
+        a.tolist() for a, c in zip(arrays, given) if c.ndim)))))
+    return len(arrays[0])
 
 
 def write_snapshots_csv(path, snapshots) -> int:
     rows = 0
+    x_cells = functools.cache(lambda grid: format_cells(grid.x()))
     with open(path, "w") as fh:
         fh.write("t,x,u,v,w\n")
         for s in snapshots:
-            rows += write_columns(fh, (s.t, s.grid.x(), s.u, s.v, s.w))
+            rows += write_columns(fh, (s.t, x_cells(s.grid), s.u, s.v, s.w))
     return rows
 
 
@@ -211,6 +229,23 @@ def _parse_block(path, lineno: int, lines) -> np.ndarray:
     _raise_bad_line(path, lineno, lines)
 
 
+def _read_block(path, lineno: int, lines) -> np.ndarray:
+    """`_parse_block`'s rows of `lines`, read by numpy's C reader, which
+    converts a cell as `float` does, when it takes the block whole: five
+    cells a row, none empty or bad, every t finite, and some row (it
+    warns on a block without one).  Any other block goes to
+    `_parse_block`, with its empty-cell rule and its messages."""
+    if any(map(str.strip, lines)):
+        try:
+            block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if block.shape[1] == 5 and np.isfinite(block[:, 0]).all():
+                return block
+    return _parse_block(path, lineno, lines)
+
+
 def read_snapshots_csv(path) -> list[calculus.FieldState]:
     """Rebuild snapshot states from a ``t,x,u,v,w`` CSV: one per time t,
     in order of first appearance, of all rows with that t."""
@@ -222,7 +257,7 @@ def read_snapshots_csv(path) -> list[calculus.FieldState]:
                                   f"{header!r}")
         lineno = 2
         while lines := list(itertools.islice(fh, _CSV_BLOCK)):
-            blocks.append(_parse_block(path, lineno, lines))
+            blocks.append(_read_block(path, lineno, lines))
             lineno += len(lines)
     data = np.concatenate([np.empty((0, 5)), *blocks])
     ts = data[:, 0]

@@ -40,20 +40,36 @@ def kinetics(a, u, v, w, lead):
     reduction R58 passes alpha*U', and `Params.reaction` passes -0.0.
     Broadcasts over numpy arrays.  Where `lead` holds arrays the rates are
     added onto them in place and those arrays are returned; scalar leading
-    terms are left alone.
+    terms are left alone.  A None leading term skips its component's rate
+    and is returned as it is: the MOL kernel passes None for a component
+    it does not step (`inert_components`).
     """
     a1, a2, a3, a4, a5 = a
     l1, l2, l3 = lead
     a1v = a1 * v
     g = 1.0 - u - a1v
-    l1 += u * g
-    l2 += a2 * v * g
-    l2 += u * w
-    l2 += a1v * w
-    l3 += a3 * w * (1.0 - w)
-    l3 -= a4 * u * w
-    l3 -= a5 * v * w
+    if l1 is not None:
+        l1 += u * g
+    if l2 is not None:
+        l2 += a2 * v * g
+        l2 += u * w
+        l2 += a1v * w
+    if l3 is not None:
+        l3 += a3 * w * (1.0 - w)
+        l3 -= a4 * u * w
+        l3 -= a5 * v * w
     return l1, l2, l3
+
+
+def inert_components(zero) -> tuple[int, ...]:
+    """The components, of those indexed in `zero` (0, 1, 2 for u, v, w),
+    whose rates in `kinetics` vanish while they are zero, whatever the
+    others hold: u (C1 has the factor u), w (C3 has the factor w), and v
+    with u or w (C2 = a2 v g + (u + a1 v) w).  v alone is not inert: u w
+    feeds it.  Every such set leaves the rest a contiguous range."""
+    u, v, w = (c in zero for c in range(3))
+    return tuple(c for c, inert in enumerate((u, v and (u or w), w))
+                 if inert)
 
 
 def finite_real(v) -> bool:

@@ -311,7 +311,10 @@ def measure_front_speed(run_or_snapshots, component: str, level: float,
     used = sorted((s for s in snapshots if lo - 1e-12 <= s.t <= hi + 1e-12),
                   key=lambda s: s.t)
     if len(used) < 2:
-        raise ConstraintError("fit window contains fewer than 2 snapshots")
+        raise ConstraintError(
+            f"fit window [{lo}, {hi}] holds {len(used)} of the run's "
+            f"{len(snapshots)} snapshots, and a fit needs 2; choose a wider "
+            f"window (hgf speed --fit-window LO HI)")
     ts = np.asarray([s.t for s in used])
     xs = np.asarray([
         _level_crossing(s.grid.x(), getattr(s, component), level, s.t)

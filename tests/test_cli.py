@@ -1,9 +1,11 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -981,6 +983,26 @@ def test_fit_window_is_checked_by_flag_name(tmp_path, window, capsys):
                    f"finite width, got {lo} {hi}\n")
 
 
+def test_speed_names_a_default_window_too_short_for_a_fit(tmp_path, capsys,
+                                                        monkeypatch):
+    # the run holds two snapshots, t = 0 and 0.05; the default window, the
+    # last half, holds one, and the message said only "fit window
+    # contains fewer than 2 snapshots"
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({
+        "family": {"key": "fisher"},
+        "grid": {"x_min": -10.0, "x_max": 10.0, "n": 201},
+        "time": {"t_end": 0.05, "snapshot_every": 10**6}}))
+    assert run_cli(["simulate", "--config", "cfg.json", "--out", "run",
+                    "--quiet"], capsys) == (0, "", "")
+    speed = ["speed", "--run", "run", "--component", "u", "--level", "0.5"]
+    assert run_cli(speed, capsys) == (
+        1, "", "error: fit window [0.025, 0.05] holds 1 of the run's 2 "
+               "snapshots, and a fit needs 2; choose a wider window (hgf "
+               "speed --fit-window LO HI)\n")
+    assert run_cli([*speed, "--fit-window", "0", "0.05"], capsys)[0] == 0
+
+
 def test_speed_rejects_short_snapshot_rows(tmp_path, capsys):
     (tmp_path / "snapshots.csv").write_text(
         "t,x,u,v,w\n0,0,1,1,1\n0,0.5,1,1\n0,1,1,1,1\n")
@@ -1117,6 +1139,76 @@ def test_block_reader_matches_per_line_reader(tmp_path, name):
             rows[0, 0], rows[-1, 0], len(rows))
         for got, col in zip((s.u, s.v, s.w), rows[:, 1:].T):
             assert got.tobytes() == col.tobytes()
+
+
+# rows of five numbers as the writer prints them, and lines made of the
+# pieces of a number and of what the C reader and `float` may read apart:
+# underscores, hex, comments, nan, inf, spaces and blank lines
+_NUMBER_ROW = st.lists(st.floats().map("%.17g".__mod__), min_size=5,
+                       max_size=5).map(",".join)
+_CELL_PIECES = ("0", "1", "7", "-", "+", "e", ".", " ", "_", "#", "0x",
+                "nan", "inf")
+_CSV_LINE = st.one_of(
+    _NUMBER_ROW,
+    st.lists(st.lists(st.sampled_from(_CELL_PIECES), max_size=4)
+             .map("".join), min_size=1, max_size=6).map(",".join),
+    st.sampled_from(("", " ", "   ")))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lines=st.one_of(st.lists(_NUMBER_ROW, max_size=8),
+                       st.lists(_CSV_LINE, max_size=8)))
+def test_block_fast_path_matches_the_per_line_path(lines):
+    # numpy's C reader takes a block only where it gives `_parse_block`'s
+    # array to the bit; elsewhere `_parse_block` raises its own message
+    lines = [f"{line}\n" for line in lines]
+
+    def outcome(read):
+        try:
+            return read("snapshots.csv", 2, lines)
+        except ConstraintError as e:
+            return str(e)
+
+    want = outcome(cli._parse_block)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(cli._read_block)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_a_block_of_blank_lines_warns_nothing(tmp_path):
+    # loadtxt warns "input contained no data" on a block without rows
+    path = tmp_path / "snapshots.csv"
+    rows = [f"0.5,{x},1,,1\n" for x in range(5)]
+    path.write_text("".join(["t,x,u,v,w\n", *["\n"] * 2048, *rows]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli._read_block(path, 2, ["\n"] * 2048).shape == (0, 5)
+        snap, = cli.read_snapshots_csv(path)
+    assert (snap.t, snap.grid.n, np.isnan(snap.v).all()) == (0.5, 5, True)
+
+
+def test_snapshot_writer_matches_one_write_columns_call_per_snapshot(
+        tmp_path, tf63_std):
+    # the writer formats each grid's x once and each t once; the file is
+    # what one plain write_columns call per snapshot writes
+    snaps = [calculus.sample(tf63_std, SpaceGrid(lo, hi, n), t)
+             for t, (lo, hi, n) in zip(
+                 (0.0, 0.1, 0.2, 1 / 3, -0.0),
+                 [(-5.0, 5.0, 41), (-3.0, 7.0, 23), (-5.0, 5.0, 41),
+                  (-3.0, 7.0, 23), (-5.0, 5.0, 41)])]
+    path = tmp_path / "snapshots.csv"
+    rows = cli.write_snapshots_csv(path, snaps)
+    want = io.StringIO()
+    want.write("t,x,u,v,w\n")
+    assert rows == sum(cli.write_columns(want, (s.t, s.grid.x(), s.u, s.v,
+                                                s.w)) for s in snaps)
+    assert path.read_text() == want.getvalue()
+    assert "\n-0,-5," in want.getvalue()
 
 
 @pytest.mark.parametrize("argv", [

@@ -221,6 +221,185 @@ def test_params_reaction_keeps_signed_zero(rng):
                          .reaction(-0.0, -0.0, -0.0)[0]) == -1.0
 
 
+def test_kinetics_skips_a_none_lead(rng):
+    # a None leading term computes no rate and comes back as None; the
+    # other rates are those of the full call, to the bit
+    a = rng.uniform(-2, 2, 5)
+    u, v, w = rng.uniform(-1, 1, (3, 64))
+    full = model.kinetics(a, u, v, w, np.zeros((3, 64)))
+    for keep in itertools.product([False, True], repeat=3):
+        lead = [np.zeros(64) if k else None for k in keep]
+        got = model.kinetics(a, u, v, w, lead)
+        for k, g, f, l in zip(keep, got, full, lead):
+            assert g is l
+            assert not k or g.tobytes() == f.tobytes()
+
+
+def _reference_cnab2_run(F, dco, aco, h, dt, nsteps, bc_mode, bc_table,
+                         snap_steps, snaps):
+    """The CNAB2 loop as it was before the kernel left inert components
+    unstepped: all three rows stepped and solved as one stacked system.
+    Test-only: the reference the kernel's skipped rows are checked
+    against, to the bit."""
+    from scipy.linalg.lapack import dpttrs
+    F = np.ascontiguousarray(F, dtype=float)  # flat views for dpttrs
+    n = F.shape[1]
+    r = (0.5 * dt / (h * h)) * np.asarray(dco, dtype=float)
+    d, e = K._cn_factor(r, n, bc_mode)
+    # the kinetics now and one step back, the right-hand side that is
+    # solved in place into the next state, and the stencil buffer
+    N, N_old, B = (np.empty(F.shape) for _ in range(3))
+    lap = np.empty((F.shape[0], n - 2))
+    tabbed = bc_table.shape[0] > 1
+
+    def kinetics_of(F, out):
+        out.fill(0.0)
+        model.kinetics(aco, F[0], F[1], F[2], out)
+
+    def implicit_solve(F, B, tb):
+        """B (holding the kinetics part) += (I + r L) F, then
+        B = (I - r L)^-1 B."""
+        np.add(F[:, :-2], F[:, 2:], out=lap)
+        np.subtract(lap, F[:, 1:-1], out=lap)
+        np.subtract(lap, F[:, 1:-1], out=lap)
+        np.multiply(lap, r[:, None], out=lap)
+        np.add(B, F, out=B)
+        np.add(B[:, 1:-1], lap, out=B[:, 1:-1])
+        if bc_mode == 0:
+            B[:, 0] = tb[:, 0]
+            B[:, -1] = tb[:, 1]
+            B[:, 1] += r * tb[:, 0]
+            B[:, -2] += r * tb[:, 1]
+        else:
+            B[:, 0] = 0.5 * B[:, 0] + r * (F[:, 1] - F[:, 0])
+            B[:, -1] = 0.5 * B[:, -1] + r * (F[:, -2] - F[:, -1])
+        flat = B.reshape(-1)  # a view: B is C-contiguous
+        x, info = dpttrs(d, e, flat, overwrite_b=1)
+        # kept: info < 0 is LAPACK's only report of a bad argument
+        if info != 0:
+            raise NumericalError(f"implicit diffusion solve failed "
+                                 f"(dpttrs info {info})")
+        if x is not flat:  # kept: f2py may still solve into a copy
+            flat[...] = x
+
+    j = 0
+    # blow-ups are detected via the periodic finite check, so numpy's
+    # overflow warnings on the way there are just noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, nsteps + 1):
+            tb = (bc_table[step - 1] if tabbed else bc_table[0])[-1]
+            N, N_old = N_old, N
+            kinetics_of(F, N)
+            if step == 1:
+                np.multiply(N, dt, out=B)
+                implicit_solve(F, B, tb)  # B = F*
+                kinetics_of(B, N_old)
+                np.add(N, N_old, out=B)
+                np.multiply(B, 0.5 * dt, out=B)
+            else:
+                np.multiply(N, 3.0, out=B)
+                np.subtract(B, N_old, out=B)
+                np.multiply(B, 0.5 * dt, out=B)
+            implicit_solve(F, B, tb)
+            F, B = B, F
+            snap = j < snap_steps.shape[0] and snap_steps[j] == step
+            if snap or step % K.FINITE_CHECK_EVERY == 0:
+                if not np.isfinite(F).all():
+                    return step
+            if snap:
+                snaps[j + 1] = F
+                j += 1
+    return -1
+
+
+def _run_or_partial(config):
+    """A run's result and "", or a blow-up's partial run and message."""
+    try:
+        return simulator.run(config), ""
+    except NumericalError as e:
+        return e.partial, str(e)
+
+
+def assert_matches_reference(config, run=None):
+    """`simulator.run(config)` (or its given `run`) against the same run
+    on `_reference_cnab2_run`: the same steps, message and snapshots, to
+    the bit."""
+    got, message = (run, "") if run is not None else _run_or_partial(config)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulator, "mol_run", _reference_cnab2_run)
+        want, want_message = _run_or_partial(config)
+    assert (message, got.steps, got.dt, got.aborted_at) == (
+        want_message, want.steps, want.dt, want.aborted_at)
+    assert [s.t for s in got.snapshots] == [s.t for s in want.snapshots]
+    for g, w in zip(got.snapshots, want.snapshots):
+        assert g.stack().tobytes() == w.stack().tobytes()
+    return got, message
+
+
+_INERT_P = Params(0.3, 0.7, 0.9, 1.1, 0.2, d1=1.0, d2=1.3, d3=0.8)
+_INERT_GRID = calculus.SpaceGrid(-10.0, 10.0, 101)
+_INERT_X = _INERT_GRID.x()
+_BUMP = 0.5 * (1.0 - np.tanh(_INERT_X))
+_FISHER = solutions.embed_fisher()
+
+
+def _inert_case(initial, bc=None, params=_INERT_P, t_end=0.3):
+    return simulator.SimConfig(
+        params=params, grid=_INERT_GRID, t_end=t_end, initial=initial,
+        bc=bc or simulator.BoundaryCondition("neumann-zero"),
+        snapshot_every=13)
+
+
+# each case and the rows the kernel steps (the size of its factored system)
+_INERT_CASES = {
+    "fisher-dirichlet": (_inert_case(
+        _FISHER, simulator.dirichlet_at_endpoints(_FISHER),
+        _FISHER.params), 1),
+    "fisher-neumann-zero": (_inert_case(_FISHER, params=_FISHER.params), 1),
+    "fisher-pinned-to-exact": (_inert_case(
+        _FISHER, simulator.BoundaryCondition("pinned-to-exact",
+                                             family=_FISHER),
+        _FISHER.params), 1),
+    # w = 0 on the coexistence line u + a1 v = 1, with a bump in v
+    "coexistence-w-zero": (_inert_case(
+        (1.0 - 0.3 * (0.7 + 0.1 * _BUMP), 0.7 + 0.1 * _BUMP, None)), 2),
+    "u-zero": (_inert_case((None, _BUMP, 1.0 - _BUMP)), 2),
+    # v = 0 is not kept: u w feeds it
+    "v-zero-w-nonzero": (_inert_case((_BUMP, None, 1.0 - _BUMP)), 3),
+    # a zero row with a nonzero boundary value is stepped
+    "zero-row-dirichlet-value": (_inert_case(
+        (_BUMP, None, None), simulator.BoundaryCondition(
+            "dirichlet", (1.0, 0.5, 0.0), (0.0, 0.0, 0.0))), 2),
+    # -0.0 is not +0.0: the v row is stepped (to +0.0)
+    "negative-zero-row": (_inert_case(
+        (_BUMP, np.full(_INERT_X.shape, -0.0), None)), 2),
+    "all-zero": (_inert_case((None, None, None)), 0),
+    # u' = -u^2 from u = -2 blows up near t = 0.5
+    "blow-up": (_inert_case((np.full(_INERT_X.shape, -2.0), None, None),
+                            t_end=2.0), 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INERT_CASES))
+def test_unstepped_rows_match_the_full_row_loop(name, monkeypatch):
+    config, stepped = _INERT_CASES[name]
+    sizes, factor = [], K._cn_factor
+
+    def spy(r, n, bc_mode):
+        sizes.append(r.size)
+        return factor(r, n, bc_mode)
+
+    monkeypatch.setattr(K, "_cn_factor", spy)
+    run, message = assert_matches_reference(config)
+    # the kernel's system, then the reference's
+    assert sizes == [stepped, 3] if stepped else sizes == [3]
+    assert (message != "") == (name == "blow-up")
+    assert len(run.snapshots) >= 3
+    if name == "negative-zero-row":
+        assert np.signbit(run.snapshots[0].v).all()
+        assert not np.signbit(run.snapshots[-1].v).any()
+
+
 def _zero_flux_run(params, initial, grid):
     cfg = simulator.SimConfig(
         params=params, grid=grid, t_end=1.0, initial=initial,

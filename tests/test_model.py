@@ -1,7 +1,9 @@
 import dataclasses
 import functools
+import itertools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +236,48 @@ def _scan_zeros(p, spacing=0.25, lo=-1.5, hi=1.5):
 # a5 = -a2*a3 + 1e-6: the u = 0 point (0, v, v - 1), v near 2e6, solves
 # its linear system, but its kinetics at v ~ 2e6 miss STEADY_TOL
 NEAR_SINGULAR = Params(1.0, 1.0, 1.0, 1.0, -0.999999)
+
+
+def _readme_rates():
+    """The kinetics as README.md writes them, parsed by sympy: (C1, C2,
+    C3) and the symbols u, v, w.  An oracle that shares no code with
+    `model.kinetics` or `model.inert_components`."""
+    import sympy as sp
+    from sympy.parsing.sympy_parser import (implicit_multiplication,
+                                            parse_expr,
+                                            standard_transformations)
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rates = [parse_expr(re.search(rf"^ *{c}_t = d\d {c}_xx \+ (.*)$",
+                                  readme, re.M).group(1),
+                        transformations=(*standard_transformations,
+                                         implicit_multiplication))
+             for c in "uvw"]
+    return rates, sp.symbols("u v w")
+
+
+def test_inert_components_are_the_zero_sets_the_kinetics_keep():
+    # for each set of zero components, the rule returns the largest
+    # subset whose own rates vanish identically once it is zero, whatever
+    # the other components hold (such subsets are closed under union)
+    rates, uvw = _readme_rates()
+    assert len(rates[0].free_symbols) > 1
+
+    def kept(subset):
+        zero = {uvw[c]: 0 for c in subset}
+        return all(rates[c].subs(zero).expand() == 0 for c in subset)
+
+    for size in range(4):
+        for zero in itertools.combinations(range(3), size):
+            got = model.inert_components(zero)
+            assert kept(got), zero
+            largest = max((s for k in range(size + 1)
+                           for s in itertools.combinations(zero, k)
+                           if kept(s)), key=len)
+            assert got == largest, zero
+    # v alone is not kept: u w feeds it
+    u, v, w = uvw
+    assert model.inert_components((1,)) == ()
+    assert rates[1].subs(v, 0).expand() == u * w
 
 
 @pytest.mark.parametrize("p", [

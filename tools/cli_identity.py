@@ -15,11 +15,13 @@ The cases cover every subcommand and every report and CSV writer, a run
 of every reduced system, each case of the separable (fam40, R38 with
 ``--case``) and semi-exact families, the flag-over-file, flag-over-config
 and file-over-config warnings (two overrides in one command included), a
-pinned-to-exact ``simulate`` (one from t0 = 0.5), a ``simulate`` that
-stores only its final state, a ``speed`` fit flagged unreliable, snapshot
-files that the ``speed`` reader must take apart the same way (line ends,
-blank lines, rows of one time apart, empty cells, bad lines past its first
-block) and the user errors of each kind.
+pinned-to-exact ``simulate`` (one from t0 = 0.5), Fisher ``simulate``
+runs whose zero v and w rows the kernel does not step, under each boundary
+kind, one whose w row alone is zero, a ``simulate`` that stores only its
+final state, a ``speed`` fit flagged unreliable, snapshot files that the
+``speed`` reader must take apart the same way (line ends, blank lines,
+rows of one time apart, empty cells, bad lines past its first block) and
+the user errors of each kind.
 All paths are relative, so reports and messages do not depend on where
 the temporary directory lies.
 """
@@ -210,6 +212,33 @@ CASES = [
      [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"],
       ["speed", "--run", "run", "--component", "u", "--level", "0.5",
        "--fit-window", "0", "0.2"]]),
+    # the kernel steps only u: v and w are +0.0 with +0.0 boundary values
+    ("simulate-fisher-neumann-zero",
+     {"cfg.json": _config(FISHER, grid=(-10.0, 10.0, 101), t_end=1.0,
+                          every=25, bc={"kind": "neumann-zero"})},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"],
+      ["speed", "--run", "run", "--component", "u", "--level", "0.5"]]),
+    ("simulate-fisher-pinned-to-exact",
+     {"cfg.json": _config(FISHER, grid=(-10.0, 10.0, 101), t_end=1.0,
+                          every=25, bc={"kind": "pinned-to-exact"})},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"],
+      ["speed", "--run", "run", "--component", "u", "--level", "0.5"]]),
+    # only the w row is zero: v has a boundary value, so u and v are
+    # stepped
+    ("simulate-w-row-zero",
+     {"cfg.json": _config(FISHER, grid=(-10.0, 10.0, 101), t_end=1.0,
+                          every=25, bc={"kind": "dirichlet",
+                                        "left": [1, 0.5, 0],
+                                        "right": [0, 0, 0]})},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"],
+      ["speed", "--run", "run", "--component", "u", "--level", "0.5",
+       "--out", "speed.json"]]),
+    # the default fit window, the last half, holds only the final state
+    ("error-speed-short-default-window",
+     {"cfg.json": _config(FISHER, grid=(-10.0, 10.0, 201), t_end=0.05,
+                          every=10**6)},
+     [["simulate", "--config", "cfg.json", "--out", "run", "--quiet"],
+      ["speed", "--run", "run", "--component", "u", "--level", "0.5"]]),
     ("simulate-dirichlet-params-differ",
      {"cfg.json": _config(FISHER, grid=(-10.0, 10.0, 101), t_end=0.2,
                           every=10,
