@@ -202,6 +202,80 @@ def test_translation_invariance(tf63_std):
         assert r2 == pytest.approx(r1, rel=2e-2)
 
 
+# The spacing nearest 4e-3 at which every point of every criterion-1
+# window is exact: the mirrored grid is then the bitwise negation of the
+# grid, and a grid shifted by whole cells the exact translate, so the
+# reflected or moved family is sampled at the very points of the original
+_H_EXACT = 2.0 ** -8
+
+
+def _states(sol, grid, t, dt):
+    return [calculus.sample(sol, grid, s) for s in (t - dt, t, t + dt)]
+
+
+@pytest.mark.parametrize("name,fam,window", _criterion1_instances(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_residual_fields_reflect_with_the_family(name, fam, window):
+    t, x_min, x_max = window
+    grid = SpaceGrid.from_spacing(x_min, x_max, _H_EXACT)
+    mirrored = SpaceGrid(-x_max, -x_min, grid.n)
+    assert np.array_equal(-mirrored.x()[::-1], grid.x())  # 0.0 == -0.0
+    h = dt = grid.h
+    refl = model.reflect_solution(fam)
+    states = _states(fam, grid, t, dt)
+    for s, m in zip(states, _states(refl, mirrored, t, dt)):
+        for c in "uvw":
+            assert same_bits(getattr(m, c)[::-1], getattr(s, c))
+    rep, fields = calculus.pde_residual(fam.params, fam, grid, t, dt,
+                                        return_fields=True)
+    _, mirr = calculus.pde_residual(fam.params, refl, mirrored, t, dt,
+                                    return_fields=True)
+    # The samples agree to the bit, and so do the kinetics and the time
+    # difference, which are pointwise.  Only the stencil's sum runs the
+    # other way: ((a - 2b) + c) against ((c - 2b) + a), each within
+    # eps (|a| + 2|b| + |c|) of the exact sum.  With the four roundings
+    # that follow (/ h^2, * d, - time term, + rate), each within eps/2 of
+    # its value on either side, the fields differ by at most
+    # eps (6 S d / h^2 + 2 T + R), bounded here by 8 eps (S d / h^2 + T + R).
+    eps = np.finfo(float).eps
+    rates = fam.params.reaction(*(getattr(states[1], c)[1:-1]
+                                  for c in "uvw"))
+    for k, c in enumerate("uvw"):
+        if rep.linf[k] is None:
+            assert np.isnan(fields[k]).all() and np.isnan(mirr[k]).all()
+            continue
+        f0, f1, f2 = (getattr(s, c) for s in states)
+        S = np.abs(f1[:-2]) + 2.0 * np.abs(f1[1:-1]) + np.abs(f1[2:])
+        T = np.abs(f2[1:-1] - f0[1:-1]) / (2.0 * dt)
+        d = fam.params.diffusivities[k]
+        bound = 8.0 * eps * (S * d / (h * h) + T + np.abs(rates[k]))
+        assert (np.abs(mirr[k][::-1] - fields[k]) <= bound).all(), c
+        assert 0.0 < rep.linf[k] < 1e-2  # a residual, not rounding
+
+
+@pytest.mark.parametrize("cells", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("name,fam,window", _criterion1_instances(),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_residual_norms_translate_with_the_family(name, fam, window, cells):
+    t, x_min, x_max = window
+    grid = SpaceGrid.from_spacing(x_min, x_max, _H_EXACT)
+    shift = cells * grid.h
+    moved = SpaceGrid(x_min + shift, x_max + shift, grid.n)
+    assert same_bits(moved.x() - shift, grid.x())
+    rep = calculus.pde_residual(fam.params, fam, grid, t, grid.h)
+    got = calculus.pde_residual(
+        fam.params, symmetry.flow(symmetry.px(), shift, fam), moved, t,
+        grid.h)
+    # The moved family is sampled at x - shift, the very points of the
+    # original, so every sample, and then every operation of the stencil,
+    # has the same bits: the rounding bound is zero.
+    for k, norm in enumerate(rep.linf):
+        if norm is None:  # the flow defines every component: zeros here
+            assert got.linf[k] == got.l2[k] == 0.0
+        else:
+            assert (got.linf[k], got.l2[k]) == (norm, rep.l2[k])
+
+
 def test_refinement_samples_on_calling_thread(tf63_std):
     threads = []
 

@@ -1,7 +1,9 @@
 import importlib
+import importlib.machinery
 import itertools
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -41,40 +43,102 @@ def test_mol_blowup_status():
     assert status >= 1
 
 
+def _patch_lapack(monkeypatch, **routines):
+    # the kernel takes both routines from `_tridiagonal_lapack` at call
+    # time, so replacing what it returns reaches it
+    real = dict(zip(("dpttrf", "dpttrs"), K._tridiagonal_lapack()))
+    patched = tuple({**real, **routines}.values())
+    monkeypatch.setattr(K, "_tridiagonal_lapack", lambda: patched)
+
+
 @pytest.mark.parametrize("routine,message", [
     ("dpttrf", "implicit diffusion matrix not factored (dpttrf info 2)"),
     ("dpttrs", "implicit diffusion solve failed (dpttrs info -3)"),
 ])
 def test_lapack_info_raises_numerical_error(monkeypatch, routine, message):
-    # the kernel imports both routines at call time, so patching the
-    # lapack module reaches it
-    from scipy.linalg import lapack
-    real = getattr(lapack, routine)
+    real = dict(zip(("dpttrf", "dpttrs"), K._tridiagonal_lapack()))[routine]
     info = {"dpttrf": 2, "dpttrs": -3}[routine]
 
     def failing(*args, **kw):
         *out, _ = real(*args, **kw)
         return (*out, info)
 
-    monkeypatch.setattr(lapack, routine, failing)
+    _patch_lapack(monkeypatch, **{routine: failing})
     with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
         _kernel_snaps(K.mol_run, 1e-3, 1, "dirichlet", (1.0,), [1])
 
 
 def test_dpttrs_solving_into_a_copy_changes_nothing(monkeypatch):
-    from scipy.linalg import lapack
     want = _kernel_snaps(K.mol_run, 1e-3, 70, "dirichlet", (1.0,), [35, 70])
-    real, copies = lapack.dpttrs, []
+    real, copies = K._tridiagonal_lapack()[1], []
 
     def into_a_copy(d, e, b, overwrite_b=0):
         x, info = real(d, e, b.copy(), overwrite_b=1)
         copies.append(x is not b)
         return x, info
 
-    monkeypatch.setattr(lapack, "dpttrs", into_a_copy)
+    _patch_lapack(monkeypatch, dpttrs=into_a_copy)
     got = _kernel_snaps(K.mol_run, 1e-3, 70, "dirichlet", (1.0,), [35, 70])
     assert len(copies) == 71 and all(copies)  # two solves at the first step
     assert got.tobytes() == want.tobytes()
+
+
+def _short_run():
+    return _kernel_snaps(K.mol_run, 1e-3, 20, "zero-flux", (1.0,), [10, 20])
+
+
+@pytest.fixture
+def unloaded_lapack(monkeypatch):
+    """scipy.linalg's LAPACK module and a short run's snapshots through it;
+    then the kernel's loader as in a process that has not stepped yet and
+    has not imported scipy.linalg (whose extension module stays loaded in
+    the background: a reload makes a new module around the same
+    routines)."""
+    import scipy.linalg.lapack as lapack
+    K._tridiagonal_lapack.cache_clear()
+    want = _short_run()
+    K._tridiagonal_lapack.cache_clear()
+    monkeypatch.delitem(sys.modules, K._FLAPACK)
+    yield lapack, want
+    K._tridiagonal_lapack.cache_clear()
+
+
+def test_lapack_loads_the_extension_and_leaves_no_module_entry(
+        unloaded_lapack):
+    lapack, want = unloaded_lapack
+    got = _short_run()
+    assert K._FLAPACK not in sys.modules
+    assert K._tridiagonal_lapack() == (lapack.dpttrf, lapack.dpttrs)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lapack_falls_back_to_scipy_linalg_without_the_extension_file(
+        unloaded_lapack, monkeypatch):
+    lapack, want = unloaded_lapack
+    find_spec = importlib.machinery.PathFinder.find_spec
+    asked = []
+
+    def no_extension(name, path=None, target=None):
+        asked.append(name)
+        return None if name == K._FLAPACK else find_spec(name, path, target)
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        no_extension)
+    got = _short_run()
+    assert asked == [K._FLAPACK]
+    assert K._tridiagonal_lapack() == (lapack.dpttrf, lapack.dpttrs)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lapack_leaves_scipy_linalgs_own_module_entry_alone():
+    import scipy.linalg.lapack as lapack
+    entry = sys.modules[K._FLAPACK]
+    K._tridiagonal_lapack.cache_clear()
+    try:
+        assert K._tridiagonal_lapack() == (lapack.dpttrf, lapack.dpttrs)
+    finally:
+        K._tridiagonal_lapack.cache_clear()
+    assert sys.modules[K._FLAPACK] is entry
 
 
 def _kinetics_expr(a, u, v, w, lead):

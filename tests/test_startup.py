@@ -51,6 +51,61 @@ def test_reduce_without_verify_loads_no_scipy(tmp_path):
     assert json.loads(report.read_text())["results"]["nodes"] > 5
 
 
+def test_simulate_loads_no_scipy_linalg(tmp_path):
+    # the MOL step needs two LAPACK routines, which hgf takes from scipy's
+    # extension module alone; importing scipy.linalg for them cost 28 MiB
+    # and 85 scipy modules
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({
+        "family": {"key": "fisher"},
+        "grid": {"x_min": -10.0, "x_max": 20.0, "n": 61},
+        "time": {"t_end": 0.2, "snapshot_every": 10}}))
+    out = _run_python(
+        "import sys\n"
+        "from hgf import cli\n"
+        f"code = cli.dispatch(['simulate', '--config', {str(config)!r},\n"
+        f"                     '--out', {str(tmp_path / 'run')!r},\n"
+        "                     '--quiet'])\n"
+        "print(code, sorted(m for m in sys.modules\n"
+        "                   if m.split('.')[:2] == ['scipy', 'linalg']))\n")
+    assert out.strip() == "0 []"
+    assert (tmp_path / "run" / "snapshots.csv").exists()
+
+
+_MOL_RUN = (
+    "import numpy as np\n"
+    "from hgf import _kernels as K\n"
+    "F = np.zeros((3, 11))\n"
+    "F[0, :5] = 1.0\n"
+    "snaps = np.empty((2, 3, 11))\n"
+    "snaps[0] = F\n"
+    "assert K.mol_run(F, np.ones(3), np.ones(5), 0.1, 1e-3, 4, 1,\n"
+    "                 np.zeros((1, 1, 3, 2)), np.array([4]), snaps) == -1\n")
+
+
+def test_scipy_linalg_imports_as_usual_after_a_mol_run():
+    # the extension module registers itself on load; hgf takes that entry
+    # out again, so the package builds itself around the same routines
+    out = _run_python(
+        _MOL_RUN +
+        "import scipy.linalg, scipy.interpolate\n"
+        "print(hasattr(scipy.linalg, '_flapack'),\n"
+        "      scipy.linalg.lapack.dpttrs is K._tridiagonal_lapack()[1],\n"
+        "      scipy.linalg.lapack.dpttrf is K._tridiagonal_lapack()[0])\n")
+    assert out.split() == ["True", "True", "True"]
+
+
+def test_a_mol_run_leaves_scipy_linalgs_extension_entry_alone():
+    out = _run_python(
+        "import sys\n"
+        "import scipy.linalg\n"
+        "entry = sys.modules['scipy.linalg._flapack']\n" + _MOL_RUN +
+        "print(sys.modules['scipy.linalg._flapack'] is entry,\n"
+        "      K._tridiagonal_lapack() == (scipy.linalg.lapack.dpttrf,\n"
+        "                                  scipy.linalg.lapack.dpttrs))\n")
+    assert out.split() == ["True", "True"]
+
+
 def test_allocator_left_alone_without_libc(monkeypatch, capsys):
     opened = []
 
